@@ -1,86 +1,11 @@
 """Top-level classification: route a state to the strongest decidable verdict.
 
-Dispatch order mirrors what is actually decidable: rank at most the max
-local rank is fully classified; rank 4 goes through the rank-4 decision
-tree; everything else runs the criteria battery plus the B-direct
-decomposition and reports the strongest certified verdict.
+classify_state is defined in `rank4`, next to decide_rank4, because the
+two call each other; this module re-exports it as the public entry point.
 """
 
 from __future__ import annotations
 
-from .certificates import (
-    Certificate,
-    Distillable,
-    Ppt,
-    SchmidtRank2Witness,
-    Separable,
-    Undecided,
-    validate_certificate,
-)
-from .criteria import (
-    is_ppt,
-    classify_rank_le_max,
-    reduction_criterion,
-    schmidt2_witness,
-    trivially_distillable,
-)
-from .states import BipartiteState
+from .rank4 import classify_state
 
 __all__ = ["classify_state"]
-
-
-def _witness_certificate(state, w) -> Certificate:
-    cert = Distillable(SchmidtRank2Witness(vector=w.vector, value=w.value))
-    validate_certificate(state, cert)
-    return cert
-
-
-def classify_state(state: BipartiteState, rng=7, budget: int = 256) -> Certificate:
-    """Strongest verdict available for an arbitrary bipartite state."""
-    from .rank4 import decide_rank4, separable_decomposition
-    from .structure import aggregate, decompose_b_direct
-
-    ra, rb = state.local_ranks()
-    r = state.rank()
-    if r <= max(ra, rb):
-        return classify_rank_le_max(state, rng=rng, budget=budget)
-    if r == 4:
-        return decide_rank4(state, rng=rng).outcome
-
-    ppt, min_eig = is_ppt(state)
-    if ppt:
-        if min(ra, rb) <= 2 and max(ra, rb) <= 3:
-            # PPT implies separable below 2x3, and a decomposition exists
-            products = separable_decomposition(state, rng=rng)
-            return Separable(products=tuple(products))
-        return Ppt(min_eig_gamma=min_eig)
-
-    w = trivially_distillable(state)
-    if w is not None:
-        return _witness_certificate(state, w)
-    w = schmidt2_witness(state, budget=budget, rng=rng)
-    if w is not None:
-        return _witness_certificate(state, w)
-    violated, rw = reduction_criterion(state)
-    if violated:
-        # Clarisse: a reduction violation implies 1-distillability; the
-        # Schmidt-rank-2 search should have found it, so push harder
-        w = schmidt2_witness(state, budget=4 * budget, rng=rng)
-        if w is not None:
-            return _witness_certificate(state, w)
-
-    decomp = decompose_b_direct(state, rng=rng)
-    if not decomp.irreducible:
-        verdicts = [classify_state(c, rng=rng, budget=budget)
-                    for c in decomp.components]
-        return aggregate(state, decomp, verdicts)
-
-    from .structure import common_kernel_distill
-
-    cert = common_kernel_distill(state, rng=rng)
-    if isinstance(cert, Distillable):
-        return cert
-    return Undecided(report=(
-        f"NPT state of rank {r} > max local rank {max(ra, rb)}: witness "
-        f"searches exhausted (budget {budget}); no decision procedure is "
-        "known for this regime"))

@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 
 from .linalg import dagger, rel_residual
-from .states import BipartiteState, PureState, partial_transpose, reduce, schmidt
+from .states import BipartiteState, PureState, apply_local, partial_transpose, reduce, schmidt
 
 __all__ = [
     "TrivialSubmatrixWitness",
@@ -172,10 +172,6 @@ class Undecided:
 Certificate = Union[Separable, Ppt, PptEntangled, Distillable, Undecided]
 
 
-def verdict_name(cert: Certificate) -> str:
-    return type(cert).__name__
-
-
 def _gamma_expectation(state: BipartiteState, psi: np.ndarray) -> float:
     g = partial_transpose(state)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -215,7 +211,6 @@ def validate_witness(state: BipartiteState, witness: Witness) -> float:
         return value
     if isinstance(witness, TwoByNProjectionWitness):
         a = dagger(witness.a_columns)  # 2 x M compression
-        from .states import apply_local  # local import to avoid cycle at module load
         projected = apply_local(state, a, witness.b_operator)
         value = float(np.linalg.eigvalsh(partial_transpose(projected))[0])
         if value >= -thr:

@@ -38,6 +38,7 @@ from .families import FIXTURE_BUILDERS, make_fixture, shifts_bipartite_cut
 from .io import StateFileError, encode_complex, load_state, save_state
 from .linalg import DEFAULT_TOL, ToleranceConfig
 from .product_search import Subspace, find_product_vector, hypersurface_value
+from .rank4 import decide_rank4
 from .structure import decompose_b_direct
 from .tripartite import TripartitePure, classify_pairs, ghz_test
 
@@ -203,8 +204,6 @@ def cmd_analyze(args) -> int:
         return EXIT_DECIDED
 
     if mode == "rank4":
-        from .rank4 import decide_rank4
-
         verdict = decide_rank4(state, rng=rng)
         payload["trail"] = list(verdict.trail)
         cert = verdict.outcome

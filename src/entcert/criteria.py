@@ -3,7 +3,10 @@
 Implements the PPT test, the reduction criterion, trivial distillability
 (2x2 principal submatrices of rho^G), left/right full-rank properties,
 Schmidt-rank-2 witness searches, and the certified classification of
-states whose rank equals the maximum local rank.
+states whose rank equals the maximum local rank: both halves of that
+theorem (PPT -> exactly N products, NPT -> a 2xN projection witness)
+run in a `Frame`, which compresses a state onto its local ranges,
+orients it to M <= N and maps the results back.
 """
 
 from __future__ import annotations
@@ -23,18 +26,22 @@ from .certificates import (
     TwoByNProjectionWitness,
     UndecidableError,
     lift_through_local,
+    validate_certificate,
     validate_witness,
 )
-from .linalg import dagger, frob, numerical_rank
+from .linalg import dagger, frob, hermitian_eigen, numerical_rank
 from .random_states import as_rng, complex_gaussian, unit_disc
 from .states import (
     BipartiteState,
     BlockForm,
+    PureState,
     apply_local,
     block_form,
     partial_transpose,
     reduce,
+    schmidt,
     swap_sides,
+    swap_vector,
 )
 
 __all__ = [
@@ -48,6 +55,8 @@ __all__ = [
     "classify_rank_le_max",
     "certify_pure_plus_sigma",
     "restrict_to_local_ranges",
+    "Frame",
+    "separable_decomposition_rank_n",
 ]
 
 # Nominal per-coordinate grid size used only to quote a Schwartz-Zippel
@@ -154,8 +163,6 @@ def restrict_to_local_ranges(state: BipartiteState):
     Returns (restricted, qa, qb) with isometry columns; the original is
     (qa (x) qb) restricted (qa (x) qb)^dag.
     """
-    from .linalg import hermitian_eigen
-
     qs = []
     for side, dim in (("A", state.dim_a), ("B", state.dim_b)):
         red = reduce(state, side)
@@ -170,6 +177,84 @@ def restrict_to_local_ranges(state: BipartiteState):
         return state, ident_a, ident_b
     restricted = apply_local(state, dagger(qa), dagger(qb))
     return restricted, qa, qb
+
+
+@dataclass(frozen=True)
+class Frame:
+    """The state a construction works on, and the way back to the caller's.
+
+    work is the caller's state compressed by the range isometries qa, qb
+    (None: not compressed) and, when swapped, with its sides exchanged.
+    lift_witness and lift_products map results on work back to state.
+    """
+
+    state: BipartiteState
+    work: BipartiteState
+    qa: np.ndarray | None = None
+    qb: np.ndarray | None = None
+    swapped: bool = False
+
+    @classmethod
+    def local(cls, state: BipartiteState, orient: bool = True) -> Frame:
+        """Compress onto the local ranges; with orient, swap to M <= N."""
+        restricted, qa, qb = restrict_to_local_ranges(state)
+        swapped = orient and restricted.dim_a > restricted.dim_b
+        work = swap_sides(restricted) if swapped else restricted
+        return cls(state, work, qa, qb, swapped)
+
+    @classmethod
+    def swap(cls, state: BipartiteState) -> Frame:
+        """Exchange the sides only."""
+        return cls(state, swap_sides(state), swapped=True)
+
+    def lift_witness(self, witness, a_op=None, b_op=None):
+        """The witness for the caller's state.
+
+        With a_op or b_op the witness is for (a_op (x) b_op) work
+        (a_op (x) b_op)^dag.  The swap is undone by
+        <psi| (S rho S)^G |psi> = <conj(S psi)| rho^G |conj(S psi)>.  A
+        2xN projection keeps its structure only in an unswapped frame
+        that compressed no A level; otherwise the Schmidt-rank-2 form,
+        checkable on any state, is returned.
+        """
+        dims = (self.work.dim_a if a_op is None else a_op.shape[0],
+                self.work.dim_b if b_op is None else b_op.shape[0])
+        vec = witness.vector
+        if self.swapped:
+            vec = swap_vector(vec, *dims).conj()
+            a_op, b_op, dims = b_op, a_op, dims[::-1]
+        if self.qa is not None:
+            a_op = dagger(self.qa) if a_op is None else a_op @ dagger(self.qa)
+            b_op = dagger(self.qb) if b_op is None else b_op @ dagger(self.qb)
+        if a_op is not None or b_op is not None:
+            vec = lift_through_local(vec, a_op, b_op, dims)
+        if (isinstance(witness, TwoByNProjectionWitness) and not self.swapped
+                and self.qa is not None and self.qa.shape[0] == self.qa.shape[1]):
+            return TwoByNProjectionWitness(
+                a_columns=self.qa @ witness.a_columns,
+                b_operator=witness.b_operator @ dagger(self.qb),
+                x=witness.x, vector=vec, value=witness.value)
+        return SchmidtRank2Witness(vector=vec, value=witness.value)
+
+    def lift_products(self, products) -> list:
+        """Product pairs (a, b) on work as pairs for the caller's state."""
+        if self.swapped:
+            products = [(b, a) for a, b in products]
+        if self.qa is not None:
+            products = [(self.qa @ a, self.qb @ b) for a, b in products]
+        return list(products)
+
+    def lift(self, cert: Certificate) -> Certificate:
+        """A Distillable or Separable verdict on work, lifted and
+        re-validated against the caller's state; others pass through."""
+        if isinstance(cert, Distillable):
+            cert = Distillable(self.lift_witness(cert.witness))
+        elif isinstance(cert, Separable):
+            cert = Separable(products=tuple(self.lift_products(cert.products)))
+        else:
+            return cert
+        validate_certificate(self.state, cert)
+        return cert
 
 
 def full_rank_property(state: BipartiteState, side: str = "right",
@@ -288,11 +373,11 @@ _X_GRID = [s * m for m in (1.0, 2.0, 0.5, 4.0, 0.25, 8.0)
            for s in (1.0, -1.0, 1.0j, -1.0j)]
 
 
-def _distill_rank_max(state, rng, x_budget, chain_a, chain_b, swapped, original):
+def _distill_rank_max(state, rng, x_budget):
     """Witness construction for an NPT state with rank == dim_b == max.
 
     state must already be compressed to its local ranges with M <= N and
-    rank N.  chain_a/chain_b map the original state onto `state`.
+    rank N; the witness refers to state.
     """
     m, n = state.dim_a, state.dim_b
     tol = state.tol
@@ -304,8 +389,7 @@ def _distill_rank_max(state, rng, x_budget, chain_a, chain_b, swapped, original)
             raise UndecidableError(
                 "state violates the right full-rank property but the witness "
                 "search budget was exhausted")
-        vec = lift_through_local(w.vector, chain_a, chain_b, (m, n))
-        return Distillable(SchmidtRank2Witness(vector=vec, value=w.value))
+        return w
 
     if frp.witness is None:
         # cannot happen for M >= 2 at rank N (the product bound shortcut
@@ -315,8 +399,6 @@ def _distill_rank_max(state, rng, x_budget, chain_a, chain_b, swapped, original)
     blocks = _blocks_after_a_op(list(block_form(state).blocks), a_op)
     b_op = dagger(np.linalg.inv(blocks[-1]))
     blocks = [c @ dagger(b_op) for c in blocks]
-    chain_a2 = a_op @ chain_a
-    chain_b2 = b_op @ chain_b
 
     def certify(c_block, g_cols, x_val):
         pair = _pair_state(c_block, tol)
@@ -326,10 +408,10 @@ def _distill_rank_max(state, rng, x_budget, chain_a, chain_b, swapped, original)
         w, v = np.linalg.eigh(partial_transpose(pair))
         psi_pair = v[:, 0]
         comp = dagger(g_cols)  # 2 x M compression on the working state
-        vec = lift_through_local(psi_pair, comp @ chain_a2, chain_b2, (2, n))
-        a_cols = dagger(comp @ chain_a2)
+        vec = lift_through_local(psi_pair, comp @ a_op, b_op, (2, n))
+        a_cols = dagger(comp @ a_op)
         return TwoByNProjectionWitness(
-            a_columns=a_cols, b_operator=np.asarray(chain_b2),
+            a_columns=a_cols, b_operator=np.asarray(b_op),
             x=x_val, vector=vec, value=float(w[0]))
 
     # each pair-projected state (C_i, I_N); any NPT one certifies
@@ -339,7 +421,7 @@ def _distill_rank_max(state, rng, x_budget, chain_a, chain_b, swapped, original)
         g_cols[m - 1, 1] = 1.0
         witness = certify(blocks[i], g_cols, None)
         if witness is not None:
-            return Distillable(_wrap_swap(witness, swapped, original))
+            return witness
 
     # all pair projections PPT: blocks are normal, a non-commuting pair exists
     scale = [max(frob(c), 1.0e-300) for c in blocks[:-1]]
@@ -364,27 +446,124 @@ def _distill_rank_max(state, rng, x_budget, chain_a, chain_b, swapped, original)
         g_cols[m - 1, 1] = 1.0
         witness = certify(x * blocks[i] + blocks[j], g_cols, complex(x))
         if witness is not None:
-            return Distillable(_wrap_swap(witness, swapped, original))
+            return witness
     raise RuntimeError(
         f"x-sweep exhausted ({x_budget} points) for the non-commuting pair "
         f"{best_pair}; commutator score {best_score:.3e}. The certificate is "
         "guaranteed to exist, so this indicates a numerical issue.")
 
 
-def _wrap_swap(witness: TwoByNProjectionWitness, swapped: bool, original: BipartiteState):
-    """Map a witness on the swapped state back to the original ordering.
+def _simultaneous_diagonalize(mats, tol):
+    """Common eigenbasis of a family of commuting normal matrices.
 
-    <psi|(S rho S)^G|psi> = <conj(S psi)| rho^G |conj(S psi)>, so the
-    pulled-back vector is the conjugated index swap.
+    Recursive eigenspace refinement over the Hermitian and
+    anti-Hermitian parts of the generators.
     """
-    if not swapped:
-        return witness
-    from .states import swap_vector
+    n = mats[0].shape[0]
+    generators = []
+    for c in mats:
+        generators.append(0.5 * (c + dagger(c)))
+        generators.append(0.5j * (dagger(c) - c))
+    u = np.eye(n, dtype=complex)
+    subspaces = [np.arange(n)]
+    for h in generators:
+        new_subspaces = []
+        for idx in subspaces:
+            if len(idx) == 1:
+                new_subspaces.append(idx)
+                continue
+            q = u[:, idx]
+            w, v = np.linalg.eigh(dagger(q) @ h @ q)
+            u[:, idx] = q @ v
+            spread = max(float(w[-1] - w[0]), 1.0)
+            start = 0
+            for i in range(1, len(w)):
+                if w[i] - w[i - 1] > 1.0e-8 * spread:
+                    new_subspaces.append(idx[start:i])
+                    start = i
+            new_subspaces.append(idx[start:])
+        subspaces = new_subspaces
+    return u
 
-    vec = swap_vector(witness.vector, original.dim_b, original.dim_a).conj()
-    # structured projection data refers to the swapped state; keep the
-    # universally checkable Schmidt-rank-2 form for the original
-    return SchmidtRank2Witness(vector=vec, value=witness.value)
+
+def _rank_n_products(state: BipartiteState, rng):
+    """Products for a PPT state with M <= N locals and rank N.
+
+    The state must already be compressed to its local ranges.  Returns
+    a list of N (a, b) pairs in this frame.
+    """
+    m, n = state.dim_a, state.dim_b
+    tol = state.tol
+    if m == 1:
+        w, v = hermitian_eigen(reduce(state, "B"), tol)
+        keep = np.where(w > tol.rank_cutoff(max(float(w[-1]), 0.0), (n, n)))[0]
+        return [(np.array([1.0 + 0.0j]), np.sqrt(w[k]) * v[:, k]) for k in keep]
+
+    frp = full_rank_property(state, "right", rng=rng)
+    if not frp.holds or frp.witness is None:
+        raise RuntimeError(
+            "no full-rank direction found for a PPT state; PPT states are "
+            "guaranteed to have both full-rank properties, so this signals "
+            "a numerical problem or a non-PPT input")
+    a_op = _complete_rows(frp.witness.conj())
+    blocks = _blocks_after_a_op(list(block_form(state).blocks), a_op)
+    c_last_inv = np.linalg.inv(blocks[-1])
+    blocks = [c @ c_last_inv for c in blocks]
+    b_op = dagger(c_last_inv)
+
+    scale = [max(frob(c), 1.0e-300) for c in blocks]
+    comm_tol = 1.0e-6
+    for i in range(m - 1):
+        herm_defect = frob(blocks[i] @ dagger(blocks[i]) - dagger(blocks[i]) @ blocks[i])
+        if herm_defect > comm_tol * scale[i] ** 2:
+            raise ValueError(
+                f"block {i + 1} is not normal (defect {herm_defect:.3e}); "
+                "the input is not PPT within tolerance")
+        for j in range(i + 1, m - 1):
+            d = frob(blocks[i] @ blocks[j] - blocks[j] @ blocks[i])
+            if d > comm_tol * scale[i] * scale[j]:
+                raise ValueError(
+                    f"blocks {i + 1} and {j + 1} do not commute "
+                    f"(defect {d:.3e}); the input is not PPT within tolerance")
+
+    u = _simultaneous_diagonalize(blocks[:-1], tol)
+    diag = np.empty((n, m), dtype=complex)
+    for i, c in enumerate(blocks):
+        conj_c = dagger(u) @ c @ u
+        off = frob(conj_c - np.diag(np.diag(conj_c)))
+        if off > 1.0e-6 * max(scale[i], 1.0):
+            raise RuntimeError(
+                f"simultaneous diagonalization left block {i + 1} with "
+                f"off-diagonal mass {off:.3e}")
+        diag[:, i] = np.diag(conj_c)
+
+    products = []
+    for k in range(n):
+        a_vec = diag[k, :].conj()
+        b_vec = u[:, k]
+        products.append((a_vec, b_vec))
+    # map back through the two local operations
+    a_inv = np.linalg.inv(a_op)
+    b_inv = np.linalg.inv(b_op)
+    return [(a_inv @ a, b_inv @ b) for a, b in products]
+
+
+def separable_decomposition_rank_n(state: BipartiteState, rng=7):
+    """Exactly N product states for an M x N PPT state of rank N (M <= N).
+
+    Normalizes the last block to the identity via a full-rank witness,
+    verifies the remaining blocks are pairwise commuting normal
+    matrices, diagonalizes them simultaneously and reads off the
+    products.  Rejects inputs whose blocks fail the commutation check
+    (they are not PPT within tolerance).
+    """
+    frame = Frame.local(state)
+    r = frame.work.rank()
+    if r != frame.work.dim_b:
+        raise ValueError(f"rank {r} does not equal the max local rank {frame.work.dim_b}")
+    products = frame.lift_products(_rank_n_products(frame.work, rng))
+    validate_certificate(state, Separable(products=tuple(products)))
+    return products
 
 
 def classify_rank_le_max(state: BipartiteState, rng=7, budget: int = 256) -> Certificate:
@@ -396,26 +575,17 @@ def classify_rank_le_max(state: BipartiteState, rng=7, budget: int = 256) -> Cer
     procedure.  Search-budget exhaustion raises, it never returns
     Undecided.
     """
-    restricted, qa, qb = restrict_to_local_ranges(state)
-    m, n = restricted.dim_a, restricted.dim_b
-    r = restricted.rank()
-    if r > max(m, n):
+    frame = Frame.local(state)
+    work = frame.work
+    n = work.dim_b
+    r = work.rank()
+    if r > n:
         raise ValueError(
-            f"rank {r} exceeds max local rank {max(m, n)}; use decide_rank4 "
+            f"rank {r} exceeds max local rank {n}; use decide_rank4 "
             "or the general analysis for such states")
 
-    swapped = m > n
-    work = swap_sides(restricted) if swapped else restricted
-    wm, wn = work.dim_a, work.dim_b
-
-    def lift_vec(vec):
-        if swapped:
-            from .states import swap_vector
-            vec = swap_vector(vec, wm, wn).conj()
-        return lift_through_local(vec, dagger(qa), dagger(qb), (restricted.dim_a, restricted.dim_b))
-
     ppt, min_eig = is_ppt(work)
-    if r < wn:
+    if r < n:
         if ppt:
             raise UndecidableError(
                 "rank below the max local rank forces NPT, but the state "
@@ -425,38 +595,10 @@ def classify_rank_le_max(state: BipartiteState, rng=7, budget: int = 256) -> Cer
             raise UndecidableError(
                 "distillability is guaranteed at this rank but the witness "
                 f"search budget ({budget}) was exhausted")
-        vec = lift_vec(w.vector)
-        witness = SchmidtRank2Witness(vector=vec, value=w.value)
-        validate_witness(state, witness)
-        return Distillable(witness)
-
+        return frame.lift(Distillable(w))
     if ppt:
-        from .rank4 import separable_decomposition_rank_n
-
-        products = separable_decomposition_rank_n(work, rng=rng)
-        if swapped:
-            products = [(b, a) for a, b in products]
-        products = [(qa @ a, qb @ b) for a, b in products]
-        return Separable(products=tuple(products))
-
-    ident = np.eye(wm, dtype=complex)
-    identb = np.eye(wn, dtype=complex)
-    cert = _distill_rank_max(work, rng, budget, ident, identb, swapped, restricted)
-    # map back through the range restriction
-    wt = cert.witness
-    vec = lift_through_local(wt.vector, dagger(qa), dagger(qb),
-                             (restricted.dim_a, restricted.dim_b))
-    if isinstance(wt, TwoByNProjectionWitness) and qa.shape[0] == qa.shape[1]:
-        witness = TwoByNProjectionWitness(
-            a_columns=qa @ wt.a_columns if not swapped else wt.a_columns,
-            b_operator=wt.b_operator @ dagger(qb) if not swapped else wt.b_operator,
-            x=wt.x, vector=vec, value=wt.value)
-        if swapped:
-            witness = SchmidtRank2Witness(vector=vec, value=wt.value)
-    else:
-        witness = SchmidtRank2Witness(vector=vec, value=wt.value)
-    validate_witness(state, witness)
-    return Distillable(witness)
+        return frame.lift(Separable(products=tuple(_rank_n_products(work, rng))))
+    return frame.lift(Distillable(_distill_rank_max(work, rng, budget)))
 
 
 def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certificate:
@@ -466,8 +608,6 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
     smaller than the A-local rank of the sum.  The constructive proof
     yields a 2xN projection that is trivially distillable.
     """
-    from .states import PureState, schmidt as schmidt_dec
-
     if not isinstance(psi, PureState):
         raise TypeError("psi must be a PureState")
     tol = sigma.tol if sigma is not None else None
@@ -478,7 +618,7 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
         rho_mat = rho_mat + sigma.matrix
     state = BipartiteState(psi.dim_a, psi.dim_b, rho_mat, tol or BipartiteState.__dataclass_fields__["tol"].default)
 
-    coeffs, _, _ = schmidt_dec(psi, state.tol)
+    coeffs, _, _ = schmidt(psi, state.tol)
     if len(coeffs) < 2:
         raise ValueError("psi is a product state; an entangled psi is required")
 
@@ -506,7 +646,6 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
     uu, ss, _ = np.linalg.svd(tail)
     if ss[0] <= state.tol.rank_cutoff(max(ss[0], 1.0), tail.shape):
         raise ValueError("psi has no component outside range(sigma_A)")
-    w_rot = np.eye(m - r, dtype=complex)
     # unitary on the complement whose last row maps the tail onto row M
     w_rot = np.roll(uu, -1, axis=1)
     u2 = np.eye(m, dtype=complex)

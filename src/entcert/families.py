@@ -20,14 +20,14 @@ from .certificates import (
     lift_through_local,
     validate_witness,
 )
-from .criteria import is_ppt, schmidt2_witness, trivially_distillable
+from .criteria import Frame, classify_rank_le_max, is_ppt, schmidt2_witness, trivially_distillable
 from .linalg import DEFAULT_TOL, ToleranceConfig, dagger
 from .random_states import as_rng, complex_gaussian, unit_disc
+from .rank4 import decide_rank4
 from .states import (
     BipartiteState,
     PureState,
     partial_transpose,
-    swap_sides,
     von_neumann_entropy,
 )
 from .tripartite import TripartitePure
@@ -138,8 +138,8 @@ def _structured_projection_sweep(state, rng, x_budget=24):
             for s in (1.0, -1.0, 1.0j, -1.0j)]
     grid = grid + list(unit_disc(rng, max(x_budget - len(grid), 0)) * 2.0)
 
-    for swap in (False, True):
-        work = swap_sides(state) if swap else state
+    for frame in (Frame(state, state), Frame.swap(state)):
+        work = frame.work
         m, n = work.dim_a, work.dim_b
         gam = partial_transpose(work)
         thr = work.tol.psd_tol * max(work.spectral_norm, 1.0e-300)
@@ -162,12 +162,8 @@ def _structured_projection_sweep(state, rng, x_budget=24):
                         if w[0] < -thr:
                             vec = lift_through_local(
                                 v[:, 0], comp, None, (2, n))
-                            if swap:
-                                from .rank4 import _swapped_witness_vector
-
-                                vec = _swapped_witness_vector(vec, state.dim_a,
-                                                              state.dim_b)
-                            return SchmidtRank2Witness(vector=vec, value=float(w[0]))
+                            return frame.lift_witness(
+                                SchmidtRank2Witness(vector=vec, value=float(w[0])))
     return None
 
 
@@ -186,13 +182,9 @@ def classify_checkerboard(state: BipartiteState, rng=17,
     ra, rb = state.local_ranks()
     r = state.rank()
     if r <= max(ra, rb):
-        from .criteria import classify_rank_le_max
-
         return classify_rank_le_max(state, rng=rng)
     ppt, _ = is_ppt(state)
     if ppt:
-        from .rank4 import decide_rank4
-
         return decide_rank4(state, rng=rng).outcome
 
     w = trivially_distillable(state)

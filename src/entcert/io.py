@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 
+from .families import make_fixture, shifts_bipartite_cut
 from .linalg import DEFAULT_TOL, ToleranceConfig
 from .product_search import Subspace
 from .states import BipartiteState
@@ -150,8 +151,6 @@ def doc_to_object(doc, tol_override: ToleranceConfig | None = None):
         except ValueError as exc:
             raise StateFileError(f"data: {exc}") from exc
     if kind == "fixture":
-        from .families import make_fixture, shifts_bipartite_cut
-
         name = doc.get("name")
         params = doc.get("params", {})
         if not isinstance(name, str):

@@ -9,7 +9,7 @@ commutant of the block family and eigen-splitting a generic element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .certificates import (
     lift_through_local,
     validate_witness,
 )
-from .criteria import is_ppt, restrict_to_local_ranges, trivially_distillable
+from .criteria import Frame, is_ppt, left_pencil, trivially_distillable
 from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, frob, hermitian_eigen, numerical_rank
 from .product_search import rank_one_in_span
 from .random_states import as_rng, complex_gaussian
@@ -237,21 +237,21 @@ def aggregate(state: BipartiteState, decomp: BDirectDecomposition,
 
 
 def common_kernel_distill(state: BipartiteState, rng=11, restarts: int = 40):
-    """Distillability from a common-kernel pattern.
+    """Distillability from a common-kernel pattern, for irreducible states.
 
     Searches for |b> in H_B with rank[C_1 b, ..., C_M b] = 1, i.e. an
     (M-1)-dimensional A-subspace H'_A with H'_A (x) |b> inside ker(rho).
-    For an irreducible state this yields a trivially distillable gauge;
-    a reducible state with 3 B-local levels is routed through the
-    B-direct decomposition.  Returns a certificate or None.
+    For a B-irreducible state this yields a trivially distillable gauge.
+    Returns a Distillable certificate, or None when no pattern is found
+    or the state is B-reducible (classify its B-direct components
+    instead; restricting to the local ranges keeps B-reducibility).
     """
-    restricted, qa, qb = restrict_to_local_ranges(state)
+    frame = Frame.local(state, orient=False)
+    restricted = frame.work
     m, n = restricted.dim_a, restricted.dim_b
     if m < 2:
         return None
     blocks = block_form(restricted)
-    from .criteria import left_pencil
-
     pencil = np.stack(left_pencil(blocks))  # (N, R, M)
     found = rank_one_in_span(pencil, restarts=restarts, rng=rng, tol=state.tol)
     if not found.found:
@@ -261,23 +261,10 @@ def common_kernel_distill(state: BipartiteState, rng=11, restarts: int = 40):
     u, sv, vh = np.linalg.svd(t_cols)
     if sv.size > 1 and sv[1] > state.tol.residual_tol * sv[0]:
         return None  # numeric rank-1 claim did not hold up
+    if not decompose_b_direct(restricted, rng=rng).irreducible:
+        return None
 
-    decomp = decompose_b_direct(restricted, rng=rng)
-    if not decomp.irreducible:
-        if n != 3:
-            return None
-        from .analyze import classify_state
-
-        verdicts = [classify_state(comp, rng=rng) for comp in decomp.components]
-        cert = aggregate(restricted, decomp, verdicts)
-        if isinstance(cert, Distillable):
-            vec = lift_through_local(cert.witness.vector, dagger(qa), dagger(qb), (m, n))
-            witness = SchmidtRank2Witness(vector=vec, value=cert.witness.value)
-            validate_witness(state, witness)
-            return Distillable(witness)
-        return cert
-
-    # irreducible: build the trivially distillable gauge from the common kernel
+    # build the trivially distillable gauge from the common kernel
     c_coeff = sv[0] * vh[0, :].conj()  # columns satisfy C_j b = c_j * u0
     _, kern = numerical_rank(c_coeff.conj().reshape(1, m), state.tol)
     t_op = np.vstack([c_coeff.reshape(1, m), kern.T])
@@ -293,9 +280,7 @@ def common_kernel_distill(state: BipartiteState, rng=11, restarts: int = 40):
         raise RuntimeError(
             "common-kernel construction did not produce a trivially "
             "distillable gauge; numerical inconsistency")
-    vec = lift_through_local(tw.vector, t_op @ dagger(qa), b_op @ dagger(qb),
-                             (m, n))
-    witness = SchmidtRank2Witness(vector=vec, value=tw.value)
+    witness = frame.lift_witness(tw, t_op, b_op)
     validate_witness(state, witness)
     return Distillable(witness)
 

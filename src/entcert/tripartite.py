@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import Separable
-from .criteria import is_ppt
+from .analyze import classify_state
+from .certificates import Separable, validate_certificate
+from .criteria import is_ppt, separable_decomposition_rank_n
 from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, frob, numerical_rank
 from .states import BipartiteState
+from .structure import classical_side
 
 __all__ = [
     "TripartitePure",
@@ -121,8 +123,6 @@ def canonical_two_ppt(psi: TripartitePure, rng=7) -> CanonicalForm:
     grouping of parallel A-vectors, and a per-group Schmidt split that
     yields orthonormal B and C frames.
     """
-    from .rank4 import separable_decomposition_rank_n
-
     d_a, d_b, d_c = psi.dims
     tol = psi.tol
     rho_ab = reduced_pair(psi, "AB")
@@ -231,8 +231,6 @@ def classify_pairs(psi: TripartitePure, rng=7) -> PairClassification:
     NPT reduction gets a distillability certificate from the general
     classifier.
     """
-    from .analyze import classify_state
-
     rho = {"AB": reduced_pair(psi, "AB"), "AC": reduced_pair(psi, "AC")}
     ppt = {}
     for name, state in rho.items():
@@ -251,8 +249,6 @@ def classify_pairs(psi: TripartitePure, rng=7) -> PairClassification:
             prods_ac.append((a, uc_rows[:, j]))
         for name, prods in (("AB", prods_ab), ("AC", prods_ac)):
             cert = Separable(products=tuple(prods))
-            from .certificates import validate_certificate
-
             validate_certificate(rho[name], cert)
             certificates[name] = cert
     else:
@@ -270,8 +266,6 @@ def ghz_test(psi: TripartitePure, rng=7):
     classical on every side (zero discord).  On success the GHZ
     coefficients are returned, sorted decreasing.
     """
-    from .structure import classical_side
-
     pairs = {p: reduced_pair(psi, p) for p in ("AB", "AC", "BC")}
     route_ppt = all(is_ppt(s)[0] for s in pairs.values())
     route_classical = all(

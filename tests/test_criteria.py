@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entcert.analyze import classify_state
 from entcert.certificates import (
     Distillable,
     Separable,
@@ -28,6 +29,7 @@ from entcert.states import (
     PureState,
     apply_local,
     reduce,
+    swap_sides,
     tensor,
 )
 
@@ -200,16 +202,39 @@ def test_classify_rank_max_ppt_separable(rng):
         assert rel_residual(rec, state.matrix) < 1e-8
 
 
+def antisymmetric_plus_03():
+    """3x4 rank 4: the antisymmetric 3x3 state plus |0>|3>; it violates
+    the right full-rank property."""
+    vecs = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        v = np.zeros(12, dtype=complex)
+        v[i * 4 + j], v[j * 4 + i] = 1.0, -1.0
+        vecs.append(v)
+    v = np.zeros(12, dtype=complex)
+    v[0 * 4 + 3] = 1.0
+    vecs.append(v)
+    return BipartiteState.from_vectors(3, 4, vecs)
+
+
 def test_classify_rank_max_npt_distillable(rng):
-    hits = 0
-    while hits < 10:
-        state = random_rank_r_state(3, 3, 3, rng)
-        if is_ppt(state)[0]:
-            continue
-        cert = classify_rank_le_max(state, rng=rng)
-        assert isinstance(cert, Distillable)
-        assert validate_witness(state, cert.witness) < -1e-10
-        hits += 1
+    # 4x3 is the side-swapped orientation: the witness found on the
+    # 3x4 working state must be pulled back through the swap
+    for dims, rank in (((3, 3), 3), ((4, 3), 4)):
+        hits = 0
+        while hits < 10:
+            state = random_rank_r_state(*dims, rank, rng)
+            if is_ppt(state)[0]:
+                continue
+            cert = classify_rank_le_max(state, rng=rng)
+            assert isinstance(cert, Distillable)
+            assert validate_witness(state, cert.witness) < -1e-10
+            hits += 1
+    state = antisymmetric_plus_03()
+    for oriented in (state, swap_sides(state)):
+        for cert in (classify_rank_le_max(oriented, rng=rng),
+                     classify_state(oriented, rng=rng)):
+            assert isinstance(cert, Distillable)
+            assert validate_witness(oriented, cert.witness) < -1e-10
 
 
 def test_classify_rank_max_never_silently_undecided(rng):

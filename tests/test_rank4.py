@@ -179,7 +179,7 @@ def test_peeling_2x3_rank4(rng):
 
 def test_simultaneous_diagonalization_residual(rng):
     from entcert.linalg import dagger
-    from entcert.rank4 import _simultaneous_diagonalize
+    from entcert.criteria import _simultaneous_diagonalize
     from entcert.random_states import random_unitary
 
     u = random_unitary(4, rng)
@@ -193,7 +193,7 @@ def test_simultaneous_diagonalization_residual(rng):
 
 def test_simultaneous_diagonalization_degenerate(rng):
     from entcert.linalg import dagger
-    from entcert.rank4 import _simultaneous_diagonalize
+    from entcert.criteria import _simultaneous_diagonalize
     from entcert.random_states import random_unitary
 
     u = random_unitary(4, rng)
