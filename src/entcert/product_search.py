@@ -7,11 +7,18 @@ Two independent routes are provided and cross-checked in the tests:
   equation (2x3 with 2-dim subspaces, 2x4 with 3-dim subspaces), a
   single polynomial whose vanishing is equivalent to the existence of
   a product vector;
-* numeric: damped least squares on the 2x2 minors of the reshaped
-  combination sum_i z_i basis_i, with random restarts and
-  per-coordinate dehomogenization.  This is a semidecision procedure
-  on shapes without a known equation: "not found" is a budget report,
-  never a nonexistence proof.
+* numeric: a product a (x) b, with b on the side with fewer levels,
+  lies in the span iff L(b) a = 0, where L(b) is linear in b and built
+  from the orthogonal complement of the span.  When that side has 2 or
+  3 levels, every b at which L(b) drops rank is an eigenvalue of a
+  matrix pencil (2 levels) or of a two-parameter eigenvalue problem
+  (3 levels; Hochstenbach, Kosir and Plestenjak, SIAM J. Matrix Anal.
+  Appl. 40 (2019)).  Each candidate is polished by Levenberg-Marquardt
+  (LM) on the 2x2 minors and accepted by its rank-1 defect, so on these
+  shapes "not found" is the result of a complete enumeration.  Larger
+  shapes, and spans with infinitely many product vectors, fall back to
+  LM with random restarts and per-coordinate dehomogenization; there
+  "not found" is a budget report, never a nonexistence proof.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, numerical_rank
 from .random_states import as_rng, complex_gaussian
 
 __all__ = [
@@ -193,15 +200,30 @@ def hypersurface_value(subspace: Subspace):
 
 @dataclass(frozen=True)
 class ProductSearchResult:
+    """Outcome of a rank-1 search in a span of matrices.
+
+    a, b and coefficients describe the accepted product with the smallest
+    rank-1 defect; products holds every distinct accepted product as
+    (a, b, coefficients), best first.  method names the route taken and
+    candidates counts the points it tested (enumerated eigenvalues, or
+    LM starts for the restart search).
+    """
+
     found: bool
     a: np.ndarray | None
     b: np.ndarray | None
     coefficients: np.ndarray | None
     best_defect: float
-    restarts: int
+    method: str
+    candidates: int
+    products: tuple = ()
 
     def pair(self):
         return (self.a, self.b) if self.found else None
+
+    def report(self) -> str:
+        return (f"{self.method}, {self.candidates} candidates examined, "
+                f"best rank-1 defect {self.best_defect:.3e}")
 
 
 def _minor_indices(p, q):
@@ -270,14 +292,164 @@ def _lm_polish(mats, z0, free, iters=60):
     return z, cost
 
 
+# Relative smallest singular value below which a pencil or the operator
+# determinant Delta_0 counts as singular.
+_SINGULAR_RCOND = 1.0e-10
+
+# LM iterations spent polishing the enumerated candidates, and the rank-1
+# defect below which a candidate is polished.  On the test corpora true
+# roots come out of the eigensolvers with defects below 1e-12 and
+# spurious ones above 3e-3.
+_POLISH_ITERS = 20
+_POLISH_GATE = 1.0e-4
+
+
+def _singular(mat) -> bool:
+    s = np.linalg.svd(mat, compute_uv=False)
+    return s[-1] <= _SINGULAR_RCOND * s[0]
+
+
+def _rank1_defects(mats, z):
+    """sigma_2 / sigma_1 of sum_i z[c, i] mats[i] for each row c of z."""
+    s = np.linalg.svd(np.einsum("ck,kpq->cpq", z, mats), compute_uv=False)
+    return s[:, 1] / np.maximum(s[:, 0], 1.0e-300)
+
+
+def _parameter_candidates(comp, rng):
+    """Every v (rows of the result) at which L(v) = sum_b v_b comp[:, :, b]
+    can lose rank, with the name of the method; None when the problem is
+    singular.
+
+    comp is (d, p, q) with q <= 3.  L(v) is d x p; it is rank deficient
+    at every v when d < p, otherwise only on a finite set unless the
+    span holds infinitely many products.  Rows are compressed at random
+    to p x p, which keeps every true root and adds spurious ones; the
+    caller tests each candidate against the full L(v).
+    """
+    d, p, q = comp.shape
+    if d < p:
+        return complex_gaussian(rng, (1, q)), "dimension count"
+    for _ in range(2):  # one fresh draw before calling the problem singular
+        g = complex_gaussian(rng, (q, q))
+        # pencil[c] = L(g[:, c]), so L(g @ (1, t, ...)) = pencil[0] + t pencil[1] + ...
+        pencil = np.einsum("dpb,bc->cdp", comp, g)
+        if q == 2:
+            r = complex_gaussian(rng, (p, d))
+            a, b = r @ pencil[0], r @ pencil[1]
+            if _singular(b):
+                continue
+            t = np.linalg.eigvals(np.linalg.solve(b, -a))
+            params = np.stack([np.ones_like(t), t], axis=1)
+            method = "pencil eigenvalues"
+        else:
+            # two-parameter eigenvalue problem: (A_i + lam B_i + mu C_i) x_i = 0
+            r1 = complex_gaussian(rng, (p, d))
+            r2 = complex_gaussian(rng, (p, d))
+            a1, b1, c1 = (r1 @ m for m in pencil)
+            a2, b2, c2 = (r2 @ m for m in pencil)
+            delta0 = np.kron(b1, c2) - np.kron(c1, b2)
+            if _singular(delta0):
+                continue
+            delta1 = np.kron(c1, a2) - np.kron(a1, c2)
+            delta2 = np.kron(a1, b2) - np.kron(b1, a2)
+            lam, vecs = np.linalg.eig(np.linalg.solve(delta0, delta1))
+            # Rayleigh quotient on each (unit) eigenvector
+            mu = np.einsum("ic,ij,jc->c", vecs.conj(),
+                           np.linalg.solve(delta0, delta2), vecs)
+            params = np.stack([np.ones_like(lam), lam, mu], axis=1)
+            method = "two-parameter eigenvalues"
+        return params @ g.T, method
+    return None
+
+
+def _enumerate_rank_one(work, rng, tol):
+    """Candidate rank-1 combinations of work (k, p, q), min(p, q) <= 3.
+
+    Returns (z, defect, method): coefficients (C, k) with respect to work
+    after an LM polish, the rank-1 defect of each, and the method name;
+    or None when the enumeration cannot run (infinitely many products).
+    """
+    k, p, q = work.shape
+    flat = work.reshape(k, -1)
+    u_x, s_x, vh_x = np.linalg.svd(flat)
+    r = int(np.sum(s_x > tol.rank_cutoff(s_x[0], flat.shape)))
+    if r == 0:
+        return None
+    # orthonormal span basis, mixed at random so no candidate sits on a
+    # coordinate hyperplane, and coefficients back to work: z = y @ to_work
+    mix = np.linalg.qr(complex_gaussian(rng, (r, r)))[0]
+    basis = (mix @ vh_x[:r]).reshape(r, p, q)
+    to_work = mix @ (dagger(u_x[:, :r]) / s_x[:r, None])
+    comp = vh_x[r:].conj().reshape(-1, p, q)  # comp . vec(x) = 0 iff x in span
+    swap = q > p
+    if swap:
+        comp = comp.transpose(0, 2, 1)
+    found = _parameter_candidates(comp, rng)
+    if found is None:
+        return None
+    v, method = found
+    ell = np.einsum("dpb,cb->cdp", comp, v)
+    u = np.linalg.svd(ell)[2][:, -1, :].conj()  # null vector of each L(v)
+    prods = u[:, :, None] * v[:, None, :]
+    if swap:
+        prods = prods.transpose(0, 2, 1)
+    y = np.einsum("kpq,cpq->ck", basis.conj(), prods)
+    defect = _rank1_defects(basis, y)
+    near = np.flatnonzero(defect <= _POLISH_GATE)
+    if r > 1 and near.size:
+        # fix the coordinate that stays largest over the polished candidates
+        rel = np.abs(y[near]) / np.linalg.norm(y[near], axis=1, keepdims=True)
+        j = int(np.argmax(rel.min(axis=0)))
+        free = [i for i in range(r) if i != j]
+        y[near], _ = _lm_polish(basis, y[near] / y[near, j:j + 1], free,
+                                iters=_POLISH_ITERS)
+        defect[near] = _rank1_defects(basis, y[near])
+    return y @ to_work, defect, method
+
+
+def _restart_search(work, restarts, rng, tol):
+    """Restart LM over every dehomogenization z_j = 1; stops at the first
+    coordinate whose best start passes the defect test."""
+    k = work.shape[0]
+    best = (np.inf, np.zeros(k, dtype=complex))
+    starts = 0
+    for j in range(k):
+        free = [i for i in range(k) if i != j]
+        z0 = np.zeros((restarts, k), dtype=complex)
+        z0[:, j] = 1.0
+        if free:
+            z0[:, free] = complex_gaussian(rng, (restarts, len(free)))
+            z, _ = _lm_polish(work, z0, free)
+        else:
+            z = z0[:1]
+        starts += z.shape[0]
+        defect = _rank1_defects(work, z)
+        idx = int(np.argmin(defect))
+        if defect[idx] < best[0]:
+            best = (float(defect[idx]), z[idx])
+        if best[0] <= tol.residual_tol:
+            break
+    return best[1][None, :], np.array([best[0]]), starts
+
+
+def _product(mats, z):
+    e = np.einsum("k,kpq->pq", z, mats)
+    u, s, vh = np.linalg.svd(e)
+    return u[:, 0] * np.sqrt(s[0]), vh[0, :] * np.sqrt(s[0]), z
+
+
 def rank_one_in_span(mats, restarts: int = 40, rng=7,
                      tol: ToleranceConfig = DEFAULT_TOL) -> ProductSearchResult:
     """Find z with sum_i z_i mats[i] of rank 1 (up to the defect tolerance).
 
-    Minimizes the squared magnitudes of all 2x2 minors with `restarts`
-    random starts for each dehomogenization z_j = 1.  Success means the
-    second singular value of the combination is below residual_tol times
-    the first.
+    When the smaller matrix side is at most 3, every point where a rank-1
+    combination can sit is enumerated as an eigenvalue (a pencil for side
+    2, a two-parameter eigenvalue problem for side 3), polished by LM and
+    tested, so "not found" means none exists.  Larger shapes, and spans
+    holding infinitely many rank-1 elements, fall back to an LM search
+    with `restarts` random starts per dehomogenization z_j = 1.  Success
+    means the second singular value of the combination is at most
+    residual_tol times the first.
     """
     mats = np.asarray(mats, dtype=complex)
     k, p, q = mats.shape
@@ -289,39 +461,34 @@ def rank_one_in_span(mats, restarts: int = 40, rng=7,
     if min(p, q) < 2:
         z = np.zeros(k, dtype=complex)
         z[0] = 1.0 / scale[0]
-        e = np.einsum("k,kpq->pq", z, mats)
-        u, s, vh = np.linalg.svd(e)
-        a = u[:, 0] * np.sqrt(s[0])
-        b = vh[0, :] * np.sqrt(s[0])
-        return ProductSearchResult(True, a, b, z, 0.0, 0)
+        prod = _product(mats, z)
+        return ProductSearchResult(True, *prod, 0.0, "trivial", 1, (prod,))
 
-    best = (np.inf, None)
-    for j in range(k):
-        free = [i for i in range(k) if i != j]
-        z0 = np.zeros((restarts, k), dtype=complex)
-        z0[:, j] = 1.0
-        if free:
-            z0[:, free] = complex_gaussian(rng, (restarts, len(free)))
-            z, _ = _lm_polish(work, z0, free)
-        else:
-            z = z0[:1]
-        e = np.einsum("bk,kpq->bpq", z, work)
-        s = np.linalg.svd(e, compute_uv=False)
-        defect = s[:, 1] / np.maximum(s[:, 0], 1.0e-300)
-        idx = int(np.argmin(defect))
-        if defect[idx] < best[0]:
-            best = (float(defect[idx]), z[idx] / scale)
-        if best[0] <= tol.residual_tol:
+    enumerated = _enumerate_rank_one(work, rng, tol) if min(p, q) <= 3 else None
+    if enumerated is not None:
+        z, defect, method = enumerated
+        candidates = len(z)
+    else:
+        z, defect, candidates = _restart_search(work, restarts, rng, tol)
+        method = "restart LM"
+
+    order = np.argsort(defect)
+    products = []
+    kept = []
+    for idx in order:
+        if not defect[idx] <= tol.residual_tol:
             break
-
-    defect, z = best
-    if z is None or defect > tol.residual_tol:
-        return ProductSearchResult(False, None, None, None, defect, restarts)
-    e = np.einsum("k,kpq->pq", z, mats)
-    u, s, vh = np.linalg.svd(e)
-    a = u[:, 0] * np.sqrt(s[0])
-    b = vh[0, :] * np.sqrt(s[0])
-    return ProductSearchResult(True, a, b, z, defect, restarts)
+        e = np.einsum("k,kpq->pq", z[idx], work).ravel()
+        e = e / np.linalg.norm(e)
+        if any(abs(np.vdot(f, e)) > 1.0 - 1.0e-6 for f in kept):
+            continue
+        kept.append(e)
+        products.append(_product(mats, z[idx] / scale))
+    best = float(defect[order[0]])
+    if not products:
+        return ProductSearchResult(False, None, None, None, best, method, candidates)
+    return ProductSearchResult(True, *products[0], best, method, candidates,
+                               tuple(products))
 
 
 def find_product_vector(subspace: Subspace, restarts: int = 40, rng=7) -> ProductSearchResult:

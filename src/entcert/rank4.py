@@ -729,6 +729,12 @@ def _complete_rows_first(first_row):
     return np.vstack([first_row.reshape(1, m), kernel.T])
 
 
+def _sector_is_rank1(sector) -> bool:
+    """The rank-1 test a sector must pass to enter _rank1_sector_path."""
+    s = np.linalg.svd(sector, compute_uv=False)
+    return s.size < 2 or s[1] <= 1.0e-6 * s[0]
+
+
 def _rank1_sector_path(gauge: _Gauge, x, original, rng, trail):
     """A direction with rank-1 sector: trivially distillable or reducible.
 
@@ -738,9 +744,9 @@ def _rank1_sector_path(gauge: _Gauge, x, original, rng, trail):
     """
     gauge.apply_a(_complete_rows_first(np.asarray(x).conj()))
     c0 = gauge.blocks()[0]
-    u_svd, s_svd, vh_svd = np.linalg.svd(c0)
-    if s_svd.size > 1 and s_svd[1] > 1.0e-6 * s_svd[0]:
+    if not _sector_is_rank1(c0):
         raise RuntimeError("claimed rank-1 sector direction is not rank 1")
+    u_svd, _, vh_svd = np.linalg.svd(c0)
     gauge.apply_left(dagger(u_svd))
     b_unit = np.linalg.qr(np.hstack([
         vh_svd[0, :].conj().reshape(-1, 1),
@@ -920,8 +926,10 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, ppt_flag, rng, trail):
     delta = delta @ m_mat
 
     d1 = delta[0, 0]
+    # a small d1 counts as zero only if the A-level-1 sector is rank 1 too
     if abs(d1) * np.linalg.norm(c_rows[0]) <= np.sqrt(tol.residual_tol) * max(
-            np.abs(delta).max() * np.linalg.norm(c_rows, axis=1).max(), 1.0e-300):
+            np.abs(delta).max() * np.linalg.norm(c_rows, axis=1).max(),
+            1.0e-300) and _sector_is_rank1(g.blocks()[0]):
         x_dir = np.zeros(3, dtype=complex)
         x_dir[0] = 1.0
         return _rank1_sector_path(g, x_dir, state, rng, trail + ("d1-zero",))
@@ -1103,13 +1111,18 @@ def _decide_rank4_local(restricted: BipartiteState, rng, restarts) -> Rank4Verdi
     range_basis = restricted.range_basis()
     subspace = Subspace(3, 3, range_basis.T, restricted.tol)
     prod = find_product_vector(subspace, restarts=max(restarts, 40), rng=rng)
-    if prod.found:
-        return _product_cascade(restricted, prod.a, prod.b, ppt_flag,
-                                rng, ("product-in-range",))
+    for retry, (a, b, _) in enumerate(prod.products):
+        # a cascade that contradicts itself numerically on one anchor is
+        # retried from the next product vector in the range
+        try:
+            return _product_cascade(restricted, a, b, ppt_flag, rng,
+                                    ("product-in-range",) + ("anchor-retry",) * retry)
+        except RuntimeError:
+            if retry == len(prod.products) - 1:
+                raise
 
     # (d) no product vector in the range
-    report = (f"product search exhausted ({prod.restarts} restarts x 4 "
-              f"dehomogenizations, best rank-1 defect {prod.best_defect:.3e})")
+    report = f"no product vector in the range ({prod.report()})"
     if ppt_flag:
         return Rank4Verdict(
             PptEntangled(min_eig_gamma=min_eig, product_search_report=report),

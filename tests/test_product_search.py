@@ -12,7 +12,9 @@ from entcert.product_search import (
     random_product_containing_subspace,
     random_subspace,
     rank_one_in_span,
+    _restart_search,
 )
+from entcert.linalg import DEFAULT_TOL
 from entcert.random_states import complex_gaussian
 
 
@@ -130,6 +132,9 @@ def test_find_product_vector_upb_complement_none(rng):
     result = find_product_vector(v, restarts=40, rng=rng)
     assert not result.found
     assert result.best_defect > 1e-3
+    assert result.method == "two-parameter eigenvalues"
+    assert result.candidates == 9
+    assert result.report().startswith("two-parameter eigenvalues, 9 candidates")
 
 
 def test_find_product_vector_dimension_guarantee(rng):
@@ -188,3 +193,77 @@ def test_quartic_data_file_integrity():
     for _, triples in terms:
         assert len(triples) == 4
         assert anchors & set(triples)
+
+
+def assert_products_in_span(result, mats):
+    """Every accepted product is rank 1, equals its combination, and the
+    products are pairwise distinct directions."""
+    units = []
+    for a, b, z in result.products:
+        combo = np.einsum("i,ipq->pq", z, mats)
+        assert np.linalg.norm(np.outer(a, b) - combo) <= 1e-8 * np.linalg.norm(combo)
+        unit = np.kron(a, b) / np.linalg.norm(np.kron(a, b))
+        assert all(abs(np.vdot(u, unit)) < 1 - 1e-6 for u in units)
+        units.append(unit)
+
+
+@pytest.mark.parametrize("dims, count", [((2, 3), 3), ((3, 2), 3), ((2, 4), 4),
+                                         ((4, 2), 4), ((3, 3), 6)])
+def test_search_returns_every_product_of_a_segre_dimension_subspace(rng, dims, count):
+    # a generic subspace of dimension (M-1)(N-1)+1 meets the Segre variety
+    # in exactly C(M+N-2, M-1) points (its degree)
+    m, n = dims
+    for _ in range(20):
+        v = random_subspace(m, n, (m - 1) * (n - 1) + 1, rng)
+        result = find_product_vector(v, rng=rng)
+        assert result.found
+        assert result.method in ("pencil eigenvalues", "two-parameter eigenvalues")
+        assert len(result.products) == count
+        assert_products_in_span(result, v.matrices())
+        assert result.a is result.products[0][0]
+
+
+def test_fallback_search_on_a_min_side_four_shape(rng):
+    rank1 = np.outer(complex_gaussian(rng, 4), complex_gaussian(rng, 5))
+    mats = np.stack([rank1] + [complex_gaussian(rng, (4, 5)) for _ in range(3)])
+    mixed = np.einsum("ij,jpq->ipq", np.eye(4) + 0.3 * complex_gaussian(rng, (4, 4)), mats)
+    result = rank_one_in_span(mixed, restarts=8, rng=rng)
+    assert result.found
+    assert result.method == "restart LM"
+    assert_products_in_span(result, mixed)
+
+
+def test_span_with_infinitely_many_products_uses_the_fallback(rng):
+    # a (x) C^3 lies in the span, so every L(v) is singular and the
+    # eigenvalue problems degenerate
+    a = complex_gaussian(rng, 3)
+    rows = [np.kron(a, e) for e in np.eye(3)] + [complex_gaussian(rng, 9)]
+    v = Subspace(3, 3, (np.eye(4) + 0.3 * complex_gaussian(rng, (4, 4))) @ np.array(rows))
+    result = find_product_vector(v, rng=rng)
+    assert result.found
+    assert result.method == "restart LM"
+    assert_products_in_span(result, v.matrices())
+    overlap = abs(np.vdot(a, result.a)) / (np.linalg.norm(a) * np.linalg.norm(result.a))
+    assert overlap == pytest.approx(1.0, abs=1e-6)
+
+
+def test_dimension_count_route(rng):
+    # 3x2 matrices in a 5-dim span: the complement has 1 < 3 rows
+    v = random_subspace(3, 2, 5, rng)
+    result = find_product_vector(v, rng=rng)
+    assert result.found
+    assert result.method == "dimension count"
+    assert_products_in_span(result, v.matrices())
+
+
+@pytest.mark.parametrize("dims, dim", [((2, 3), 2), ((2, 4), 3), ((3, 3), 4), ((3, 4), 3)])
+def test_enumeration_agrees_with_the_restart_search(dims, dim):
+    rng = np.random.default_rng(sum(dims) * 10 + dim)
+    for make in (random_subspace, random_product_containing_subspace):
+        for _ in range(8):
+            v = make(*dims, dim, rng)
+            mats = v.matrices()
+            fast = rank_one_in_span(mats, rng=rng)
+            _, defect, _ = _restart_search(mats, 12, rng, DEFAULT_TOL)
+            assert fast.found == (defect[0] <= DEFAULT_TOL.residual_tol)
+            assert fast.found == (make is random_product_containing_subspace)

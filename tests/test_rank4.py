@@ -39,6 +39,9 @@ def test_decide_rank4_tiles_ppt_entangled(rng):
     verdict = decide_rank4(make_tiles_upb(), rng=rng)
     assert isinstance(verdict.outcome, PptEntangled)
     assert "no-product-in-range" in verdict.trail
+    assert verdict.outcome.product_search_report.startswith(
+        "no product vector in the range (two-parameter eigenvalues, "
+        "9 candidates examined, best rank-1 defect ")
 
 
 def test_decide_rank4_separable_products(rng):

@@ -10,9 +10,17 @@ deep exit produces a validated certificate.
 import numpy as np
 import pytest
 
+from entcert import rank4
 from entcert.certificates import Distillable, Separable, validate_witness
-from entcert.criteria import is_ppt
-from entcert.random_states import as_rng, complex_gaussian, random_invertible
+from entcert.criteria import Frame, is_ppt
+from entcert.product_search import Subspace, find_product_vector
+from entcert.random_states import (
+    as_rng,
+    complex_gaussian,
+    random_invertible,
+    random_product_sum,
+    random_rank_r_state,
+)
 from entcert.rank4 import _product_cascade, decide_rank4
 from entcert.states import BipartiteState, apply_local
 
@@ -106,3 +114,78 @@ def test_decide_rank4_rank1_sector_fixtures(rng):
         assert isinstance(verdict.outcome, Distillable)
         assert "sector-rank-1" in verdict.trail
         assert validate_witness(state, verdict.outcome.witness) < -1e-10
+
+
+# A seeded 3x3 rank-4 corpus, in cycles of eight: sums of 4 random
+# products, states spanned by a planted product and 3 random vectors, the
+# tiles state (built without draws) and generic states.  Each state is
+# followed by one draw of the seed its decision call gets.
+CORPUS_CYCLE = ["separable", "planted", "tiles", "separable", "planted",
+                "generic", "separable", "planted"]
+
+
+def corpus_state(seed, index):
+    """Replay the corpus of `seed` up to item `index` and return it."""
+    rng = np.random.default_rng(seed)
+    state = None
+    for i in range(index + 1):
+        kind = CORPUS_CYCLE[i % len(CORPUS_CYCLE)]
+        if kind == "separable":
+            state = random_product_sum(3, 3, 4, rng)
+        elif kind == "planted":
+            prod = np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3))
+            vecs = [prod] + [complex_gaussian(rng, 9) for _ in range(3)]
+            state = BipartiteState.from_vectors(3, 3, vecs)
+        elif kind == "generic":
+            state = random_rank_r_state(3, 3, 4, rng)
+        else:
+            state = None
+        rng.integers(1 << 31)
+    return state
+
+
+def range_products(state):
+    sub = Subspace(3, 3, state.range_basis().T, state.tol)
+    return find_product_vector(sub, rng=0).products
+
+
+def test_small_d1_takes_the_zero_branch_only_with_a_rank1_sector():
+    # one anchor of this separable state leaves d1 at 4.6e-5 relative:
+    # "zero" for the sqrt(residual_tol) test, yet its sector is not rank 1
+    state = Frame.local(corpus_state(1, 40), orient=False).work
+    products = range_products(state)
+    assert len(products) == 4
+    for a, b, _ in products:
+        verdict = _product_cascade(state, a, b, True, as_rng(1165), ())
+        assert isinstance(verdict.outcome, Separable)
+        assert "d1-zero" not in verdict.trail
+
+
+def test_cascade_failure_retries_from_the_next_range_product(monkeypatch):
+    state = corpus_state(4, 315)
+    assert len(range_products(Frame.local(state, orient=False).work)) == 4
+    anchors = []
+    cascade = rank4._product_cascade
+
+    def first_anchor_fails(restricted, a, b, ppt_flag, rng, trail):
+        anchors.append(a)
+        if len(anchors) == 1:
+            raise RuntimeError("internal inconsistency on the first anchor")
+        return cascade(restricted, a, b, ppt_flag, rng, trail)
+
+    monkeypatch.setattr(rank4, "_product_cascade", first_anchor_fails)
+    verdict = decide_rank4(state, rng=3)
+    assert isinstance(verdict.outcome, Separable)
+    assert verdict.trail[:2] == ("product-in-range", "anchor-retry")
+    assert len(anchors) == 2
+    assert abs(np.vdot(anchors[0], anchors[1])) < 0.99 * (
+        np.linalg.norm(anchors[0]) * np.linalg.norm(anchors[1]))
+
+
+def test_rank4_corpus_state_with_a_fragile_anchor_always_decides():
+    # the cascade from one of the four range products of this state
+    # contradicts itself for about one cascade rng in ten
+    state = corpus_state(4, 315)
+    for seed in range(60):
+        verdict = decide_rank4(state, rng=seed)
+        assert isinstance(verdict.outcome, Separable)
