@@ -95,7 +95,7 @@ def numerical_rank(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
         raise ValueError("expected a 2-d array")
     if a.size == 0:
         return 0, np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     sigma_max = float(s[0]) if s.size else 0.0
     cutoff = tol.rank_cutoff(sigma_max, a.shape)
     rank = int(np.sum(s > cutoff))

@@ -19,6 +19,13 @@ Two independent routes are provided and cross-checked in the tests:
   shapes, and spans with infinitely many product vectors, fall back to
   LM with random restarts and per-coordinate dehomogenization; there
   "not found" is a budget report, never a nonexistence proof.
+
+The same two-parameter problem finds the products a (x) b on C^2 (x) C^n
+with a (x) b in R(rho) and conj(a) (x) b in R(rho^G) that the 2 x N
+peeling needs (product_in_both_ranges): with a = (v0, v1 + i v2) and v
+real, a real root of one pencil is a common root of it and its
+coefficient-wise conjugate.  Its 2 x 2 case has a closed form on the
+Bloch sphere.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ __all__ = [
     "ProductSearchResult",
     "find_product_vector",
     "rank_one_in_span",
+    "product_in_both_ranges",
     "random_subspace",
     "random_product_containing_subspace",
 ]
@@ -315,7 +323,7 @@ def _rank1_defects(mats, z):
     return s[:, 1] / np.maximum(s[:, 0], 1.0e-300)
 
 
-def _parameter_candidates(comp, rng):
+def _parameter_candidates(comp, comp2, rng):
     """Every v (rows of the result) at which L(v) = sum_b v_b comp[:, :, b]
     can lose rank, with the name of the method; None when the problem is
     singular.
@@ -324,7 +332,11 @@ def _parameter_candidates(comp, rng):
     at every v when d < p, otherwise only on a finite set unless the
     span holds infinitely many products.  Rows are compressed at random
     to p x p, which keeps every true root and adds spurious ones; the
-    caller tests each candidate against the full L(v).
+    caller tests each candidate against the full L(v).  For q = 3 the
+    second equation of the two-parameter problem compresses comp2, a
+    pencil of the same shape that loses rank at every root the caller
+    wants (comp itself, or its coefficient-wise conjugate when only real
+    roots are wanted).
     """
     d, p, q = comp.shape
     if d < p:
@@ -346,7 +358,7 @@ def _parameter_candidates(comp, rng):
             r1 = complex_gaussian(rng, (p, d))
             r2 = complex_gaussian(rng, (p, d))
             a1, b1, c1 = (r1 @ m for m in pencil)
-            a2, b2, c2 = (r2 @ m for m in pencil)
+            a2, b2, c2 = (r2 @ m for m in np.einsum("dpb,bc->cdp", comp2, g))
             delta0 = np.kron(b1, c2) - np.kron(c1, b2)
             if _singular(delta0):
                 continue
@@ -384,7 +396,7 @@ def _enumerate_rank_one(work, rng, tol):
     swap = q > p
     if swap:
         comp = comp.transpose(0, 2, 1)
-    found = _parameter_candidates(comp, rng)
+    found = _parameter_candidates(comp, comp, rng)
     if found is None:
         return None
     v, method = found
@@ -500,6 +512,103 @@ def find_product_vector(subspace: Subspace, restarts: int = 40, rng=7) -> Produc
     """
     return rank_one_in_span(subspace.matrices(), restarts=restarts,
                             rng=rng, tol=subspace.tol)
+
+
+# Identity and Pauli matrices: <a|H|a> = (tr H + h . n) / 2 for a unit a
+# with Bloch vector n and h_k = tr(H sigma_k).
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _bloch_zeros(y):
+    """Real v with <a|y|a> = 0 at a = (v0, v1 + i v2), for a complex
+    2 x 2 matrix y.
+
+    Both Hermitian parts of y must have a zero expectation, so the Bloch
+    vector n of a lies on two planes tr H + h . n = 0 and on the unit
+    sphere: the two points where their line crosses it, or four points
+    of a circle when the planes coincide.
+    """
+    herm = np.stack([y + dagger(y), 1j * (dagger(y) - y)])
+    planes = np.einsum("hij,kji->hk", herm, _PAULI).real  # rows (tr H, h)
+    _, s, vh = np.linalg.svd(planes)
+    r = int(np.sum(s > _SINGULAR_RCOND * s[0]))
+    normals = np.vstack([vh[:r, 1:], np.zeros((1, 3))])
+    centre = np.linalg.lstsq(normals, np.append(-vh[:r, 0], 0.0), rcond=None)[0]
+    along = np.linalg.svd(normals)[2][r:]
+    n = centre + np.sqrt(max(1.0 - centre @ centre, 0.0)) * np.vstack([along, -along])
+    half = 0.5 * np.arccos(np.clip(n[:, 2] / np.linalg.norm(n, axis=1), -1.0, 1.0))
+    phi = np.arctan2(n[:, 1], n[:, 0])
+    return np.stack([np.cos(half), np.sin(half) * np.cos(phi),
+                     np.sin(half) * np.sin(phi)], axis=1)
+
+
+def _newton(comp, v, b):
+    """Two Newton steps on L(v) b = 0 over real v and complex b.
+
+    Rescaling v or b leaves the root in place, so the step is a truncated
+    least-squares solution that ignores those near-null directions.
+    """
+    for _ in range(2):
+        res = np.einsum("dnc,c,n->d", comp, v, b)
+        jac_v = np.einsum("dnc,n->dc", comp, b)
+        jac_b = np.einsum("dnc,c->dn", comp, v)
+        jac = np.block([[jac_v.real, jac_b.real, -jac_b.imag],
+                        [jac_v.imag, jac_b.imag, jac_b.real]])
+        step = np.linalg.lstsq(jac, -np.concatenate([res.real, res.imag]),
+                               rcond=_SINGULAR_RCOND)[0]
+        v = v + step[:3]
+        b = b + step[3:3 + len(b)] + 1j * step[3 + len(b):]
+    return v, b
+
+
+def product_in_both_ranges(ker, ker_gamma, rng=7, tol: ToleranceConfig = DEFAULT_TOL):
+    """(a, b) on C^2 (x) C^n with a (x) b orthogonal to the columns of ker
+    and conj(a) (x) b orthogonal to those of ker_gamma, or None.
+
+    With ker and ker_gamma the kernels of rho and rho^G this is a product
+    in R(rho) whose A-conjugate lies in R(rho^G).  Write a = (v0, v1 + i
+    v2) with v real: both conditions stack into one d x n matrix L(v),
+    linear in v, and b is a null vector of it.  Every v works when
+    d < n.  For the single 2 x 2 case det L(v) = <a|Y|a>, whose zeros
+    have a closed form on the Bloch sphere.  Otherwise every real root is
+    a common root of det(r1 L(v)) and det(r2 conj(L)(v)), conj(L) having
+    conjugated coefficients, so the two-parameter eigenvalue problem
+    enumerates them all.  The candidate with the smallest relative
+    singular value of L(v) is accepted if that is below residual_tol, and
+    refined by Newton's method.
+    """
+    n = ker.shape[0] // 2
+    k = ker.conj().T.reshape(-1, 2, n)  # condition (a_0 k[l, 0] + a_1 k[l, 1]) . b = 0
+    g = ker_gamma.conj().T.reshape(-1, 2, n)  # the same with conj(a)
+    comp = np.stack([np.concatenate([k[:, 0], g[:, 0]]),
+                     np.concatenate([k[:, 1], g[:, 1]]),
+                     np.concatenate([1j * k[:, 1], -1j * g[:, 1]])], axis=2)
+    d = len(comp)
+    if n == 2 and len(k) == len(g) == 1:
+        v = _bloch_zeros(np.outer(g[0, :, 1], k[0, :, 0])
+                         - np.outer(g[0, :, 0], k[0, :, 1]))
+    else:
+        found = _parameter_candidates(comp, comp.conj(), as_rng(rng))
+        if found is None:
+            return None
+        # a real root comes out up to a complex factor
+        v = found[0]
+        v = (v / v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)][:, None]).real
+    # one zero row keeps L(v) nonempty and puts a zero singular value
+    # last whenever d < n
+    ell = np.concatenate([np.einsum("dnc,kc->kdn", comp, v),
+                          np.zeros((len(v), 1, n))], axis=1)
+    _, s, vh = np.linalg.svd(ell)
+    defect = s[:, -1] / np.maximum(s[:, 0], 1.0e-300)
+    best = int(np.argmin(defect))
+    if not defect[best] <= tol.residual_tol:
+        return None
+    v, b = v[best], vh[best, -1].conj()
+    if d >= n:
+        v, b = _newton(comp, v, b)
+    a = np.array([v[0], v[1] + 1j * v[2]])
+    return a / np.linalg.norm(a), b / np.linalg.norm(b)
 
 
 def random_subspace(dim_a, dim_b, dim, rng=0, tol=DEFAULT_TOL) -> Subspace:

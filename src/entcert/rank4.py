@@ -14,8 +14,10 @@ contains a product vector.  The decision tree:
 * NPT with no product vector in range: witness search only; its
   failure is surfaced as undecidable, not as a verdict.
 
-Also hosts the peeling decomposition for two-level-by-N PPT states and
-the separable_decomposition dispatcher.  classify_state lives here
+Also hosts the peeling decomposition for two-level-by-N PPT states
+(Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302 (2000)), whose
+products come from the exact search product_in_both_ranges, and the
+separable_decomposition dispatcher.  classify_state lives here
 because it and decide_rank4 call each other: the components of a
 reducible rank-4 state are classified by classify_state.
 """
@@ -50,8 +52,13 @@ from .criteria import (
     trivially_distillable,
 )
 from .linalg import dagger, frob, numerical_rank
-from .product_search import Subspace, find_product_vector, rank_one_in_span
-from .random_states import as_rng, complex_gaussian
+from .product_search import (
+    Subspace,
+    find_product_vector,
+    product_in_both_ranges,
+    rank_one_in_span,
+)
+from .random_states import as_rng
 from .states import BipartiteState, block_form, partial_transpose
 from .structure import aggregate, common_kernel_distill, decompose_b_direct
 
@@ -75,365 +82,25 @@ class Rank4Verdict:
 # constructive separable decompositions
 # ---------------------------------------------------------------------------
 
-def _soft_cutoff(w, mat_shape, tol):
-    """Spectral cutoff tolerant of PSD-clipping drift: eigenvalues below
-    psd_tol times the spectral norm count as kernel."""
-    scale = max(abs(float(w[0])), abs(float(w[-1])), 1.0e-300)
-    return max(tol.psd_tol * scale, tol.rank_cutoff(scale, mat_shape))
+def _rank_cutoff(w, mat_shape, tol):
+    """The cutoff of BipartiteState.rank() for a Hermitian matrix with
+    ascending spectrum w: eigenvalues at or below it count as kernel."""
+    return tol.rank_cutoff(max(abs(float(w[0])), abs(float(w[-1]))), mat_shape)
 
 
 def _kernel_cols(mat, tol):
     w, u = np.linalg.eigh(0.5 * (mat + dagger(mat)))
-    cutoff = _soft_cutoff(w, mat.shape, tol)
+    cutoff = _rank_cutoff(w, mat.shape, tol)
     return u[:, np.abs(w) <= cutoff]
 
 
 def _pinv_quadratic(mat, vec, tol):
-    """<v| mat^+ |v> via the spectral pseudo-inverse (soft cutoff)."""
+    """<v| mat^+ |v> via the spectral pseudo-inverse (rank cutoff)."""
     w, u = np.linalg.eigh(0.5 * (mat + dagger(mat)))
-    cutoff = _soft_cutoff(w, mat.shape, tol)
+    cutoff = _rank_cutoff(w, mat.shape, tol)
     coeffs = np.abs(dagger(u) @ vec) ** 2
     keep = np.abs(w) > cutoff
     return float(np.sum(coeffs[keep] / w[keep]))
-
-
-def _kernel_condition_rows(kernel, n):
-    """Rows of the membership system: <kappa | a (x) b> = 0 becomes
-    (a_0 K0[l] + a_1 K1[l]) . b = 0.  Returns (K0, K1), each k x n."""
-    k = kernel.shape[1]
-    rows0 = np.empty((k, n), dtype=complex)
-    rows1 = np.empty((k, n), dtype=complex)
-    for l in range(k):
-        blocks = kernel[:, l].conj().reshape(2, n)
-        rows0[l] = blocks[0]
-        rows1[l] = blocks[1]
-    return rows0, rows1
-
-
-def _poly_cross_null(g0, g1, n):
-    """Polynomial null vector of the (n-1) x n pencil G0 + t G1.
-
-    Returns b(t) as an (n, deg+1) array of coefficients (ascending)
-    via the generalized cross product of the rows.
-    """
-    if n == 2:
-        # single row (r0 + t r1): null is (-row[1], row[0])
-        b = np.zeros((2, 2), dtype=complex)
-        b[0, 0], b[0, 1] = -g0[0, 1], -g1[0, 1]
-        b[1, 0], b[1, 1] = g0[0, 0], g1[0, 0]
-        return b
-    if n == 3:
-        # two rows; null components are signed 2x2 minors
-        b = np.zeros((3, 3), dtype=complex)
-        for k in range(3):
-            i, j = [c for c in range(3) if c != k]
-            # det over columns (i, j) of the 2 x 3 pencil, degree 2 in t
-            a0, a1 = g0[0, i], g1[0, i]
-            b0_, b1_ = g0[0, j], g1[0, j]
-            c0, c1 = g0[1, i], g1[1, i]
-            d0, d1 = g0[1, j], g1[1, j]
-            det0 = a0 * d0 - b0_ * c0
-            det1 = a0 * d1 + a1 * d0 - b0_ * c1 - b1_ * c0
-            det2 = a1 * d1 - b1_ * c1
-            sign = 1.0 if k % 2 == 0 else -1.0
-            b[k] = sign * np.array([det0, det1, det2])
-        return b
-    raise NotImplementedError(f"cross null for n = {n}")
-
-
-def _poly_eval(coeffs, t):
-    out = np.zeros(coeffs.shape[0], dtype=complex)
-    for d in range(coeffs.shape[1] - 1, -1, -1):
-        out = out * t + coeffs[:, d]
-    return out
-
-
-def _stacked_residual(ker_rows, kerg_rows, t, n):
-    a = np.array([1.0, t], dtype=complex)
-    a /= np.linalg.norm(a)
-    rows = [a[0] * r0 + a[1] * r1 for r0, r1 in zip(*ker_rows)]
-    rows += [np.conj(a[0]) * r0 + np.conj(a[1]) * r1 for r0, r1 in zip(*kerg_rows)]
-    if not rows:
-        return 0.0, None, a
-    s = np.array(rows)
-    _, sv, vh = np.linalg.svd(s, full_matrices=True)
-    if s.shape[0] < n or sv.size < n:
-        resid = 0.0
-    else:
-        resid = float(sv[n - 1]) / max(float(sv[0]), 1.0e-300)
-    return resid, vh[-1, :].conj(), a
-
-
-def _poly_pencil_det(g0, g1, n):
-    """Coefficients (ascending) of det(G0 + t G1) for an n x n pencil."""
-    pmul = np.polynomial.polynomial.polymul
-    if n == 1:
-        return np.array([g0[0, 0], g1[0, 0]])
-    if n == 2:
-        return (pmul([g0[0, 0], g1[0, 0]], [g0[1, 1], g1[1, 1]])
-                - pmul([g0[0, 1], g1[0, 1]], [g0[1, 0], g1[1, 0]]))
-    if n == 3:
-        total = np.zeros(4, dtype=complex)
-        for j in range(3):
-            cols = [c for c in range(3) if c != j]
-            minor = (pmul([g0[1, cols[0]], g1[1, cols[0]]],
-                          [g0[2, cols[1]], g1[2, cols[1]]])
-                     - pmul([g0[1, cols[1]], g1[1, cols[1]]],
-                            [g0[2, cols[0]], g1[2, cols[0]]]))
-            term = pmul([g0[0, j], g1[0, j]], minor)
-            sign = 1.0 if j % 2 == 0 else -1.0
-            total[:len(term)] += sign * term
-        return total
-    raise NotImplementedError(f"pencil determinant for n = {n}")
-
-
-def _product_in_both_ranges(state: BipartiteState, rng, _swapped=False):
-    """Product |a,b> with a (x) b in R(rho) and conj(a) (x) b in R(rho^G).
-
-    Specific to 2-level A sides.  With a = (1, t), membership in R(rho)
-    constrains b through a holomorphic pencil: its polynomial null
-    vector (kernel dimension n-1) or the roots of its determinant
-    (kernel dimension n) parametrize the candidates; membership of
-    conj(a) (x) b in R(rho^G) adds conditions f_l(t) = p_l(t) +
-    conj(t) q_l(t) = 0, solved by polynomial elimination (two
-    conditions) or a Newton iteration in (Re t, Im t) (one condition).
-    """
-    n = state.dim_b
-    tol = state.tol
-    ker = _kernel_cols(state.matrix, tol)
-    gamma = partial_transpose(state)
-    kerg = _kernel_cols(gamma, tol)
-    k1, k2 = ker.shape[1], kerg.shape[1]
-    ker_rows = _kernel_condition_rows(ker, n) if k1 else (np.empty((0, n)),) * 2
-    kerg_rows = _kernel_condition_rows(kerg, n) if k2 else (np.empty((0, n)),) * 2
-    rng = as_rng(rng)
-
-    row_scale = max([np.linalg.norm(r) for r in np.vstack(
-        [ker_rows[0], ker_rows[1], kerg_rows[0], kerg_rows[1]])] or [1.0])
-    pool = []  # (residual, a, b) candidates; the caller takes the best
-
-    def assess(t, b_exact=None):
-        if b_exact is None:
-            resid, b, a = _stacked_residual(ker_rows, kerg_rows, t, n)
-            if b is None:
-                b = complex_gaussian(rng, n)
-        else:
-            a = np.array([1.0, t], dtype=complex)
-            a /= np.linalg.norm(a)
-            b = b_exact
-            nb = np.linalg.norm(b)
-            if nb < 1.0e-12 * max(np.max(np.abs(b_exact)), 1.0):
-                return None
-            b = b / nb
-            worst = 0.0
-            for r0, r1 in zip(*ker_rows):
-                worst = max(worst, abs((a[0] * r0 + a[1] * r1) @ b))
-            for r0, r1 in zip(*kerg_rows):
-                worst = max(worst, abs((np.conj(a[0]) * r0 + np.conj(a[1]) * r1) @ b))
-            resid = worst / max(row_scale, 1.0e-300)
-        b = b / np.linalg.norm(b)
-        pool.append((resid, a, b))
-        if resid <= 1.0e-12:
-            return a, b
-        return None
-
-    def best_of_pool():
-        if not pool:
-            return None
-        resid, a, b = min(pool, key=lambda item: item[0])
-        if resid > 1.0e-7:
-            return None
-        return a, b
-
-    def finish(t, b_exact=None):
-        return assess(t, b_exact)
-
-    def try_swap():
-        if _swapped:
-            return None
-        other = _product_in_both_ranges(
-            BipartiteState(2, n, gamma, tol), rng, _swapped=True)
-        if other is None:
-            return None
-        a, b = other
-        return a.conj(), b
-
-    if k1 + k2 < n:
-        # a common null vector exists for every direction
-        for t in (0.41 + 0.23j, -0.9 + 0.6j, 1.7 - 0.4j):
-            found = finish(t)
-            if found is not None:
-                return found
-        return best_of_pool()
-
-    if k1 == n:
-        # b exists only where the full pencil drops rank
-        det = _poly_pencil_det(ker_rows[0], ker_rows[1], n)
-        if np.max(np.abs(det)) > 1.0e-12 * max(np.max(np.abs(ker_rows[0])), 1.0):
-            for t in np.roots(det[::-1]):
-                found = finish(complex(t))
-                if found is not None:
-                    return found
-        return best_of_pool() or try_swap()
-
-    if k1 != n - 1:
-        return try_swap()
-
-    b_poly = _poly_cross_null(*ker_rows, n)
-    # f_l(t, conj t) = p_l(t) + conj(t) q_l(t)
-    p_polys, q_polys = [], []
-    for l in range(k2):
-        r0, r1 = kerg_rows[0][l], kerg_rows[1][l]
-        p_polys.append(np.array([r0 @ b_poly[:, d] for d in range(b_poly.shape[1])]))
-        q_polys.append(np.array([r1 @ b_poly[:, d] for d in range(b_poly.shape[1])]))
-
-    pmul = np.polynomial.polynomial.polymul
-
-    def conjugation_roots(p, q):
-        """Roots of f(t, conj t) = p(t) + conj(t) q(t) = 0.
-
-        Substituting conj(t) = -p/q into the conjugated equation
-        t conj(q)(conj t) + conj(p)(conj t) = 0 gives a polynomial in t.
-        """
-        u = -np.asarray(p, dtype=complex)
-        v = np.asarray(q, dtype=complex)
-        scale = max(np.max(np.abs(u)), np.max(np.abs(v)), 1.0e-300)
-        if np.max(np.abs(v)) < 1.0e-13 * scale:
-            # no conj(t) dependence: f reduces to p(t) = 0
-            if np.max(np.abs(u)) < 1.0e-13 * scale:
-                return []
-            return list(np.roots(np.trim_zeros((-u)[::-1], "f")))
-        d = max(len(u), len(v)) - 1
-        u = np.pad(u, (0, d + 1 - len(u)))
-        v = np.pad(v, (0, d + 1 - len(v)))
-        pb = (-u).conj()  # conj-coefficient versions of p and q
-        qb = v.conj()
-        # powers u^k v^(d-k)
-        powers = []
-        for k in range(d + 1):
-            term = np.array([1.0 + 0.0j])
-            for _ in range(k):
-                term = pmul(term, u)
-            for _ in range(d - k):
-                term = pmul(term, v)
-            powers.append(term)
-        total = np.zeros(1, dtype=complex)
-        for k in range(d + 1):
-            piece = qb[k] * np.convolve([0.0, 1.0], powers[k])  # t * q_k-term
-            total = np.polynomial.polynomial.polyadd(total, piece)
-            total = np.polynomial.polynomial.polyadd(total, pb[k] * powers[k])
-        if np.max(np.abs(total)) < 1.0e-13 * max(np.max(np.abs(u)) ** d, 1.0e-300):
-            return []
-        return list(np.roots(np.trim_zeros(total[::-1], "f")))
-
-    def circle_solutions(p, q):
-        """Exact solution circle of p0 + p1 t + conj(t)(q0 + q1 t) = 0.
-
-        When the equation is a rotated real circle equation (the
-        anti-Moebius map is an involution) its solutions are
-        |t - c| = r; returns sampled points, or [] otherwise.
-        """
-        if len(p) < 2 or len(q) < 2:
-            return []
-        p0, p1 = p[0], p[1]
-        q0, q1 = q[0], q[1]
-        scale = max(abs(p0), abs(p1), abs(q0), abs(q1), 1.0e-300)
-        if abs(q1) < 1.0e-10 * scale:
-            return []
-        phase = np.conj(q1) / abs(q1)
-        a_coef = (phase * q1).real
-        t_coef = phase * p1
-        tbar_coef = phase * q0
-        const = phase * p0
-        if (abs(t_coef - np.conj(tbar_coef)) > 1.0e-8 * scale
-                or abs(const.imag) > 1.0e-8 * scale):
-            return []
-        center = -tbar_coef / a_coef
-        rad_sq = (abs(tbar_coef) ** 2 - a_coef * const.real) / a_coef ** 2
-        if rad_sq <= 0:
-            return []
-        rad = np.sqrt(rad_sq)
-        return [center + rad * np.exp(2j * np.pi * kk / 12) for kk in range(12)]
-
-    candidates = []
-    if k2 == 0:
-        candidates = [0.41 + 0.23j, -0.9 + 0.6j, 1.7 - 0.4j]
-    elif k2 == 1:
-        candidates = (circle_solutions(p_polys[0], q_polys[0])
-                      + conjugation_roots(p_polys[0], q_polys[0]))
-    else:
-        # eliminate conj(t): p2 q1 - p1 q2 vanishes on every solution
-        res = (pmul(p_polys[1], q_polys[0]) - pmul(p_polys[0], q_polys[1]))
-        if np.max(np.abs(res)) > 1.0e-12 * max(
-                np.max(np.abs(p)) for p in p_polys + q_polys):
-            candidates = list(np.roots(np.trim_zeros(res[::-1], "f")))
-        else:
-            candidates = conjugation_roots(p_polys[0], q_polys[0])
-    if k2 >= 1:
-        # seed the polish from the best points of a cheap polar grid
-        radii = np.array([0.05, 0.2, 0.45, 0.8, 1.25, 2.0, 3.5, 7.0])
-        angles = np.exp(2j * np.pi * np.arange(24) / 24)
-        grid = np.concatenate([[0.0 + 0.0j], np.outer(radii, angles).ravel()])
-        fvals = np.abs(
-            np.polynomial.polynomial.polyval(grid, p_polys[0])
-            + np.conj(grid) * np.polynomial.polynomial.polyval(grid, q_polys[0]))
-        order = np.argsort(fvals)
-        candidates = candidates + [complex(grid[i]) for i in order[:6]]
-
-    def f_and_derivs(l, t):
-        tp = np.conj(t)
-        p = np.polynomial.polynomial.polyval(t, p_polys[l])
-        q = np.polynomial.polynomial.polyval(t, q_polys[l])
-        dp = np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyder(p_polys[l]))
-        dq = np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyder(q_polys[l]))
-        return p + tp * q, dp + tp * dq, q
-
-    f_scale = max(max(np.max(np.abs(p)) for p in p_polys + q_polys), 1.0e-300) \
-        if k2 else 1.0
-    for t0 in candidates:
-        t = complex(t0)
-        if k2 >= 1:
-            # damped Gauss-Newton on f_0(t, conj t) in (Re t, Im t); the
-            # zero set can be a curve (rank-1 Jacobian), so solve in
-            # least squares and backtrack until |f| decreases
-            f_cur = abs(f_and_derivs(0, t)[0])
-            for _ in range(60):
-                f, ft, ftb = f_and_derivs(0, t)
-                if abs(f) < 1.0e-14 * f_scale:
-                    break
-                jxx = ft + ftb
-                jyy = 1j * (ft - ftb)
-                jac = np.array([[jxx.real, jyy.real], [jxx.imag, jyy.imag]])
-                step, *_ = np.linalg.lstsq(jac, -np.array([f.real, f.imag]),
-                                           rcond=None)
-                delta = step[0] + 1j * step[1]
-                if abs(delta) < 1.0e-15 * (1 + abs(t)):
-                    break
-                scale_bt = 1.0
-                for _bt in range(20):
-                    f_try = abs(f_and_derivs(0, t + scale_bt * delta)[0])
-                    if f_try < f_cur:
-                        break
-                    scale_bt *= 0.5
-                else:
-                    break
-                t = t + scale_bt * delta
-                f_cur = f_try
-        found = finish(t, b_exact=_poly_eval(b_poly, t))
-        if found is not None:
-            return found
-    best = best_of_pool()
-    if best is not None:
-        return best
-    # the a = (0, 1) direction, then the partially transposed problem
-    rows = [r1 for r1 in ker_rows[1]] + [r1 for r1 in kerg_rows[1]]
-    if rows:
-        s = np.array(rows)
-        _, sv, vh = np.linalg.svd(s, full_matrices=True)
-        if s.shape[0] < n or sv[n - 1] <= 1.0e-7 * max(sv[0], 1.0e-300):
-            b = vh[-1, :].conj()
-            return np.array([0.0, 1.0], dtype=complex), b / np.linalg.norm(b)
-    return try_swap()
 
 
 def _peel_two_by_n(state: BipartiteState, rng):
@@ -447,6 +114,7 @@ def _peel_two_by_n(state: BipartiteState, rng):
     """
     n = state.dim_b
     tol = state.tol
+    rng = as_rng(rng)
     scale0 = float(np.real(np.trace(state.matrix)))
     products = []
     current = state
@@ -456,7 +124,9 @@ def _peel_two_by_n(state: BipartiteState, rng):
         la, lb = current.local_ranks()
         if current.rank() <= max(la, lb):
             break
-        found = _product_in_both_ranges(current, rng)
+        gamma = partial_transpose(current)
+        found = product_in_both_ranges(_kernel_cols(current.matrix, tol),
+                                       _kernel_cols(gamma, tol), rng, tol)
         if found is None:
             raise RuntimeError(
                 "peeling failed: no product vector found in both ranges; "
@@ -466,8 +136,7 @@ def _peel_two_by_n(state: BipartiteState, rng):
         e = np.kron(a, b)
         lam = min(
             1.0 / max(_pinv_quadratic(current.matrix, e, tol), 1.0e-300),
-            1.0 / max(_pinv_quadratic(partial_transpose(current),
-                                      np.kron(a.conj(), b), tol), 1.0e-300),
+            1.0 / max(_pinv_quadratic(gamma, np.kron(a.conj(), b), tol), 1.0e-300),
         )
         if not lam > 0:
             raise RuntimeError(
@@ -475,15 +144,15 @@ def _peel_two_by_n(state: BipartiteState, rng):
                 "candidate product vector was not accurate enough")
         products.append((np.sqrt(lam) * a, b))
         remainder = current.matrix - lam * np.outer(e, e.conj())
-        # clip roundoff negatives left by the subtraction; the final
-        # Gauss-Newton polish absorbs the resulting drift
+        # the subtraction leaves the eigenvalue it removed at roundoff
+        # scale, of either sign; zero everything rank() counts as kernel
         w, v = np.linalg.eigh(0.5 * (remainder + dagger(remainder)))
         floor = -1.0e-6 * max(float(w[-1]), 1.0)
         if float(w[0]) < floor:
             raise RuntimeError(
                 f"peeling left a negative eigenvalue {w[0]:.3e}; the "
                 "candidate product vector was not accurate enough")
-        w = np.clip(w, 0.0, None)
+        w[w <= _rank_cutoff(w, remainder.shape, tol)] = 0.0
         remainder = (v * w) @ dagger(v)
         if np.real(np.trace(remainder)) <= tol.psd_tol * scale0:
             current = None
@@ -495,107 +164,7 @@ def _peel_two_by_n(state: BipartiteState, rng):
     if current is not None:
         tail = Frame.local(current)
         products.extend(tail.lift_products(_rank_n_products(tail.work, rng)))
-    products = _refit_product_weights(state, products)
-    return _polish_decomposition(state, products)
-
-
-def _polish_decomposition(state, products, iters=30):
-    """Gauss-Newton refinement of all product factors against the state.
-
-    The peeling steps tolerate small drift; this final polish drives the
-    reconstruction residual of sum_i |a_i,b_i><a_i,b_i| back to machine
-    scale.  Falls back to the input decomposition if it cannot improve.
-    """
-    m = state.dim_a
-    n = state.dim_b
-    k = len(products)
-
-    def pack(prods):
-        parts = []
-        for a, b in prods:
-            parts.append(np.concatenate([a.real, a.imag, b.real, b.imag]))
-        return np.concatenate(parts)
-
-    def unpack(x):
-        prods = []
-        step = 2 * m + 2 * n
-        for i in range(k):
-            seg = x[i * step:(i + 1) * step]
-            a = seg[:m] + 1j * seg[m:2 * m]
-            b = seg[2 * m:2 * m + n] + 1j * seg[2 * m + n:]
-            prods.append((a, b))
-        return prods
-
-    def residual(x):
-        mat = -state.matrix.copy()
-        for a, b in unpack(x):
-            v = np.kron(a, b)
-            mat += np.outer(v, v.conj())
-        return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
-
-    x = pack(products)
-    f = residual(x)
-    cost = float(f @ f)
-    scale = max(np.linalg.norm(state.matrix), 1.0e-300)
-    lam_damp = 1.0e-6
-    h = 1.0e-7 * max(np.max(np.abs(x)), 1.0)
-    for _ in range(iters):
-        if np.sqrt(cost) <= 1.0e-12 * scale:
-            break
-        jac = np.empty((f.shape[0], x.shape[0]))
-        for j in range(x.shape[0]):
-            xp = x.copy()
-            xp[j] += h
-            jac[:, j] = (residual(xp) - f) / h
-        jtj = jac.T @ jac
-        g = jac.T @ f
-        improved = False
-        for _bt in range(8):
-            try:
-                delta = np.linalg.solve(
-                    jtj + lam_damp * np.eye(jtj.shape[0]), -g)
-            except np.linalg.LinAlgError:
-                break
-            x_try = x + delta
-            f_try = residual(x_try)
-            cost_try = float(f_try @ f_try)
-            if cost_try < cost:
-                x, f, cost = x_try, f_try, cost_try
-                lam_damp = max(lam_damp / 4.0, 1.0e-12)
-                improved = True
-                break
-            lam_damp *= 8.0
-        if not improved:
-            break
-    return unpack(x)
-
-
-def _refit_product_weights(state, products):
-    """Least-squares re-fit of the product weights against the state.
-
-    Compensates the tiny PSD-clipping drift accumulated while peeling;
-    directions are kept, only the nonnegative weights move.
-    """
-    vecs = []
-    for a, b in products:
-        v = np.kron(a, b)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return products
-        vecs.append(v / nv)
-    gram = np.array([[abs(np.vdot(v, w)) ** 2 for w in vecs] for v in vecs])
-    target = np.array([np.real(np.vdot(v, state.matrix @ v)) for v in vecs])
-    try:
-        lam = np.linalg.solve(gram, target)
-    except np.linalg.LinAlgError:
-        return products
-    if np.any(lam < 0):
-        return products
-    out = []
-    for lam_i, v, (a, b) in zip(lam, vecs, products):
-        na = np.linalg.norm(a)
-        out.append((np.sqrt(lam_i) * a / na, b / np.linalg.norm(b)))
-    return out
+    return products
 
 
 def separable_decomposition(state: BipartiteState, rng=7):
@@ -1041,7 +610,7 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, ppt_flag, rng, trail):
     return _pair_verdict(dup, 1, 2, state, trail, "w2-final")
 
 
-def decide_rank4(state: BipartiteState, rng=7, restarts: int = 24) -> Rank4Verdict:
+def decide_rank4(state: BipartiteState, rng=7) -> Rank4Verdict:
     """Separability/distillability decision for a rank-4 bipartite state.
 
     Separable iff PPT with a product vector in the range; the verdict
@@ -1052,11 +621,11 @@ def decide_rank4(state: BipartiteState, rng=7, restarts: int = 24) -> Rank4Verdi
     r = frame.work.rank()
     if r != 4:
         raise ValueError(f"decide_rank4 needs a rank-4 state, got rank {r}")
-    verdict = _decide_rank4_local(frame.work, as_rng(rng), restarts)
+    verdict = _decide_rank4_local(frame.work, as_rng(rng))
     return Rank4Verdict(frame.lift(verdict.outcome), verdict.trail)
 
 
-def _decide_rank4_local(restricted: BipartiteState, rng, restarts) -> Rank4Verdict:
+def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     """decide_rank4 on a rank-4 state compressed to its local ranges."""
     m, n = restricted.dim_a, restricted.dim_b
     ppt_flag, min_eig = is_ppt(restricted)
@@ -1101,7 +670,7 @@ def _decide_rank4_local(restricted: BipartiteState, rng, restarts) -> Rank4Verdi
 
     # (b) a direction with a rank-1 sector
     blocks = block_form(restricted)
-    found = rank_one_in_span(np.stack(blocks.blocks), restarts=restarts,
+    found = rank_one_in_span(np.stack(blocks.blocks), restarts=24,
                              rng=rng, tol=restricted.tol)
     if found.found:
         g = _Gauge(restricted, blocks.stacked())
@@ -1110,7 +679,7 @@ def _decide_rank4_local(restricted: BipartiteState, rng, restarts) -> Rank4Verdi
     # (c) a product vector in the range
     range_basis = restricted.range_basis()
     subspace = Subspace(3, 3, range_basis.T, restricted.tol)
-    prod = find_product_vector(subspace, restarts=max(restarts, 40), rng=rng)
+    prod = find_product_vector(subspace, restarts=40, rng=rng)
     for retry, (a, b, _) in enumerate(prod.products):
         # a cascade that contradicts itself numerically on one anchor is
         # retried from the next product vector in the range

@@ -1,22 +1,32 @@
 import numpy as np
 import pytest
 
+from entcert import rank4
 from entcert.certificates import (
     Distillable,
     PptEntangled,
     Separable,
+    validate_certificate,
     validate_witness,
 )
 from entcert.criteria import is_ppt
-from entcert.families import make_tiles_upb, make_shifts_upb, shifts_bipartite_cut
+from entcert.families import (
+    make_shifts_upb,
+    make_tiles_upb,
+    random_checkerboard,
+    shifts_bipartite_cut,
+)
 from entcert.linalg import rel_residual
+from entcert.product_search import product_in_both_ranges
 from entcert.random_states import (
     complex_gaussian,
     random_invertible,
     random_product_sum,
     random_rank_r_state,
+    random_tripartite_pure_amplitudes,
 )
 from entcert.rank4 import (
+    classify_state,
     decide_rank4,
     separable_decomposition,
     separable_decomposition_rank_n,
@@ -178,6 +188,99 @@ def test_peeling_2x3_rank4(rng):
         cert = Separable(products=tuple(products))
         assert rel_residual(cert.reconstruct(2, 3), state.matrix) < 1e-7
         hits += 1
+
+
+# Sums of 3-8 random products in 2x2, 2x3 and 3x2, each seeded by its
+# own index, plus the 3x2 8-product states of five more seeds and two
+# more sums.  The circle and grid search that preceded the exact one
+# failed on the first four seeds (no product found in both ranges), or
+# left the rank-N tail non-normal.  Seed 5411 leaves a genuine eigenvalue
+# at 9e-9 of the spectral norm after a peeling step; a kernel cutoff at
+# psd_tol zeroes it, and the remainder is no longer PPT.  The last two
+# sums leave a non-normal tail unless each root is refined by Newton.
+PEELING_CORPUS = [((m, n), 3 + i % 6, [shape, i])
+                  for shape, (m, n) in enumerate([(2, 2), (2, 3), (3, 2)])
+                  for i in range(48)]
+PEELING_CORPUS += [((3, 2), 8, seed) for seed in (2426, 4253, 5597, 10426, 5411)]
+PEELING_CORPUS += [((2, 3), 7, [1, 196]), ((3, 2), 4, [2, 361])]
+
+
+def test_peeling_corpus_decomposes_and_each_step_is_exact(monkeypatch):
+    steps = []
+
+    def recording(ker, ker_gamma, rng, tol):
+        found = product_in_both_ranges(ker, ker_gamma, rng, tol)
+        steps.append((ker, ker_gamma, found))
+        return found
+
+    monkeypatch.setattr(rank4, "product_in_both_ranges", recording)
+    for (m, n), terms, seed in PEELING_CORPUS:
+        rng = np.random.default_rng(seed)
+        state = random_product_sum(m, n, terms, rng)
+        products = separable_decomposition(state, rng=rng)
+        cert = Separable(products=tuple(products))
+        assert rel_residual(cert.reconstruct(m, n), state.matrix) < 1e-8
+    circles = 0
+    for ker, ker_gamma, (a, b) in steps:
+        assert np.linalg.norm(ker.conj().T @ np.kron(a, b)) < 1e-10
+        assert np.linalg.norm(ker_gamma.conj().T @ np.kron(a.conj(), b)) < 1e-10
+        # 2x2 with rank 3 on both sides: the zeros form a Bloch circle
+        circles += ker.shape == ker_gamma.shape == (4, 1)
+    assert circles > 0
+
+
+def test_product_in_both_ranges_reports_none_without_a_solution():
+    # a (x) b orthogonal to |00>, |11> and conj(a) (x) b orthogonal to
+    # |01>, |10> forces a0 b0 = a1 b1 = conj(a0) b1 = conj(a1) b0 = 0
+    ker = np.eye(4, dtype=complex)[:, [0, 3]]
+    ker_gamma = np.eye(4, dtype=complex)[:, [1, 2]]
+    assert product_in_both_ranges(ker, ker_gamma, rng=0) is None
+
+
+# The seeded classify-mixed corpus of the benchmark, in cycles of twelve:
+# generic states of rank below or at the max local rank, PPT rank-N
+# states, a random checkerboard, a tripartite pure state and 2x3 sums of
+# 4, 5 and 5 products.  Each item is followed by one draw of the seed its
+# call gets.
+MIXED_CYCLE = [
+    ("rank-r", (4, 4, 2)), ("rank-r", (4, 4, 3)),
+    ("rank-r", (3, 3, 3)), ("rank-r", (3, 4, 4)),
+    ("ppt-n", (2, 3)), ("ppt-n", (3, 3)), ("ppt-n", (3, 4)),
+    ("checkerboard", None), ("tripartite", (2, 2, 2)),
+    ("product-sum", (2, 3, 4)), ("product-sum", (2, 3, 5)),
+    ("product-sum", (2, 3, 5)),
+]
+
+
+def mixed_corpus_item(seed, index):
+    """Replay the corpus of `seed` up to item `index`; return its input
+    and call seed."""
+    rng = np.random.default_rng(seed)
+    for i in range(index + 1):
+        kind, shape = MIXED_CYCLE[i % len(MIXED_CYCLE)]
+        if kind == "rank-r":
+            data = random_rank_r_state(*shape, rng)
+        elif kind == "ppt-n":
+            data = ppt_rank_n_state(*shape, rng)
+        elif kind == "checkerboard":
+            data = random_checkerboard(rng)[1]
+        elif kind == "tripartite":
+            data = random_tripartite_pure_amplitudes(*shape, rng)
+        else:
+            data = random_product_sum(*shape, rng)
+        call_seed = int(rng.integers(1 << 31))
+    return data, call_seed
+
+
+def test_classify_state_peels_the_mixed_corpus_seed6_sum():
+    # a 2x3 rank-5 sum of 5 products on which the previous search found
+    # no product in both ranges
+    state, call_seed = mixed_corpus_item(6, 514)
+    assert call_seed == 1796815924
+    assert (state.dim_a, state.dim_b, state.rank()) == (2, 3, 5)
+    cert = classify_state(state, rng=call_seed)
+    assert isinstance(cert, Separable)
+    validate_certificate(state, cert)
 
 
 def test_simultaneous_diagonalization_residual(rng):
