@@ -79,7 +79,8 @@ class TwoByNProjectionWitness:
 
     a_columns (M x 2) and b_operator (N' x N, optional) define the local
     map; the projected state is (a_columns^dag (x) b_operator) applied to
-    rho.  x is the scalar sweep parameter when one was used.
+    rho.  x is the scalar of the combination x C_i + C_j of a
+    non-commuting normal block pair, when one was used.
     """
 
     a_columns: np.ndarray
@@ -184,8 +185,7 @@ def validate_witness(state: BipartiteState, witness: Witness) -> float:
     Returns the recomputed value; raises ValueError if the witness does
     not satisfy its structural invariants.
     """
-    norm = state.spectral_norm
-    thr = state.tol.psd_tol * max(norm, 1.0e-300)
+    thr = state.tol.negativity_floor(state.spectral_norm)
     if isinstance(witness, TrivialSubmatrixWitness):
         g = partial_transpose(state)
         k, l = witness.row, witness.col
@@ -206,7 +206,7 @@ def validate_witness(state: BipartiteState, witness: Witness) -> float:
         if len(coeffs) != 2:
             raise ValueError(f"witness vector has Schmidt rank {len(coeffs)}, expected 2")
         value = _gamma_expectation(state, witness.vector)
-        if value >= -state.tol.psd_tol * max(norm, 1.0e-300):
+        if value >= -thr:
             raise ValueError(f"witness expectation {value:.3e} is not negative")
         return value
     if isinstance(witness, TwoByNProjectionWitness):
@@ -238,8 +238,7 @@ def validate_certificate(state: BipartiteState, cert: Certificate) -> dict:
         return {"reconstruction_residual": residual, "n_products": len(cert.products)}
     if isinstance(cert, (Ppt, PptEntangled)):
         w = np.linalg.eigvalsh(partial_transpose(state))
-        floor = -state.tol.psd_tol * max(state.spectral_norm, 1.0e-300)
-        if float(w[0]) < floor:
+        if float(w[0]) < -state.tol.negativity_floor(state.spectral_norm):
             raise ValueError(f"claimed PPT but min eigenvalue of rho^G is {w[0]:.3e}")
         return {"min_eig_gamma": float(w[0])}
     if isinstance(cert, Distillable):

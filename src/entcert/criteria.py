@@ -29,7 +29,9 @@ from .certificates import (
     validate_certificate,
     validate_witness,
 )
-from .linalg import dagger, frob, hermitian_eigen, numerical_rank
+from .linalg import (
+    DEFAULT_TOL, complete_rows, dagger, frob, numerical_rank, psd_eigen, psd_range, singular_rank,
+)
 from .random_states import as_rng, complex_gaussian, unit_disc
 from .states import (
     BipartiteState,
@@ -64,15 +66,11 @@ __all__ = [
 _SZ_GRID = 2.0 ** 16
 
 
-def _neg_threshold(state: BipartiteState) -> float:
-    return state.tol.psd_tol * max(state.spectral_norm, 1.0e-300)
-
-
 def is_ppt(state: BipartiteState) -> tuple[bool, float]:
     """Whether rho^G is PSD within tolerance; also returns min eig of rho^G."""
     w = np.linalg.eigvalsh(partial_transpose(state))
     min_eig = float(w[0])
-    return min_eig >= -_neg_threshold(state), min_eig
+    return min_eig >= -state.tol.negativity_floor(state.spectral_norm), min_eig
 
 
 def reduction_criterion(state: BipartiteState):
@@ -86,7 +84,7 @@ def reduction_criterion(state: BipartiteState):
         "A": np.kron(reduce(state, "A"), np.eye(n)) - state.matrix,
         "B": np.kron(np.eye(m), reduce(state, "B")) - state.matrix,
     }
-    thr = _neg_threshold(state)
+    thr = state.tol.negativity_floor(state.spectral_norm)
     best = None
     for side, op in ops.items():
         w, v = np.linalg.eigh(0.5 * (op + dagger(op)))
@@ -106,7 +104,7 @@ def trivially_distillable(state: BipartiteState):
     entries above it do not qualify.
     """
     g = partial_transpose(state)
-    thr = _neg_threshold(state)
+    thr = state.tol.negativity_floor(state.spectral_norm)
     d = g.shape[0]
     n = state.dim_b
     diag = np.real(np.diag(g))
@@ -163,20 +161,10 @@ def restrict_to_local_ranges(state: BipartiteState):
     Returns (restricted, qa, qb) with isometry columns; the original is
     (qa (x) qb) restricted (qa (x) qb)^dag.
     """
-    qs = []
-    for side, dim in (("A", state.dim_a), ("B", state.dim_b)):
-        red = reduce(state, side)
-        w, v = hermitian_eigen(red, state.tol)
-        cutoff = state.tol.rank_cutoff(max(float(w[-1]), 0.0), red.shape)
-        keep = np.where(w > cutoff)[0][::-1]
-        qs.append(v[:, keep])
-    qa, qb = qs
+    qa, qb = (psd_range(reduce(state, side), state.tol)[1] for side in "AB")
     if qa.shape == (state.dim_a, state.dim_a) and qb.shape == (state.dim_b, state.dim_b):
-        ident_a = np.eye(state.dim_a, dtype=complex)
-        ident_b = np.eye(state.dim_b, dtype=complex)
-        return state, ident_a, ident_b
-    restricted = apply_local(state, dagger(qa), dagger(qb))
-    return restricted, qa, qb
+        return state, np.eye(state.dim_a, dtype=complex), np.eye(state.dim_b, dtype=complex)
+    return apply_local(state, dagger(qa), dagger(qb)), qa, qb
 
 
 @dataclass(frozen=True)
@@ -258,8 +246,7 @@ class Frame:
 
 
 def full_rank_property(state: BipartiteState, side: str = "right",
-                       budget: int = 64, rng=7,
-                       blocks: BlockForm | None = None) -> FullRankResult:
+                       budget: int = 64, rng=7) -> FullRankResult:
     """Decide the right/left full-rank property on the local ranges.
 
     The Holds branch is deterministic: one local vector whose sector
@@ -272,8 +259,7 @@ def full_rank_property(state: BipartiteState, side: str = "right",
         raise ValueError("side must be 'right' or 'left'")
     rng = as_rng(rng)
     restricted, qa, qb = restrict_to_local_ranges(state)
-    if blocks is None or qa.shape[0] != qa.shape[1] or qb.shape[0] != qb.shape[1]:
-        blocks = block_form(restricted)
+    blocks = block_form(restricted)
     m, n = restricted.dim_a, restricted.dim_b
     r = blocks.rank
 
@@ -308,7 +294,7 @@ def _coordinate_pair_witness(state: BipartiteState):
     """Best Schmidt-rank-2 witness over all coordinate A-index pairs."""
     g = partial_transpose(state)
     n = state.dim_b
-    thr = _neg_threshold(state)
+    thr = state.tol.negativity_floor(state.spectral_norm)
     best = None
     for k, l in combinations(range(state.dim_a), 2):
         idx = np.r_[k * n:(k + 1) * n, l * n:(l + 1) * n]
@@ -330,7 +316,7 @@ def schmidt2_witness(state: BipartiteState, budget: int = 256, rng=7):
     proof.
     """
     rng = as_rng(rng)
-    thr = _neg_threshold(state)
+    thr = state.tol.negativity_floor(state.spectral_norm)
     m, n = state.dim_a, state.dim_b
     best = _coordinate_pair_witness(state)
     if best is not None:
@@ -356,31 +342,29 @@ def _pair_state(c_block: np.ndarray, tol) -> BipartiteState:
     return BipartiteState(2, n, dagger(w) @ w, tol)
 
 
-def _blocks_after_a_op(blocks: list[np.ndarray], a: np.ndarray) -> list[np.ndarray]:
-    """Row blocks of (A (x) I) rho (A (x) I)^dag: C'_j = sum_k conj(A[j,k]) C_k."""
-    return [sum(a[j, k].conjugate() * blocks[k] for k in range(len(blocks)))
-            for j in range(a.shape[0])]
+def _normal_form(state: BipartiteState, witness: np.ndarray):
+    """Blocks (C_1, ..., C_{M-1}, I_N) of the state after local operations.
+
+    The A operation is invertible with conj(witness) as its last row, so
+    the mixed last block is the full-rank witness's sector operator; the
+    B operation maps it to I_N.  Returns (blocks, a_op, b_op), the
+    blocks of (a_op (x) b_op) state (a_op (x) b_op)^dag.
+    """
+    a_op = complete_rows(witness.conj(), last=True)
+    bf = block_form(state)
+    m = len(bf.blocks)
+    # blocks of (A (x) I) rho (A (x) I)^dag: C'_j = sum_k conj(A[j,k]) C_k
+    mixed = tuple(sum(a_op[j, k].conjugate() * bf.blocks[k] for k in range(m)) for j in range(m))
+    normal, c_last_inv = BlockForm(mixed, bf.rank).normalize_last()
+    return list(normal.blocks), a_op, dagger(c_last_inv)
 
 
-def _complete_rows(last_row: np.ndarray) -> np.ndarray:
-    """Invertible matrix whose last row is the given vector."""
-    m = last_row.shape[0]
-    _, kernel = numerical_rank(last_row.conj().reshape(1, m))
-    return np.vstack([kernel.T, last_row.reshape(1, m)])
-
-
-_X_GRID = [s * m for m in (1.0, 2.0, 0.5, 4.0, 0.25, 8.0)
-           for s in (1.0, -1.0, 1.0j, -1.0j)]
-
-
-def _distill_rank_max(state, rng, x_budget):
+def _distill_rank_max(state, rng):
     """Witness construction for an NPT state with rank == dim_b == max.
 
     state must already be compressed to its local ranges with M <= N and
     rank N; the witness refers to state.
     """
-    m, n = state.dim_a, state.dim_b
-    tol = state.tol
     frp = full_rank_property(state, "right", rng=rng)
     if not frp.holds:
         # violating a full-rank property already implies 1-distillability
@@ -395,20 +379,28 @@ def _distill_rank_max(state, rng, x_budget):
         # cannot happen for M >= 2 at rank N (the product bound shortcut
         # needs N > M(N-1)); guard against contract drift anyway
         raise RuntimeError("full-rank property held without a witness vector")
-    a_op = _complete_rows(frp.witness.conj())
-    blocks = _blocks_after_a_op(list(block_form(state).blocks), a_op)
-    b_op = dagger(np.linalg.inv(blocks[-1]))
-    blocks = [c @ dagger(b_op) for c in blocks]
+    return _pair_witness(*_normal_form(state, frp.witness), state.tol)
+
+
+def _pair_witness(blocks, a_op, b_op, tol):
+    """2xN projection witness for an NPT state with blocks (C_1, .., I_N).
+
+    The blocks are those of (a_op (x) b_op) rho (a_op (x) b_op)^dag; the
+    witness refers to rho.  A pair state (X, I_N) is NPT iff X is not
+    normal.  Some C_i is not normal, or two normal C_i, C_j do not
+    commute; then X = x C_i + C_j has X^dag X - X X^dag = conj(x) K +
+    x K^dag with K = C_i^dag C_j - C_j C_i^dag, which is nonzero by
+    Fuglede's theorem, so x = 1 or, when K + K^dag = 0, x = i certifies.
+    """
+    m, n = len(blocks), blocks[-1].shape[1]
 
     def certify(c_block, g_cols, x_val):
         pair = _pair_state(c_block, tol)
-        ppt, min_eig = is_ppt(pair)
-        if ppt:
+        if is_ppt(pair)[0]:
             return None
         w, v = np.linalg.eigh(partial_transpose(pair))
-        psi_pair = v[:, 0]
         comp = dagger(g_cols)  # 2 x M compression on the working state
-        vec = lift_through_local(psi_pair, comp @ a_op, b_op, (2, n))
+        vec = lift_through_local(v[:, 0], comp @ a_op, b_op, (2, n))
         a_cols = dagger(comp @ a_op)
         return TwoByNProjectionWitness(
             a_columns=a_cols, b_operator=np.asarray(b_op),
@@ -436,10 +428,7 @@ def _distill_rank_max(state, rng, x_budget):
             "all pair projections are PPT and the blocks commute; the state "
             "tests as PPT, contradicting the NPT precondition")
     i, j = best_pair
-
-    rng = as_rng(rng)
-    xs = list(_X_GRID) + list(complex_gaussian(rng, max(x_budget - len(_X_GRID), 0)))
-    for x in xs[:x_budget]:
+    for x in (1.0, 1.0j):
         g_cols = np.zeros((m, 2), dtype=complex)
         g_cols[i, 0] = x
         g_cols[j, 0] = 1.0
@@ -448,9 +437,9 @@ def _distill_rank_max(state, rng, x_budget):
         if witness is not None:
             return witness
     raise RuntimeError(
-        f"x-sweep exhausted ({x_budget} points) for the non-commuting pair "
-        f"{best_pair}; commutator score {best_score:.3e}. The certificate is "
-        "guaranteed to exist, so this indicates a numerical issue.")
+        f"x C_i + C_j is normal for x = 1 and x = i on the non-commuting pair "
+        f"{best_pair} (commutator score {best_score:.3e}); Fuglede's theorem "
+        "rules this out, so this indicates a numerical issue.")
 
 
 def _simultaneous_diagonalize(mats, tol):
@@ -495,9 +484,9 @@ def _rank_n_products(state: BipartiteState, rng):
     m, n = state.dim_a, state.dim_b
     tol = state.tol
     if m == 1:
-        w, v = hermitian_eigen(reduce(state, "B"), tol)
-        keep = np.where(w > tol.rank_cutoff(max(float(w[-1]), 0.0), (n, n)))[0]
-        return [(np.array([1.0 + 0.0j]), np.sqrt(w[k]) * v[:, k]) for k in keep]
+        w, q = psd_range(reduce(state, "B"), tol)
+        return [(np.array([1.0 + 0.0j]), np.sqrt(wk) * qk)
+                for wk, qk in zip(w[::-1], q.T[::-1])]  # ascending eigenvalues
 
     frp = full_rank_property(state, "right", rng=rng)
     if not frp.holds or frp.witness is None:
@@ -505,11 +494,7 @@ def _rank_n_products(state: BipartiteState, rng):
             "no full-rank direction found for a PPT state; PPT states are "
             "guaranteed to have both full-rank properties, so this signals "
             "a numerical problem or a non-PPT input")
-    a_op = _complete_rows(frp.witness.conj())
-    blocks = _blocks_after_a_op(list(block_form(state).blocks), a_op)
-    c_last_inv = np.linalg.inv(blocks[-1])
-    blocks = [c @ c_last_inv for c in blocks]
-    b_op = dagger(c_last_inv)
+    blocks, a_op, b_op = _normal_form(state, frp.witness)
 
     scale = [max(frob(c), 1.0e-300) for c in blocks]
     comm_tol = 1.0e-6
@@ -598,7 +583,7 @@ def classify_rank_le_max(state: BipartiteState, rng=7, budget: int = 256) -> Cer
         return frame.lift(Distillable(w))
     if ppt:
         return frame.lift(Separable(products=tuple(_rank_n_products(work, rng))))
-    return frame.lift(Distillable(_distill_rank_max(work, rng, budget)))
+    return frame.lift(Distillable(_distill_rank_max(work, rng)))
 
 
 def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certificate:
@@ -610,13 +595,13 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
     """
     if not isinstance(psi, PureState):
         raise TypeError("psi must be a PureState")
-    tol = sigma.tol if sigma is not None else None
     rho_mat = psi.projector()
     if sigma is not None:
         if (sigma.dim_a, sigma.dim_b) != (psi.dim_a, psi.dim_b):
             raise ValueError("psi and sigma dimensions differ")
         rho_mat = rho_mat + sigma.matrix
-    state = BipartiteState(psi.dim_a, psi.dim_b, rho_mat, tol or BipartiteState.__dataclass_fields__["tol"].default)
+    state = BipartiteState(psi.dim_a, psi.dim_b, rho_mat,
+                           DEFAULT_TOL if sigma is None else sigma.tol)
 
     coeffs, _, _ = schmidt(psi, state.tol)
     if len(coeffs) < 2:
@@ -626,12 +611,10 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
     m, n = restricted.dim_a, restricted.dim_b
 
     if sigma is not None and np.any(np.abs(sigma.matrix) > 0):
-        sig_a = dagger(qa) @ reduce(sigma, "A") @ qa
-        w, v = np.linalg.eigh(0.5 * (sig_a + dagger(sig_a)))
-        cutoff = state.tol.rank_cutoff(max(float(w[-1]), 0.0), sig_a.shape)
-        keep = np.where(w > cutoff)[0][::-1]
-        r = len(keep)
-        basis = np.hstack([v[:, keep], v[:, np.where(w <= cutoff)[0]]])
+        _, v, nullity = psd_eigen(dagger(qa) @ reduce(sigma, "A") @ qa, state.tol)
+        r = m - nullity
+        # range of sigma_A, largest eigenvalue first, then its kernel
+        basis = np.hstack([v[:, nullity:][:, ::-1], v[:, :nullity]])
     else:
         r = 0
         basis = np.eye(m, dtype=complex)
@@ -644,7 +627,7 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
     k_mat = (u1 @ psi_r.reshape(m, n))
     tail = k_mat[r:, :]
     uu, ss, _ = np.linalg.svd(tail)
-    if ss[0] <= state.tol.rank_cutoff(max(ss[0], 1.0), tail.shape):
+    if singular_rank(ss, tail.shape, state.tol, scale=frob(k_mat)) == 0:
         raise ValueError("psi has no component outside range(sigma_A)")
     # unitary on the complement whose last row maps the tail onto row M
     w_rot = np.roll(uu, -1, axis=1)

@@ -142,7 +142,7 @@ def _structured_projection_sweep(state, rng, x_budget=24):
         work = frame.work
         m, n = work.dim_a, work.dim_b
         gam = partial_transpose(work)
-        thr = work.tol.psd_tol * max(work.spectral_norm, 1.0e-300)
+        thr = work.tol.negativity_floor(work.spectral_norm)
         for i in range(m):
             for k in range(m):
                 if k == i:

@@ -14,8 +14,14 @@ import numpy as np
 __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
+    "check_hermitian",
     "hermitian_eigen",
+    "psd_eigen",
+    "psd_range",
+    "psd_kernel",
+    "singular_rank",
     "numerical_rank",
+    "complete_rows",
     "frob",
     "rel_residual",
     "dagger",
@@ -45,6 +51,11 @@ class ToleranceConfig:
         eps = np.finfo(np.float64).eps
         return self.rank_tol_factor * sigma_max * max(shape) * eps
 
+    def negativity_floor(self, norm: float) -> float:
+        """Eigenvalues below minus this count as negative, for an
+        operator of spectral norm `norm`."""
+        return self.psd_tol * max(norm, 1.0e-300)
+
 
 DEFAULT_TOL = ToleranceConfig()
 
@@ -63,13 +74,9 @@ def rel_residual(actual: np.ndarray, target: np.ndarray) -> float:
     return frob(actual - target) / scale
 
 
-def hermitian_eigen(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input is checked against the Hermiticity tolerance and then
-    symmetrized, so the LAPACK routine sees exactly Hermitian data.
-    Returns (eigenvalues ascending, eigenvectors as columns).
-    """
+def check_hermitian(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The square matrix h, checked against the Hermiticity tolerance and
+    symmetrized, so later routines see exactly Hermitian data."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
@@ -80,8 +87,52 @@ def hermitian_eigen(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
             f"matrix is not Hermitian: |H - H^dag| = {defect:.3e} "
             f"(relative {defect / scale:.3e})"
         )
+    return 0.5 * (h + dagger(h))
+
+
+def hermitian_eigen(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+    """(eigenvalues ascending, eigenvectors as columns) of a matrix that
+    passes check_hermitian."""
+    return np.linalg.eigh(check_hermitian(h, tol))
+
+
+def psd_eigen(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+    """Eigendecomposition of a Hermitian PSD matrix, split at the rank cutoff.
+
+    h is symmetrized but not checked (check_hermitian does that).
+    Returns (w, v, nullity): eigenvalues ascending, eigenvectors as
+    columns, and the number of leading eigenvalues at or below the rank
+    cutoff of the largest one; their eigenvectors span the kernel.
+    """
+    h = np.asarray(h, dtype=complex)
     w, v = np.linalg.eigh(0.5 * (h + dagger(h)))
-    return w, v
+    cutoff = tol.rank_cutoff(max(float(w[-1]), 0.0), h.shape)
+    return w, v, int(np.sum(w <= cutoff))
+
+
+def psd_range(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+    """(w, q): the eigenvalues of a Hermitian PSD matrix above the
+    psd_eigen cutoff, largest first, and their eigenvector columns."""
+    w, v, nullity = psd_eigen(h, tol)
+    keep = np.arange(len(w) - 1, nullity - 1, -1)
+    return w[keep], v[:, keep]
+
+
+def psd_kernel(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Kernel of a Hermitian PSD matrix at the psd_eigen cutoff, as
+    eigenvector columns in ascending eigenvalue order."""
+    _, v, nullity = psd_eigen(h, tol)
+    return v[:, np.arange(nullity)]
+
+
+def singular_rank(s: np.ndarray, shape: tuple[int, int],
+                  tol: ToleranceConfig = DEFAULT_TOL, scale: float | None = None) -> int:
+    """Number of singular values s (descending) of an array of the given
+    shape above the rank cutoff; the cutoff is relative to `scale`, by
+    default the largest singular value."""
+    if scale is None:
+        scale = float(s[0]) if s.size else 0.0
+    return int(np.sum(s > tol.rank_cutoff(scale, shape)))
 
 
 def numerical_rank(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
@@ -96,8 +147,17 @@ def numerical_rank(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     if a.size == 0:
         return 0, np.eye(a.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    sigma_max = float(s[0]) if s.size else 0.0
-    cutoff = tol.rank_cutoff(sigma_max, a.shape)
-    rank = int(np.sum(s > cutoff))
-    kernel = dagger(vh[rank:])
-    return rank, kernel
+    rank = singular_rank(s, a.shape, tol)
+    return rank, dagger(vh[rank:])
+
+
+def complete_rows(row: np.ndarray, last: bool = False) -> np.ndarray:
+    """Invertible matrix with `row` as its first row (its last with last).
+
+    The other rows are an orthonormal basis of the vectors orthogonal to
+    row, so the matrix is unitary when row is a unit vector.
+    """
+    m = row.shape[0]
+    _, kernel = numerical_rank(row.conj().reshape(1, m))
+    rows = [row.reshape(1, m), kernel.T]
+    return np.vstack(rows[::-1] if last else rows)

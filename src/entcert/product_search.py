@@ -39,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, numerical_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, numerical_rank, singular_rank
 from .random_states import as_rng, complex_gaussian
 
 __all__ = [
@@ -384,7 +384,7 @@ def _enumerate_rank_one(work, rng, tol):
     k, p, q = work.shape
     flat = work.reshape(k, -1)
     u_x, s_x, vh_x = np.linalg.svd(flat)
-    r = int(np.sum(s_x > tol.rank_cutoff(s_x[0], flat.shape)))
+    r = singular_rank(s_x, flat.shape, tol)
     if r == 0:
         return None
     # orthonormal span basis, mixed at random so no candidate sits on a

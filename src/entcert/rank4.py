@@ -51,7 +51,7 @@ from .criteria import (
     separable_decomposition_rank_n,
     trivially_distillable,
 )
-from .linalg import dagger, frob, numerical_rank
+from .linalg import complete_rows, dagger, frob, numerical_rank, psd_eigen, psd_kernel, psd_range
 from .product_search import (
     Subspace,
     find_product_vector,
@@ -82,25 +82,11 @@ class Rank4Verdict:
 # constructive separable decompositions
 # ---------------------------------------------------------------------------
 
-def _rank_cutoff(w, mat_shape, tol):
-    """The cutoff of BipartiteState.rank() for a Hermitian matrix with
-    ascending spectrum w: eigenvalues at or below it count as kernel."""
-    return tol.rank_cutoff(max(abs(float(w[0])), abs(float(w[-1]))), mat_shape)
-
-
-def _kernel_cols(mat, tol):
-    w, u = np.linalg.eigh(0.5 * (mat + dagger(mat)))
-    cutoff = _rank_cutoff(w, mat.shape, tol)
-    return u[:, np.abs(w) <= cutoff]
-
-
 def _pinv_quadratic(mat, vec, tol):
     """<v| mat^+ |v> via the spectral pseudo-inverse (rank cutoff)."""
-    w, u = np.linalg.eigh(0.5 * (mat + dagger(mat)))
-    cutoff = _rank_cutoff(w, mat.shape, tol)
+    w, u, nullity = psd_eigen(mat, tol)
     coeffs = np.abs(dagger(u) @ vec) ** 2
-    keep = np.abs(w) > cutoff
-    return float(np.sum(coeffs[keep] / w[keep]))
+    return float(np.sum(coeffs[nullity:] / w[nullity:]))
 
 
 def _peel_two_by_n(state: BipartiteState, rng):
@@ -125,8 +111,8 @@ def _peel_two_by_n(state: BipartiteState, rng):
         if current.rank() <= max(la, lb):
             break
         gamma = partial_transpose(current)
-        found = product_in_both_ranges(_kernel_cols(current.matrix, tol),
-                                       _kernel_cols(gamma, tol), rng, tol)
+        found = product_in_both_ranges(psd_kernel(current.matrix, tol),
+                                       psd_kernel(gamma, tol), rng, tol)
         if found is None:
             raise RuntimeError(
                 "peeling failed: no product vector found in both ranges; "
@@ -146,13 +132,13 @@ def _peel_two_by_n(state: BipartiteState, rng):
         remainder = current.matrix - lam * np.outer(e, e.conj())
         # the subtraction leaves the eigenvalue it removed at roundoff
         # scale, of either sign; zero everything rank() counts as kernel
-        w, v = np.linalg.eigh(0.5 * (remainder + dagger(remainder)))
+        w, v, nullity = psd_eigen(remainder, tol)
         floor = -1.0e-6 * max(float(w[-1]), 1.0)
         if float(w[0]) < floor:
             raise RuntimeError(
                 f"peeling left a negative eigenvalue {w[0]:.3e}; the "
                 "candidate product vector was not accurate enough")
-        w[w <= _rank_cutoff(w, remainder.shape, tol)] = 0.0
+        w[:nullity] = 0.0
         remainder = (v * w) @ dagger(v)
         if np.real(np.trace(remainder)) <= tol.psd_tol * scale0:
             current = None
@@ -292,12 +278,6 @@ def _pair_verdict(gauge: _Gauge, i, j, original, trail, tag):
     return Rank4Verdict(Distillable(witness), trail + (tag, "trivial-submatrix"))
 
 
-def _complete_rows_first(first_row):
-    m = first_row.shape[0]
-    _, kernel = numerical_rank(first_row.conj().reshape(1, m))
-    return np.vstack([first_row.reshape(1, m), kernel.T])
-
-
 def _sector_is_rank1(sector) -> bool:
     """The rank-1 test a sector must pass to enter _rank1_sector_path."""
     s = np.linalg.svd(sector, compute_uv=False)
@@ -311,7 +291,7 @@ def _rank1_sector_path(gauge: _Gauge, x, original, rng, trail):
     distillability, or the state splits as an A-direct sum handled by
     the side-swapped B-direct decomposition.
     """
-    gauge.apply_a(_complete_rows_first(np.asarray(x).conj()))
+    gauge.apply_a(complete_rows(np.asarray(x).conj()))
     c0 = gauge.blocks()[0]
     if not _sector_is_rank1(c0):
         raise RuntimeError("claimed rank-1 sector direction is not rank 1")
@@ -371,14 +351,9 @@ def _peel_anchor(state: BipartiteState, a_vec, b_vec):
     e = np.kron(a_vec, b_vec)
     e = e / np.linalg.norm(e)
     lam = 1.0 / max(_pinv_quadratic(state.matrix, e, tol), 1.0e-300)
-    rest = state.matrix - lam * np.outer(e, e.conj())
-    w, v = np.linalg.eigh(0.5 * (rest + dagger(rest)))
-    cutoff = tol.rank_cutoff(max(float(w[-1]), 0.0), rest.shape)
-    keep = np.where(w > cutoff)[0][::-1]
-    rows = [np.sqrt(lam) * e.conj()]
-    for k in keep:
-        rows.append(np.sqrt(w[k]) * v[:, k].conj())
-    return np.vstack(rows)
+    w, q = psd_range(state.matrix - lam * np.outer(e, e.conj()), tol)
+    return np.vstack([np.sqrt(lam) * e.conj()]
+                     + [np.sqrt(wk) * qk.conj() for wk, qk in zip(w, q.T)])
 
 
 def _product_cascade(state: BipartiteState, a_vec, b_vec, ppt_flag, rng, trail):
@@ -398,10 +373,10 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, ppt_flag, rng, trail):
 
     # step 1: move the anchor product onto |1,1>
     t1 = np.linalg.inv(np.column_stack(
-        [a_vec.reshape(-1), _complete_rows_first(a_vec.conj())[1:].conj().T]))
+        [a_vec.reshape(-1), complete_rows(a_vec.conj())[1:].conj().T]))
     g.apply_a(t1.conj())
     b1 = np.linalg.inv(np.column_stack(
-        [b_vec.reshape(-1), _complete_rows_first(b_vec.conj())[1:].conj().T]))
+        [b_vec.reshape(-1), complete_rows(b_vec.conj())[1:].conj().T]))
     g.apply_b_dag(dagger(b1))
     anchor = g.entry(0, 0, 0)
     scale_fix = np.eye(3, dtype=complex)
@@ -709,8 +684,8 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
 # top-level classification
 # ---------------------------------------------------------------------------
 
-def _witness_certificate(state, w) -> Certificate:
-    cert = Distillable(SchmidtRank2Witness(vector=w.vector, value=w.value))
+def _validated(state, witness) -> Certificate:
+    cert = Distillable(witness)
     validate_certificate(state, cert)
     return cert
 
@@ -738,19 +713,13 @@ def classify_state(state: BipartiteState, rng=7, budget: int = 256) -> Certifica
             return Separable(products=tuple(products))
         return Ppt(min_eig_gamma=min_eig)
 
-    w = trivially_distillable(state)
+    w = trivially_distillable(state) or schmidt2_witness(state, budget=budget, rng=rng)
     if w is not None:
-        return _witness_certificate(state, w)
-    w = schmidt2_witness(state, budget=budget, rng=rng)
-    if w is not None:
-        return _witness_certificate(state, w)
+        return _validated(state, SchmidtRank2Witness(vector=w.vector, value=w.value))
     violated, rw = reduction_criterion(state)
     if violated:
-        # Clarisse: a reduction violation implies 1-distillability; the
-        # Schmidt-rank-2 search should have found it, so push harder
-        w = schmidt2_witness(state, budget=4 * budget, rng=rng)
-        if w is not None:
-            return _witness_certificate(state, w)
+        # a reduction violation by itself proves 1-distillability
+        return _validated(state, rw)
 
     decomp = decompose_b_direct(state, rng=rng)
     if not decomp.irreducible:

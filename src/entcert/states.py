@@ -14,10 +14,13 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    check_hermitian,
     dagger,
     frob,
     hermitian_eigen,
     numerical_rank,
+    psd_range,
+    singular_rank,
 )
 
 __all__ = [
@@ -81,14 +84,9 @@ class BipartiteState:
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.shape != (m * n, m * n):
             raise ValueError(f"matrix shape {rho.shape} does not match dims {m}x{n}")
-        defect = frob(rho - dagger(rho))
-        scale = max(frob(rho), 1.0e-300)
-        if defect > self.tol.residual_tol * max(scale, 1.0):
-            raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-        rho = 0.5 * (rho + dagger(rho))
+        rho = check_hermitian(rho, self.tol)
         w = np.linalg.eigvalsh(rho)
-        norm = max(float(w[-1]), 0.0)
-        if w[0] < -self.tol.psd_tol * max(norm, 1.0e-300):
+        if w[0] < -self.tol.negativity_floor(float(w[-1])):
             raise ValueError(f"matrix is not PSD (min eigenvalue {w[0]:.3e})")
         if np.real(np.trace(rho)) <= 0:
             raise ValueError("state must have positive trace")
@@ -114,11 +112,7 @@ class BipartiteState:
 
     def range_basis(self) -> np.ndarray:
         """Orthonormal basis of the range, columns, eigenvalue-ordered."""
-        w, v = hermitian_eigen(self.matrix, self.tol)
-        cutoff = self.tol.rank_cutoff(max(float(w[-1]), 0.0), self.matrix.shape)
-        keep = w > cutoff
-        order = np.argsort(w[keep])[::-1]
-        return v[:, keep][:, order]
+        return psd_range(self.matrix, self.tol)[1]
 
     @staticmethod
     def from_pure(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> "BipartiteState":
@@ -161,20 +155,23 @@ class BlockForm:
         w = self.stacked()
         return dagger(w) @ w
 
-    def normalize_last(self) -> "BlockForm":
+    def normalize_last(self) -> tuple["BlockForm", np.ndarray]:
         """Right-multiply by C_M^{-1} so the last block becomes I_N.
 
-        Valid when C_M is square invertible (local operation I (x) C_M^{-1}).
+        Valid when C_M is square invertible: the blocks are those of
+        (I (x) B) rho (I (x) B)^dag for B = (C_M^{-1})^dag.  Returns the
+        new block form and C_M^{-1}.
         """
         c_last = self.blocks[-1]
         if c_last.shape[0] != c_last.shape[1]:
             raise ValueError(
                 f"block C_{len(self.blocks)} is {c_last.shape[0]}x{c_last.shape[1]}, not square"
             )
-        if abs(np.linalg.det(c_last)) < 1.0e-300:
-            raise ValueError(f"block C_{len(self.blocks)} is singular, cannot normalize")
-        inv = np.linalg.inv(c_last)
-        return BlockForm(tuple(c @ inv for c in self.blocks), self.rank)
+        try:
+            inv = np.linalg.inv(c_last)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"block C_{len(self.blocks)} is singular, cannot normalize") from exc
+        return BlockForm(tuple(c @ inv for c in self.blocks), self.rank), inv
 
 
 def partial_transpose_matrix(mat: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -236,10 +233,8 @@ def block_form(state: BipartiteState) -> BlockForm:
     j-th B-block of the i-th weighted eigenvector.
     """
     m, n = state.dim_a, state.dim_b
-    w, v = hermitian_eigen(state.matrix, state.tol)
-    cutoff = state.tol.rank_cutoff(max(float(w[-1]), 0.0), state.matrix.shape)
-    keep = np.where(w > cutoff)[0][::-1]  # descending
-    psis = (v[:, keep] * np.sqrt(w[keep])).T  # rows are the weighted eigenvectors
+    w, q = psd_range(state.matrix, state.tol)
+    psis = (q * np.sqrt(w)).T  # rows are the weighted eigenvectors
     rank = psis.shape[0]
     stacked = psis.conj()  # W with W^dag W = rho
     blocks = tuple(stacked[:, j * n:(j + 1) * n].copy() for j in range(m))
@@ -273,8 +268,7 @@ def schmidt(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL):
     """
     k = psi.coefficient_matrix()
     u, s, vh = np.linalg.svd(k)
-    cutoff = tol.rank_cutoff(float(s[0]) if s.size else 0.0, k.shape)
-    r = int(np.sum(s > cutoff))
+    r = singular_rank(s, k.shape, tol)
     return s[:r], u[:, :r], vh[:r, :]
 
 
@@ -307,9 +301,8 @@ def von_neumann_entropy(rho: np.ndarray, normalize: bool = True,
 
     Eigenvalues below the PSD floor contribute zero.  Rejects zero trace.
     """
-    w, _ = hermitian_eigen(np.asarray(rho, dtype=complex), tol)
-    scale = max(float(w[-1]), 0.0)
-    if w[0] < -tol.psd_tol * max(scale, 1.0e-300):
+    w, _ = hermitian_eigen(rho, tol)
+    if w[0] < -tol.negativity_floor(float(w[-1])):
         raise ValueError(f"operator is not PSD (min eigenvalue {w[0]:.3e})")
     tr = float(np.sum(w))
     if tr <= 0:

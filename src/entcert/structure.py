@@ -24,7 +24,9 @@ from .certificates import (
     validate_witness,
 )
 from .criteria import Frame, is_ppt, left_pencil, trivially_distillable
-from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, frob, hermitian_eigen, numerical_rank
+from .linalg import (
+    DEFAULT_TOL, ToleranceConfig, complete_rows, dagger, frob, numerical_rank, psd_range,
+)
 from .product_search import rank_one_in_span
 from .random_states import as_rng, complex_gaussian
 from .states import BipartiteState, apply_local, block_form, reduce, swap_sides
@@ -88,12 +90,7 @@ def b_normalize(state: BipartiteState):
     PPT/separability/reducibility verdicts are unchanged (ILO on the
     support).
     """
-    rho_b = reduce(state, "B")
-    w, v = hermitian_eigen(rho_b, state.tol)
-    cutoff = state.tol.rank_cutoff(max(float(w[-1]), 0.0), rho_b.shape)
-    keep = np.where(w > cutoff)[0][::-1]
-    q = v[:, keep]
-    lam = w[keep]
+    lam, q = psd_range(reduce(state, "B"), state.tol)
     conj_fwd = (q / np.sqrt(lam)).conj().T      # n x N, sigma^{-1/2} on the range
     conj_inv = q * np.sqrt(lam)                 # N x n
     normalized = apply_local(state, None, conj_fwd)
@@ -266,8 +263,7 @@ def common_kernel_distill(state: BipartiteState, rng=11, restarts: int = 40):
 
     # build the trivially distillable gauge from the common kernel
     c_coeff = sv[0] * vh[0, :].conj()  # columns satisfy C_j b = c_j * u0
-    _, kern = numerical_rank(c_coeff.conj().reshape(1, m), state.tol)
-    t_op = np.vstack([c_coeff.reshape(1, m), kern.T])
+    t_op = complete_rows(c_coeff)
     # rows 2..M of t_op give block mixes annihilating b; row 1 does not
     b_comp = np.linalg.qr(
         np.hstack([b_vec.reshape(-1, 1),

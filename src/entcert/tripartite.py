@@ -17,7 +17,7 @@ import numpy as np
 from .analyze import classify_state
 from .certificates import Separable, validate_certificate
 from .criteria import is_ppt, separable_decomposition_rank_n
-from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, frob, numerical_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, frob, numerical_rank, singular_rank
 from .states import BipartiteState
 from .structure import classical_side
 
@@ -177,8 +177,7 @@ def canonical_two_ppt(psi: TripartitePure, rng=7) -> CanonicalForm:
             lam = np.vdot(g_vec, a)
             m_k += lam * np.outer(b, c)
         u, s, vh = np.linalg.svd(m_k)
-        cutoff = tol.rank_cutoff(float(s[0]) if s.size else 0.0, m_k.shape)
-        for t in range(int(np.sum(s > cutoff))):
+        for t in range(singular_rank(s, m_k.shape, tol)):
             terms.append((float(s[t]), g_vec, u[:, t], vh[t, :]))
     if len(terms) != d:
         raise RuntimeError(

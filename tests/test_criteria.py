@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entcert import criteria
 from entcert.analyze import classify_state
 from entcert.certificates import (
     Distillable,
@@ -296,6 +297,18 @@ def test_certify_pure_plus_sigma_rejects_product_psi(rng):
         certify_pure_plus_sigma(psi, None)
 
 
+def test_certify_pure_plus_sigma_rejects_psi_inside_range_of_sigma_a(monkeypatch):
+    # psi and sigma leave A-level 2 empty; a frame that keeps that level
+    # (the compression onto the local ranges drops it) leaves psi no
+    # component outside range(sigma_A)
+    psi = PureState(3, 3, np.array([1, 0, 0, 0, 1, 0, 0, 0, 0], dtype=complex))
+    e = np.eye(3, dtype=complex)
+    sigma = BipartiteState.from_vectors(3, 3, [np.kron(e[0], e[2]), np.kron(e[1], e[2])])
+    monkeypatch.setattr(criteria, "restrict_to_local_ranges", lambda s: (s, e, e))
+    with pytest.raises(ValueError, match="no component outside"):
+        certify_pure_plus_sigma(psi, sigma)
+
+
 def test_certify_pure_plus_sigma_rejects_full_rank_sigma(rng):
     sigma = random_product_sum(2, 2, 5, rng)  # sigma_A full rank
     psi = PureState(2, 2, np.array([1, 0, 0, 1], dtype=complex))
@@ -327,3 +340,22 @@ def test_classify_rank_le_max_padded_dimensions(rng):
     cert = classify_rank_le_max(outer, rng=rng)
     assert isinstance(cert, Distillable)
     assert validate_witness(outer, cert.witness) < -1e-10
+
+
+@pytest.mark.parametrize("c1, x", [
+    # Hermitian C_1: K = [C_1, C_2] is anti-Hermitian, so x = 1 fails
+    (np.diag([1.0, 2.0, 3.0]).astype(complex), 1j),
+    (np.diag([1.0, 1j, -1.0]), 1.0),
+])
+def test_pair_witness_closed_form_on_normal_noncommuting_blocks(c1, x):
+    # normal blocks make every pair projection (C_i, I) PPT, so only the
+    # combination x C_1 + C_2 of the non-commuting pair can certify
+    c2 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+    eye = np.eye(3, dtype=complex)
+    blocks = [c1, c2, eye]
+    w = np.hstack(blocks)
+    state = BipartiteState(3, 3, w.conj().T @ w)
+    assert not is_ppt(state)[0]
+    witness = criteria._pair_witness(blocks, eye, eye, state.tol)
+    assert witness.x == x
+    assert validate_witness(state, witness) < -1e-10

@@ -1,4 +1,5 @@
-"""The package's modules import each other at module level, in one direction.
+"""The package's modules import each other at module level, in one direction,
+and only linalg applies the rank cutoff.
 
 Reads the source with ast only (nothing is imported), so a cycle that
 an import inside a function would hide at load time is still reported.
@@ -53,3 +54,12 @@ def test_import_graph_is_acyclic():
     # raises graphlib.CycleError naming the cycle
     order = list(graphlib.TopologicalSorter(graph).static_order())
     assert set(order) == names
+
+
+def test_rank_cutoff_is_applied_only_in_linalg():
+    calls = [f"{name}.py:{node.lineno}"
+             for name, tree in _modules().items() if name != "linalg"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "rank_cutoff"]
+    assert not calls, "rank cutoffs outside linalg: " + ", ".join(calls)

@@ -5,6 +5,7 @@ from entcert import rank4
 from entcert.certificates import (
     Distillable,
     PptEntangled,
+    ReductionViolationWitness,
     Separable,
     validate_certificate,
     validate_witness,
@@ -280,6 +281,22 @@ def test_classify_state_peels_the_mixed_corpus_seed6_sum():
     assert (state.dim_a, state.dim_b, state.rank()) == (2, 3, 5)
     cert = classify_state(state, rng=call_seed)
     assert isinstance(cert, Separable)
+    validate_certificate(state, cert)
+
+
+def test_classify_state_returns_the_reduction_violation(monkeypatch):
+    # a 3x3 rank-5 state near the maximally entangled one violates the
+    # reduction criterion; with the witness searches stubbed out, that
+    # violation alone certifies 1-distillability
+    rng = np.random.default_rng(5)
+    phi = 2.0 * np.eye(3).reshape(-1) / np.sqrt(3)
+    state = BipartiteState.from_vectors(
+        3, 3, [phi] + [complex_gaussian(rng, 9) for _ in range(4)])
+    assert (state.rank(), state.local_ranks()) == (5, (3, 3))
+    monkeypatch.setattr(rank4, "trivially_distillable", lambda *a, **k: None)
+    monkeypatch.setattr(rank4, "schmidt2_witness", lambda *a, **k: None)
+    cert = classify_state(state, rng=3)
+    assert isinstance(cert.witness, ReductionViolationWitness)
     validate_certificate(state, cert)
 
 

@@ -194,8 +194,10 @@ def test_block_form_matches_printed_antisymmetric_blocks():
 
 def test_block_form_normalize_last(rng):
     state = random_rank_r_state(2, 3, 3, rng)
-    bf = block_form(state).normalize_last()
+    original = block_form(state)
+    bf, inv = original.normalize_last()
     assert np.allclose(bf.blocks[-1], np.eye(3))
+    assert np.allclose(original.blocks[-1] @ inv, np.eye(3))
 
 
 def test_block_form_normalize_rejects_singular():
