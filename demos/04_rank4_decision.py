@@ -1,8 +1,9 @@
 """The complete rank-4 decision: separable iff PPT with a product in range.
 
-decide_rank4 walks a decision tree (reducibility, rank-1 sectors,
-product vector in the range, gauge-fixing cascade) and reports the
-proof path alongside the verdict.
+decide_rank4 walks a decision tree (reducibility, rank-1 sectors, then
+the product vectors in the range: for a PPT state four of them
+diagonalize it, an NPT state goes through a gauge-fixing cascade) and
+reports the proof path alongside the verdict.
 """
 
 import numpy as np

@@ -7,9 +7,9 @@ contains a product vector.  The decision tree:
 * max local rank 4: rank equals the max, so the rank-max machinery
   decides (PPT -> N products, NPT -> projection witness);
 * 3x3 locals: reducibility, rank-1 sector directions, then a product
-  vector in the range followed by a gauge-fixing cascade that
-  terminates either in an explicit 4-product decomposition or in a
-  trivially distillable projection;
+  vector in the range.  A PPT state is then separable, and four of the
+  range's product vectors diagonalize it; an NPT state enters a
+  gauge-fixing cascade that ends in a trivially distillable projection;
 * PPT with no product vector in range: PPT entangled;
 * NPT with no product vector in range: witness search only; its
   failure is surfaced as undecidable, not as a verdict.
@@ -25,6 +25,7 @@ reducible rank-4 state are classified by classify_state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -247,14 +248,6 @@ class _Gauge:
         inner = lift_through_local(vec, sel, None, (2, self.n))
         return self.lift(inner)
 
-    def clone(self):
-        dup = _Gauge.__new__(_Gauge)
-        dup.base, dup.m, dup.n = self.base, self.m, self.n
-        dup.w = self.w.copy()
-        dup.a = self.a.copy()
-        dup.b = self.b.copy()
-        return dup
-
 
 # ---------------------------------------------------------------------------
 # the rank-4 decision tree
@@ -356,13 +349,14 @@ def _peel_anchor(state: BipartiteState, a_vec, b_vec):
                      + [np.sqrt(wk) * qk.conj() for wk, qk in zip(w, q.T)])
 
 
-def _product_cascade(state: BipartiteState, a_vec, b_vec, ppt_flag, rng, trail):
-    """Gauge-fixing cascade for an irreducible 3x3 rank-4 state with a
-    product vector in its range.
+def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
+    """Gauge-fixing cascade for an irreducible NPT 3x3 rank-4 state with
+    the product vector a (x) b in its range.
 
-    Each step either exposes a trivially distillable projection (NPT
-    outcome) or refines the gauge; the terminus is an explicit
-    4-product decomposition (PPT outcome).
+    Each step either exposes a trivially distillable projection or
+    refines the gauge.  Its terminus, where all four rows are product
+    vectors, would make the state separable; for an NPT state that is a
+    contradiction and raises.
     """
     w0 = _peel_anchor(state, a_vec, b_vec)
     if w0.shape[0] != 4:
@@ -422,8 +416,6 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, ppt_flag, rng, trail):
     u_full = np.eye(4, dtype=complex)
     u_full[1:, 1:] = u_rot
     g.apply_left(u_full)
-
-    zthr = _zero_thr(g)
 
     # dependent D-pencil: some block mix has a rank-1 sector
     db = delta[:, 1:]
@@ -504,7 +496,6 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, ppt_flag, rng, trail):
         g.apply_a(perm)
         g.swap_rows(2, 3)
         dlt = g.entry(2, 1, 2)
-        zeta = g.entry(3, 2, 2)
 
     bdag = np.diag([1.0, 1.0, 1.0 / dlt]).astype(complex)
     g.apply_b_dag(bdag)
@@ -540,11 +531,10 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, ppt_flag, rng, trail):
 
     if abs(g.entry(1, 2, 0)) > zthr:
         eps = g.entry(3, 2, 1)
-        dup = g.clone()
         bdag = np.eye(3, dtype=complex)
         bdag[2, 1] = -eps / zeta
-        dup.apply_b_dag(bdag)
-        return _pair_verdict(dup, 0, 2, state, trail, "w1")
+        g.apply_b_dag(bdag)
+        return _pair_verdict(g, 0, 2, state, trail, "w1")
 
     eps = g.entry(3, 2, 1)
     if abs(eps) <= zthr:
@@ -555,34 +545,41 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, ppt_flag, rng, trail):
     if abs(g.entry(3, 1, 0)) > zthr:
         return _pair_verdict(g, 1, 2, state, trail, "v3")
 
-    w2_e = g.entry(2, 2, 0)
-    if abs(w2_e) <= zthr:
-        # separable terminus: all four W rows are product vectors
-        products = []
-        for k in range(4):
-            mat = g.w[k, :].conj().reshape(3, 3)
-            u_svd, s_svd, vh_svd = np.linalg.svd(mat)
-            if s_svd.size > 1 and s_svd[1] > 1.0e-6 * s_svd[0]:
-                raise RuntimeError(
-                    f"terminus row {k} is not a product vector "
-                    f"(rank-1 defect {s_svd[1] / s_svd[0]:.3e})")
-            products.append((u_svd[:, 0] * np.sqrt(s_svd[0]),
-                             vh_svd[0, :] * np.sqrt(s_svd[0])))
-        if not ppt_flag:
-            raise RuntimeError("cascade reached the separable terminus on an "
-                               "NPT state; numerical inconsistency")
-        products = g.lift_products(products)
-        outcome = Separable(products=tuple(products))
-        validate_certificate(state, outcome)
-        return Rank4Verdict(outcome, trail + ("separable-terminus",))
+    if abs(g.entry(2, 2, 0)) <= zthr:
+        raise RuntimeError(
+            "cascade reached its terminus: all four rows are product vectors, "
+            "so the state is separable, contradicting NPT")
 
     w3p = g.entry(3, 2, 0)
-    dup = g.clone()
     bdag = np.eye(3, dtype=complex)
     bdag[1, 0] = -w3p / eps
     bdag[1, 2] = -zeta / eps
-    dup.apply_b_dag(bdag)
-    return _pair_verdict(dup, 1, 2, state, trail, "w2-final")
+    g.apply_b_dag(bdag)
+    return _pair_verdict(g, 1, 2, state, trail, "w2-final")
+
+
+def _range_product_basis(state: BipartiteState, products):
+    """Weighted products summing to a separable 3x3 rank-4 state, drawn
+    from the (a, b, coefficients) product vectors of its range.
+
+    For independent e_1..e_4 in R(rho), rho = E Lambda E^dag with
+    Lambda = E^+ rho E^+dag; the first 4-subset whose Lambda is diagonal
+    and positive gives rho = sum_k lambda_k |e_k><e_k|.
+    """
+    units = [(a / np.linalg.norm(np.kron(a, b)), b) for a, b, _ in products]
+    for subset in combinations(units, 4):
+        e = np.column_stack([np.kron(a, b) for a, b in subset])
+        if numerical_rank(e, state.tol)[0] < 4:
+            continue
+        e_pinv = np.linalg.pinv(e)
+        lam = e_pinv @ state.matrix @ dagger(e_pinv)
+        weights = np.real(np.diag(lam))
+        if (frob(lam - np.diag(np.diag(lam))) <= state.tol.residual_tol * frob(lam)
+                and np.all(weights > 0)):
+            return [(np.sqrt(w) * a, b) for w, (a, b) in zip(weights, subset)]
+    raise RuntimeError(
+        f"range-product-basis: no 4 of the {len(products)} product vectors in "
+        "the range diagonalize the state")
 
 
 def decide_rank4(state: BipartiteState, rng=7) -> Rank4Verdict:
@@ -651,19 +648,17 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
         g = _Gauge(restricted, blocks.stacked())
         return _rank1_sector_path(g, found.coefficients, restricted, rng, ())
 
-    # (c) a product vector in the range
+    # (c) a product vector in the range: PPT means separable, and the
+    # range's products hold the decomposition; NPT runs the cascade
     range_basis = restricted.range_basis()
     subspace = Subspace(3, 3, range_basis.T, restricted.tol)
     prod = find_product_vector(subspace, restarts=40, rng=rng)
-    for retry, (a, b, _) in enumerate(prod.products):
-        # a cascade that contradicts itself numerically on one anchor is
-        # retried from the next product vector in the range
-        try:
-            return _product_cascade(restricted, a, b, ppt_flag, rng,
-                                    ("product-in-range",) + ("anchor-retry",) * retry)
-        except RuntimeError:
-            if retry == len(prod.products) - 1:
-                raise
+    if prod.found and ppt_flag:
+        outcome = Separable(products=tuple(_range_product_basis(restricted, prod.products)))
+        validate_certificate(restricted, outcome)
+        return Rank4Verdict(outcome, ("product-in-range", "range-product-basis"))
+    if prod.found:
+        return _product_cascade(restricted, prod.a, prod.b, rng, ("product-in-range",))
 
     # (d) no product vector in the range
     report = f"no product vector in the range ({prod.report()})"

@@ -92,6 +92,7 @@ class BipartiteState:
             raise ValueError("state must have positive trace")
         rho.flags.writeable = False
         object.__setattr__(self, "matrix", rho)
+        object.__setattr__(self, "_spectral_norm", float(w[-1]))
 
     @property
     def normalized(self) -> bool:
@@ -99,7 +100,8 @@ class BipartiteState:
 
     @property
     def spectral_norm(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[-1])
+        """Largest eigenvalue, kept from the PSD check at construction."""
+        return self._spectral_norm
 
     def rank(self) -> int:
         r, _ = numerical_rank(self.matrix, self.tol)

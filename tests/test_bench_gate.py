@@ -1,0 +1,27 @@
+"""The benchmark's correctness gate rejects a corrupted rank-4 certificate.
+
+perfbench/selfcheck.check_gate_trips builds a Separable certificate
+through the rank-4 workload, checks that the gate accepts it and rejects
+it with one product scaled, and that a 1 s rank4-3x3 run returning such
+certificates exits with code 1.
+"""
+
+import gc
+import signal
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_bench_gate_trips_on_a_corrupted_separable_certificate(monkeypatch):
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH)] + sys.path)
+    sigterm = signal.getsignal(signal.SIGTERM)
+    import selfcheck
+
+    try:
+        selfcheck.check_gate_trips()
+    finally:
+        # the run installs a SIGTERM handler and freezes the heap
+        signal.signal(signal.SIGTERM, sigterm)
+        gc.unfreeze()

@@ -1,4 +1,6 @@
-"""Targeted fixtures for the deep branches of the rank-4 gauge cascade.
+"""Targeted fixtures for the deep branches of the rank-4 gauge cascade,
+which decides NPT states, and for the range-product solve that
+decides PPT ones.
 
 Generic rank-4 states exit the cascade at its first projection test, so
 these states are assembled directly in (near) proof gauge to push the
@@ -10,8 +12,12 @@ deep exit produces a validated certificate.
 import numpy as np
 import pytest
 
-from entcert import rank4
-from entcert.certificates import Distillable, Separable, validate_witness
+from entcert.certificates import (
+    Distillable,
+    Separable,
+    validate_certificate,
+    validate_witness,
+)
 from entcert.criteria import Frame, is_ppt
 from entcert.product_search import Subspace, find_product_vector
 from entcert.random_states import (
@@ -21,7 +27,7 @@ from entcert.random_states import (
     random_product_sum,
     random_rank_r_state,
 )
-from entcert.rank4 import _product_cascade, decide_rank4
+from entcert.rank4 import _product_cascade, _range_product_basis, decide_rank4
 from entcert.states import BipartiteState, apply_local
 
 
@@ -43,20 +49,28 @@ def test_cascade_deep_distillable_branches(knob):
     assert state.rank() == 4
     ppt, _ = is_ppt(state)
     assert not ppt
-    verdict = _product_cascade(state, aa, bb, ppt, as_rng(3), ())
+    verdict = _product_cascade(state, aa, bb, as_rng(3), ())
     assert isinstance(verdict.outcome, Distillable)
     assert verdict.trail[-1] == "trivial-submatrix"
     assert validate_witness(state, verdict.outcome.witness) < -1e-10
 
 
 def test_cascade_separable_terminus_from_gauge_state():
+    # with every knob at zero the gauge state is a separable B-direct sum
+    # (row 0 alone holds B-level 0).  Its four range products diagonalize
+    # it, and the NPT-only cascade walked to its terminus reports the
+    # contradiction
     state, aa, bb = late_stage_state()
-    ppt, _ = is_ppt(state)
-    assert ppt
-    verdict = _product_cascade(state, aa, bb, ppt, as_rng(3), ())
+    assert is_ppt(state)[0]
+    verdict = decide_rank4(state, rng=3)
     assert isinstance(verdict.outcome, Separable)
-    assert verdict.trail == ("separable-terminus",)
-    assert len(verdict.outcome.products) == 4
+    assert verdict.trail == ("reducible-b",)
+    products = range_products(state)
+    assert len(products) == 4
+    outcome = Separable(products=tuple(_range_product_basis(state, products)))
+    assert validate_certificate(state, outcome)["reconstruction_residual"] < 1e-12
+    with pytest.raises(RuntimeError, match="terminus"):
+        _product_cascade(state, aa, bb, as_rng(3), ())
 
 
 def test_cascade_zeta_zero_variant():
@@ -67,7 +81,7 @@ def test_cascade_zeta_zero_variant():
     state = BipartiteState(3, 3, w.conj().T @ w)
     verdict = _product_cascade(
         state, np.array([1.0, -0.7, 0.4], complex),
-        np.array([1.0, 0, 0], complex), is_ppt(state)[0], as_rng(3), ())
+        np.array([1.0, 0, 0], complex), as_rng(3), ())
     assert isinstance(verdict.outcome, Distillable)
     assert validate_witness(state, verdict.outcome.witness) < -1e-10
 
@@ -92,7 +106,7 @@ def test_cascade_dependent_pencil_reroutes_to_sector_path():
     assert state.rank() == 4
     verdict = _product_cascade(
         state, np.array([1.0, 0, 0], complex), np.array([1.0, 0, 0], complex),
-        is_ppt(state)[0], as_rng(3), ())
+        as_rng(3), ())
     assert verdict.trail[0] == "d-pencil-dependent"
     assert isinstance(verdict.outcome, Distillable)
     assert validate_witness(state, verdict.outcome.witness) < -1e-10
@@ -151,41 +165,71 @@ def range_products(state):
 
 def test_small_d1_takes_the_zero_branch_only_with_a_rank1_sector():
     # one anchor of this separable state leaves d1 at 4.6e-5 relative:
-    # "zero" for the sqrt(residual_tol) test, yet its sector is not rank 1
+    # "zero" for the sqrt(residual_tol) test, yet its sector is not rank 1,
+    # so the walk must go on to the terminus rather than into the sector
+    # path (which would raise "claimed rank-1 sector direction is not rank 1")
     state = Frame.local(corpus_state(1, 40), orient=False).work
     products = range_products(state)
     assert len(products) == 4
     for a, b, _ in products:
-        verdict = _product_cascade(state, a, b, True, as_rng(1165), ())
-        assert isinstance(verdict.outcome, Separable)
-        assert "d1-zero" not in verdict.trail
-
-
-def test_cascade_failure_retries_from_the_next_range_product(monkeypatch):
-    state = corpus_state(4, 315)
-    assert len(range_products(Frame.local(state, orient=False).work)) == 4
-    anchors = []
-    cascade = rank4._product_cascade
-
-    def first_anchor_fails(restricted, a, b, ppt_flag, rng, trail):
-        anchors.append(a)
-        if len(anchors) == 1:
-            raise RuntimeError("internal inconsistency on the first anchor")
-        return cascade(restricted, a, b, ppt_flag, rng, trail)
-
-    monkeypatch.setattr(rank4, "_product_cascade", first_anchor_fails)
-    verdict = decide_rank4(state, rng=3)
-    assert isinstance(verdict.outcome, Separable)
-    assert verdict.trail[:2] == ("product-in-range", "anchor-retry")
-    assert len(anchors) == 2
-    assert abs(np.vdot(anchors[0], anchors[1])) < 0.99 * (
-        np.linalg.norm(anchors[0]) * np.linalg.norm(anchors[1]))
+        with pytest.raises(RuntimeError, match="terminus"):
+            _product_cascade(state, a, b, as_rng(1165), ())
 
 
 def test_rank4_corpus_state_with_a_fragile_anchor_always_decides():
-    # the cascade from one of the four range products of this state
-    # contradicts itself for about one cascade rng in ten
+    # the cascade from one of the four range products of this separable
+    # state contradicted itself for about one cascade rng in ten; the
+    # range-product solve does not depend on an anchor
     state = corpus_state(4, 315)
-    for seed in range(60):
+    for seed in range(400):
         verdict = decide_rank4(state, rng=seed)
         assert isinstance(verdict.outcome, Separable)
+        assert verdict.trail == ("product-in-range", "range-product-basis")
+
+
+def test_range_product_basis_names_its_failure(rng):
+    state = random_product_sum(3, 3, 4, rng)
+    products = range_products(state)
+    assert len(products) == 4
+    outcome = Separable(products=tuple(_range_product_basis(state, products)))
+    assert validate_certificate(state, outcome)["reconstruction_residual"] < 1e-12
+    with pytest.raises(RuntimeError, match="range-product-basis"):
+        _range_product_basis(state, products[:3])
+    # three range products and one product from outside the range: Lambda
+    # is not diagonal
+    stray = (complex_gaussian(rng, 3), complex_gaussian(rng, 3), None)
+    with pytest.raises(RuntimeError, match="range-product-basis"):
+        _range_product_basis(state, products[:3] + (stray,))
+
+
+def block_plus_product_state(rng, with_sum):
+    """Three products inside a 2x2 block plus one generic product, and
+    optionally the entangled sum of the first two, under random ILOs.
+    The range holds every product of a 2-dimensional family."""
+    def in_block():
+        return np.append(complex_gaussian(rng, 2), 0.0)
+
+    vecs = [np.kron(in_block(), in_block()) for _ in range(3)]
+    vecs.append(np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3)))
+    if with_sum:
+        vecs.append(vecs[0] + vecs[1])
+    state = BipartiteState.from_vectors(3, 3, vecs)
+    return apply_local(state, random_invertible(3, rng), random_invertible(3, rng))
+
+
+def test_rank4_with_infinitely_many_range_products_is_never_misjudged(rng):
+    kinds = set()
+    for i in range(40):
+        state = block_plus_product_state(rng, with_sum=i % 2 == 1)
+        assert state.rank() == 4
+        ppt = is_ppt(state)[0]
+        kinds.add(ppt)
+        try:
+            verdict = decide_rank4(state, rng=rng)
+        except RuntimeError as exc:
+            assert "range-product-basis" in str(exc)
+            continue
+        expected = Separable if ppt else Distillable
+        assert isinstance(verdict.outcome, expected)
+        validate_certificate(state, verdict.outcome)
+    assert kinds == {True, False}

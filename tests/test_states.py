@@ -337,3 +337,22 @@ def test_state_validation_rejects_non_hermitian(rng):
     mat = complex_gaussian(rng, (4, 4))
     with pytest.raises(ValueError, match="Hermitian"):
         BipartiteState(2, 2, mat)
+
+
+def test_spectral_norm_is_kept_from_construction(rng, monkeypatch):
+    state = random_rank_r_state(4, 4, 3, rng)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    values = {state.spectral_norm for _ in range(5)}
+    assert calls == []
+    assert values == {float(eigvalsh(state.matrix)[-1])}
+    fresh = BipartiteState(4, 4, state.matrix)
+    assert len(calls) == 1
+    assert fresh.spectral_norm == state.spectral_norm
+    assert len(calls) == 1
