@@ -235,13 +235,8 @@ class ProductSearchResult:
 
 
 def _minor_indices(p, q):
-    rows = list(combinations(range(p), 2))
-    cols = list(combinations(range(q), 2))
-    r1 = np.array([r[0] for r in rows for _ in cols])
-    r2 = np.array([r[1] for r in rows for _ in cols])
-    c1 = np.array([c[0] for _ in rows for c in cols])
-    c2 = np.array([c[1] for _ in rows for c in cols])
-    return r1, r2, c1, c2
+    return np.array([r + c for r in combinations(range(p), 2)
+                     for c in combinations(range(q), 2)], dtype=int).reshape(-1, 4).T
 
 
 def _lm_polish(mats, z0, free, iters=60):
@@ -323,6 +318,15 @@ def _rank1_defects(mats, z):
     return s[:, 1] / np.maximum(s[:, 0], 1.0e-300)
 
 
+def _operator_determinants(x, y):
+    """Operator determinants Delta_0..2 of the pencils x and y, (3, p, p)
+    each; block xy[i, j] of one outer product is kron(x[i], y[j])."""
+    p = x.shape[1]
+    xy = (x[:, None, :, None, :, None]
+          * y[None, :, None, :, None, :]).reshape(3, 3, p * p, p * p)
+    return xy[1, 2] - xy[2, 1], xy[2, 0] - xy[0, 2], xy[0, 1] - xy[1, 0]
+
+
 def _parameter_candidates(comp, comp2, rng):
     """Every v (rows of the result) at which L(v) = sum_b v_b comp[:, :, b]
     can lose rank, with the name of the method; None when the problem is
@@ -357,13 +361,11 @@ def _parameter_candidates(comp, comp2, rng):
             # two-parameter eigenvalue problem: (A_i + lam B_i + mu C_i) x_i = 0
             r1 = complex_gaussian(rng, (p, d))
             r2 = complex_gaussian(rng, (p, d))
-            a1, b1, c1 = (r1 @ m for m in pencil)
-            a2, b2, c2 = (r2 @ m for m in np.einsum("dpb,bc->cdp", comp2, g))
-            delta0 = np.kron(b1, c2) - np.kron(c1, b2)
+            # Delta_0, Delta_1, Delta_2: the operator determinants, read off one outer product
+            delta0, delta1, delta2 = _operator_determinants(
+                r1 @ pencil, r2 @ np.einsum("dpb,bc->cdp", comp2, g))
             if _singular(delta0):
                 continue
-            delta1 = np.kron(c1, a2) - np.kron(a1, c2)
-            delta2 = np.kron(a1, b2) - np.kron(b1, a2)
             lam, vecs = np.linalg.eig(np.linalg.solve(delta0, delta1))
             # Rayleigh quotient on each (unit) eigenvector
             mu = np.einsum("ic,ij,jc->c", vecs.conj(),

@@ -10,6 +10,7 @@ commutant of the block family and eigen-splitting a generic element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -97,22 +98,19 @@ def b_normalize(state: BipartiteState):
     return normalized, conj_fwd, conj_inv
 
 
-def _hermitian_basis(n: int):
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
+@cache
+def _hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the n x n Hermitian matrices on axis 0, read-only:
+    E_ii, then (E_ij + E_ji)/sqrt2 and i(E_ij - E_ji)/sqrt2 for each i < j."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[range(n), range(n), range(n)] = 1.0
+    i, j = np.triu_indices(n, 1)
+    k = n + 2 * np.arange(len(i))
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = e[j, i] = inv_sqrt2
-            basis.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1j * inv_sqrt2
-            e[j, i] = -1j * inv_sqrt2
-            basis.append(e)
+    basis[k, i, j] = basis[k, j, i] = inv_sqrt2
+    basis[k + 1, i, j] = 1j * inv_sqrt2
+    basis[k + 1, j, i] = -1j * inv_sqrt2
+    basis.flags.writeable = False
     return basis
 
 
@@ -128,29 +126,29 @@ def _group_eigenvalues(w: np.ndarray, rel_gap: float = 1.0e-6):
     return groups
 
 
+def _commutant_constraint(blocks: np.ndarray) -> np.ndarray:
+    """The real constraint matrix of commutant_decompose (layout there)."""
+    e = _hermitian_basis(blocks.shape[1])[:, None]
+    comm = e @ blocks - blocks @ e  # (n^2, K, n, n)
+    return np.stack([comm.real, comm.imag], axis=2).reshape(len(e), -1).T
+
+
 def commutant_decompose(blocks, tol: ToleranceConfig = DEFAULT_TOL, rng=11):
     """Orthogonal projectors commuting with every matrix of a *-closed family.
 
-    Solves [X, S] = 0 for Hermitian X over all blocks S; a 1-dimensional
-    solution space (scalars) means the family is irreducible and the
-    single full projector is returned.  Otherwise a generic random
-    element of the commutant is eigen-split and its gap-grouped
-    eigenprojectors are returned, each verified to commute with every
-    block.
+    Solves [X, S] = 0 for Hermitian X over all K blocks S (n x n).  The
+    real constraint has one column per Hermitian basis element of X and
+    2 K n^2 rows, block-major: for each S the real parts of [X, S]
+    (row-major), then its imaginary parts.  A 1-dimensional solution
+    space (scalars) means the family is irreducible and the single full
+    projector is returned.  Otherwise a generic random element of the
+    commutant is eigen-split and its gap-grouped eigenprojectors are
+    returned, each verified to commute with every block.
     """
-    blocks = [np.asarray(b, dtype=complex) for b in blocks]
-    n = blocks[0].shape[0]
-    if n == 1:
-        return [np.eye(1, dtype=complex)]
+    blocks = np.asarray(blocks, dtype=complex)
+    n = blocks.shape[1]
     basis = _hermitian_basis(n)
-    cols = []
-    for e in basis:
-        pieces = []
-        for s in blocks:
-            comm = e @ s - s @ e
-            pieces.append(np.concatenate([comm.real.ravel(), comm.imag.ravel()]))
-        cols.append(np.concatenate(pieces))
-    constraint = np.array(cols).T  # maps Hermitian-basis coefficients to commutators
+    constraint = _commutant_constraint(blocks)
     rank, kernel = numerical_rank(constraint, tol)
     null_dim = kernel.shape[1]
     if null_dim <= 1:

@@ -12,6 +12,7 @@ from entcert.product_search import (
     random_product_containing_subspace,
     random_subspace,
     rank_one_in_span,
+    _operator_determinants,
     _restart_search,
 )
 from entcert.linalg import DEFAULT_TOL
@@ -221,6 +222,22 @@ def test_search_returns_every_product_of_a_segre_dimension_subspace(rng, dims, c
         assert len(result.products) == count
         assert_products_in_span(result, v.matrices())
         assert result.a is result.products[0][0]
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_operator_determinants_match_the_kron_formula_bit_for_bit(p):
+    rng = np.random.default_rng(p)
+    for _ in range(5):
+        x = complex_gaussian(rng, (3, p, p))
+        y = complex_gaussian(rng, (3, p, p))
+        a1, b1, c1 = x
+        a2, b2, c2 = y
+        expected = (np.kron(b1, c2) - np.kron(c1, b2),
+                    np.kron(c1, a2) - np.kron(a1, c2),
+                    np.kron(a1, b2) - np.kron(b1, a2))
+        for got, want in zip(_operator_determinants(x, y), expected):
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
 def test_fallback_search_on_a_min_side_four_shape(rng):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from entcert.analyze import classify_state
 from entcert.certificates import Distillable, Separable, validate_witness
@@ -19,7 +20,10 @@ from entcert.states import (
     von_neumann_entropy,
 )
 from entcert.structure import (
+    _commutant_constraint,
+    _hermitian_basis,
     aggregate,
+    b_blocks,
     b_normalize,
     classical_side,
     common_kernel_distill,
@@ -94,8 +98,6 @@ def test_commutant_scalar_family_has_full_commutant():
 def test_commutant_irreducible_family(rng):
     state = random_rank_r_state(3, 3, 4, rng)
     normalized, _, _ = b_normalize(state)
-    from entcert.structure import b_blocks
-
     assert len(commutant_decompose(b_blocks(normalized))) == 1
 
 
@@ -116,6 +118,69 @@ def test_commutant_two_block_family(rng):
     p_expected = u @ np.diag([1, 1, 0, 0]).astype(complex) @ u.conj().T
     match = min(np.linalg.norm(p - p_expected) for p in projectors)
     assert match < 1e-8
+
+
+def loop_commutant_constraint(blocks):
+    """Reference: one commutator per (basis element, block) pair."""
+    n = blocks[0].shape[0]
+    basis = []
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = e[j, i] = inv_sqrt2
+            basis.append(e)
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1j * inv_sqrt2
+            e[j, i] = -1j * inv_sqrt2
+            basis.append(e)
+    assert np.array(basis).tobytes() == _hermitian_basis(n).tobytes()
+    cols = []
+    for e in basis:
+        pieces = []
+        for s in blocks:
+            comm = e @ s - s @ e
+            pieces.append(np.concatenate([comm.real.ravel(), comm.imag.ravel()]))
+        cols.append(np.concatenate(pieces))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("m, n, r", [(3, 3, 4), (2, 4, 4), (4, 3, 4)])
+def test_commutant_constraint_matches_the_loop_bit_for_bit(m, n, r):
+    rng = np.random.default_rng([m, n, r])
+    for _ in range(5):
+        normalized, _, _ = b_normalize(random_rank_r_state(m, n, r, rng))
+        blocks = b_blocks(normalized)
+        constraint = _commutant_constraint(np.asarray(blocks))
+        assert constraint.shape == (2 * m * m * n * n, n * n)
+        reference = loop_commutant_constraint(blocks)
+        assert np.array_equal(constraint, reference)
+        assert constraint.tobytes() == reference.tobytes()  # signed zeros too
+
+
+def test_hermitian_basis_is_built_once_and_read_only():
+    assert _hermitian_basis(3) is _hermitian_basis(3)
+    assert not _hermitian_basis(3).flags.writeable
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_commutant_finds_a_planted_two_plus_one_split(seed):
+    # B levels {0, 1} carry a generic rank-2 part, level 2 one product;
+    # a random ILO hides the split
+    rng = np.random.default_rng(seed)
+    two = [np.kron(complex_gaussian(rng, 3), np.eye(3)[0])
+           + np.kron(complex_gaussian(rng, 3), np.eye(3)[1]) for _ in range(2)]
+    one = np.kron(complex_gaussian(rng, 3), np.eye(3)[2])
+    state = apply_local(BipartiteState.from_vectors(3, 3, two + [one]),
+                        random_invertible(3, rng), random_invertible(3, rng))
+    normalized, _, _ = b_normalize(state)
+    projectors = commutant_decompose(b_blocks(normalized), rng=seed)
+    assert len(projectors) == 2
+    assert sorted(int(round(np.trace(p).real)) for p in projectors) == [1, 2]
 
 
 def test_commutant_diagonal_family():
