@@ -159,11 +159,12 @@ def restrict_to_local_ranges(state: BipartiteState):
     """Compress onto range(rho_A) (x) range(rho_B).
 
     Returns (restricted, qa, qb) with isometry columns; the original is
-    (qa (x) qb) restricted (qa (x) qb)^dag.
+    (qa (x) qb) restricted (qa (x) qb)^dag.  Full local ranks return the
+    state itself with identity isometries, read off the state's ranks.
     """
-    qa, qb = (psd_range(reduce(state, side), state.tol)[1] for side in "AB")
-    if qa.shape == (state.dim_a, state.dim_a) and qb.shape == (state.dim_b, state.dim_b):
+    if state.local_ranks() == (state.dim_a, state.dim_b):
         return state, np.eye(state.dim_a, dtype=complex), np.eye(state.dim_b, dtype=complex)
+    qa, qb = (psd_range(reduce(state, side), state.tol)[1] for side in "AB")
     return apply_local(state, dagger(qa), dagger(qb)), qa, qb
 
 

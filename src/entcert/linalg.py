@@ -18,7 +18,6 @@ __all__ = [
     "hermitian_eigen",
     "psd_eigen",
     "psd_range",
-    "psd_kernel",
     "singular_rank",
     "numerical_rank",
     "complete_rows",
@@ -116,13 +115,6 @@ def psd_range(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     w, v, nullity = psd_eigen(h, tol)
     keep = np.arange(len(w) - 1, nullity - 1, -1)
     return w[keep], v[:, keep]
-
-
-def psd_kernel(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Kernel of a Hermitian PSD matrix at the psd_eigen cutoff, as
-    eigenvector columns in ascending eigenvalue order."""
-    _, v, nullity = psd_eigen(h, tol)
-    return v[:, np.arange(nullity)]
 
 
 def singular_rank(s: np.ndarray, shape: tuple[int, int],

@@ -52,7 +52,7 @@ from .criteria import (
     separable_decomposition_rank_n,
     trivially_distillable,
 )
-from .linalg import complete_rows, dagger, frob, numerical_rank, psd_eigen, psd_kernel, psd_range
+from .linalg import complete_rows, dagger, frob, numerical_rank, psd_eigen, psd_range
 from .product_search import (
     Subspace,
     find_product_vector,
@@ -83,9 +83,10 @@ class Rank4Verdict:
 # constructive separable decompositions
 # ---------------------------------------------------------------------------
 
-def _pinv_quadratic(mat, vec, tol):
-    """<v| mat^+ |v> via the spectral pseudo-inverse (rank cutoff)."""
-    w, u, nullity = psd_eigen(mat, tol)
+def _pinv_quadratic(split, vec):
+    """<v| mat^+ |v> via the spectral pseudo-inverse, from the
+    psd_eigen split (w, u, nullity) of mat."""
+    w, u, nullity = split
     coeffs = np.abs(dagger(u) @ vec) ** 2
     return float(np.sum(coeffs[nullity:] / w[nullity:]))
 
@@ -97,7 +98,8 @@ def _peel_two_by_n(state: BipartiteState, rng):
     (A-conjugated) R(rho^G) with the largest PSD-safe weight; each step
     lowers rank(rho) + rank(rho^G), and the final rank-N remainder is
     decomposed by the rank-max route.  Valid for M(locals) = 2 and
-    N <= 3, where PPT implies separable.
+    N <= 3, where PPT implies separable.  Each step decomposes rho and
+    rho^G once; the kernels, the rank and the weights come from those.
     """
     n = state.dim_b
     tol = state.tol
@@ -108,12 +110,14 @@ def _peel_two_by_n(state: BipartiteState, rng):
     for _ in range(12):
         if current is None:
             break
-        la, lb = current.local_ranks()
-        if current.rank() <= max(la, lb):
+        rho_split = psd_eigen(current.matrix, tol)
+        w, v, nullity = rho_split
+        if len(w) - nullity <= max(current.local_ranks()):
             break
-        gamma = partial_transpose(current)
-        found = product_in_both_ranges(psd_kernel(current.matrix, tol),
-                                       psd_kernel(gamma, tol), rng, tol)
+        gamma_split = psd_eigen(partial_transpose(current), tol)
+        _, v_gamma, nullity_gamma = gamma_split
+        found = product_in_both_ranges(v[:, np.arange(nullity)],
+                                       v_gamma[:, np.arange(nullity_gamma)], rng, tol)
         if found is None:
             raise RuntimeError(
                 "peeling failed: no product vector found in both ranges; "
@@ -122,8 +126,8 @@ def _peel_two_by_n(state: BipartiteState, rng):
         a, b = found
         e = np.kron(a, b)
         lam = min(
-            1.0 / max(_pinv_quadratic(current.matrix, e, tol), 1.0e-300),
-            1.0 / max(_pinv_quadratic(gamma, np.kron(a.conj(), b), tol), 1.0e-300),
+            1.0 / max(_pinv_quadratic(rho_split, e), 1.0e-300),
+            1.0 / max(_pinv_quadratic(gamma_split, np.kron(a.conj(), b)), 1.0e-300),
         )
         if not lam > 0:
             raise RuntimeError(
@@ -343,7 +347,7 @@ def _peel_anchor(state: BipartiteState, a_vec, b_vec):
     tol = state.tol
     e = np.kron(a_vec, b_vec)
     e = e / np.linalg.norm(e)
-    lam = 1.0 / max(_pinv_quadratic(state.matrix, e, tol), 1.0e-300)
+    lam = 1.0 / max(_pinv_quadratic(psd_eigen(state.matrix, tol), e), 1.0e-300)
     w, q = psd_range(state.matrix - lam * np.outer(e, e.conj()), tol)
     return np.vstack([np.sqrt(lam) * e.conj()]
                      + [np.sqrt(wk) * qk.conj() for wk, qk in zip(w, q.T)])

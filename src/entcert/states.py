@@ -8,6 +8,7 @@ States may be non-normalized; only trace > 0 is required.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .linalg import (
     dagger,
     frob,
     hermitian_eigen,
-    numerical_rank,
+    psd_eigen,
     psd_range,
     singular_rank,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "sector",
     "block_form",
     "apply_local",
+    "apply_local_matrix",
     "schmidt",
     "tensor",
     "swap_sides",
@@ -70,6 +72,8 @@ class BipartiteState:
 
     The matrix is symmetrized on construction (after a Hermiticity
     tolerance check), then frozen; all operations are pure functions.
+    Its rank and local ranks are psd_eigen cutoff counts, the split that
+    range_basis uses, computed on first use and kept as integers.
     """
 
     dim_a: int
@@ -104,13 +108,23 @@ class BipartiteState:
         return self._spectral_norm
 
     def rank(self) -> int:
-        r, _ = numerical_rank(self.matrix, self.tol)
-        return r
+        """Eigenvalues of rho above the psd_eigen cutoff; the number of
+        range_basis columns.  Computed once per state."""
+        return self._rank
 
     def local_ranks(self) -> tuple[int, int]:
-        ra, _ = numerical_rank(reduce(self, "A"), self.tol)
-        rb, _ = numerical_rank(reduce(self, "B"), self.tol)
-        return ra, rb
+        """(rank rho_A, rank rho_B) as psd_eigen cutoff counts, the split
+        that restricts a state to its local ranges.  Computed once per
+        state."""
+        return self._local_ranks
+
+    @cached_property
+    def _rank(self) -> int:
+        return _psd_rank(self.matrix, self.tol)
+
+    @cached_property
+    def _local_ranks(self) -> tuple[int, int]:
+        return tuple(_psd_rank(reduce(self, side), self.tol) for side in "AB")
 
     def range_basis(self) -> np.ndarray:
         """Orthonormal basis of the range, columns, eigenvalue-ordered."""
@@ -174,6 +188,11 @@ class BlockForm:
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"block C_{len(self.blocks)} is singular, cannot normalize") from exc
         return BlockForm(tuple(c @ inv for c in self.blocks), self.rank), inv
+
+
+def _psd_rank(h: np.ndarray, tol: ToleranceConfig) -> int:
+    w, _, nullity = psd_eigen(h, tol)
+    return len(w) - nullity
 
 
 def partial_transpose_matrix(mat: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
@@ -243,22 +262,33 @@ def block_form(state: BipartiteState) -> BlockForm:
     return BlockForm(blocks, rank)
 
 
+def apply_local_matrix(mat: np.ndarray, dim_a: int, dim_b: int, a: np.ndarray | None,
+                       b: np.ndarray | None, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Matrix-level (A (x) B) mat (A (x) B)^dag; A is M'xM, B is N'xN (None: I).
+
+    Rejects a result that vanishes at the psd_tol scale of mat.
+    """
+    a = np.eye(dim_a, dtype=complex) if a is None else np.asarray(a, dtype=complex)
+    b = np.eye(dim_b, dtype=complex) if b is None else np.asarray(b, dtype=complex)
+    if a.shape[1] != dim_a or b.shape[1] != dim_b:
+        raise ValueError("local operator shapes do not conform with the state")
+    op = np.kron(a, b)
+    out = op @ mat @ dagger(op)
+    if not np.any(np.abs(out) > tol.psd_tol * max(frob(mat), 1.0)):
+        raise ValueError("local operation produced the zero state")
+    return out
+
+
 def apply_local(state: BipartiteState, a: np.ndarray | None, b: np.ndarray | None) -> BipartiteState:
     """Return (A (x) B) rho (A (x) B)^dag; A is M'xM, B is N'xN.
 
     With square invertible A, B this is an ILO: it preserves rank,
     PPT-ness, separability and both full-rank properties.
     """
-    m, n = state.dim_a, state.dim_b
-    a = np.eye(m, dtype=complex) if a is None else np.asarray(a, dtype=complex)
-    b = np.eye(n, dtype=complex) if b is None else np.asarray(b, dtype=complex)
-    if a.shape[1] != m or b.shape[1] != n:
-        raise ValueError("local operator shapes do not conform with the state")
-    op = np.kron(a, b)
-    out = op @ state.matrix @ dagger(op)
-    if not np.any(np.abs(out) > state.tol.psd_tol * max(frob(state.matrix), 1.0)):
-        raise ValueError("local operation produced the zero state")
-    return BipartiteState(a.shape[0], b.shape[0], out, state.tol)
+    out = apply_local_matrix(state.matrix, state.dim_a, state.dim_b, a, b, state.tol)
+    dim_a = state.dim_a if a is None else np.shape(a)[0]
+    dim_b = state.dim_b if b is None else np.shape(b)[0]
+    return BipartiteState(dim_a, dim_b, out, state.tol)
 
 
 def schmidt(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL):

@@ -10,7 +10,7 @@ commutant of the block family and eigen-splitting a generic element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -26,11 +26,14 @@ from .certificates import (
 )
 from .criteria import Frame, is_ppt, left_pencil, trivially_distillable
 from .linalg import (
-    DEFAULT_TOL, ToleranceConfig, complete_rows, dagger, frob, numerical_rank, psd_range,
+    DEFAULT_TOL, ToleranceConfig, check_hermitian, complete_rows, dagger, frob, numerical_rank,
+    psd_range,
 )
 from .product_search import rank_one_in_span
 from .random_states import as_rng, complex_gaussian
-from .states import BipartiteState, apply_local, block_form, reduce, swap_sides
+from .states import (
+    BipartiteState, apply_local, apply_local_matrix, block_form, reduce, swap_sides,
+)
 
 __all__ = [
     "BDirectDecomposition",
@@ -46,8 +49,11 @@ __all__ = [
 
 def b_blocks(state: BipartiteState) -> list:
     """The N x N blocks sigma_ij of rho = sum |i><j| (x) sigma_ij."""
-    m, n = state.dim_a, state.dim_b
-    t = state.matrix.reshape(m, n, m, n)
+    return _b_blocks(state.matrix, state.dim_a, state.dim_b)
+
+
+def _b_blocks(mat: np.ndarray, m: int, n: int) -> list:
+    t = mat.reshape(m, n, m, n)
     return [t[i, :, j, :] for i in range(m) for j in range(m)]
 
 
@@ -55,28 +61,37 @@ def b_blocks(state: BipartiteState) -> list:
 class BDirectDecomposition:
     """Components of a B-direct splitting, in the B-normalized frame.
 
-    components live on M (x) n with n = rank(rho_B); conjugator (n x N)
-    maps the original B space onto the normalized one, and
-    conjugator_inv (N x n) maps back.  The sum of the components equals
-    (I (x) conjugator) rho (I (x) conjugator)^dag.
+    normalized is the symmetrized matrix (I (x) conjugator) rho
+    (I (x) conjugator)^dag on M (x) n with n = rank(rho_B); conjugator
+    (n x N) maps the original B space onto the normalized one, and
+    conjugator_inv (N x n) maps back.  The components, built on first
+    access, are the states (I (x) P) normalized (I (x) P)^dag over the
+    b_projectors P; they sum to normalized.
     """
 
-    components: tuple
+    normalized: np.ndarray
     b_projectors: tuple
     conjugator: np.ndarray
     conjugator_inv: np.ndarray
+    tol: ToleranceConfig
 
     def __post_init__(self):
-        c = np.asarray(self.conjugator, dtype=complex)
-        ci = np.asarray(self.conjugator_inv, dtype=complex)
-        c.flags.writeable = False
-        ci.flags.writeable = False
-        object.__setattr__(self, "conjugator", c)
-        object.__setattr__(self, "conjugator_inv", ci)
+        for name in ("normalized", "conjugator", "conjugator_inv"):
+            arr = np.asarray(getattr(self, name), dtype=complex)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def components(self) -> tuple:
+        n = self.conjugator.shape[0]
+        normalized = BipartiteState(len(self.normalized) // n, n, self.normalized, self.tol)
+        if self.irreducible:
+            return (normalized,)
+        return tuple(apply_local(normalized, None, p) for p in self.b_projectors)
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return len(self.b_projectors)
 
     @property
     def irreducible(self) -> bool:
@@ -91,11 +106,15 @@ def b_normalize(state: BipartiteState):
     PPT/separability/reducibility verdicts are unchanged (ILO on the
     support).
     """
+    conj_fwd, conj_inv = _b_conjugators(state)
+    return apply_local(state, None, conj_fwd), conj_fwd, conj_inv
+
+
+def _b_conjugators(state: BipartiteState):
     lam, q = psd_range(reduce(state, "B"), state.tol)
     conj_fwd = (q / np.sqrt(lam)).conj().T      # n x N, sigma^{-1/2} on the range
     conj_inv = q * np.sqrt(lam)                 # N x n
-    normalized = apply_local(state, None, conj_fwd)
-    return normalized, conj_fwd, conj_inv
+    return conj_fwd, conj_inv
 
 
 @cache
@@ -179,18 +198,17 @@ def commutant_decompose(blocks, tol: ToleranceConfig = DEFAULT_TOL, rng=11):
 
 
 def decompose_b_direct(state: BipartiteState, rng=11) -> BDirectDecomposition:
-    """Split the state into its finest B-direct sum of irreducible parts."""
-    normalized, conj_fwd, conj_inv = b_normalize(state)
-    blocks = b_blocks(normalized)
-    projectors = commutant_decompose(blocks, state.tol, rng=rng)
-    if len(projectors) == 1:
-        return BDirectDecomposition(
-            components=(normalized,), b_projectors=(projectors[0],),
-            conjugator=conj_fwd, conjugator_inv=conj_inv)
-    components = tuple(apply_local(normalized, None, p) for p in projectors)
-    return BDirectDecomposition(
-        components=components, b_projectors=tuple(projectors),
-        conjugator=conj_fwd, conjugator_inv=conj_inv)
+    """Split the state into its finest B-direct sum of irreducible parts.
+
+    Works on the b_normalize matrix without building its state; the
+    components become states only when read.
+    """
+    conj_fwd, conj_inv = _b_conjugators(state)
+    m, n = state.dim_a, conj_fwd.shape[0]
+    normalized = check_hermitian(
+        apply_local_matrix(state.matrix, m, state.dim_b, None, conj_fwd, state.tol), state.tol)
+    projectors = commutant_decompose(_b_blocks(normalized, m, n), state.tol, rng=rng)
+    return BDirectDecomposition(normalized, tuple(projectors), conj_fwd, conj_inv, state.tol)
 
 
 def _lift_component_witness(decomp: BDirectDecomposition, index: int,

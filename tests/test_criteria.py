@@ -14,6 +14,7 @@ from entcert.criteria import (
     full_rank_property,
     is_ppt,
     reduction_criterion,
+    restrict_to_local_ranges,
     schmidt2_witness,
     trivially_distillable,
 )
@@ -359,3 +360,17 @@ def test_pair_witness_closed_form_on_normal_noncommuting_blocks(c1, x):
     witness = criteria._pair_witness(blocks, eye, eye, state.tol)
     assert witness.x == x
     assert validate_witness(state, witness) < -1e-10
+
+
+def test_restrict_full_local_ranks_is_free(rng, monkeypatch):
+    state = random_rank_r_state(3, 4, 5, rng)
+    state.local_ranks()
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+    restricted, qa, qb = restrict_to_local_ranges(state)
+    assert restricted is state
+    assert np.array_equal(qa, np.eye(3)) and np.array_equal(qb, np.eye(4))
+    assert calls == []

@@ -1,5 +1,5 @@
 """The package's modules import each other at module level, in one direction,
-and only linalg applies the rank cutoff.
+only linalg applies the rank cutoff, and states counts ranks with psd_eigen.
 
 Reads the source with ast only (nothing is imported), so a cycle that
 an import inside a function would hide at load time is still reported.
@@ -63,3 +63,13 @@ def test_rank_cutoff_is_applied_only_in_linalg():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "rank_cutoff"]
     assert not calls, "rank cutoffs outside linalg: " + ", ".join(calls)
+
+
+def test_states_counts_ranks_only_through_psd_eigen():
+    # a singular-value count disagrees with range_basis on a state whose
+    # tiny negative eigenvalues pass the PSD floor
+    tree = _modules()["states"]
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "numerical_rank" in
+             {getattr(node.func, "id", None), getattr(node.func, "attr", None)}]
+    assert not calls, f"states.py calls numerical_rank at lines {calls}"

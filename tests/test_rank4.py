@@ -230,6 +230,23 @@ def test_peeling_corpus_decomposes_and_each_step_is_exact(monkeypatch):
     assert circles > 0
 
 
+@pytest.mark.parametrize("shape, terms", [((2, 2), 6), ((2, 3), 5), ((2, 3), 7), ((3, 2), 6)])
+def test_peeling_decomposes_rho_and_rho_gamma_once_per_step(shape, terms, monkeypatch):
+    steps, splits = [], []
+    find, psd_eigen = rank4.product_in_both_ranges, rank4.psd_eigen
+    monkeypatch.setattr(rank4, "product_in_both_ranges",
+                        lambda *a: steps.append(1) or find(*a))
+    monkeypatch.setattr(rank4, "psd_eigen", lambda *a: splits.append(1) or psd_eigen(*a))
+    rng = np.random.default_rng(terms)
+    state = random_product_sum(*shape, terms, rng)
+    products = separable_decomposition(state, rng=rng)
+    assert rel_residual(Separable(products=tuple(products)).reconstruct(*shape),
+                        state.matrix) < 1e-8
+    # per step: rho, rho^G and the remainder; then the rank-N remainder,
+    # whose rank ends the loop
+    assert steps and len(splits) == 3 * len(steps) + 1
+
+
 def test_product_in_both_ranges_reports_none_without_a_solution():
     # a (x) b orthogonal to |00>, |11> and conj(a) (x) b orthogonal to
     # |01>, |10> forces a0 b0 = a1 b1 = conj(a0) b1 = conj(a1) b0 = 0

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from entcert import states
+from entcert.analyze import classify_state
+from entcert.certificates import Distillable, Separable, validate_certificate
+from entcert.criteria import restrict_to_local_ranges
 from entcert.families import make_antisymmetric
 from entcert.linalg import ToleranceConfig, hermitian_eigen, numerical_rank
 from entcert.random_states import (
@@ -356,3 +360,68 @@ def test_spectral_norm_is_kept_from_construction(rng, monkeypatch):
     assert len(calls) == 1
     assert fresh.spectral_norm == state.spectral_norm
     assert len(calls) == 1
+
+
+def test_ranks_are_computed_once_per_state(rng, monkeypatch):
+    state = random_rank_r_state(3, 4, 5, rng)
+    calls = []
+    psd_eigen = states.psd_eigen
+    monkeypatch.setattr(states, "psd_eigen",
+                        lambda h, tol: calls.append(np.shape(h)) or psd_eigen(h, tol))
+    assert state.rank() == 5
+    assert calls == [(12, 12)]
+    assert state.local_ranks() == (3, 4)
+    assert calls == [(12, 12), (3, 3), (4, 4)]
+    for _ in range(3):
+        assert state.rank() == 5
+        assert state.local_ranks() == (3, 4)
+    assert len(calls) == 3
+
+
+def test_state_keeps_no_array_but_its_matrix(rng):
+    state = random_rank_r_state(3, 3, 4, rng)
+    state.rank(), state.local_ranks(), state.range_basis(), state.spectral_norm
+    arrays = [k for k, v in vars(state).items() if isinstance(v, np.ndarray)]
+    assert arrays == ["matrix"]
+
+
+def _slightly_negative_3x2_in_3x3(kind, seed):
+    """Rank 3 in C^3 (x) span{|0>, |1>}, minus 1e-11 |rho| |0,2><0,2|.
+
+    The min eigenvalue, about -1e-11 |rho|, passes the PSD floor of
+    -1e-8 |rho| but its magnitude is far above the rank cutoff (~2e-13
+    |rho|), so a singular-value count calls it range.
+    """
+    rng = np.random.default_rng(seed)
+    vecs = []
+    for _ in range(3):
+        b = np.zeros(3, dtype=complex)
+        if kind == "product":
+            b[:2] = complex_gaussian(rng, 2)
+            vecs.append(np.kron(complex_gaussian(rng, 3), b))
+        else:
+            k = np.zeros((3, 3), dtype=complex)
+            k[:, :2] = complex_gaussian(rng, (3, 2))
+            vecs.append(k.reshape(-1))
+    rho = sum(np.outer(v, v.conj()) for v in vecs)
+    e = np.zeros(9)
+    e[2] = 1.0
+    return BipartiteState(3, 3, rho - 1e-11 * np.linalg.norm(rho, 2) * np.outer(e, e))
+
+
+@pytest.mark.parametrize("kind", ["random", "product"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ranks_agree_with_the_range_and_the_local_frame(kind, seed):
+    state = _slightly_negative_3x2_in_3x3(kind, seed)
+    assert np.linalg.eigvalsh(state.matrix)[0] < -5e-12 * state.spectral_norm
+    restricted, qa, qb = restrict_to_local_ranges(state)
+    assert state.rank() == 3 == state.range_basis().shape[1]
+    assert state.local_ranks() == (3, 2) == (restricted.dim_a, restricted.dim_b)
+    assert (qa.shape[1], qb.shape[1]) == (3, 2)
+
+    cert = classify_state(state)
+    validate_certificate(state, cert)
+    gamma = partial_transpose(state)
+    ppt = np.linalg.eigvalsh(gamma)[0] >= -1e-8 * state.spectral_norm
+    assert isinstance(cert, Separable if ppt else Distillable)
+    assert ppt == (kind == "product")

@@ -206,6 +206,31 @@ def test_decompose_three_products(rng):
     assert decomp.n_components == 3
 
 
+def test_irreducible_decomposition_builds_no_state(rng, monkeypatch):
+    state = random_rank_r_state(3, 3, 4, rng)
+    built = []
+    post_init = BipartiteState.__post_init__
+    monkeypatch.setattr(BipartiteState, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    decomp = decompose_b_direct(state, rng=rng)
+    assert decomp.irreducible
+    assert built == []
+
+
+def test_decompose_components_match_b_normalize_byte_for_byte(rng):
+    for state in (random_rank_r_state(3, 3, 4, rng), random_rank_r_state(2, 4, 4, rng),
+                  b_direct_sum_of_products(3, rng), reducible_4x4()):
+        decomp = decompose_b_direct(state, rng=5)
+        normalized, _, _ = b_normalize(state)
+        expected = [normalized] if decomp.irreducible else [
+            apply_local(normalized, None, p) for p in decomp.b_projectors]
+        assert len(decomp.components) == len(expected) == decomp.n_components
+        for got, want in zip(decomp.components, expected):
+            assert (got.dim_a, got.dim_b) == (want.dim_a, want.dim_b)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert decomp.components is decomp.components
+
+
 def test_decompose_sum_matches_normalized_state(rng):
     state = b_direct_sum_of_products(2, rng)
     decomp = decompose_b_direct(state, rng=rng)
