@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .linalg import dagger, rel_residual
+from .linalg import dagger, kron, rel_residual
 from .states import BipartiteState, PureState, apply_local, partial_transpose, reduce, schmidt
 
 __all__ = [
@@ -55,7 +55,7 @@ def lift_through_local(psi: np.ndarray, a: np.ndarray | None, b: np.ndarray | No
     ma, mb = dims
     a = np.eye(ma, dtype=complex) if a is None else np.asarray(a, dtype=complex)
     b = np.eye(mb, dtype=complex) if b is None else np.asarray(b, dtype=complex)
-    op = np.kron(a.T, dagger(b))
+    op = kron(a.T, dagger(b))
     return op @ np.asarray(psi, dtype=complex).reshape(-1)
 
 
@@ -140,7 +140,7 @@ class Separable:
     def reconstruct(self, dim_a: int, dim_b: int) -> np.ndarray:
         rho = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
         for a, b in self.products:
-            v = np.kron(a, b)
+            v = kron(a, b)
             rho += np.outer(v, v.conj())
         return rho
 
@@ -219,9 +219,9 @@ def validate_witness(state: BipartiteState, witness: Witness) -> float:
     if isinstance(witness, ReductionViolationWitness):
         v = witness.eigenvector.reshape(-1)
         if witness.side.upper() == "A":
-            op = np.kron(reduce(state, "A"), np.eye(state.dim_b)) - state.matrix
+            op = kron(reduce(state, "A"), np.eye(state.dim_b)) - state.matrix
         else:
-            op = np.kron(np.eye(state.dim_a), reduce(state, "B")) - state.matrix
+            op = kron(np.eye(state.dim_a), reduce(state, "B")) - state.matrix
         value = float(np.real(v.conj() @ op @ v) / (v.conj() @ v).real)
         if value >= -thr:
             raise ValueError("reduction-criterion expectation is not negative")

@@ -30,7 +30,8 @@ from .certificates import (
     validate_witness,
 )
 from .linalg import (
-    DEFAULT_TOL, complete_rows, dagger, frob, numerical_rank, psd_eigen, psd_range, singular_rank,
+    DEFAULT_TOL, complete_rows, dagger, frob, kron, numerical_rank, psd_eigen, psd_range,
+    singular_rank,
 )
 from .random_states import as_rng, complex_gaussian, unit_disc
 from .states import (
@@ -81,8 +82,8 @@ def reduction_criterion(state: BipartiteState):
     """
     m, n = state.dim_a, state.dim_b
     ops = {
-        "A": np.kron(reduce(state, "A"), np.eye(n)) - state.matrix,
-        "B": np.kron(np.eye(m), reduce(state, "B")) - state.matrix,
+        "A": kron(reduce(state, "A"), np.eye(n)) - state.matrix,
+        "B": kron(np.eye(m), reduce(state, "B")) - state.matrix,
     }
     thr = state.tol.negativity_floor(state.spectral_norm)
     best = None
@@ -260,20 +261,24 @@ def full_rank_property(state: BipartiteState, side: str = "right",
         raise ValueError("side must be 'right' or 'left'")
     rng = as_rng(rng)
     restricted, qa, qb = restrict_to_local_ranges(state)
-    blocks = block_form(restricted)
-    m, n = restricted.dim_a, restricted.dim_b
+    return _full_rank_from_blocks(block_form(restricted), side, rng, state.tol, budget,
+                                  qa if side == "right" else qb)
+
+
+def _full_rank_from_blocks(blocks: BlockForm, side, rng, tol, budget=64, lift=None):
+    """full_rank_property on the block form of a state compressed to its
+    local ranges; a witness found is mapped back by lift (None: kept)."""
+    m, n = blocks.dim_a, blocks.dim_b
     r = blocks.rank
 
     if side == "right":
         pencil = list(blocks.blocks)
         target = n
         opposite = m
-        lift = qa
     else:
         pencil = left_pencil(blocks)
         target = m
         opposite = n
-        lift = qb
 
     if r < target:
         return FullRankResult(side, False, None, "rank-below-opposite-rank", 0, 0.0)
@@ -283,9 +288,9 @@ def full_rank_property(state: BipartiteState, side: str = "right",
     for k in range(budget):
         xi = unit_disc(rng, opposite)
         x_mat = sum(c * w for c, w in zip(pencil, xi))
-        rank, _ = numerical_rank(x_mat, state.tol)
+        rank, _ = numerical_rank(x_mat, tol)
         if rank == target:
-            witness = lift @ xi
+            witness = xi if lift is None else lift @ xi
             return FullRankResult(side, True, witness, None, k + 1, None)
     bound = float((target / _SZ_GRID) ** budget)
     return FullRankResult(side, False, None, None, budget, bound)
@@ -328,10 +333,10 @@ def schmidt2_witness(state: BipartiteState, budget: int = 256, rng=7):
     g = partial_transpose(state)
     for _ in range(budget):
         frame = np.linalg.qr(complex_gaussian(rng, (m, 2)))[0]
-        comp = np.kron(frame.T, np.eye(n)) @ g @ np.kron(frame.conj(), np.eye(n))
+        comp = kron(frame.T, np.eye(n)) @ g @ kron(frame.conj(), np.eye(n))
         w, v = np.linalg.eigh(0.5 * (comp + dagger(comp)))
         if w[0] < -thr:
-            vec = np.kron(frame.conj(), np.eye(n)) @ v[:, 0]
+            vec = kron(frame.conj(), np.eye(n)) @ v[:, 0]
             return SchmidtRank2Witness(vector=vec, value=float(w[0]))
     return None
 
@@ -343,8 +348,9 @@ def _pair_state(c_block: np.ndarray, tol) -> BipartiteState:
     return BipartiteState(2, n, dagger(w) @ w, tol)
 
 
-def _normal_form(state: BipartiteState, witness: np.ndarray):
-    """Blocks (C_1, ..., C_{M-1}, I_N) of the state after local operations.
+def _normal_form(bf: BlockForm, witness: np.ndarray):
+    """Blocks (C_1, ..., C_{M-1}, I_N) of a state, given its block form
+    bf, after local operations.
 
     The A operation is invertible with conj(witness) as its last row, so
     the mixed last block is the full-rank witness's sector operator; the
@@ -352,7 +358,6 @@ def _normal_form(state: BipartiteState, witness: np.ndarray):
     blocks of (a_op (x) b_op) state (a_op (x) b_op)^dag.
     """
     a_op = complete_rows(witness.conj(), last=True)
-    bf = block_form(state)
     m = len(bf.blocks)
     # blocks of (A (x) I) rho (A (x) I)^dag: C'_j = sum_k conj(A[j,k]) C_k
     mixed = tuple(sum(a_op[j, k].conjugate() * bf.blocks[k] for k in range(m)) for j in range(m))
@@ -366,7 +371,8 @@ def _distill_rank_max(state, rng):
     state must already be compressed to its local ranges with M <= N and
     rank N; the witness refers to state.
     """
-    frp = full_rank_property(state, "right", rng=rng)
+    blocks = block_form(state)
+    frp = _full_rank_from_blocks(blocks, "right", as_rng(rng), state.tol)
     if not frp.holds:
         # violating a full-rank property already implies 1-distillability
         w = trivially_distillable(state) or schmidt2_witness(state, rng=rng)
@@ -380,7 +386,7 @@ def _distill_rank_max(state, rng):
         # cannot happen for M >= 2 at rank N (the product bound shortcut
         # needs N > M(N-1)); guard against contract drift anyway
         raise RuntimeError("full-rank property held without a witness vector")
-    return _pair_witness(*_normal_form(state, frp.witness), state.tol)
+    return _pair_witness(*_normal_form(blocks, frp.witness), state.tol)
 
 
 def _pair_witness(blocks, a_op, b_op, tol):
@@ -480,7 +486,8 @@ def _rank_n_products(state: BipartiteState, rng):
     """Products for a PPT state with M <= N locals and rank N.
 
     The state must already be compressed to its local ranges.  Returns
-    a list of N (a, b) pairs in this frame.
+    a list of N (a, b) pairs in this frame.  One block form serves the
+    full-rank test and the normal form.
     """
     m, n = state.dim_a, state.dim_b
     tol = state.tol
@@ -489,13 +496,14 @@ def _rank_n_products(state: BipartiteState, rng):
         return [(np.array([1.0 + 0.0j]), np.sqrt(wk) * qk)
                 for wk, qk in zip(w[::-1], q.T[::-1])]  # ascending eigenvalues
 
-    frp = full_rank_property(state, "right", rng=rng)
+    bf = block_form(state)
+    frp = _full_rank_from_blocks(bf, "right", as_rng(rng), tol)
     if not frp.holds or frp.witness is None:
         raise RuntimeError(
             "no full-rank direction found for a PPT state; PPT states are "
             "guaranteed to have both full-rank properties, so this signals "
             "a numerical problem or a non-PPT input")
-    blocks, a_op, b_op = _normal_form(state, frp.witness)
+    blocks, a_op, b_op = _normal_form(bf, frp.witness)
 
     scale = [max(frob(c), 1.0e-300) for c in blocks]
     comm_tol = 1.0e-6
@@ -624,7 +632,7 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
             f"rank(sigma_A) = {r} is not smaller than the A-local rank {m}")
 
     u1 = dagger(basis)  # A-op: sigma_A range spans the first r coordinates
-    psi_r = np.kron(dagger(qa), dagger(qb)) @ psi.amplitudes
+    psi_r = kron(dagger(qa), dagger(qb)) @ psi.amplitudes
     k_mat = (u1 @ psi_r.reshape(m, n))
     tail = k_mat[r:, :]
     uu, ss, _ = np.linalg.svd(tail)

@@ -21,7 +21,7 @@ from .certificates import (
     validate_witness,
 )
 from .criteria import Frame, classify_rank_le_max, is_ppt, schmidt2_witness, trivially_distillable
-from .linalg import DEFAULT_TOL, ToleranceConfig, dagger
+from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, kron
 from .random_states import as_rng, complex_gaussian, unit_disc
 from .rank4 import decide_rank4
 from .states import (
@@ -156,7 +156,7 @@ def _structured_projection_sweep(state, rng, x_budget=24):
                         comp[0, k] = 1.0
                         comp[1, j] = 1.0
                         # Gamma of the compressed state, from Gamma of the full one
-                        op = np.kron(comp.conj(), np.eye(n))
+                        op = kron(comp.conj(), np.eye(n))
                         sub = op @ gam @ dagger(op)
                         w, v = np.linalg.eigh(0.5 * (sub + dagger(sub)))
                         if w[0] < -thr:
@@ -241,11 +241,11 @@ def make_tiles_upb(tol: ToleranceConfig = DEFAULT_TOL) -> BipartiteState:
     s2, s3 = 1 / np.sqrt(2.0), 1 / np.sqrt(3.0)
     e = np.eye(3)
     members = [
-        np.kron(e[0], s2 * (e[0] - e[1])),
-        np.kron(e[2], s2 * (e[1] - e[2])),
-        np.kron(s2 * (e[0] - e[1]), e[2]),
-        np.kron(s2 * (e[1] - e[2]), e[0]),
-        np.kron(s3 * (e[0] + e[1] + e[2]), s3 * (e[0] + e[1] + e[2])),
+        kron(e[0], s2 * (e[0] - e[1])),
+        kron(e[2], s2 * (e[1] - e[2])),
+        kron(s2 * (e[0] - e[1]), e[2]),
+        kron(s2 * (e[1] - e[2]), e[0]),
+        kron(s3 * (e[0] + e[1] + e[2]), s3 * (e[0] + e[1] + e[2])),
     ]
     rho = np.eye(9, dtype=complex)
     for v in members:
@@ -280,10 +280,10 @@ def make_shifts_upb(angles=((np.pi / 4, 0.0),) * 3,
     e = np.eye(2, dtype=complex)
     (a, a_p), (b, b_p), (c, c_p) = pairs
     members = [
-        np.kron(e[0], np.kron(e[0], e[0])),
-        np.kron(e[1], np.kron(b, c)),
-        np.kron(a, np.kron(e[1], c_p)),
-        np.kron(a_p, np.kron(b_p, e[1])),
+        kron(e[0], kron(e[0], e[0])),
+        kron(e[1], kron(b, c)),
+        kron(a, kron(e[1], c_p)),
+        kron(a_p, kron(b_p, e[1])),
     ]
     gram = np.array([[np.vdot(x, y) for y in members] for x in members])
     if np.linalg.norm(gram - np.eye(4)) > 1e-10:
@@ -415,7 +415,7 @@ def _fixture_label(tol, probabilities, kinds, dims=(2, 2), seed=0):
             amp[1 * d_b + 1] = 1.0
             comps.append(PureState(d_a, d_b, amp))
         elif kind == "product":
-            comps.append(PureState(d_a, d_b, np.kron(
+            comps.append(PureState(d_a, d_b, kron(
                 complex_gaussian(rng, d_a), complex_gaussian(rng, d_b))))
         elif kind == "random":
             comps.append(PureState(d_a, d_b, complex_gaussian(rng, d_a * d_b)))

@@ -24,6 +24,7 @@ __all__ = [
     "frob",
     "rel_residual",
     "dagger",
+    "kron",
 ]
 
 
@@ -61,6 +62,19 @@ DEFAULT_TOL = ToleranceConfig()
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two vectors or two matrices, as one broadcast outer
+    product: the same products, so the same bytes and dtype, without
+    np.kron's general-rank bookkeeping."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == b.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    if a.ndim == b.ndim == 2:
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+            a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    raise ValueError(f"kron needs two vectors or two matrices, got ranks {a.ndim}, {b.ndim}")
 
 
 def frob(a: np.ndarray) -> float:

@@ -39,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, numerical_rank, singular_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, kron, numerical_rank, singular_rank
 from .random_states import as_rng, complex_gaussian
 
 __all__ = [
@@ -550,17 +550,23 @@ def _newton(comp, v, b):
 
     Rescaling v or b leaves the root in place, so the step is a truncated
     least-squares solution that ignores those near-null directions.
+    The real Jacobian [[Re J_v, Re J_b, -Im J_b], [Im J_v, Im J_b,
+    Re J_b]] is filled in place.
     """
+    d, nb = len(comp), len(b)
+    jac = np.empty((2 * d, 3 + 2 * nb))
     for _ in range(2):
         res = np.einsum("dnc,c,n->d", comp, v, b)
         jac_v = np.einsum("dnc,n->dc", comp, b)
         jac_b = np.einsum("dnc,c->dn", comp, v)
-        jac = np.block([[jac_v.real, jac_b.real, -jac_b.imag],
-                        [jac_v.imag, jac_b.imag, jac_b.real]])
+        jac[:d, :3], jac[d:, :3] = jac_v.real, jac_v.imag
+        jac[:d, 3:3 + nb], jac[d:, 3:3 + nb] = jac_b.real, jac_b.imag
+        np.negative(jac_b.imag, out=jac[:d, 3 + nb:])
+        jac[d:, 3 + nb:] = jac_b.real
         step = np.linalg.lstsq(jac, -np.concatenate([res.real, res.imag]),
                                rcond=_SINGULAR_RCOND)[0]
         v = v + step[:3]
-        b = b + step[3:3 + len(b)] + 1j * step[3 + len(b):]
+        b = b + step[3:3 + nb] + 1j * step[3 + nb:]
     return v, b
 
 
@@ -621,7 +627,7 @@ def random_subspace(dim_a, dim_b, dim, rng=0, tol=DEFAULT_TOL) -> Subspace:
 def random_product_containing_subspace(dim_a, dim_b, dim, rng=0, tol=DEFAULT_TOL) -> Subspace:
     """Span of one random product vector and dim-1 random vectors."""
     rng = as_rng(rng)
-    prod = np.kron(complex_gaussian(rng, dim_a), complex_gaussian(rng, dim_b))
+    prod = kron(complex_gaussian(rng, dim_a), complex_gaussian(rng, dim_b))
     rows = [prod] + [complex_gaussian(rng, dim_a * dim_b) for _ in range(dim - 1)]
     # mix so the product direction is not a basis row
     g = np.eye(dim, dtype=complex) + 0.3 * complex_gaussian(rng, (dim, dim))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig, kron
 from .states import BipartiteState, PureState
 
 __all__ = [
@@ -55,7 +55,7 @@ def random_product_sum(dim_a, dim_b, terms, rng=0,
                        tol: ToleranceConfig = DEFAULT_TOL) -> BipartiteState:
     """Separable state: sum of `terms` random product projectors."""
     rng = as_rng(rng)
-    vecs = [np.kron(complex_gaussian(rng, dim_a), complex_gaussian(rng, dim_b))
+    vecs = [kron(complex_gaussian(rng, dim_a), complex_gaussian(rng, dim_b))
             for _ in range(terms)]
     return BipartiteState.from_vectors(dim_a, dim_b, vecs, tol)
 

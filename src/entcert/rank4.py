@@ -52,7 +52,9 @@ from .criteria import (
     separable_decomposition_rank_n,
     trivially_distillable,
 )
-from .linalg import complete_rows, dagger, frob, numerical_rank, psd_eigen, psd_range
+from .linalg import (
+    check_hermitian, complete_rows, dagger, frob, kron, numerical_rank, psd_eigen, psd_range,
+)
 from .product_search import (
     Subspace,
     find_product_vector,
@@ -60,7 +62,13 @@ from .product_search import (
     rank_one_in_span,
 )
 from .random_states import as_rng
-from .states import BipartiteState, block_form, partial_transpose
+from .states import (
+    BipartiteState,
+    _block_form_from_range,
+    partial_transpose,
+    partial_transpose_matrix,
+    reduce_matrix,
+)
 from .structure import aggregate, common_kernel_distill, decompose_b_direct
 
 __all__ = [
@@ -98,23 +106,29 @@ def _peel_two_by_n(state: BipartiteState, rng):
     (A-conjugated) R(rho^G) with the largest PSD-safe weight; each step
     lowers rank(rho) + rank(rho^G), and the final rank-N remainder is
     decomposed by the rank-max route.  Valid for M(locals) = 2 and
-    N <= 3, where PPT implies separable.  Each step decomposes rho and
-    rho^G once; the kernels, the rank and the weights come from those.
+    N <= 3, where PPT implies separable.
+
+    The steps work on matrices.  rho is decomposed once at entry; each
+    step decomposes rho^G, the remainder and the remainder's two
+    marginals, and carries the remainder's cleaned split to the next
+    step as rho's, so the kernels, the rank and the weights of a step
+    come from one decomposition each.  Every remainder is checked
+    (Hermiticity, the negative-eigenvalue floor, its trace); only the
+    rank-N tail becomes a BipartiteState.
     """
     n = state.dim_b
     tol = state.tol
     rng = as_rng(rng)
     scale0 = float(np.real(np.trace(state.matrix)))
     products = []
-    current = state
+    mat = state.matrix
+    rho_split = psd_eigen(mat, tol)
+    local_rank = max(state.local_ranks())
     for _ in range(12):
-        if current is None:
-            break
-        rho_split = psd_eigen(current.matrix, tol)
         w, v, nullity = rho_split
-        if len(w) - nullity <= max(current.local_ranks()):
+        if len(w) - nullity <= local_rank:
             break
-        gamma_split = psd_eigen(partial_transpose(current), tol)
+        gamma_split = psd_eigen(partial_transpose_matrix(mat, 2, n), tol)
         _, v_gamma, nullity_gamma = gamma_split
         found = product_in_both_ranges(v[:, np.arange(nullity)],
                                        v_gamma[:, np.arange(nullity_gamma)], rng, tol)
@@ -124,37 +138,37 @@ def _peel_two_by_n(state: BipartiteState, rng):
                 "PPT separable inputs are guaranteed to admit one, so this "
                 "signals a numerics problem or a non-separable input")
         a, b = found
-        e = np.kron(a, b)
+        e = kron(a, b)
         lam = min(
             1.0 / max(_pinv_quadratic(rho_split, e), 1.0e-300),
-            1.0 / max(_pinv_quadratic(gamma_split, np.kron(a.conj(), b)), 1.0e-300),
+            1.0 / max(_pinv_quadratic(gamma_split, kron(a.conj(), b)), 1.0e-300),
         )
         if not lam > 0:
             raise RuntimeError(
                 "peeling produced a nonpositive subtraction weight; the "
                 "candidate product vector was not accurate enough")
         products.append((np.sqrt(lam) * a, b))
-        remainder = current.matrix - lam * np.outer(e, e.conj())
         # the subtraction leaves the eigenvalue it removed at roundoff
-        # scale, of either sign; zero everything rank() counts as kernel
-        w, v, nullity = psd_eigen(remainder, tol)
+        # scale, of either sign; zero everything the cutoff counts as
+        # kernel, and keep the split as the next step's
+        rho_split = psd_eigen(mat - lam * np.outer(e, e.conj()), tol)
+        w, v, nullity = rho_split
         floor = -1.0e-6 * max(float(w[-1]), 1.0)
         if float(w[0]) < floor:
             raise RuntimeError(
                 f"peeling left a negative eigenvalue {w[0]:.3e}; the "
                 "candidate product vector was not accurate enough")
         w[:nullity] = 0.0
-        remainder = (v * w) @ dagger(v)
-        if np.real(np.trace(remainder)) <= tol.psd_tol * scale0:
-            current = None
-        else:
-            current = BipartiteState(2, n, remainder, tol)
+        mat = check_hermitian((v * w) @ dagger(v), tol)
+        if np.real(np.trace(mat)) <= tol.psd_tol * scale0:
+            return products
+        marginals = [psd_eigen(reduce_matrix(mat, 2, n, side), tol) for side in "AB"]
+        local_rank = max(len(w) - k for w, _, k in marginals)
     else:
         raise RuntimeError("peeling did not terminate within the step budget")
 
-    if current is not None:
-        tail = Frame.local(current)
-        products.extend(tail.lift_products(_rank_n_products(tail.work, rng)))
+    tail = Frame.local(BipartiteState(2, n, mat, tol))
+    products.extend(tail.lift_products(_rank_n_products(tail.work, rng)))
     return products
 
 
@@ -167,6 +181,11 @@ def separable_decomposition(state: BipartiteState, rng=7):
     ppt, min_eig = is_ppt(state)
     if not ppt:
         raise ValueError(f"state is NPT (min eig of rho^G = {min_eig:.3e})")
+    return _ppt_products(state, rng)
+
+
+def _ppt_products(state: BipartiteState, rng):
+    """separable_decomposition for a state its caller has tested PPT."""
     frame = Frame.local(state)
     work = frame.work
     wm, wn = work.dim_a, work.dim_b
@@ -216,11 +235,11 @@ class _Gauge:
         return max(frob(self.w), 1.0e-300)
 
     def apply_a(self, t):
-        self.w = self.w @ dagger(np.kron(t, np.eye(self.n, dtype=complex)))
+        self.w = self.w @ dagger(kron(t, np.eye(self.n, dtype=complex)))
         self.a = t @ self.a
 
     def apply_b_dag(self, bdag):
-        self.w = self.w @ np.kron(np.eye(self.m, dtype=complex), bdag)
+        self.w = self.w @ kron(np.eye(self.m, dtype=complex), bdag)
         self.b = dagger(bdag) @ self.b
 
     def apply_left(self, u):
@@ -345,7 +364,7 @@ def _peel_anchor(state: BipartiteState, a_vec, b_vec):
     Returns the W matrix (rows conj of the summands) whose Gram is rho.
     """
     tol = state.tol
-    e = np.kron(a_vec, b_vec)
+    e = kron(a_vec, b_vec)
     e = e / np.linalg.norm(e)
     lam = 1.0 / max(_pinv_quadratic(psd_eigen(state.matrix, tol), e), 1.0e-300)
     w, q = psd_range(state.matrix - lam * np.outer(e, e.conj()), tol)
@@ -396,7 +415,7 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
         return Rank4Verdict(Distillable(witness),
                             trail + ("projected-b-pair-npt",))
 
-    products = separable_decomposition(tau, rng=rng)
+    products = _ppt_products(tau, rng)
     if len(products) > 3:
         raise RuntimeError(
             f"projected state decomposed into {len(products)} products; "
@@ -407,7 +426,7 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
     delta = np.zeros((3, 3), dtype=complex)
     c_rows = np.zeros((3, 2), dtype=complex)
     for k, (alpha, beta) in enumerate(products):
-        w2[k] = np.kron(alpha, beta).conj()
+        w2[k] = kron(alpha, beta).conj()
         delta[k, :] = alpha.conj()
         c_rows[k, :] = beta.conj()
     w_prime = g.w[1:, cols]
@@ -570,9 +589,9 @@ def _range_product_basis(state: BipartiteState, products):
     Lambda = E^+ rho E^+dag; the first 4-subset whose Lambda is diagonal
     and positive gives rho = sum_k lambda_k |e_k><e_k|.
     """
-    units = [(a / np.linalg.norm(np.kron(a, b)), b) for a, b, _ in products]
+    units = [(a / np.linalg.norm(kron(a, b)), b) for a, b, _ in products]
     for subset in combinations(units, 4):
-        e = np.column_stack([np.kron(a, b) for a, b in subset])
+        e = np.column_stack([kron(a, b) for a, b in subset])
         if numerical_rank(e, state.tol)[0] < 4:
             continue
         e_pinv = np.linalg.pinv(e)
@@ -620,7 +639,7 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     if (m, n) != (3, 3):
         # small shapes (2x2, 2x3, 3x2): PPT iff separable
         if ppt_flag:
-            products = separable_decomposition(restricted, rng=rng)
+            products = _ppt_products(restricted, rng)
             return Rank4Verdict(Separable(products=tuple(products)),
                                 ("small-locals", "peeling"))
         w = trivially_distillable(restricted) or schmidt2_witness(restricted, rng=rng)
@@ -644,8 +663,10 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
                 "classify; every component is decidable at this rank")
         return Rank4Verdict(side.lift(cert), (side_tag,))
 
-    # (b) a direction with a rank-1 sector
-    blocks = block_form(restricted)
+    # (b) a direction with a rank-1 sector; one range split gives the
+    # block form here and the range basis in (c)
+    range_w, range_q = psd_range(restricted.matrix, restricted.tol)
+    blocks = _block_form_from_range(range_w, range_q, m, n)
     found = rank_one_in_span(np.stack(blocks.blocks), restarts=24,
                              rng=rng, tol=restricted.tol)
     if found.found:
@@ -654,8 +675,7 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
 
     # (c) a product vector in the range: PPT means separable, and the
     # range's products hold the decomposition; NPT runs the cascade
-    range_basis = restricted.range_basis()
-    subspace = Subspace(3, 3, range_basis.T, restricted.tol)
+    subspace = Subspace(3, 3, range_q.T, restricted.tol)
     prod = find_product_vector(subspace, restarts=40, rng=rng)
     if prod.found and ppt_flag:
         outcome = Separable(products=tuple(_range_product_basis(restricted, prod.products)))
@@ -708,8 +728,7 @@ def classify_state(state: BipartiteState, rng=7, budget: int = 256) -> Certifica
     if ppt:
         if min(ra, rb) <= 2 and max(ra, rb) <= 3:
             # PPT implies separable below 2x3, and a decomposition exists
-            products = separable_decomposition(state, rng=rng)
-            return Separable(products=tuple(products))
+            return Separable(products=tuple(_ppt_products(state, rng)))
         return Ppt(min_eig_gamma=min_eig)
 
     w = trivially_distillable(state) or schmidt2_witness(state, budget=budget, rng=rng)

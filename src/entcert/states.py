@@ -19,6 +19,7 @@ from .linalg import (
     dagger,
     frob,
     hermitian_eigen,
+    kron,
     psd_eigen,
     psd_range,
     singular_rank,
@@ -253,8 +254,12 @@ def block_form(state: BipartiteState) -> BlockForm:
     (descending eigenvalue order); C_j[i, :] is the conjugate of the
     j-th B-block of the i-th weighted eigenvector.
     """
-    m, n = state.dim_a, state.dim_b
-    w, q = psd_range(state.matrix, state.tol)
+    return _block_form_from_range(*psd_range(state.matrix, state.tol),
+                                  state.dim_a, state.dim_b)
+
+
+def _block_form_from_range(w: np.ndarray, q: np.ndarray, m: int, n: int) -> BlockForm:
+    """block_form from the psd_range split (w, q) of an M x N state."""
     psis = (q * np.sqrt(w)).T  # rows are the weighted eigenvectors
     rank = psis.shape[0]
     stacked = psis.conj()  # W with W^dag W = rho
@@ -272,7 +277,7 @@ def apply_local_matrix(mat: np.ndarray, dim_a: int, dim_b: int, a: np.ndarray | 
     b = np.eye(dim_b, dtype=complex) if b is None else np.asarray(b, dtype=complex)
     if a.shape[1] != dim_a or b.shape[1] != dim_b:
         raise ValueError("local operator shapes do not conform with the state")
-    op = np.kron(a, b)
+    op = kron(a, b)
     out = op @ mat @ dagger(op)
     if not np.any(np.abs(out) > tol.psd_tol * max(frob(mat), 1.0)):
         raise ValueError("local operation produced the zero state")
@@ -308,7 +313,7 @@ def tensor(rho: BipartiteState, sigma: BipartiteState) -> BipartiteState:
     """Tensor product regrouped as (A1 A2) : (B1 B2)."""
     m1, n1 = rho.dim_a, rho.dim_b
     m2, n2 = sigma.dim_a, sigma.dim_b
-    big = np.kron(rho.matrix, sigma.matrix)
+    big = kron(rho.matrix, sigma.matrix)
     t = big.reshape(m1, n1, m2, n2, m1, n1, m2, n2)
     t = t.transpose(0, 2, 1, 3, 4, 6, 5, 7)
     d = m1 * m2 * n1 * n2

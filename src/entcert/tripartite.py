@@ -17,7 +17,9 @@ import numpy as np
 from .analyze import classify_state
 from .certificates import Separable, validate_certificate
 from .criteria import is_ppt, separable_decomposition_rank_n
-from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, frob, numerical_rank, singular_rank
+from .linalg import (
+    DEFAULT_TOL, ToleranceConfig, dagger, frob, kron, numerical_rank, singular_rank,
+)
 from .states import BipartiteState
 from .structure import classical_side
 
@@ -132,7 +134,7 @@ def canonical_two_ppt(psi: TripartitePure, rng=7) -> CanonicalForm:
         raise RuntimeError(
             f"expected {d} products from the rank-d decomposition, got {len(products)}")
 
-    f_cols = np.column_stack([np.kron(a, b) for a, b in products])
+    f_cols = np.column_stack([kron(a, b) for a, b in products])
     psi_mat = psi.amplitudes.reshape(d_a * d_b, d_c)
     c_rows, *_ = np.linalg.lstsq(f_cols, psi_mat, rcond=None)
     scale = max(frob(psi_mat), 1.0e-300)
@@ -212,8 +214,8 @@ def canonical_two_ppt(psi: TripartitePure, rng=7) -> CanonicalForm:
         e_j[j] = 1.0
         f_j = np.zeros(d_c, dtype=complex)
         f_j[j] = 1.0
-        target += np.kron(a, np.kron(e_j, f_j))
-    rotated = np.kron(np.eye(d_a), np.kron(u_b, u_c)) @ psi.amplitudes
+        target += kron(a, kron(e_j, f_j))
+    rotated = kron(np.eye(d_a), kron(u_b, u_c)) @ psi.amplitudes
     residual = float(np.linalg.norm(rotated - target) / max(np.linalg.norm(target), 1.0e-300))
     if residual > 1000 * tol.residual_tol:
         raise RuntimeError(

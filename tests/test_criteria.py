@@ -374,3 +374,15 @@ def test_restrict_full_local_ranks_is_free(rng, monkeypatch):
     assert restricted is state
     assert np.array_equal(qa, np.eye(3)) and np.array_equal(qb, np.eye(4))
     assert calls == []
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (3, 4)])
+def test_rank_n_products_builds_one_block_form(dims, rng, monkeypatch):
+    # the full-rank test and the normal form share one block form
+    state = criteria.Frame.local(ppt_rank_n_state(*dims, rng)).work
+    built, block_form = [], criteria.block_form
+    monkeypatch.setattr(criteria, "block_form", lambda s: built.append(s) or block_form(s))
+    products = criteria._rank_n_products(state, rng)
+    assert len(built) == 1 and built[0] is state
+    assert rel_residual(Separable(products=tuple(products)).reconstruct(*dims),
+                        state.matrix) < 1e-8

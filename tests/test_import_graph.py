@@ -1,5 +1,6 @@
 """The package's modules import each other at module level, in one direction,
-only linalg applies the rank cutoff, and states counts ranks with psd_eigen.
+only linalg applies the rank cutoff and calls np.kron, and states counts
+ranks with psd_eigen.
 
 Reads the source with ast only (nothing is imported), so a cycle that
 an import inside a function would hide at load time is still reported.
@@ -63,6 +64,17 @@ def test_rank_cutoff_is_applied_only_in_linalg():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "rank_cutoff"]
     assert not calls, "rank cutoffs outside linalg: " + ", ".join(calls)
+
+
+def test_np_kron_is_called_only_in_linalg():
+    # linalg.kron gives np.kron's bytes for vectors and matrices at a
+    # fraction of its cost; every other module goes through it
+    calls = [f"{name}.py:{node.lineno}"
+             for name, tree in _modules().items() if name != "linalg"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "kron" and getattr(node.func.value, "id", None) == "np"]
+    assert not calls, "np.kron outside linalg: " + ", ".join(calls)
 
 
 def test_states_counts_ranks_only_through_psd_eigen():

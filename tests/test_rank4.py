@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entcert import rank4
+from entcert import linalg, rank4
 from entcert.certificates import (
     Distillable,
     PptEntangled,
@@ -207,14 +207,19 @@ PEELING_CORPUS += [((2, 3), 7, [1, 196]), ((3, 2), 4, [2, 361])]
 
 
 def test_peeling_corpus_decomposes_and_each_step_is_exact(monkeypatch):
-    steps = []
+    steps, events = [], []
 
     def recording(ker, ker_gamma, rng, tol):
         found = product_in_both_ranges(ker, ker_gamma, rng, tol)
         steps.append((ker, ker_gamma, found))
         return found
 
+    split, clean = rank4.psd_eigen, rank4.check_hermitian
     monkeypatch.setattr(rank4, "product_in_both_ranges", recording)
+    monkeypatch.setattr(rank4, "psd_eigen",
+                        lambda *a: events.append(("split", split(*a))) or events[-1][1])
+    monkeypatch.setattr(rank4, "check_hermitian",
+                        lambda *a: events.append(("clean", clean(*a))) or events[-1][1])
     for (m, n), terms, seed in PEELING_CORPUS:
         rng = np.random.default_rng(seed)
         state = random_product_sum(m, n, terms, rng)
@@ -228,23 +233,71 @@ def test_peeling_corpus_decomposes_and_each_step_is_exact(monkeypatch):
         # 2x2 with rank 3 on both sides: the zeros form a Bloch circle
         circles += ker.shape == ker_gamma.shape == (4, 1)
     assert circles > 0
+    # each cleaned remainder is built from the split just before it, and
+    # that split is carried to the next step in place of a fresh one: a
+    # fresh split has the same nullity, and a kernel that agrees with the
+    # carried one to 1e-10, or, when the smallest kept eigenvalue is a
+    # tiny fraction of the largest (seed 5411: 9e-9), to roundoff over
+    # that gap (Davis-Kahan), with the carried kernel the exact one
+    cleaned = [(events[i - 1], mat) for i, (kind, mat) in enumerate(events) if kind == "clean"]
+    assert len(cleaned) > len(PEELING_CORPUS)
+    for (kind, (w, v, nullity)), mat in cleaned:
+        assert kind == "split"
+        _, v_fresh, nullity_fresh = split(mat)
+        assert nullity_fresh == nullity
+        carried, fresh = v[:, :nullity], v_fresh[:, :nullity]
+        assert np.linalg.norm(mat @ carried) < 1e-14 * w[-1]
+        gap = w[nullity] / w[-1]
+        assert (np.linalg.norm(carried @ carried.conj().T - fresh @ fresh.conj().T)
+                < max(1e-10, 1e-14 / gap))
 
 
 @pytest.mark.parametrize("shape, terms", [((2, 2), 6), ((2, 3), 5), ((2, 3), 7), ((3, 2), 6)])
 def test_peeling_decomposes_rho_and_rho_gamma_once_per_step(shape, terms, monkeypatch):
-    steps, splits = [], []
+    steps, splits, built = [], [], []
     find, psd_eigen = rank4.product_in_both_ranges, rank4.psd_eigen
     monkeypatch.setattr(rank4, "product_in_both_ranges",
                         lambda *a: steps.append(1) or find(*a))
     monkeypatch.setattr(rank4, "psd_eigen", lambda *a: splits.append(1) or psd_eigen(*a))
+    monkeypatch.setattr(rank4, "BipartiteState",
+                        lambda *a: built.append(1) or BipartiteState(*a))
     rng = np.random.default_rng(terms)
     state = random_product_sum(*shape, terms, rng)
     products = separable_decomposition(state, rng=rng)
     assert rel_residual(Separable(products=tuple(products)).reconstruct(*shape),
                         state.matrix) < 1e-8
-    # per step: rho, rho^G and the remainder; then the rank-N remainder,
-    # whose rank ends the loop
-    assert steps and len(splits) == 3 * len(steps) + 1
+    # rho once at entry; per step rho^G, the remainder and its two
+    # marginals, the remainder's split serving as the next step's rho;
+    # one state, for the rank-N tail
+    assert steps and len(splits) == 1 + 4 * len(steps)
+    assert len(built) == 1
+
+
+def test_decide_rank4_splits_the_restricted_range_once(rng, monkeypatch):
+    # the block form of branch (b) and the range basis of branch (c) come
+    # from one psd_range; rank() counts its memo through states' binding
+    state = random_product_sum(3, 3, 4, rng)
+    assert state.local_ranks() == (3, 3)  # the restricted state is state
+    splits, psd_eigen = [], linalg.psd_eigen
+    monkeypatch.setattr(linalg, "psd_eigen",
+                        lambda h, *a: splits.append(np.array_equal(h, state.matrix))
+                        or psd_eigen(h, *a))
+    verdict = decide_rank4(state, rng=rng)
+    assert verdict.trail == ("product-in-range", "range-product-basis")
+    assert sum(splits) == 1
+
+
+def test_ppt_callers_reach_the_peeling_without_a_second_ppt_test(monkeypatch):
+    # classify_state's PPT branch and the small-locals branch of the rank-4
+    # tree test PPT once and hand the state to the private dispatcher
+    tests, ppt = [], rank4.is_ppt
+    monkeypatch.setattr(rank4, "is_ppt", lambda s: tests.append(1) or ppt(s))
+    rng = np.random.default_rng(3)
+    rank4_state, rank5_state = (random_product_sum(2, 3, terms, rng) for terms in (4, 5))
+    assert (rank4_state.rank(), rank5_state.rank()) == (4, 5)
+    verdict = decide_rank4(rank4_state, rng=rng)
+    assert verdict.trail == ("small-locals", "peeling") and len(tests) == 1
+    assert isinstance(classify_state(rank5_state, rng=rng), Separable) and len(tests) == 2
 
 
 def test_product_in_both_ranges_reports_none_without_a_solution():

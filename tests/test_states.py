@@ -6,7 +6,7 @@ from entcert.analyze import classify_state
 from entcert.certificates import Distillable, Separable, validate_certificate
 from entcert.criteria import restrict_to_local_ranges
 from entcert.families import make_antisymmetric
-from entcert.linalg import ToleranceConfig, hermitian_eigen, numerical_rank
+from entcert.linalg import ToleranceConfig, hermitian_eigen, kron, numerical_rank
 from entcert.random_states import (
     complex_gaussian,
     random_invertible,
@@ -78,6 +78,38 @@ def test_numerical_rank_outer_product(rng):
     assert rank == 1
     assert kernel.shape == (4, 3)
     assert np.linalg.norm(np.outer(u, v) @ kernel) < 1e-10
+
+
+def _operand(rng, shape, complex_):
+    real = rng.standard_normal(shape)
+    return real + 1j * rng.standard_normal(shape) if complex_ else real
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("complex_a, complex_b", [(False, False), (False, True),
+                                                  (True, False), (True, True)])
+def test_kron_matches_np_kron_bytes_and_dtype(ndim, complex_a, complex_b, rng):
+    for _ in range(50):
+        a = _operand(rng, tuple(rng.integers(1, 5, ndim)), complex_a)
+        b = _operand(rng, tuple(rng.integers(1, 5, ndim)), complex_b)
+        for x, y in ((a, b), (a.T, b), (a, b[::-1])):
+            want, got = np.kron(x, y), kron(x, y)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_kron_with_identity_operands_matches_np_kron(rng):
+    t = complex_gaussian(rng, (3, 2))
+    for x, y in ((t, np.eye(4)), (np.eye(2), t), (np.eye(2), np.eye(3, dtype=complex)),
+                 (t.real, np.eye(2))):
+        want, got = np.kron(x, y), kron(x, y)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_kron_rejects_mixed_ranks():
+    with pytest.raises(ValueError, match="two vectors or two matrices"):
+        kron(np.ones(2), np.eye(2))
 
 
 def test_partial_transpose_product_state(rng):
