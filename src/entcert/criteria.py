@@ -30,8 +30,8 @@ from .certificates import (
     validate_witness,
 )
 from .linalg import (
-    DEFAULT_TOL, complete_rows, dagger, frob, kron, numerical_rank, psd_eigen, psd_range,
-    singular_rank,
+    DEFAULT_TOL, common_eigenbasis, complete_rows, dagger, frob, kron, numerical_rank, psd_eigen,
+    psd_range, singular_rank,
 )
 from .random_states import as_rng, complex_gaussian, unit_disc
 from .states import (
@@ -449,39 +449,6 @@ def _pair_witness(blocks, a_op, b_op, tol):
         "rules this out, so this indicates a numerical issue.")
 
 
-def _simultaneous_diagonalize(mats, tol):
-    """Common eigenbasis of a family of commuting normal matrices.
-
-    Recursive eigenspace refinement over the Hermitian and
-    anti-Hermitian parts of the generators.
-    """
-    n = mats[0].shape[0]
-    generators = []
-    for c in mats:
-        generators.append(0.5 * (c + dagger(c)))
-        generators.append(0.5j * (dagger(c) - c))
-    u = np.eye(n, dtype=complex)
-    subspaces = [np.arange(n)]
-    for h in generators:
-        new_subspaces = []
-        for idx in subspaces:
-            if len(idx) == 1:
-                new_subspaces.append(idx)
-                continue
-            q = u[:, idx]
-            w, v = np.linalg.eigh(dagger(q) @ h @ q)
-            u[:, idx] = q @ v
-            spread = max(float(w[-1] - w[0]), 1.0)
-            start = 0
-            for i in range(1, len(w)):
-                if w[i] - w[i - 1] > 1.0e-8 * spread:
-                    new_subspaces.append(idx[start:i])
-                    start = i
-            new_subspaces.append(idx[start:])
-        subspaces = new_subspaces
-    return u
-
-
 def _rank_n_products(state: BipartiteState, rng):
     """Products for a PPT state with M <= N locals and rank N.
 
@@ -505,51 +472,25 @@ def _rank_n_products(state: BipartiteState, rng):
             "a numerical problem or a non-PPT input")
     blocks, a_op, b_op = _normal_form(bf, frp.witness)
 
-    scale = [max(frob(c), 1.0e-300) for c in blocks]
-    comm_tol = 1.0e-6
-    for i in range(m - 1):
-        herm_defect = frob(blocks[i] @ dagger(blocks[i]) - dagger(blocks[i]) @ blocks[i])
-        if herm_defect > comm_tol * scale[i] ** 2:
-            raise ValueError(
-                f"block {i + 1} is not normal (defect {herm_defect:.3e}); "
-                "the input is not PPT within tolerance")
-        for j in range(i + 1, m - 1):
-            d = frob(blocks[i] @ blocks[j] - blocks[j] @ blocks[i])
-            if d > comm_tol * scale[i] * scale[j]:
-                raise ValueError(
-                    f"blocks {i + 1} and {j + 1} do not commute "
-                    f"(defect {d:.3e}); the input is not PPT within tolerance")
+    found = common_eigenbasis(blocks, tol)
+    if found is None:
+        raise ValueError("the blocks have no common eigenbasis; "
+                         "the input is not PPT within tolerance")
+    u, diag = found
 
-    u = _simultaneous_diagonalize(blocks[:-1], tol)
-    diag = np.empty((n, m), dtype=complex)
-    for i, c in enumerate(blocks):
-        conj_c = dagger(u) @ c @ u
-        off = frob(conj_c - np.diag(np.diag(conj_c)))
-        if off > 1.0e-6 * max(scale[i], 1.0):
-            raise RuntimeError(
-                f"simultaneous diagonalization left block {i + 1} with "
-                f"off-diagonal mass {off:.3e}")
-        diag[:, i] = np.diag(conj_c)
-
-    products = []
-    for k in range(n):
-        a_vec = diag[k, :].conj()
-        b_vec = u[:, k]
-        products.append((a_vec, b_vec))
     # map back through the two local operations
     a_inv = np.linalg.inv(a_op)
     b_inv = np.linalg.inv(b_op)
-    return [(a_inv @ a, b_inv @ b) for a, b in products]
+    return [(a_inv @ diag[:, k].conj(), b_inv @ u[:, k]) for k in range(n)]
 
 
 def separable_decomposition_rank_n(state: BipartiteState, rng=7):
     """Exactly N product states for an M x N PPT state of rank N (M <= N).
 
-    Normalizes the last block to the identity via a full-rank witness,
-    verifies the remaining blocks are pairwise commuting normal
-    matrices, diagonalizes them simultaneously and reads off the
-    products.  Rejects inputs whose blocks fail the commutation check
-    (they are not PPT within tolerance).
+    Normalizes the last block to the identity via a full-rank witness
+    and reads the products off the common eigenbasis of the blocks.
+    Rejects inputs whose blocks have none (they are not PPT within
+    tolerance).
     """
     frame = Frame.local(state)
     r = frame.work.rank()

@@ -8,6 +8,7 @@ identity on the data.  The version field is mandatory.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -62,12 +63,28 @@ def _encode_array(arr: np.ndarray):
     return [_encode_array(row) for row in arr]
 
 
+def _decode_vector(data, where: str) -> np.ndarray:
+    if not isinstance(data, list):
+        raise StateFileError(f"{where}: expected an array of [re, im] pairs, got {data!r}")
+    return np.array([decode_complex(z, f"{where}[{i}]") for i, z in enumerate(data)])
+
+
 def _decode_matrix(data, where: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise StateFileError(f"{where}: expected a nested array")
-    return np.array([[decode_complex(z, f"{where}[{i}][{j}]")
-                      for j, z in enumerate(row)]
-                     for i, row in enumerate(data)])
+    rows = [_decode_vector(row, f"{where}[{i}]") for i, row in enumerate(data)]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise StateFileError(
+                f"{where}[{i}]: row has {len(row)} entries, row 0 has {len(rows[0])}")
+    return np.array(rows)
+
+
+def _decode_dims(dims, count: int) -> tuple[int, ...]:
+    if not (isinstance(dims, list) and len(dims) == count
+            and all(type(d) is int for d in dims)):
+        raise StateFileError(f"dims: expected {count} integers, got {dims!r}")
+    return tuple(dims)
 
 
 def _tol_to_doc(tol: ToleranceConfig):
@@ -82,7 +99,19 @@ def _tol_from_doc(doc) -> ToleranceConfig:
         return DEFAULT_TOL
     if not isinstance(doc, dict):
         raise StateFileError("tolerances: expected an object")
-    return ToleranceConfig(**{k: float(v) for k, v in doc.items()})
+    names = [f.name for f in fields(ToleranceConfig)]
+    values = {}
+    for key, value in doc.items():
+        if key not in names:
+            raise StateFileError(f"tolerances.{key}: unknown field; expected one of {names}")
+        try:
+            values[key] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise StateFileError(f"tolerances.{key}: {exc}") from exc
+    try:
+        return ToleranceConfig(**values)
+    except ValueError as exc:
+        raise StateFileError(f"tolerances: {exc}") from exc
 
 
 def state_to_doc(obj) -> dict:
@@ -125,29 +154,14 @@ def doc_to_object(doc, tol_override: ToleranceConfig | None = None):
     dims = doc.get("dims")
     data = doc.get("data")
     tol = tol_override or _tol_from_doc(doc.get("tolerances"))
-    if kind == "bipartite":
-        if not (isinstance(dims, list) and len(dims) == 2):
-            raise StateFileError("dims: expected [M, N]")
-        mat = _decode_matrix(data, "data")
+    if kind in ("bipartite", "tripartite", "subspace"):
+        if kind == "tripartite":
+            build, args = TripartitePure, (_decode_dims(dims, 3), _decode_vector(data, "data"))
+        else:
+            build = BipartiteState if kind == "bipartite" else Subspace
+            args = (*_decode_dims(dims, 2), _decode_matrix(data, "data"))
         try:
-            return BipartiteState(int(dims[0]), int(dims[1]), mat, tol)
-        except ValueError as exc:
-            raise StateFileError(f"data: {exc}") from exc
-    if kind == "tripartite":
-        if not (isinstance(dims, list) and len(dims) == 3):
-            raise StateFileError("dims: expected [dA, dB, dC]")
-        amps = np.array([decode_complex(z, f"data[{i}]")
-                         for i, z in enumerate(data)])
-        try:
-            return TripartitePure(tuple(int(d) for d in dims), amps, tol)
-        except ValueError as exc:
-            raise StateFileError(f"data: {exc}") from exc
-    if kind == "subspace":
-        if not (isinstance(dims, list) and len(dims) == 2):
-            raise StateFileError("dims: expected [M, N]")
-        basis = _decode_matrix(data, "data")
-        try:
-            return Subspace(int(dims[0]), int(dims[1]), basis, tol)
+            return build(*args, tol)
         except ValueError as exc:
             raise StateFileError(f"data: {exc}") from exc
     if kind == "fixture":

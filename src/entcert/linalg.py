@@ -21,6 +21,7 @@ __all__ = [
     "singular_rank",
     "numerical_rank",
     "complete_rows",
+    "common_eigenbasis",
     "frob",
     "rel_residual",
     "dagger",
@@ -167,3 +168,39 @@ def complete_rows(row: np.ndarray, last: bool = False) -> np.ndarray:
     _, kernel = numerical_rank(row.conj().reshape(1, m))
     rows = [row.reshape(1, m), kernel.T]
     return np.vstack(rows[::-1] if last else rows)
+
+
+def common_eigenbasis(mats, tol: ToleranceConfig = DEFAULT_TOL):
+    """(u, diags) with u unitary and diags[k] the diagonal of u^dag mats[k] u,
+    or None when the family has no common eigenbasis within tolerance.
+
+    For a commuting normal family, z = sum_k e^{-ik} A_k, k = 1, 2, ..., is
+    normal and its eigenvectors diagonalize every member.  No rational
+    linear relation holds among the cos(k), sin(k) (e^i is transcendental),
+    so joint eigenvalues with integer structure do not collide in z.  u
+    starts as the eigenvectors of the Hermitian part of z, which resolve
+    two eigenvalues of z only as far as their real parts differ; one
+    first-order step with the complex diagonal of u^dag z u then makes
+    the error scale with the complex gaps.  The step leaves out a pair of
+    columns whose coupling is not below 1e-3 times their diagonal gap:
+    within a joint eigenspace any basis serves.  Each matrix's
+    off-diagonal mass in u is checked against its own norm, so a small
+    member is judged on its own scale; that one check tests normality and
+    commutation at once.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    k, n, _ = mats.shape
+    z = (np.exp(-1j * np.arange(1, k + 1)) @ mats.reshape(k, n * n)).reshape(n, n)
+    _, u = np.linalg.eigh(0.5 * (z + dagger(z)))
+    w = dagger(u) @ z @ u
+    gap = np.diagonal(w)[:, None] - np.diagonal(w)[None, :]
+    small = np.abs(w) < 1e-3 * np.abs(gap)
+    p, _, vh = np.linalg.svd(u - u @ np.where(small, w / np.where(small, gap, 1.0), 0.0))
+    u = p @ vh
+    conj = dagger(u) @ mats @ u
+    diags = np.diagonal(conj, axis1=1, axis2=2)
+    off = (conj - diags[:, :, None] * np.eye(n)).reshape(k, n * n)
+    if np.any(np.linalg.norm(off, axis=1)
+              > 100 * tol.residual_tol * np.linalg.norm(mats.reshape(k, n * n), axis=1)):
+        return None
+    return u, diags

@@ -1,6 +1,7 @@
 """The package's modules import each other at module level, in one direction,
-only linalg applies the rank cutoff and calls np.kron, and states counts
-ranks with psd_eigen.
+only linalg applies the rank cutoff and calls np.kron, states counts
+ranks with psd_eigen, and the common eigenbases of commuting normal block
+families come from linalg.common_eigenbasis.
 
 Reads the source with ast only (nothing is imported), so a cycle that
 an import inside a function would hide at load time is still reported.
@@ -85,3 +86,17 @@ def test_states_counts_ranks_only_through_psd_eigen():
              if isinstance(node, ast.Call) and "numerical_rank" in
              {getattr(node.func, "id", None), getattr(node.func, "attr", None)}]
     assert not calls, f"states.py calls numerical_rank at lines {calls}"
+
+
+def test_common_eigenbases_come_from_linalg():
+    # linalg.common_eigenbasis is the one owner of the commuting normal
+    # family's eigenbasis and of its tolerance; these callers do not
+    # diagonalize by themselves
+    modules = _modules()
+    for module, func_name in (("criteria", "_rank_n_products"), ("structure", "classical_side")):
+        func = next(node for node in ast.walk(modules[module])
+                    if isinstance(node, ast.FunctionDef) and node.name == func_name)
+        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                  for node in ast.walk(func) if isinstance(node, ast.Call)}
+        assert "common_eigenbasis" in called, f"{module}.{func_name} skips common_eigenbasis"
+        assert "eigh" not in called, f"{module}.{func_name} calls eigh"

@@ -59,6 +59,22 @@ def test_parse_errors_are_positioned(tmp_path):
         doc_to_object({"version": 9, "kind": "bipartite"})
     with pytest.raises(StateFileError, match="kind"):
         doc_to_object({"version": 1, "kind": "wat"})
+    one = [[[float(1).hex(), float(0).hex()]]]
+    zero = [float(0).hex(), float(0).hex()]
+    bad = [
+        ({"kind": "bipartite", "dims": [1, 1], "data": one, "tolerances": {"foo": 1}},
+         r"tolerances\.foo"),
+        ({"kind": "bipartite", "dims": [1, 1], "data": one, "tolerances": {"psd_tol": "abc"}},
+         r"tolerances\.psd_tol"),
+        ({"kind": "tripartite", "dims": [2, 2, 2], "data": None}, r"data:"),
+        ({"kind": "bipartite", "dims": [1, 1], "data": [5]}, r"data\[0\]"),
+        ({"kind": "bipartite", "dims": [1, 2], "data": [[zero, zero], [zero]]}, r"data\[1\]"),
+        ({"kind": "bipartite", "dims": [None, 1], "data": one}, r"dims"),
+        ({"kind": "bipartite", "dims": [1.5, 1], "data": one}, r"dims"),
+    ]
+    for doc, where in bad:
+        with pytest.raises(StateFileError, match=where):
+            doc_to_object({"version": 1, **doc})
 
 
 def test_non_psd_input_rejected(tmp_path):

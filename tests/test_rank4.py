@@ -370,36 +370,6 @@ def test_classify_state_returns_the_reduction_violation(monkeypatch):
     validate_certificate(state, cert)
 
 
-def test_simultaneous_diagonalization_residual(rng):
-    from entcert.linalg import dagger
-    from entcert.criteria import _simultaneous_diagonalize
-    from entcert.random_states import random_unitary
-
-    u = random_unitary(4, rng)
-    mats = [u @ np.diag(complex_gaussian(rng, 4)) @ dagger(u) for _ in range(3)]
-    basis = _simultaneous_diagonalize(mats, None)
-    for m in mats:
-        conj = dagger(basis) @ m @ basis
-        off = np.linalg.norm(conj - np.diag(np.diag(conj)))
-        assert off <= 1e-8 * np.linalg.norm(m)
-
-
-def test_simultaneous_diagonalization_degenerate(rng):
-    from entcert.linalg import dagger
-    from entcert.criteria import _simultaneous_diagonalize
-    from entcert.random_states import random_unitary
-
-    u = random_unitary(4, rng)
-    d1 = np.diag([1.0, 1.0, 2.0, 2.0]).astype(complex)   # degenerate
-    d2 = np.diag([3.0, 4.0, 5.0, 5.0]).astype(complex)   # splits the first pair
-    mats = [u @ d1 @ dagger(u), u @ d2 @ dagger(u)]
-    basis = _simultaneous_diagonalize(mats, None)
-    for m in mats:
-        conj = dagger(basis) @ m @ basis
-        off = np.linalg.norm(conj - np.diag(np.diag(conj)))
-        assert off <= 1e-8 * np.linalg.norm(m)
-
-
 def test_decide_rank4_ilo_invariance_100_fixtures(rng):
     # verdict class is stable under random invertible local conjugation
     fixtures = []

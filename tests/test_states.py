@@ -6,12 +6,15 @@ from entcert.analyze import classify_state
 from entcert.certificates import Distillable, Separable, validate_certificate
 from entcert.criteria import restrict_to_local_ranges
 from entcert.families import make_antisymmetric
-from entcert.linalg import ToleranceConfig, hermitian_eigen, kron, numerical_rank
+from entcert.linalg import (
+    ToleranceConfig, common_eigenbasis, dagger, hermitian_eigen, kron, numerical_rank,
+)
 from entcert.random_states import (
     complex_gaussian,
     random_invertible,
     random_pure,
     random_rank_r_state,
+    random_unitary,
 )
 from entcert.states import (
     BipartiteState,
@@ -110,6 +113,68 @@ def test_kron_with_identity_operands_matches_np_kron(rng):
 def test_kron_rejects_mixed_ranks():
     with pytest.raises(ValueError, match="two vectors or two matrices"):
         kron(np.ones(2), np.eye(2))
+
+
+def _conjugated(rng, diagonals):
+    u = random_unitary(len(diagonals[0]), rng)
+    return [u @ np.diag(np.asarray(d, dtype=complex)) @ dagger(u) for d in diagonals]
+
+
+def _noisy_normal(rng, lam):
+    c, = _conjugated(rng, [lam])
+    return [c + 1e-12 * complex_gaussian(rng, (3, 3))]
+
+
+# Hermitian-part eigenvalues 1e-7 apart, separated by the anti-Hermitian
+# part, plus input noise: eigenvectors of the Hermitian part alone would
+# carry noise / gap into the off-diagonal.
+_CLOSE_HERMITIAN_GAP = [0.3 + 0.5j, 0.3 + 1e-7 - 0.5j, -0.7 + 0.1j]
+# Two eigenvalues 1.0 apart whose projections onto the helper's fixed
+# combination (real part of e^{-i} lambda) are 1e-6 apart.
+_CLOSE_PROJECTED_GAP = [0.3 + 0.5j, 0.3 + 0.5j + np.exp(1j) * (1j + 1e-6), -1.0]
+
+
+def _non_normal(rng):
+    u = random_unitary(3, rng)
+    return [u @ np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]) @ dagger(u)]
+
+
+def _hermitian(rng, n):
+    x = complex_gaussian(rng, (n, n))
+    return x + dagger(x)
+
+
+_FAMILIES = {
+    "residual": lambda rng: _conjugated(rng, [complex_gaussian(rng, 4) for _ in range(3)]),
+    "degenerate": lambda rng: _conjugated(rng, [[1.0, 1.0, 2.0, 2.0],    # degenerate
+                                                [3.0, 4.0, 5.0, 5.0]]),  # splits the first pair
+    "close-hermitian-gap": lambda rng: _noisy_normal(rng, _CLOSE_HERMITIAN_GAP),
+    "close-projected-gap": lambda rng: _noisy_normal(rng, _CLOSE_PROJECTED_GAP),
+    # joint eigenvalues (2i, 0) and (0, i) collide in a combination that
+    # weighs Im(A_1) twice as much as Im(A_0)
+    "integer-spectra": lambda rng: _conjugated(rng, [[2j, 0.0, 1.0], [0.0, 1j, 1.0]]),
+    "non-normal": _non_normal,
+    "non-commuting": lambda rng: [_hermitian(rng, 3), _hermitian(rng, 3)],
+    # a member far below the largest norm is judged on its own scale
+    "non-normal-small-member": lambda rng: _conjugated(rng, [[1.0, 2.0, 3.0]])
+                                           + [1e-7 * _non_normal(rng)[0]],
+}
+
+
+@pytest.mark.parametrize("case", list(_FAMILIES))
+def test_common_eigenbasis(case, rng):
+    for _ in range(50):
+        mats = _FAMILIES[case](rng)
+        found = common_eigenbasis(mats)
+        if case.startswith("non-"):
+            assert found is None
+            continue
+        u, diags = found
+        assert np.allclose(dagger(u) @ u, np.eye(len(u)), atol=1e-12)
+        for c, d in zip(mats, diags):
+            conj = dagger(u) @ c @ u
+            assert np.allclose(np.diag(conj), d, rtol=0.0, atol=1e-12 * np.linalg.norm(c))
+            assert np.linalg.norm(conj - np.diag(d)) <= 1e-10 * np.linalg.norm(c)
 
 
 def test_partial_transpose_product_state(rng):

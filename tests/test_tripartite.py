@@ -119,6 +119,18 @@ def test_ghz_test_false_on_generic(rng):
         assert not ok
 
 
+@pytest.mark.parametrize("eps", [2e-4, 5e-4, 1e-3])
+def test_ghz_test_false_on_near_ghz_with_small_entangled_block(eps):
+    # c|000> + eps |Phi+>_AB |1>_C: rho_AB's off-diagonal B-block is
+    # (eps^2/2)|0><1|, non-normal on its own scale but far below the
+    # largest block, and rho_AB^Gamma has eigenvalue -eps^2/2.  Both
+    # routes must call it not GHZ.
+    amp = np.zeros((2, 2, 2), dtype=complex)
+    amp[0, 0, 0] = np.sqrt(1.0 - eps ** 2)
+    amp[0, 0, 1] = amp[1, 1, 1] = eps / np.sqrt(2.0)
+    assert ghz_test(TripartitePure((2, 2, 2), amp.reshape(-1)), rng=1) == (False, None)
+
+
 def test_no_two_ppt_entangled_reductions(rng):
     # the headline constraint: both pairs PPT forces both separable
     for _ in range(40):
