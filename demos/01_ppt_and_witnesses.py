@@ -27,7 +27,7 @@ rho = BipartiteState.from_vectors(2, 2, [bell])
 flag, min_eig = is_ppt(rho)
 print(f"Bell pair: PPT = {flag}, min eigenvalue of rho^Gamma = {min_eig:+.3f}")
 
-w = schmidt2_witness(rho, rng=0)
+w = schmidt2_witness(rho)
 print(f"  Schmidt-rank-2 witness value  <psi|rho^G|psi> = {w.value:+.3f}")
 print(f"  re-validated from the state:  {validate_witness(rho, w):+.3f}")
 
@@ -39,7 +39,7 @@ print(f"  reduction criterion violated: {violated} "
 sep = random_product_sum(3, 3, 6, rng=1)
 print(f"\nrandom separable 3x3 state: PPT = {is_ppt(sep)[0]}, "
       f"trivial witness = {trivially_distillable(sep)}, "
-      f"schmidt2 witness = {schmidt2_witness(sep, budget=16, rng=0)}")
+      f"schmidt2 witness = {schmidt2_witness(sep)}")
 
 # --- trivial distillability: a 2x2 principal submatrix of rho^Gamma -------
 v1 = np.array([1, 0, 0, 0.5], complex)
@@ -54,13 +54,13 @@ print("\nWerner family I + phi*SWAP on 3x3:")
 for phi in (-0.2, -0.4, -0.8):
     state = make_werner(3, phi)
     flag, _ = is_ppt(state)
-    w = schmidt2_witness(state, budget=64, rng=0)
+    w = schmidt2_witness(state)
     found = "found" if w is not None else "none "
     print(f"  phi = {phi:+.1f}: PPT = {str(flag):5s}  schmidt2 witness: {found}"
           + ("  <- NPT but 1-undistillable window" if not flag and w is None else ""))
 
 # --- the antisymmetric state: NPT, caught by schmidt2 ----------------------
 ras = make_antisymmetric(3)
-w = schmidt2_witness(ras, rng=0)
+w = schmidt2_witness(ras)
 print(f"\nantisymmetric two-qutrit state: NPT = {not is_ppt(ras)[0]}, "
       f"witness value {w.value:+.3f}")

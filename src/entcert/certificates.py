@@ -50,13 +50,15 @@ def lift_through_local(psi: np.ndarray, a: np.ndarray | None, b: np.ndarray | No
     """Pull a witness vector on tau = (A (x) B) rho (A (x) B)^dag back to rho.
 
     <psi| tau^G |psi> = <phi| rho^G |phi> for phi = (A^T (x) B^dag) psi,
-    where G transposes the A factor.  dims are (dim_a, dim_b) of tau.
+    where G transposes the A factor.  dims are (dim_a, dim_b) of tau.  A
+    2-d psi is lifted column by column.
     """
     ma, mb = dims
     a = np.eye(ma, dtype=complex) if a is None else np.asarray(a, dtype=complex)
     b = np.eye(mb, dtype=complex) if b is None else np.asarray(b, dtype=complex)
     op = kron(a.T, dagger(b))
-    return op @ np.asarray(psi, dtype=complex).reshape(-1)
+    psi = np.asarray(psi, dtype=complex)
+    return op @ (psi if psi.ndim == 2 else psi.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 Implements the PPT test, the reduction criterion, trivial distillability
 (2x2 principal submatrices of rho^G), left/right full-rank properties,
-Schmidt-rank-2 witness searches, and the certified classification of
-states whose rank equals the maximum local rank: both halves of that
-theorem (PPT -> exactly N products, NPT -> a 2xN projection witness)
-run in a `Frame`, which compresses a state onto its local ranges,
-orients it to M <= N and maps the results back.
+the Schmidt-rank-2 scan of the coordinate 2xN blocks of rho^G, and the
+certified classification of states whose rank is at most the maximum
+local rank.  Below it, the reduction-criterion proof builds the witness
+with no search.  At it, both halves of the theorem (PPT -> exactly N
+products, NPT -> a 2xN projection witness) run in a `Frame`, which
+compresses a state onto its local ranges, orients it to M <= N and maps
+the results back.
 """
 
 from __future__ import annotations
@@ -27,13 +29,12 @@ from .certificates import (
     UndecidableError,
     lift_through_local,
     validate_certificate,
-    validate_witness,
 )
 from .linalg import (
     DEFAULT_TOL, common_eigenbasis, complete_rows, dagger, frob, kron, numerical_rank, psd_eigen,
     psd_range, singular_rank,
 )
-from .random_states import as_rng, complex_gaussian, unit_disc
+from .random_states import as_rng, unit_disc
 from .states import (
     BipartiteState,
     BlockForm,
@@ -89,12 +90,9 @@ def reduction_criterion(state: BipartiteState):
     best = None
     for side, op in ops.items():
         w, v = np.linalg.eigh(0.5 * (op + dagger(op)))
-        if w[0] < -thr and (best is None or w[0] < best[2]):
-            best = (side, v[:, 0], float(w[0]))
-    if best is None:
-        return False, None
-    side, vec, val = best
-    return True, ReductionViolationWitness(side=side, eigenvector=vec, value=val)
+        if w[0] < -thr and (best is None or w[0] < best.value):
+            best = ReductionViolationWitness(side=side, eigenvector=v[:, 0], value=float(w[0]))
+    return best is not None, best
 
 
 def trivially_distillable(state: BipartiteState):
@@ -296,49 +294,63 @@ def _full_rank_from_blocks(blocks: BlockForm, side, rng, tol, budget=64, lift=No
     return FullRankResult(side, False, None, None, budget, bound)
 
 
-def _coordinate_pair_witness(state: BipartiteState):
-    """Best Schmidt-rank-2 witness over all coordinate A-index pairs."""
+def schmidt2_witness(state: BipartiteState):
+    """The most negative <psi| rho^G |psi> over the 2 (x) N coordinate blocks.
+
+    Each pair of A levels spans a block of rho^G whose lowest eigenvector
+    has Schmidt rank <= 2; with dim_b == 2 the whole space is one such
+    block.  Returns a SchmidtRank2Witness, or None.  None proves PPT when
+    a side has 2 levels and is no claim otherwise.
+    """
     g = partial_transpose(state)
     n = state.dim_b
     thr = state.tol.negativity_floor(state.spectral_norm)
+    blocks = ([np.arange(g.shape[0])] if n == 2 else
+              [np.r_[k * n:(k + 1) * n, l * n:(l + 1) * n]
+               for k, l in combinations(range(state.dim_a), 2)])
     best = None
-    for k, l in combinations(range(state.dim_a), 2):
-        idx = np.r_[k * n:(k + 1) * n, l * n:(l + 1) * n]
-        sub = g[np.ix_(idx, idx)]
-        w, v = np.linalg.eigh(sub)
-        if w[0] < -thr and (best is None or w[0] < best[0]):
+    for idx in blocks:
+        w, v = np.linalg.eigh(g[np.ix_(idx, idx)])
+        if w[0] < -thr and (best is None or w[0] < best.value):
             vec = np.zeros(g.shape[0], dtype=complex)
             vec[idx] = v[:, 0]
-            best = (float(w[0]), vec)
+            best = SchmidtRank2Witness(vector=vec, value=float(w[0]))
     return best
 
 
-def schmidt2_witness(state: BipartiteState, budget: int = 256, rng=7):
-    """Search for psi of Schmidt rank 2 with <psi| rho^G |psi> < 0.
+def _reduction_pair_witness(state: BipartiteState) -> SchmidtRank2Witness:
+    """Schmidt-rank-2 witness from a reduction-criterion violation [hst03].
 
-    All coordinate A-index pairs are tried first (projections of rho^G
-    onto 2 (x) N blocks), then random orthonormal 2-frames up to the
-    budget.  Returns a witness or None; None is no claim, not a PPT
-    proof.
+    Write the violating psi as (K (x) 1) Phi, Phi = sum_i |ii> (side A;
+    B is the mirror image).  sigma = (K^dag (x) 1) rho (K (x) 1) has
+    tr sigma - <Phi| sigma |Phi> = <psi| rho_A (x) 1 - rho |psi> < 0, a
+    sum of <chi| sigma^G |chi> over chi = |ij> - |ji>, i < j.  The most
+    negative chi, lifted through K^dag, is returned; a state that
+    satisfies the criterion raises UndecidableError.
     """
-    rng = as_rng(rng)
-    thr = state.tol.negativity_floor(state.spectral_norm)
-    m, n = state.dim_a, state.dim_b
-    best = _coordinate_pair_witness(state)
-    if best is not None:
-        value, vec = best
-        return SchmidtRank2Witness(vector=vec, value=value)
-    if m < 3:
-        return None  # coordinate pair already covered the whole space
-    g = partial_transpose(state)
-    for _ in range(budget):
-        frame = np.linalg.qr(complex_gaussian(rng, (m, 2)))[0]
-        comp = kron(frame.T, np.eye(n)) @ g @ kron(frame.conj(), np.eye(n))
-        w, v = np.linalg.eigh(0.5 * (comp + dagger(comp)))
-        if w[0] < -thr:
-            vec = kron(frame.conj(), np.eye(n)) @ v[:, 0]
-            return SchmidtRank2Witness(vector=vec, value=float(w[0]))
-    return None
+    violated, rv = reduction_criterion(state)
+    if not violated:
+        raise UndecidableError(
+            "rank below the max local rank violates the reduction criterion, "
+            "but the state satisfies it; inconsistent input")
+    psi = rv.eigenvector.reshape(state.dim_a, state.dim_b)
+    k_op = psi if rv.side == "A" else psi.T
+    d = k_op.shape[1]
+    e = np.eye(d)
+    chis = np.array([kron(e[i], e[j]) - kron(e[j], e[i]) for i, j in combinations(range(d), 2)]).T
+    ops = (dagger(k_op), None) if rv.side == "A" else (None, dagger(k_op))
+    vecs = lift_through_local(chis, *ops, (d, d))
+    vecs = vecs / np.maximum(np.linalg.norm(vecs, axis=0), 1.0e-300)
+    values = np.real(np.sum(vecs.conj() * (partial_transpose(state) @ vecs), axis=0))
+    best = int(np.argmin(values))
+    return SchmidtRank2Witness(vector=vecs[:, best], value=float(values[best]))
+
+
+def _validated(state: BipartiteState, witness) -> Distillable:
+    """Distillable(witness), re-validated against state."""
+    cert = Distillable(witness)
+    validate_certificate(state, cert)
+    return cert
 
 
 def _pair_state(c_block: np.ndarray, tol) -> BipartiteState:
@@ -375,11 +387,11 @@ def _distill_rank_max(state, rng):
     frp = _full_rank_from_blocks(blocks, "right", as_rng(rng), state.tol)
     if not frp.holds:
         # violating a full-rank property already implies 1-distillability
-        w = trivially_distillable(state) or schmidt2_witness(state, rng=rng)
+        w = trivially_distillable(state) or schmidt2_witness(state)
         if w is None:
             raise UndecidableError(
-                "state violates the right full-rank property but the witness "
-                "search budget was exhausted")
+                "state violates the right full-rank property but no coordinate "
+                "2xN block of rho^G is negative")
         return w
 
     if frp.witness is None:
@@ -501,37 +513,26 @@ def separable_decomposition_rank_n(state: BipartiteState, rng=7):
     return products
 
 
-def classify_rank_le_max(state: BipartiteState, rng=7, budget: int = 256) -> Certificate:
+def classify_rank_le_max(state: BipartiteState, rng=7) -> Certificate:
     """Full classification for states of rank at most the max local rank.
 
-    Rank below the max local rank: distillable (witness searched).  Rank
-    equal to it: PPT implies separable with exactly N products; NPT
-    yields a validated 2xN projection witness via the constructive
-    procedure.  Search-budget exhaustion raises, it never returns
+    Rank below the max local rank: distillable, with the Schmidt-rank-2
+    witness the reduction-criterion proof constructs.  Rank equal to it:
+    PPT implies separable with exactly N products; NPT yields a
+    validated 2xN projection witness via the constructive procedure.
+    A construction that fails raises a named error; it never returns
     Undecided.
     """
-    frame = Frame.local(state)
-    work = frame.work
-    n = work.dim_b
-    r = work.rank()
+    r, n = state.rank(), max(state.local_ranks())
     if r > n:
         raise ValueError(
             f"rank {r} exceeds max local rank {n}; use decide_rank4 "
             "or the general analysis for such states")
-
-    ppt, min_eig = is_ppt(work)
     if r < n:
-        if ppt:
-            raise UndecidableError(
-                "rank below the max local rank forces NPT, but the state "
-                f"tests PPT (min eig {min_eig:.3e}); inconsistent input")
-        w = trivially_distillable(work) or schmidt2_witness(work, budget=max(budget, 256), rng=rng)
-        if w is None:
-            raise UndecidableError(
-                "distillability is guaranteed at this rank but the witness "
-                f"search budget ({budget}) was exhausted")
-        return frame.lift(Distillable(w))
-    if ppt:
+        return _validated(state, _reduction_pair_witness(state))
+    frame = Frame.local(state)
+    work = frame.work
+    if is_ppt(work)[0]:
         return frame.lift(Separable(products=tuple(_rank_n_products(work, rng))))
     return frame.lift(Distillable(_distill_rank_max(work, rng)))
 
@@ -619,5 +620,4 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
     witness = TwoByNProjectionWitness(
         a_columns=dagger(a_chain), b_operator=np.asarray(b_chain),
         x=None, vector=vec, value=tw.value)
-    validate_witness(state, witness)
-    return Distillable(witness)
+    return _validated(state, witness)

@@ -179,20 +179,29 @@ def common_eigenbasis(mats, tol: ToleranceConfig = DEFAULT_TOL):
     linear relation holds among the cos(k), sin(k) (e^i is transcendental),
     so joint eigenvalues with integer structure do not collide in z.  u
     starts as the eigenvectors of the Hermitian part of z, which resolve
-    two eigenvalues of z only as far as their real parts differ; one
-    first-order step with the complex diagonal of u^dag z u then makes
-    the error scale with the complex gaps.  The step leaves out a pair of
-    columns whose coupling is not below 1e-3 times their diagonal gap:
-    within a joint eigenspace any basis serves.  Each matrix's
-    off-diagonal mass in u is checked against its own norm, so a small
-    member is judged on its own scale; that one check tests normality and
-    commutation at once.
+    two eigenvalues of z only as far as their real parts differ.  A pair
+    of columns whose coupling in w = u^dag z u reaches 1e-6 times their
+    diagonal gap (real parts within ~1e6 noise levels) is rotated onto
+    the eigenvectors of its 2x2 block.  One first-order step with the
+    complex diagonal of w then makes the error scale with the complex
+    gaps; it leaves out a pair whose coupling is not below 1e-3 times
+    its gap, since within a joint eigenspace any basis serves.  Each
+    matrix's off-diagonal mass in u is checked against its own norm, so
+    a small member is judged on its own scale; that one check tests
+    normality and commutation at once.
     """
     mats = np.asarray(mats, dtype=complex)
     k, n, _ = mats.shape
     z = (np.exp(-1j * np.arange(1, k + 1)) @ mats.reshape(k, n * n)).reshape(n, n)
     _, u = np.linalg.eigh(0.5 * (z + dagger(z)))
     w = dagger(u) @ z @ u
+    gap = np.diagonal(w)[:, None] - np.diagonal(w)[None, :]
+    for pair in np.argwhere(np.triu(np.abs(w) >= 1e-6 * np.abs(gap), 1)):
+        # eigenvectors of the normal 2x2 block, orthonormalized
+        g = np.linalg.qr(np.linalg.eig(w[np.ix_(pair, pair)])[1])[0]
+        u[:, pair] = u[:, pair] @ g
+        w[:, pair] = w[:, pair] @ g
+        w[pair, :] = dagger(g) @ w[pair, :]
     gap = np.diagonal(w)[:, None] - np.diagonal(w)[None, :]
     small = np.abs(w) < 1e-3 * np.abs(gap)
     p, _, vh = np.linalg.svd(u - u @ np.where(small, w / np.where(small, gap, 1.0), 0.0))

@@ -11,8 +11,8 @@ contains a product vector.  The decision tree:
   range's product vectors diagonalize it; an NPT state enters a
   gauge-fixing cascade that ends in a trivially distillable projection;
 * PPT with no product vector in range: PPT entangled;
-* NPT with no product vector in range: witness search only; its
-  failure is surfaced as undecidable, not as a verdict.
+* NPT with no product vector in range: the coordinate 2x3 scan of
+  rho^G only; its failure is surfaced as undecidable, not as a verdict.
 
 Also hosts the peeling decomposition for two-level-by-N PPT states
 (Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302 (2000)), whose
@@ -40,11 +40,11 @@ from .certificates import (
     Undecided,
     lift_through_local,
     validate_certificate,
-    validate_witness,
 )
 from .criteria import (
     Frame,
     _rank_n_products,
+    _validated,
     classify_rank_le_max,
     is_ppt,
     reduction_criterion,
@@ -61,7 +61,7 @@ from .product_search import (
     product_in_both_ranges,
     rank_one_in_span,
 )
-from .random_states import as_rng
+from .random_states import as_rng, complex_gaussian
 from .states import (
     BipartiteState,
     _block_form_from_range,
@@ -290,8 +290,7 @@ def _pair_verdict(gauge: _Gauge, i, j, original, trail, tag):
             f"onto A-levels ({i}, {j}) but the scan found none")
     vec = gauge.lift_from_pair(tw.vector, i, j)
     witness = SchmidtRank2Witness(vector=vec, value=tw.value)
-    validate_witness(original, witness)
-    return Rank4Verdict(Distillable(witness), trail + (tag, "trivial-submatrix"))
+    return Rank4Verdict(_validated(original, witness), trail + (tag, "trivial-submatrix"))
 
 
 def _sector_is_rank1(sector) -> bool:
@@ -328,8 +327,7 @@ def _rank1_sector_path(gauge: _Gauge, x, original, rng, trail):
                 "rank-1 sector gauge has off-diagonal mass but no trivial "
                 "submatrix was found")
         witness = SchmidtRank2Witness(vector=gauge.lift(tw.vector), value=tw.value)
-        validate_witness(original, witness)
-        return Rank4Verdict(Distillable(witness),
+        return Rank4Verdict(_validated(original, witness),
                             trail + ("sector-rank-1", "trivial-submatrix"))
 
     sigma = gauge.entry(0, 0, 0)
@@ -346,8 +344,7 @@ def _rank1_sector_path(gauge: _Gauge, x, original, rng, trail):
     if isinstance(cert, Distillable):
         w = side.lift_witness(cert.witness)
         witness = SchmidtRank2Witness(vector=gauge.lift(w.vector), value=w.value)
-        validate_witness(original, witness)
-        return Rank4Verdict(Distillable(witness), sub_trail)
+        return Rank4Verdict(_validated(original, witness), sub_trail)
     if isinstance(cert, Separable):
         products = gauge.lift_products(side.lift_products(cert.products))
         outcome = Separable(products=tuple(products))
@@ -405,15 +402,11 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
     cols = [1, 2, 4, 5, 7, 8]
     w_sub = g.w[:, cols]
     tau = BipartiteState(3, 2, dagger(w_sub) @ w_sub, tol)
-    tau_ppt, _ = is_ppt(tau)
-    if not tau_ppt:
-        gam = partial_transpose(tau)
-        wg, vg = np.linalg.eigh(gam)
-        inner = lift_through_local(vg[:, 0], None, sel_b, (3, 2))
-        witness = SchmidtRank2Witness(vector=g.lift(inner), value=float(wg[0]))
-        validate_witness(state, witness)
-        return Rank4Verdict(Distillable(witness),
-                            trail + ("projected-b-pair-npt",))
+    w = schmidt2_witness(tau)  # complete on 3x2: None means PPT
+    if w is not None:
+        inner = lift_through_local(w.vector, None, sel_b, (3, 2))
+        witness = SchmidtRank2Witness(vector=g.lift(inner), value=w.value)
+        return Rank4Verdict(_validated(state, witness), trail + ("projected-b-pair-npt",))
 
     products = _ppt_products(tau, rng)
     if len(products) > 3:
@@ -642,11 +635,11 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
             products = _ppt_products(restricted, rng)
             return Rank4Verdict(Separable(products=tuple(products)),
                                 ("small-locals", "peeling"))
-        w = trivially_distillable(restricted) or schmidt2_witness(restricted, rng=rng)
+        w = trivially_distillable(restricted) or schmidt2_witness(restricted)
         if w is None:
             raise UndecidableError(
-                "NPT state with a 2-level side must be 1-distillable "
-                "but the witness search failed")
+                "NPT state with a 2-level side must be 1-distillable, but "
+                "the scan of its 2xN blocks found no negative direction")
         return Rank4Verdict(Distillable(w), ("small-locals",))
 
     # (a) reducibility, B side then A side
@@ -690,23 +683,32 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
         return Rank4Verdict(
             PptEntangled(min_eig_gamma=min_eig, product_search_report=report),
             ("no-product-in-range",))
-    w = schmidt2_witness(restricted, rng=rng)
+    w = schmidt2_witness(restricted)
     if w is not None:
         return Rank4Verdict(Distillable(w), ("no-product-in-range", "schmidt2-search"))
     raise UndecidableError(
-        "NPT 3x3 rank-4 state with no product vector in its range and an "
-        "exhausted witness search; distillability here is an open question "
-        "and no verdict is returned. " + report)
+        "NPT 3x3 rank-4 state with no product vector in its range and no "
+        "negative coordinate 2x3 block; distillability here is an open "
+        "question and no verdict is returned. " + report)
 
 
 # ---------------------------------------------------------------------------
 # top-level classification
 # ---------------------------------------------------------------------------
 
-def _validated(state, witness) -> Certificate:
-    cert = Distillable(witness)
-    validate_certificate(state, cert)
-    return cert
+def _random_frame_witness(state: BipartiteState, budget, rng):
+    """Schmidt-rank-2 witness on the first of up to budget random A
+    2-frames whose 2 (x) N block of rho^G is negative; None is no claim."""
+    m, n = state.dim_a, state.dim_b
+    rng, g = as_rng(rng), partial_transpose(state)
+    thr = state.tol.negativity_floor(state.spectral_norm)
+    for _ in range(budget):
+        lift = kron(np.linalg.qr(complex_gaussian(rng, (m, 2)))[0].conj(), np.eye(n))
+        comp = dagger(lift) @ g @ lift
+        w, v = np.linalg.eigh(0.5 * (comp + dagger(comp)))
+        if w[0] < -thr:
+            return SchmidtRank2Witness(vector=lift @ v[:, 0], value=float(w[0]))
+    return None
 
 
 def classify_state(state: BipartiteState, rng=7, budget: int = 256) -> Certificate:
@@ -716,11 +718,13 @@ def classify_state(state: BipartiteState, rng=7, budget: int = 256) -> Certifica
     max local rank is fully classified; rank 4 goes through the rank-4
     decision tree; everything else runs the criteria battery plus the
     B-direct decomposition and reports the strongest certified verdict.
+    Only that last branch searches at random (budget 2-frames), because
+    only there is a failed search reported as Undecided.
     """
     ra, rb = state.local_ranks()
     r = state.rank()
     if r <= max(ra, rb):
-        return classify_rank_le_max(state, rng=rng, budget=budget)
+        return classify_rank_le_max(state, rng=rng)
     if r == 4:
         return decide_rank4(state, rng=rng).outcome
 
@@ -731,7 +735,8 @@ def classify_state(state: BipartiteState, rng=7, budget: int = 256) -> Certifica
             return Separable(products=tuple(_ppt_products(state, rng)))
         return Ppt(min_eig_gamma=min_eig)
 
-    w = trivially_distillable(state) or schmidt2_witness(state, budget=budget, rng=rng)
+    w = (trivially_distillable(state) or schmidt2_witness(state)
+         or _random_frame_witness(state, budget, rng))
     if w is not None:
         return _validated(state, SchmidtRank2Witness(vector=w.vector, value=w.value))
     violated, rw = reduction_criterion(state)

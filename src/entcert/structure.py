@@ -22,9 +22,8 @@ from .certificates import (
     Separable,
     Undecided,
     lift_through_local,
-    validate_witness,
 )
-from .criteria import Frame, is_ppt, left_pencil, trivially_distillable
+from .criteria import Frame, _validated, is_ppt, left_pencil, trivially_distillable
 from .linalg import (
     DEFAULT_TOL, ToleranceConfig, check_hermitian, common_eigenbasis, complete_rows, dagger, frob,
     numerical_rank, psd_range,
@@ -233,9 +232,7 @@ def aggregate(state: BipartiteState, decomp: BDirectDecomposition,
     n = decomp.components[0].dim_b
     for idx, cert in enumerate(verdicts):
         if isinstance(cert, Distillable):
-            witness = _lift_component_witness(decomp, idx, cert.witness, (m, n))
-            validate_witness(state, witness)
-            return Distillable(witness)
+            return _validated(state, _lift_component_witness(decomp, idx, cert.witness, (m, n)))
     if any(isinstance(c, Undecided) for c in verdicts):
         reports = [c.report for c in verdicts if isinstance(c, Undecided)]
         return Undecided(report="undecided components: " + "; ".join(reports))
@@ -292,9 +289,7 @@ def common_kernel_distill(state: BipartiteState, rng=11, restarts: int = 40):
         raise RuntimeError(
             "common-kernel construction did not produce a trivially "
             "distillable gauge; numerical inconsistency")
-    witness = frame.lift_witness(tw, t_op, b_op)
-    validate_witness(state, witness)
-    return Distillable(witness)
+    return _validated(state, frame.lift_witness(tw, t_op, b_op))
 
 
 def classical_side(state: BipartiteState, side: str = "B"):

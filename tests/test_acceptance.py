@@ -192,7 +192,7 @@ def test_criterion_04_incomparability():
     violated, witness = reduction_criterion(two_term)
     assert violated
     assert validate_witness(two_term, witness) < -1e-10
-    assert schmidt2_witness(two_term, rng=rng) is not None  # 1-distillable
+    assert schmidt2_witness(two_term) is not None  # 1-distillable
     report("criterion 4 (incomparability)",
            "antisymmetric: full-rank yes / reduction no; two-term 2x2: "
            "full-rank no / reduction yes, witness validated")

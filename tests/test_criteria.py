@@ -5,7 +5,10 @@ from entcert import criteria
 from entcert.analyze import classify_state
 from entcert.certificates import (
     Distillable,
+    SchmidtRank2Witness,
     Separable,
+    UndecidableError,
+    validate_certificate,
     validate_witness,
 )
 from entcert.criteria import (
@@ -25,6 +28,7 @@ from entcert.random_states import (
     random_invertible,
     random_product_sum,
     random_rank_r_state,
+    random_unitary,
 )
 from entcert.states import (
     BipartiteState,
@@ -169,19 +173,19 @@ def test_frp_shortcut_low_rank(rng):
 
 
 def test_schmidt2_witness_bell():
-    w = schmidt2_witness(bell_projector(), rng=1)
+    w = schmidt2_witness(bell_projector())
     assert w is not None
     assert abs(w.value + 1.0) < 1e-12
 
 
 def test_schmidt2_witness_ppt_none(rng):
     state = random_product_sum(3, 3, 6, rng)
-    assert schmidt2_witness(state, budget=16, rng=rng) is None
+    assert schmidt2_witness(state) is None
 
 
 def test_schmidt2_witness_antisymmetric():
     state = make_antisymmetric(3)
-    w = schmidt2_witness(state, rng=1)
+    w = schmidt2_witness(state)
     assert w is not None
     assert validate_witness(state, w) < -1e-10
 
@@ -192,6 +196,35 @@ def test_classify_rank_below_max_distillable(rng):
         cert = classify_rank_le_max(state, rng=rng)
         assert isinstance(cert, Distillable)
         assert validate_witness(state, cert.witness) < -1e-10
+
+
+def test_rank_below_max_witness_is_constructed_from_the_reduction_violation():
+    # every shape 2..5 x 2..5 and every rank below the max local rank,
+    # rank-1 (entangled pure) states included; odd ranks are padded into
+    # larger carriers.  The witness comes from the violated side of the
+    # reduction criterion, and both sides occur.
+    rng = np.random.default_rng(31)
+    sides = set()
+    for m in range(2, 6):
+        for n in range(2, 6):
+            for r in range(1, max(m, n)):
+                state = random_rank_r_state(m, n, r, rng)
+                if r % 2:
+                    state = apply_local(state, random_unitary(m + 1, rng)[:, :m],
+                                        random_unitary(n + 2, rng)[:, :n])
+                sides.add(reduction_criterion(state)[1].side)
+                cert = classify_rank_le_max(state, rng=rng)
+                assert isinstance(cert.witness, SchmidtRank2Witness)
+                validate_certificate(state, cert)
+    assert sides == {"A", "B"}
+
+
+def test_rank_below_max_without_a_reduction_violation_raises(monkeypatch):
+    # [hst03] rules this out; a state that seems to contradict it is
+    # reported as inconsistent input, never given a verdict
+    monkeypatch.setattr(criteria, "reduction_criterion", lambda s: (False, None))
+    with pytest.raises(UndecidableError, match="reduction criterion"):
+        classify_rank_le_max(bell_projector())
 
 
 def test_classify_rank_max_ppt_separable(rng):
@@ -253,7 +286,7 @@ def test_reduction_violation_implies_schmidt2(rng):
         violated, _ = reduction_criterion(state)
         if not violated:
             continue
-        assert schmidt2_witness(state, rng=rng) is not None
+        assert schmidt2_witness(state) is not None
         found += 1
 
 
@@ -323,7 +356,7 @@ def test_ppt_states_pass_all_distillability_criteria(rng):
         assert is_ppt(state)[0]
         assert not reduction_criterion(state)[0]
         assert trivially_distillable(state) is None
-        assert schmidt2_witness(state, budget=8, rng=rng) is None
+        assert schmidt2_witness(state) is None
         assert full_rank_property(state, "right", rng=rng).holds
         assert full_rank_property(state, "left", rng=rng).holds
 

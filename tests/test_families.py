@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from entcert import families
 from entcert.certificates import (
     Distillable,
     Separable,
     validate_witness,
 )
-from entcert.criteria import full_rank_property, is_ppt, schmidt2_witness
+from entcert.criteria import full_rank_property, is_ppt, schmidt2_witness, trivially_distillable
 from entcert.families import (
     CheckerboardParams,
     checkerboard_ppt_instance,
@@ -106,6 +109,56 @@ def test_classify_checkerboard_npt_sample(rng):
         hits += 1
 
 
+def _moved_ppt_checkerboard(base, name, delta):
+    """checkerboard_ppt_instance(base) with parameter name moved by delta."""
+    params, _ = checkerboard_ppt_instance(base)
+    return make_checkerboard(replace(params, **{name: getattr(params, name) + delta}))
+
+
+def test_classify_checkerboard_certifies_near_ppt_corpus():
+    # one parameter of a PPT instance moved by 10^U(-6, -1): the trivial
+    # scan and the fixed-grid sweep certify every NPT item
+    rng = np.random.default_rng(11)
+    names = ["a", "c", "f", "g", "h", "k", "l", "n", "r", "s"]
+    n_npt = 0
+    for s in range(200):
+        delta = 10 ** rng.uniform(-6, -1) * np.exp(2j * np.pi * rng.uniform())
+        state = _moved_ppt_checkerboard(s % 20, names[rng.integers(len(names))], delta)
+        if is_ppt(state)[0]:
+            continue
+        n_npt += 1
+        cert = classify_checkerboard(state, rng=s)
+        assert isinstance(cert, Distillable)
+        assert validate_witness(state, cert.witness) < 0
+    assert n_npt > 150
+
+
+@pytest.mark.parametrize("base, name, delta, needed, before", [
+    # every x = 1 compression has min eigenvalue above -0.3 of the floor
+    (19, "n", -5.480144811559844e-07 + 3.8176964608448576e-07j, -1.0, [1.0]),
+    # x = 1 and x = -1 give above -0.5 of the floor, x = i -3.1 floors
+    (15, "r", -1.5893325497173698e-07 - 4.883525187019638e-08j, 1.0j, [1.0, -1.0]),
+])
+def test_projection_sweep_needs_more_than_x_equal_1(monkeypatch, base, name, delta,
+                                                    needed, before):
+    state = _moved_ppt_checkerboard(base, name, delta)
+    assert not is_ppt(state)[0]
+    assert trivially_distillable(state) is None
+    monkeypatch.setattr(families, "_SWEEP_GRID", before)
+    with pytest.raises(RuntimeError, match="sweep"):
+        classify_checkerboard(state)
+    monkeypatch.setattr(families, "_SWEEP_GRID", before + [needed])
+    assert isinstance(classify_checkerboard(state), Distillable)
+
+
+def test_classify_checkerboard_witness_does_not_depend_on_rng():
+    for state in (random_checkerboard(3)[1], _moved_ppt_checkerboard(4, "k", 1e-4)):
+        assert not is_ppt(state)[0]
+        first, second = (classify_checkerboard(state, rng=seed).witness for seed in (1, 2))
+        assert first.vector.tobytes() == second.vector.tobytes()
+        assert first.value == second.value
+
+
 def test_classify_checkerboard_ppt_instances():
     for seed in range(5):
         params, state = checkerboard_ppt_instance(seed)
@@ -155,7 +208,7 @@ def test_werner_ppt_boundary():
 
 def test_werner_distillable_regime(rng):
     state = make_werner(3, -0.8)  # below -1/2: 1-distillable
-    w = schmidt2_witness(state, rng=rng)
+    w = schmidt2_witness(state)
     assert w is not None
     assert validate_witness(state, w) < -1e-10
 

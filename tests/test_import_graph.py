@@ -1,7 +1,8 @@
 """The package's modules import each other at module level, in one direction,
 only linalg applies the rank cutoff and calls np.kron, states counts
-ranks with psd_eigen, and the common eigenbases of commuting normal block
-families come from linalg.common_eigenbasis.
+ranks with psd_eigen, the common eigenbases of commuting normal block
+families come from linalg.common_eigenbasis, and the witness
+constructions that theorems back draw no random numbers.
 
 Reads the source with ast only (nothing is imported), so a cycle that
 an import inside a function would hide at load time is still reported.
@@ -100,3 +101,19 @@ def test_common_eigenbases_come_from_linalg():
                   for node in ast.walk(func) if isinstance(node, ast.Call)}
         assert "common_eigenbasis" in called, f"{module}.{func_name} skips common_eigenbasis"
         assert "eigh" not in called, f"{module}.{func_name} calls eigh"
+
+
+def test_theorem_backed_witnesses_draw_no_random_numbers():
+    # the rank < max local rank construction, the 2xN block scan and the
+    # checkerboard sweep each certify by construction; a random draw in
+    # them would make a verdict depend on the seed
+    modules = _modules()
+    for module, func_name in (("criteria", "schmidt2_witness"),
+                              ("criteria", "_reduction_pair_witness"),
+                              ("families", "_structured_projection_sweep")):
+        func = next(node for node in ast.walk(modules[module])
+                    if isinstance(node, ast.FunctionDef) and node.name == func_name)
+        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                  for node in ast.walk(func) if isinstance(node, ast.Call)}
+        drawn = called & {"complex_gaussian", "unit_disc"}
+        assert not drawn, f"{module}.{func_name} calls {sorted(drawn)}"

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,12 @@ from entcert.certificates import (
     Distillable,
     PptEntangled,
     ReductionViolationWitness,
+    SchmidtRank2Witness,
     Separable,
     validate_certificate,
     validate_witness,
 )
-from entcert.criteria import is_ppt
+from entcert.criteria import is_ppt, trivially_distillable
 from entcert.families import (
     make_shifts_upb,
     make_tiles_upb,
@@ -32,7 +35,7 @@ from entcert.rank4 import (
     separable_decomposition,
     separable_decomposition_rank_n,
 )
-from entcert.states import BipartiteState, apply_local
+from entcert.states import BipartiteState, apply_local, partial_transpose
 
 from conftest import ppt_rank_n_state
 
@@ -365,6 +368,7 @@ def test_classify_state_returns_the_reduction_violation(monkeypatch):
     assert (state.rank(), state.local_ranks()) == (5, (3, 3))
     monkeypatch.setattr(rank4, "trivially_distillable", lambda *a, **k: None)
     monkeypatch.setattr(rank4, "schmidt2_witness", lambda *a, **k: None)
+    monkeypatch.setattr(rank4, "_random_frame_witness", lambda *a, **k: None)
     cert = classify_state(state, rng=3)
     assert isinstance(cert.witness, ReductionViolationWitness)
     validate_certificate(state, cert)
@@ -400,3 +404,48 @@ def test_decide_rank4_padded_dimensions(rng):
     padded = BipartiteState(4, 4, op @ tiles.matrix @ op.conj().T)
     verdict = decide_rank4(padded, rng=rng)
     assert isinstance(verdict.outcome, PptEntangled)
+
+
+def test_small_locals_npt_rank4_is_decided_by_the_block_scan():
+    # 3x2 and 2x3 NPT rank-4 states: the 2xN block scan covers the whole
+    # space once a side has 2 levels, so no random search is needed
+    rng = np.random.default_rng(41)
+    for k in range(40):
+        state = random_rank_r_state(*((3, 2) if k % 2 else (2, 3)), 4, rng)
+        if is_ppt(state)[0]:
+            continue
+        verdict = decide_rank4(state, rng=k)
+        assert verdict.trail == ("small-locals",)
+        validate_certificate(state, verdict.outcome)
+
+
+def test_small_locals_3x2_state_that_no_a_pair_block_certifies():
+    # every 2x2 A-pair block of rho^G is PSD and no trivial submatrix
+    # exists; the witness is the lowest eigenvector of the whole rho^G,
+    # which has Schmidt rank 2 because B has 2 levels
+    state = random_rank_r_state(3, 2, 4, np.random.default_rng(128))
+    g = partial_transpose(state)
+    for k, l in combinations(range(3), 2):
+        idx = np.r_[2 * k:2 * k + 2, 2 * l:2 * l + 2]
+        assert np.linalg.eigvalsh(g[np.ix_(idx, idx)])[0] > 0.2
+    assert trivially_distillable(state) is None
+    verdict = decide_rank4(state, rng=0)
+    assert verdict.trail == ("small-locals",)
+    value = validate_certificate(state, verdict.outcome)["witness_value"]
+    assert value == pytest.approx(np.linalg.eigvalsh(g)[0], rel=1e-9)
+
+
+def test_reducible_b_route_lifts_a_rank_below_max_component(rng):
+    # the B-direct sum of a pure entangled 2x2 block (rank 1 < local
+    # rank 2) and a rank-3 3x1 block, under random ILOs: the entangled
+    # component's reduction-violation witness is lifted by aggregate
+    psi = np.zeros((3, 3), dtype=complex)
+    psi[:2, :2] = complex_gaussian(rng, (2, 2))
+    rest = [np.kron(complex_gaussian(rng, 3), np.array([0, 0, 1.0])) for _ in range(3)]
+    state = BipartiteState.from_vectors(3, 3, [psi.reshape(-1)] + rest)
+    state = apply_local(state, random_invertible(3, rng), random_invertible(3, rng))
+    assert (state.rank(), state.local_ranks()) == (4, (3, 3))
+    verdict = decide_rank4(state, rng=rng)
+    assert verdict.trail == ("reducible-b",)
+    assert isinstance(verdict.outcome.witness, SchmidtRank2Witness)
+    validate_certificate(state, verdict.outcome)

@@ -134,6 +134,13 @@ _CLOSE_HERMITIAN_GAP = [0.3 + 0.5j, 0.3 + 1e-7 - 0.5j, -0.7 + 0.1j]
 _CLOSE_PROJECTED_GAP = [0.3 + 0.5j, 0.3 + 0.5j + np.exp(1j) * (1j + 1e-6), -1.0]
 
 
+# Two eigenvalues 1.0 apart whose projections are gap apart, down to 0:
+# the Hermitian part mixes the pair freely, and the pair's 2x2 block
+# is rotated onto its eigenvectors.
+def _projected_gap(gap):
+    return [0.3 + 0.5j, 0.3 + 0.5j + np.exp(1j) * (1j + gap), -0.7 + 0.1j]
+
+
 def _non_normal(rng):
     u = random_unitary(3, rng)
     return [u @ np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]) @ dagger(u)]
@@ -152,6 +159,9 @@ _FAMILIES = {
     "close-projected-gap": lambda rng: _noisy_normal(rng, _CLOSE_PROJECTED_GAP),
     # joint eigenvalues (2i, 0) and (0, i) collide in a combination that
     # weighs Im(A_1) twice as much as Im(A_0)
+    "projected-gap-1e-9": lambda rng: _noisy_normal(rng, _projected_gap(1e-9)),
+    "projected-gap-1e-10": lambda rng: _noisy_normal(rng, _projected_gap(1e-10)),
+    "projected-gap-0": lambda rng: _noisy_normal(rng, _projected_gap(0.0)),
     "integer-spectra": lambda rng: _conjugated(rng, [[2j, 0.0, 1.0], [0.0, 1j, 1.0]]),
     "non-normal": _non_normal,
     "non-commuting": lambda rng: [_hermitian(rng, 3), _hermitian(rng, 3)],
