@@ -2,8 +2,11 @@
 
 For 2-dimensional subspaces of 2x3 and 3-dimensional subspaces of 2x4,
 a single polynomial in the Pluecker coordinates vanishes exactly when
-the subspace contains a product vector.  A damped-least-squares search
-on the 2x2 minors covers every shape and returns explicit factors.
+the subspace contains a product vector.  The numeric search covers
+every shape with a smaller side of up to 4 levels: it enumerates every
+candidate product as an eigenvalue of a multiparameter eigenvalue
+problem, so it returns all the product vectors with explicit factors,
+and "not found" means there are none.
 """
 
 import numpy as np
@@ -53,3 +56,8 @@ print(f"  |a x b - combination| = {np.linalg.norm(vec - member):.1e}")
 v = random_subspace(3, 3, 5, rng)
 print(f"\nany 5-dimensional subspace of 3x3 contains one: "
       f"found = {find_product_vector(v, rng=rng).found}")
+
+# --- a generic 10-dim subspace of 4x4 holds exactly C(6, 3) = 20 ------------
+result = find_product_vector(random_subspace(4, 4, 10, rng), rng=rng)
+print(f"\ngeneric 10-dimensional subspace of 4x4: {len(result.products)} product "
+      f"vectors ({result.method})")

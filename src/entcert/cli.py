@@ -289,9 +289,9 @@ def cmd_product_test(args) -> int:
     else:
         payload["hypersurface"] = None
         payload["note"] = ("no hypersurface equation for this shape; "
-                           "numeric search only")
+                           "the eigenvalue enumeration decides alone")
     rng = np.random.default_rng(args.seed)
-    result = find_product_vector(obj, restarts=max(args.budget // 8, 8), rng=rng)
+    result = find_product_vector(obj, rng=rng)
     payload["search"] = {
         "found": bool(result.found),
         "best_rank1_defect": result.best_defect,

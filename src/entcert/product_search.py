@@ -9,16 +9,19 @@ Two independent routes are provided and cross-checked in the tests:
   a product vector;
 * numeric: a product a (x) b, with b on the side with fewer levels,
   lies in the span iff L(b) a = 0, where L(b) is linear in b and built
-  from the orthogonal complement of the span.  When that side has 2 or
-  3 levels, every b at which L(b) drops rank is an eigenvalue of a
-  matrix pencil (2 levels) or of a two-parameter eigenvalue problem
-  (3 levels; Hochstenbach, Kosir and Plestenjak, SIAM J. Matrix Anal.
-  Appl. 40 (2019)).  Each candidate is polished by Levenberg-Marquardt
-  (LM) on the 2x2 minors and accepted by its rank-1 defect, so on these
-  shapes "not found" is the result of a complete enumeration.  Larger
-  shapes, and spans with infinitely many product vectors, fall back to
-  LM with random restarts and per-coordinate dehomogenization; there
-  "not found" is a budget report, never a nonexistence proof.
+  from the orthogonal complement of the span.  When that side has q = 2,
+  3 or 4 levels, every b at which L(b) drops rank is an eigenvalue of a
+  (q - 1)-parameter eigenvalue problem, read off Atkinson's operator
+  determinants (F. V. Atkinson, Multiparameter Eigenvalue Problems
+  (1972)): a matrix pencil for q = 2, the two-parameter problem of
+  Hochstenbach, Kosir and Plestenjak (SIAM J. Matrix Anal. Appl. 40
+  (2019)) for q = 3, a three-parameter one for q = 4.  A span with
+  infinitely many product vectors is cut by random hyperplanes until
+  finitely many, or one, are left.  Each candidate is accepted by its
+  rank-1 defect, so "not found" is the result of a complete
+  enumeration.  A smaller side of 5 or more levels, or of 4 levels
+  beside more than 8 (operator determinants above 512 rows), raises
+  UndecidableError.
 
 The same two-parameter problem finds the products a (x) b on C^2 (x) C^n
 with a (x) b in R(rho) and conj(a) (x) b in R(rho^G) that the 2 x N
@@ -33,12 +36,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
+from .certificates import UndecidableError
 from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, kron, numerical_rank, singular_rank
 from .random_states import as_rng, complex_gaussian
 
@@ -212,9 +216,11 @@ class ProductSearchResult:
 
     a, b and coefficients describe the accepted product with the smallest
     rank-1 defect; products holds every distinct accepted product as
-    (a, b, coefficients), best first.  method names the route taken and
-    candidates counts the points it tested (enumerated eigenvalues, or
-    LM starts for the restart search).
+    (a, b, coefficients), best first.  method names the route taken
+    (the eigenvalue problem, "dimension count", "hyperplane section" or
+    "trivial") and candidates counts the points it tested.  The
+    enumeration is complete, so found=False means the span holds no
+    product.
     """
 
     found: bool
@@ -234,77 +240,13 @@ class ProductSearchResult:
                 f"best rank-1 defect {self.best_defect:.3e}")
 
 
-def _minor_indices(p, q):
-    return np.array([r + c for r in combinations(range(p), 2)
-                     for c in combinations(range(q), 2)], dtype=int).reshape(-1, 4).T
-
-
-def _lm_polish(mats, z0, free, iters=60):
-    """Vectorized Levenberg-Marquardt on the 2x2 minors, batched starts.
-
-    mats: (k, p, q); z0: (B, k) with the dehomogenized coordinate fixed.
-    Returns the improved batch (B, k) and final costs (B,).
-    """
-    k, p, q = mats.shape
-    r1, r2, c1, c2 = _minor_indices(p, q)
-    a_free = mats[free]  # (kf, p, q)
-
-    def minors(e):
-        return e[:, r1, c1] * e[:, r2, c2] - e[:, r1, c2] * e[:, r2, c1]
-
-    z = z0.copy()
-    e = np.einsum("bk,kpq->bpq", z, mats)
-    f = minors(e)
-    cost = np.sum(np.abs(f) ** 2, axis=1)
-    lam = np.full(z.shape[0], 1.0e-3)
-    for _ in range(iters):
-        # complex Jacobian of the minors w.r.t. the free coordinates
-        j = (a_free[None, :, r1, c1] * e[:, None, r2, c2]
-             + e[:, None, r1, c1] * a_free[None, :, r2, c2]
-             - a_free[None, :, r1, c2] * e[:, None, r2, c1]
-             - e[:, None, r1, c2] * a_free[None, :, r2, c1])  # (B, kf, nm)
-        j = j.transpose(0, 2, 1)  # (B, nm, kf)
-        jr = np.concatenate(
-            [np.concatenate([j.real, -j.imag], axis=2),
-             np.concatenate([j.imag, j.real], axis=2)], axis=1)  # (B, 2nm, 2kf)
-        fr = np.concatenate([f.real, f.imag], axis=1)  # (B, 2nm)
-        jtj = np.einsum("bri,brj->bij", jr, jr)
-        g = np.einsum("bri,br->bi", jr, fr)
-        eye = np.eye(jtj.shape[1])
-        try:
-            delta = np.linalg.solve(jtj + lam[:, None, None] * eye, -g[:, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            delta = np.linalg.lstsq(
-                jtj + lam[:, None, None] * eye, -g[:, :, None], rcond=None)[0][..., 0]
-        kf = len(free)
-        step = delta[:, :kf] + 1j * delta[:, kf:]
-        z_try = z.copy()
-        z_try[:, free] += step
-        e_try = np.einsum("bk,kpq->bpq", z_try, mats)
-        f_try = minors(e_try)
-        cost_try = np.sum(np.abs(f_try) ** 2, axis=1)
-        improved = cost_try < cost
-        z[improved] = z_try[improved]
-        e[improved] = e_try[improved]
-        f[improved] = f_try[improved]
-        cost[improved] = cost_try[improved]
-        lam = np.where(improved, lam / 3.0, lam * 4.0)
-        lam = np.clip(lam, 1.0e-12, 1.0e12)
-        if np.min(cost) < 1.0e-30:
-            break
-    return z, cost
-
-
 # Relative smallest singular value below which a pencil or the operator
 # determinant Delta_0 counts as singular.
 _SINGULAR_RCOND = 1.0e-10
 
-# LM iterations spent polishing the enumerated candidates, and the rank-1
-# defect below which a candidate is polished.  On the test corpora true
-# roots come out of the eigensolvers with defects below 1e-12 and
-# spurious ones above 3e-3.
-_POLISH_ITERS = 20
-_POLISH_GATE = 1.0e-4
+# The eigenvalue problem that enumerates the roots for q = 2, 3, 4 levels.
+_METHODS = {2: "pencil eigenvalues", 3: "two-parameter eigenvalues",
+            4: "three-parameter eigenvalues"}
 
 
 def _singular(mat) -> bool:
@@ -318,77 +260,96 @@ def _rank1_defects(mats, z):
     return s[:, 1] / np.maximum(s[:, 0], 1.0e-300)
 
 
-def _operator_determinants(x, y):
-    """Operator determinants Delta_0..2 of the pencils x and y, (3, p, p)
-    each; block xy[i, j] of one outer product is kron(x[i], y[j])."""
-    p = x.shape[1]
-    xy = (x[:, None, :, None, :, None]
-          * y[None, :, None, :, None, :]).reshape(3, 3, p * p, p * p)
-    return xy[1, 2] - xy[2, 1], xy[2, 0] - xy[0, 2], xy[0, 1] - xy[1, 0]
+def _operator_determinants(eqs):
+    """Atkinson's operator determinants Delta_0..q-1 of the q - 1
+    equations sum_c t_c eqs[i, c] x_i = 0, eqs being (q - 1, q, p, p).
+
+    Delta_c = (-1)^c det_(x) of eqs without column c: the signed sum,
+    over the orderings s of the other columns, of eqs[0, s_0] (x)
+    eqs[1, s_1] (x) ...  At a root t (t_0 = 1) Delta_c z = t_c Delta_0 z
+    for z the product of the null vectors.  Terms are added in order, so
+    two equations give the bytes of the 2 x 2 kron formula.
+    """
+    n, q = eqs.shape[:2]
+    deltas = []
+    for c in range(q):
+        cols = [j for j in range(q) if j != c]
+        delta = None
+        for perm in permutations(range(n)):
+            term = reduce(kron, [eqs[i, cols[s]] for i, s in enumerate(perm)])
+            odd = (c + sum(a > b for a, b in combinations(perm, 2))) % 2
+            if delta is None:
+                delta = -term if odd else term
+            elif odd:
+                delta -= term
+            else:
+                delta += term
+        deltas.append(delta)
+    return deltas
 
 
 def _parameter_candidates(comp, comp2, rng):
     """Every v (rows of the result) at which L(v) = sum_b v_b comp[:, :, b]
-    can lose rank, with the name of the method; None when the problem is
-    singular.
+    can lose rank, with the name of the method.
 
-    comp is (d, p, q) with q <= 3.  L(v) is d x p; it is rank deficient
+    comp is (d, p, q) with q <= 4.  L(v) is d x p; it is rank deficient
     at every v when d < p, otherwise only on a finite set unless the
-    span holds infinitely many products.  Rows are compressed at random
-    to p x p, which keeps every true root and adds spurious ones; the
-    caller tests each candidate against the full L(v).  For q = 3 the
-    second equation of the two-parameter problem compresses comp2, a
-    pencil of the same shape that loses rank at every root the caller
-    wants (comp itself, or its coefficient-wise conjugate when only real
-    roots are wanted).
+    span holds infinitely many products.  With v = g @ (1, t_1, ...),
+    the q - 1 equations det(r_i L(v)) = 0 compress the rows at random to
+    p x p, which keeps every true root and adds spurious ones; the
+    caller tests each candidate against the full L(v).  The first
+    equation compresses comp, the others comp2, a pencil of the same
+    shape that loses rank at every root the caller wants (comp itself,
+    or its coefficient-wise conjugate when only real roots are wanted).
+    t_1 is an eigenvalue of Delta_0^-1 Delta_1, and t_c for c >= 2 the
+    Rayleigh quotient of Delta_0^-1 Delta_c on its eigenvector.
+
+    When Delta_0 stays singular the roots form a positive-dimensional
+    family, which meets every hyperplane: v = h w with h a real q x
+    (q - 1) matrix (real, so comp2 = conj(comp) keeps its form) recurses
+    with q - 1 parameters, down to the single point of q = 1.
     """
     d, p, q = comp.shape
+    if q == 1:
+        return np.ones((1, 1)), "hyperplane section"
     if d < p:
         return complex_gaussian(rng, (1, q)), "dimension count"
     for _ in range(2):  # one fresh draw before calling the problem singular
         g = complex_gaussian(rng, (q, q))
-        # pencil[c] = L(g[:, c]), so L(g @ (1, t, ...)) = pencil[0] + t pencil[1] + ...
-        pencil = np.einsum("dpb,bc->cdp", comp, g)
-        if q == 2:
-            r = complex_gaussian(rng, (p, d))
-            a, b = r @ pencil[0], r @ pencil[1]
-            if _singular(b):
-                continue
-            t = np.linalg.eigvals(np.linalg.solve(b, -a))
-            params = np.stack([np.ones_like(t), t], axis=1)
-            method = "pencil eigenvalues"
-        else:
-            # two-parameter eigenvalue problem: (A_i + lam B_i + mu C_i) x_i = 0
-            r1 = complex_gaussian(rng, (p, d))
-            r2 = complex_gaussian(rng, (p, d))
-            # Delta_0, Delta_1, Delta_2: the operator determinants, read off one outer product
-            delta0, delta1, delta2 = _operator_determinants(
-                r1 @ pencil, r2 @ np.einsum("dpb,bc->cdp", comp2, g))
-            if _singular(delta0):
-                continue
-            lam, vecs = np.linalg.eig(np.linalg.solve(delta0, delta1))
-            # Rayleigh quotient on each (unit) eigenvector
-            mu = np.einsum("ic,ij,jc->c", vecs.conj(),
-                           np.linalg.solve(delta0, delta2), vecs)
-            params = np.stack([np.ones_like(lam), lam, mu], axis=1)
-            method = "two-parameter eigenvalues"
-        return params @ g.T, method
-    return None
+        # pencil[c] = L(g[:, c]), so L(g @ (1, t, ...)) = pencil[0] + t_1 pencil[1] + ...
+        pencil, pencil2 = (np.einsum("dpb,bc->cdp", c, g) for c in (comp, comp2))
+        eqs = np.stack([complex_gaussian(rng, (p, d)) @ (pencil2 if i else pencil)
+                        for i in range(q - 1)])
+        deltas = _operator_determinants(eqs)
+        if _singular(deltas[0]):
+            continue
+        lam, vecs = np.linalg.eig(np.linalg.solve(deltas[0], deltas[1]))
+        # Rayleigh quotient on each (unit) eigenvector; a BLAS contraction
+        # order for the p^3 rows of q = 4 only, so that q = 3 keeps the
+        # summation order, and the bytes, the 2 x N peeling relies on
+        rest = [np.einsum("ic,ij,jc->c", vecs.conj(), np.linalg.solve(deltas[0], delta),
+                          vecs, optimize=q > 3)
+                for delta in deltas[2:]]
+        params = np.stack([np.ones_like(lam), lam, *rest], axis=1)
+        return params @ g.T, _METHODS[q]
+    h = rng.standard_normal((q, q - 1))
+    w, method = _parameter_candidates(comp @ h, comp2 @ h, rng)
+    if not method.endswith("hyperplane section"):
+        method += " on a hyperplane section"
+    return w @ h.T, method
 
 
 def _enumerate_rank_one(work, rng, tol):
-    """Candidate rank-1 combinations of work (k, p, q), min(p, q) <= 3.
+    """Every candidate rank-1 combination of work (k, p, q), with
+    min(p, q) <= 4 and some work[i] nonzero.
 
-    Returns (z, defect, method): coefficients (C, k) with respect to work
-    after an LM polish, the rank-1 defect of each, and the method name;
-    or None when the enumeration cannot run (infinitely many products).
+    Returns (z, defect, method): coefficients (C, k) with respect to
+    work, the rank-1 defect of each, and the method name.
     """
     k, p, q = work.shape
     flat = work.reshape(k, -1)
     u_x, s_x, vh_x = np.linalg.svd(flat)
     r = singular_rank(s_x, flat.shape, tol)
-    if r == 0:
-        return None
     # orthonormal span basis, mixed at random so no candidate sits on a
     # coordinate hyperplane, and coefficients back to work: z = y @ to_work
     mix = np.linalg.qr(complex_gaussian(rng, (r, r)))[0]
@@ -398,52 +359,14 @@ def _enumerate_rank_one(work, rng, tol):
     swap = q > p
     if swap:
         comp = comp.transpose(0, 2, 1)
-    found = _parameter_candidates(comp, comp, rng)
-    if found is None:
-        return None
-    v, method = found
+    v, method = _parameter_candidates(comp, comp, rng)
     ell = np.einsum("dpb,cb->cdp", comp, v)
     u = np.linalg.svd(ell)[2][:, -1, :].conj()  # null vector of each L(v)
     prods = u[:, :, None] * v[:, None, :]
     if swap:
         prods = prods.transpose(0, 2, 1)
     y = np.einsum("kpq,cpq->ck", basis.conj(), prods)
-    defect = _rank1_defects(basis, y)
-    near = np.flatnonzero(defect <= _POLISH_GATE)
-    if r > 1 and near.size:
-        # fix the coordinate that stays largest over the polished candidates
-        rel = np.abs(y[near]) / np.linalg.norm(y[near], axis=1, keepdims=True)
-        j = int(np.argmax(rel.min(axis=0)))
-        free = [i for i in range(r) if i != j]
-        y[near], _ = _lm_polish(basis, y[near] / y[near, j:j + 1], free,
-                                iters=_POLISH_ITERS)
-        defect[near] = _rank1_defects(basis, y[near])
-    return y @ to_work, defect, method
-
-
-def _restart_search(work, restarts, rng, tol):
-    """Restart LM over every dehomogenization z_j = 1; stops at the first
-    coordinate whose best start passes the defect test."""
-    k = work.shape[0]
-    best = (np.inf, np.zeros(k, dtype=complex))
-    starts = 0
-    for j in range(k):
-        free = [i for i in range(k) if i != j]
-        z0 = np.zeros((restarts, k), dtype=complex)
-        z0[:, j] = 1.0
-        if free:
-            z0[:, free] = complex_gaussian(rng, (restarts, len(free)))
-            z, _ = _lm_polish(work, z0, free)
-        else:
-            z = z0[:1]
-        starts += z.shape[0]
-        defect = _rank1_defects(work, z)
-        idx = int(np.argmin(defect))
-        if defect[idx] < best[0]:
-            best = (float(defect[idx]), z[idx])
-        if best[0] <= tol.residual_tol:
-            break
-    return best[1][None, :], np.array([best[0]]), starts
+    return y @ to_work, _rank1_defects(basis, y), method
 
 
 def _product(mats, z):
@@ -452,40 +375,41 @@ def _product(mats, z):
     return u[:, 0] * np.sqrt(s[0]), vh[0, :] * np.sqrt(s[0]), z
 
 
-def rank_one_in_span(mats, restarts: int = 40, rng=7,
-                     tol: ToleranceConfig = DEFAULT_TOL) -> ProductSearchResult:
+def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> ProductSearchResult:
     """Find z with sum_i z_i mats[i] of rank 1 (up to the defect tolerance).
 
-    When the smaller matrix side is at most 3, every point where a rank-1
-    combination can sit is enumerated as an eigenvalue (a pencil for side
-    2, a two-parameter eigenvalue problem for side 3), polished by LM and
-    tested, so "not found" means none exists.  Larger shapes, and spans
-    holding infinitely many rank-1 elements, fall back to an LM search
-    with `restarts` random starts per dehomogenization z_j = 1.  Success
-    means the second singular value of the combination is at most
-    residual_tol times the first.
+    Every point where a rank-1 combination can sit is enumerated as an
+    eigenvalue (a pencil when the smaller matrix side has 2 levels, a
+    two- or three-parameter eigenvalue problem for 3 or 4) and tested, so
+    "not found" means none exists.  Success means the second singular
+    value of the combination is at most residual_tol times the first.
+    A smaller side of 5 or more levels, or of 4 beside more than 8, is
+    out of scope and raises UndecidableError; an all-zero stack raises
+    ValueError.
     """
     mats = np.asarray(mats, dtype=complex)
     k, p, q = mats.shape
     scale = np.linalg.norm(mats.reshape(k, -1), axis=1)
+    if not scale.any():
+        raise ValueError("rank_one_in_span needs a nonzero matrix in the span")
+    small, large = sorted((p, q))
+    if small > 4 or (small == 4 and large > 8):
+        raise UndecidableError(
+            f"no complete product search for {p}x{q} matrices: the eigenvalue "
+            "enumeration needs a smaller side of at most 4 levels, and at most "
+            "8 levels beside a 4-level side")
+    first = int(np.argmax(scale > 0))
     scale[scale == 0] = 1.0
     work = mats / scale[:, None, None]
     rng = as_rng(rng)
 
-    if min(p, q) < 2:
+    if small < 2:
         z = np.zeros(k, dtype=complex)
-        z[0] = 1.0 / scale[0]
+        z[first] = 1.0 / scale[first]
         prod = _product(mats, z)
         return ProductSearchResult(True, *prod, 0.0, "trivial", 1, (prod,))
 
-    enumerated = _enumerate_rank_one(work, rng, tol) if min(p, q) <= 3 else None
-    if enumerated is not None:
-        z, defect, method = enumerated
-        candidates = len(z)
-    else:
-        z, defect, candidates = _restart_search(work, restarts, rng, tol)
-        method = "restart LM"
-
+    z, defect, method = _enumerate_rank_one(work, rng, tol)
     order = np.argsort(defect)
     products = []
     kept = []
@@ -500,20 +424,20 @@ def rank_one_in_span(mats, restarts: int = 40, rng=7,
         products.append(_product(mats, z[idx] / scale))
     best = float(defect[order[0]])
     if not products:
-        return ProductSearchResult(False, None, None, None, best, method, candidates)
-    return ProductSearchResult(True, *products[0], best, method, candidates,
+        return ProductSearchResult(False, None, None, None, best, method, len(z))
+    return ProductSearchResult(True, *products[0], best, method, len(z),
                                tuple(products))
 
 
-def find_product_vector(subspace: Subspace, restarts: int = 40, rng=7) -> ProductSearchResult:
-    """Search the subspace for a product vector a (x) b.
+def find_product_vector(subspace: Subspace, rng=7) -> ProductSearchResult:
+    """Search the subspace for a product vector a (x) b, by the complete
+    enumeration of rank_one_in_span (same scope).
 
     On success the returned (a, b) satisfies a (x) b ~ sum_i z_i basis_i
     up to the rank-1 defect tolerance; membership in the subspace holds
     by construction.
     """
-    return rank_one_in_span(subspace.matrices(), restarts=restarts,
-                            rng=rng, tol=subspace.tol)
+    return rank_one_in_span(subspace.matrices(), rng=rng, tol=subspace.tol)
 
 
 # Identity and Pauli matrices: <a|H|a> = (tr H + h . n) / 2 for a unit a
@@ -597,11 +521,8 @@ def product_in_both_ranges(ker, ker_gamma, rng=7, tol: ToleranceConfig = DEFAULT
         v = _bloch_zeros(np.outer(g[0, :, 1], k[0, :, 0])
                          - np.outer(g[0, :, 0], k[0, :, 1]))
     else:
-        found = _parameter_candidates(comp, comp.conj(), as_rng(rng))
-        if found is None:
-            return None
         # a real root comes out up to a complex factor
-        v = found[0]
+        v = _parameter_candidates(comp, comp.conj(), as_rng(rng))[0]
         v = (v / v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)][:, None]).real
     # one zero row keeps L(v) nonempty and puts a zero singular value
     # last whenever d < n

@@ -660,8 +660,7 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     # block form here and the range basis in (c)
     range_w, range_q = psd_range(restricted.matrix, restricted.tol)
     blocks = _block_form_from_range(range_w, range_q, m, n)
-    found = rank_one_in_span(np.stack(blocks.blocks), restarts=24,
-                             rng=rng, tol=restricted.tol)
+    found = rank_one_in_span(np.stack(blocks.blocks), rng=rng, tol=restricted.tol)
     if found.found:
         g = _Gauge(restricted, blocks.stacked())
         return _rank1_sector_path(g, found.coefficients, restricted, rng, ())
@@ -669,7 +668,7 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     # (c) a product vector in the range: PPT means separable, and the
     # range's products hold the decomposition; NPT runs the cascade
     subspace = Subspace(3, 3, range_q.T, restricted.tol)
-    prod = find_product_vector(subspace, restarts=40, rng=rng)
+    prod = find_product_vector(subspace, rng=rng)
     if prod.found and ppt_flag:
         outcome = Separable(products=tuple(_range_product_basis(restricted, prod.products)))
         validate_certificate(restricted, outcome)

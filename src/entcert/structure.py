@@ -20,6 +20,7 @@ from .certificates import (
     Ppt,
     SchmidtRank2Witness,
     Separable,
+    UndecidableError,
     Undecided,
     lift_through_local,
 )
@@ -246,15 +247,16 @@ def aggregate(state: BipartiteState, decomp: BDirectDecomposition,
     return Ppt(min_eig_gamma=min_eig)
 
 
-def common_kernel_distill(state: BipartiteState, rng=11, restarts: int = 40):
+def common_kernel_distill(state: BipartiteState, rng=11):
     """Distillability from a common-kernel pattern, for irreducible states.
 
     Searches for |b> in H_B with rank[C_1 b, ..., C_M b] = 1, i.e. an
     (M-1)-dimensional A-subspace H'_A with H'_A (x) |b> inside ker(rho).
     For a B-irreducible state this yields a trivially distillable gauge.
-    Returns a Distillable certificate, or None when no pattern is found
-    or the state is B-reducible (classify its B-direct components
-    instead; restricting to the local ranges keeps B-reducibility).
+    Returns a Distillable certificate, or None when no pattern exists,
+    when the rank-1 search is out of scope (rank_one_in_span), or when
+    the state is B-reducible (classify its B-direct components instead;
+    restricting to the local ranges keeps B-reducibility).
     """
     frame = Frame.local(state, orient=False)
     restricted = frame.work
@@ -263,7 +265,10 @@ def common_kernel_distill(state: BipartiteState, rng=11, restarts: int = 40):
         return None
     blocks = block_form(restricted)
     pencil = np.stack(left_pencil(blocks))  # (N, R, M)
-    found = rank_one_in_span(pencil, restarts=restarts, rng=rng, tol=state.tol)
+    try:
+        found = rank_one_in_span(pencil, rng=rng, tol=state.tol)
+    except UndecidableError:
+        return None
     if not found.found:
         return None
     b_vec = found.coefficients

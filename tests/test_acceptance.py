@@ -86,7 +86,7 @@ def test_criterion_01_cubic_2x3():
         v = random_subspace(2, 3, 2, rng)
         coords = pluecker_coords(v)
         vanishes = abs(hypersurface_2x3(v, coords)) <= 1e-9 * degree_scale(coords, 3)
-        found = find_product_vector(v, restarts=12, rng=rng).found
+        found = find_product_vector(v, rng=rng).found
         agree += vanishes == found
     assert agree >= 990
     report("criterion 1 (2x3 cubic)",
@@ -114,7 +114,7 @@ def test_criterion_02_quartic_2x4():
         v = random_subspace(2, 4, 3, rng)
         coords = pluecker_coords(v)
         nonzero = abs(hypersurface_2x4(v, coords)) > 1e-9 * degree_scale(coords, 4)
-        none_found = not find_product_vector(v, restarts=12, rng=rng).found
+        none_found = not find_product_vector(v, rng=rng).found
         consistent += nonzero and none_found
     assert consistent >= 990
 

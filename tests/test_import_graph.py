@@ -1,8 +1,9 @@
 """The package's modules import each other at module level, in one direction,
 only linalg applies the rank cutoff and calls np.kron, states counts
 ranks with psd_eigen, the common eigenbases of commuting normal block
-families come from linalg.common_eigenbasis, and the witness
-constructions that theorems back draw no random numbers.
+families come from linalg.common_eigenbasis, the witness constructions
+that theorems back draw no random numbers, and no function takes a
+restart budget.
 
 Reads the source with ast only (nothing is imported), so a cycle that
 an import inside a function would hide at load time is still reported.
@@ -117,3 +118,16 @@ def test_theorem_backed_witnesses_draw_no_random_numbers():
                   for node in ast.walk(func) if isinstance(node, ast.Call)}
         drawn = called & {"complex_gaussian", "unit_disc"}
         assert not drawn, f"{module}.{func_name} calls {sorted(drawn)}"
+
+
+def test_no_function_takes_a_restart_budget():
+    # the product search enumerates every candidate, so "not found" is a
+    # proof; a restart count would only feed a search whose miss proves
+    # nothing
+    found = [f"{name}.{node.name}"
+             for name, tree in _modules().items()
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for arg in ast.walk(node.args)
+             if isinstance(arg, ast.arg) and arg.arg == "restarts"]
+    assert not found, "functions with a restarts parameter: " + ", ".join(found)

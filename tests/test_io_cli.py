@@ -201,6 +201,16 @@ def test_cli_product_test_numeric_only_shape(tmp_path, rng):
     assert "note" in doc["payload"]
 
 
+def test_cli_product_test_beyond_the_search_scope_is_undecided(tmp_path, rng):
+    sub = Subspace(5, 5, complex_gaussian(rng, (3, 25)))
+    path = tmp_path / "sub55.json"
+    save_state(sub, path)
+    proc = run_cli(["product-test", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("undecided:")
+    assert "5x5" in proc.stderr
+
+
 def test_cli_env_override(tmp_path, monkeypatch):
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1.0

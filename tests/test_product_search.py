@@ -13,9 +13,8 @@ from entcert.product_search import (
     random_subspace,
     rank_one_in_span,
     _operator_determinants,
-    _restart_search,
 )
-from entcert.linalg import DEFAULT_TOL
+from entcert.certificates import UndecidableError
 from entcert.random_states import complex_gaussian
 
 
@@ -94,7 +93,7 @@ def test_hypersurface_2x4_generic_nonzero_and_search_agrees(rng):
         coords = pluecker_coords(v)
         val = abs(hypersurface_2x4(v, coords)) / degree_scale(coords, 4)
         assert val > 1e-8
-        assert not find_product_vector(v, restarts=10, rng=rng).found
+        assert not find_product_vector(v, rng=rng).found
 
 
 def test_hypersurface_2x4_homogeneity(rng):
@@ -117,7 +116,7 @@ def test_hypersurface_shape_checks():
 def test_find_product_vector_planted(rng):
     for _ in range(10):
         v = random_product_containing_subspace(3, 3, 4, rng)
-        result = find_product_vector(v, restarts=20, rng=rng)
+        result = find_product_vector(v, rng=rng)
         assert result.found
         vec = np.kron(result.a, result.b)
         target = result.coefficients @ v.basis
@@ -130,7 +129,7 @@ def test_find_product_vector_upb_complement_none(rng):
     state = make_tiles_upb()
     basis = state.range_basis().T
     v = Subspace(3, 3, basis)
-    result = find_product_vector(v, restarts=40, rng=rng)
+    result = find_product_vector(v, rng=rng)
     assert not result.found
     assert result.best_defect > 1e-3
     assert result.method == "two-parameter eigenvalues"
@@ -142,18 +141,18 @@ def test_find_product_vector_dimension_guarantee(rng):
     # dim V > (M-1)(N-1) always contains a product vector
     for dims, dim in (((3, 3), 5), ((2, 3), 3), ((2, 4), 4)):
         v = random_subspace(*dims, dim, rng)
-        assert find_product_vector(v, restarts=40, rng=rng).found
+        assert find_product_vector(v, rng=rng).found
 
 
 def test_search_verdict_invariant_under_basis_change(rng):
     v = random_product_containing_subspace(2, 3, 2, rng)
     g = complex_gaussian(rng, (2, 2))
-    assert find_product_vector(v, restarts=12, rng=1).found
-    assert find_product_vector(v.change_basis(g), restarts=12, rng=1).found
+    assert find_product_vector(v, rng=1).found
+    assert find_product_vector(v.change_basis(g), rng=1).found
     w = random_subspace(2, 3, 2, rng)
     g = complex_gaussian(rng, (2, 2))
-    assert not find_product_vector(w, restarts=12, rng=1).found
-    assert not find_product_vector(w.change_basis(g), restarts=12, rng=1).found
+    assert not find_product_vector(w, rng=1).found
+    assert not find_product_vector(w.change_basis(g), rng=1).found
 
 
 def test_zero_set_consistency_sample(rng):
@@ -163,7 +162,7 @@ def test_zero_set_consistency_sample(rng):
         v = random_subspace(2, 3, 2, rng)
         coords = pluecker_coords(v)
         vanishes = abs(hypersurface_2x3(v, coords)) <= 1e-9 * degree_scale(coords, 3)
-        found = find_product_vector(v, restarts=12, rng=rng).found
+        found = find_product_vector(v, rng=rng).found
         agree += vanishes == found
     assert agree >= int(0.99 * total)
 
@@ -176,11 +175,18 @@ def test_rank_one_in_span_matrix_pencil(rng):
                      complex_gaussian(rng, (4, 3))])
     mix = np.eye(3, dtype=complex) + 0.2 * complex_gaussian(rng, (3, 3))
     mixed = np.einsum("ij,jpq->ipq", mix, mats)
-    result = rank_one_in_span(mixed, restarts=20, rng=rng)
+    result = rank_one_in_span(mixed, rng=rng)
     assert result.found
     combo = np.einsum("i,ipq->pq", result.coefficients, mixed)
     s = np.linalg.svd(combo, compute_uv=False)
     assert s[1] <= 1e-8 * s[0]
+    # an all-zero stack spans nothing
+    with pytest.raises(ValueError, match="nonzero"):
+        rank_one_in_span(np.zeros((2, 3, 3)))
+    # a one-column span takes its product from a nonzero member
+    trivial = rank_one_in_span(np.stack([np.zeros((3, 1)), np.ones((3, 1))]))
+    assert trivial.method == "trivial"
+    assert np.linalg.norm(np.outer(trivial.a, trivial.b)) == pytest.approx(1.0)
 
 
 def test_quartic_data_file_integrity():
@@ -209,7 +215,8 @@ def assert_products_in_span(result, mats):
 
 
 @pytest.mark.parametrize("dims, count", [((2, 3), 3), ((3, 2), 3), ((2, 4), 4),
-                                         ((4, 2), 4), ((3, 3), 6)])
+                                         ((4, 2), 4), ((3, 3), 6), ((4, 4), 20),
+                                         ((4, 5), 35), ((5, 4), 35)])
 def test_search_returns_every_product_of_a_segre_dimension_subspace(rng, dims, count):
     # a generic subspace of dimension (M-1)(N-1)+1 meets the Segre variety
     # in exactly C(M+N-2, M-1) points (its degree)
@@ -218,10 +225,15 @@ def test_search_returns_every_product_of_a_segre_dimension_subspace(rng, dims, c
         v = random_subspace(m, n, (m - 1) * (n - 1) + 1, rng)
         result = find_product_vector(v, rng=rng)
         assert result.found
-        assert result.method in ("pencil eigenvalues", "two-parameter eigenvalues")
+        assert result.method in ("pencil eigenvalues", "two-parameter eigenvalues",
+                                 "three-parameter eigenvalues")
         assert len(result.products) == count
         assert_products_in_span(result, v.matrices())
         assert result.a is result.products[0][0]
+
+
+def _kron_det2(x, y, i, j):
+    return np.kron(x[i], y[j]) - np.kron(x[j], y[i])
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -235,30 +247,52 @@ def test_operator_determinants_match_the_kron_formula_bit_for_bit(p):
         expected = (np.kron(b1, c2) - np.kron(c1, b2),
                     np.kron(c1, a2) - np.kron(a1, c2),
                     np.kron(a1, b2) - np.kron(b1, a2))
-        for got, want in zip(_operator_determinants(x, y), expected):
-            assert np.array_equal(got, want)
-            assert got.tobytes() == want.tobytes()  # signed zeros too
+        got = _operator_determinants(np.stack([x, y]))
+        assert len(got) == 3
+        for delta, want in zip(got, expected):
+            assert np.array_equal(delta, want)
+            assert delta.tobytes() == want.tobytes()  # signed zeros too
+
+        # q = 2: one pencil A + t B, Delta_0 = B and Delta_1 = -A
+        a, b = complex_gaussian(rng, (2, p, p))
+        got = _operator_determinants(np.stack([a, b])[None])
+        assert got[0].tobytes() == b.tobytes()
+        assert got[1].tobytes() == (-a).tobytes()
+
+        # q = 4: Laplace expansion along the first equation
+        x, y, z = complex_gaussian(rng, (3, 4, p, p))
+        got = _operator_determinants(np.stack([x, y, z]))
+        assert len(got) == 4
+        for c, delta in enumerate(got):
+            i, j, k = [col for col in range(4) if col != c]
+            want = (np.kron(x[i], _kron_det2(y, z, j, k))
+                    - np.kron(x[j], _kron_det2(y, z, i, k))
+                    + np.kron(x[k], _kron_det2(y, z, i, j))) * (-1) ** c
+            assert np.allclose(delta, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_fallback_search_on_a_min_side_four_shape(rng):
+    # a 4-level side is enumerated by the three-parameter problem
     rank1 = np.outer(complex_gaussian(rng, 4), complex_gaussian(rng, 5))
     mats = np.stack([rank1] + [complex_gaussian(rng, (4, 5)) for _ in range(3)])
     mixed = np.einsum("ij,jpq->ipq", np.eye(4) + 0.3 * complex_gaussian(rng, (4, 4)), mats)
-    result = rank_one_in_span(mixed, restarts=8, rng=rng)
+    result = rank_one_in_span(mixed, rng=rng)
     assert result.found
-    assert result.method == "restart LM"
+    assert result.method == "three-parameter eigenvalues"
     assert_products_in_span(result, mixed)
 
 
-def test_span_with_infinitely_many_products_uses_the_fallback(rng):
-    # a (x) C^3 lies in the span, so every L(v) is singular and the
-    # eigenvalue problems degenerate
-    a = complex_gaussian(rng, 3)
-    rows = [np.kron(a, e) for e in np.eye(3)] + [complex_gaussian(rng, 9)]
-    v = Subspace(3, 3, (np.eye(4) + 0.3 * complex_gaussian(rng, (4, 4))) @ np.array(rows))
+@pytest.mark.parametrize("m, n", [(4, 2), (3, 3), (4, 4)])
+def test_span_with_infinitely_many_products_is_cut_by_hyperplanes(rng, m, n):
+    # a (x) C^n lies in the span, so every L(v) is singular; random
+    # hyperplanes cut the family down to one point
+    a = complex_gaussian(rng, m)
+    rows = [np.kron(a, e) for e in np.eye(n)] + [complex_gaussian(rng, m * n)]
+    mix = np.eye(n + 1) + 0.3 * complex_gaussian(rng, (n + 1, n + 1))
+    v = Subspace(m, n, mix @ np.array(rows))
     result = find_product_vector(v, rng=rng)
     assert result.found
-    assert result.method == "restart LM"
+    assert result.method == "hyperplane section"
     assert_products_in_span(result, v.matrices())
     overlap = abs(np.vdot(a, result.a)) / (np.linalg.norm(a) * np.linalg.norm(result.a))
     assert overlap == pytest.approx(1.0, abs=1e-6)
@@ -273,14 +307,26 @@ def test_dimension_count_route(rng):
     assert_products_in_span(result, v.matrices())
 
 
-@pytest.mark.parametrize("dims, dim", [((2, 3), 2), ((2, 4), 3), ((3, 3), 4), ((3, 4), 3)])
+@pytest.mark.parametrize("dims, dim", [((2, 3), 2), ((2, 4), 3), ((3, 3), 4), ((3, 4), 3),
+                                       ((4, 4), 6), ((4, 5), 9)])
 def test_enumeration_agrees_with_the_restart_search(dims, dim):
+    # the truth comes from outside the enumeration: the hypersurface
+    # value where the shape has one, the planted product elsewhere (a
+    # generic subspace of these dimensions holds none)
     rng = np.random.default_rng(sum(dims) * 10 + dim)
     for make in (random_subspace, random_product_containing_subspace):
         for _ in range(8):
             v = make(*dims, dim, rng)
-            mats = v.matrices()
-            fast = rank_one_in_span(mats, rng=rng)
-            _, defect, _ = _restart_search(mats, 12, rng, DEFAULT_TOL)
-            assert fast.found == (defect[0] <= DEFAULT_TOL.residual_tol)
-            assert fast.found == (make is random_product_containing_subspace)
+            found = rank_one_in_span(v.matrices(), rng=rng).found
+            hyper = hypersurface_value(v)
+            if hyper is not None:
+                value, _, scale = hyper
+                assert found == (abs(value) <= 1e-9 * scale)
+            assert found == (make is random_product_containing_subspace)
+
+
+@pytest.mark.parametrize("dims", [(5, 5), (4, 9)])
+def test_search_beyond_its_scope_raises(rng, dims):
+    v = random_subspace(*dims, 3, rng)
+    with pytest.raises(UndecidableError, match=f"{dims[0]}x{dims[1]}"):
+        find_product_vector(v, rng=rng)

@@ -318,7 +318,14 @@ def test_common_kernel_reducible_three_level_route(rng):
 
 def test_common_kernel_generic_none(rng):
     state = random_rank_r_state(3, 3, 5, rng)
-    assert common_kernel_distill(state, rng=rng, restarts=15) is None
+    assert common_kernel_distill(state, rng=rng) is None
+
+
+def test_common_kernel_none_beyond_the_product_search_scope(rng):
+    # a 5-level A side beside rank 6: the rank-1 search raises
+    # UndecidableError, which the route reports as no pattern
+    state = random_rank_r_state(5, 3, 6, rng)
+    assert common_kernel_distill(state, rng=rng) is None
 
 
 def test_classical_side_construction(rng):
