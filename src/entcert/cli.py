@@ -3,9 +3,10 @@
 Subcommands: analyze (verdicts with machine-checkable payloads),
 generate (fixture files), product-test (hypersurface and numeric
 product-vector search on a subspace file).  Exit codes: 0 decided,
-2 undecided, 1 error.  Every flag can also be set by an environment
-variable with the ENTCERT_ prefix (ENTCERT_SEED, ENTCERT_TOL,
-ENTCERT_BUDGET, ENTCERT_MODE).
+2 undecided, 1 error, usage errors included.  Every flag can also be set
+by an environment variable with the ENTCERT_ prefix (ENTCERT_SEED,
+ENTCERT_TOL, ENTCERT_BUDGET, ENTCERT_MODE); --budget and --mode belong
+to analyze only.
 """
 
 from __future__ import annotations
@@ -305,8 +306,17 @@ def cmd_product_test(args) -> int:
     return EXIT_DECIDED
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on EXIT_ERROR: its own code, 2, is
+    EXIT_UNDECIDED.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entcert",
         description="certified distillability / PPT / separability analysis")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -318,9 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int,
                        default=_env_default("seed", 7, int),
                        help="seed for all randomized searches")
-        p.add_argument("--budget", type=int,
-                       default=_env_default("budget", 256, int),
-                       help="search budget for randomized procedures")
         p.add_argument("--text", action="store_true",
                        help="human-readable output instead of JSON")
 
@@ -330,6 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["auto", "ppt", "full-rank", "rank4", "reduce",
                              "tripartite"],
                     default=_env_default("mode", "auto", str))
+    pa.add_argument("--budget", type=int,
+                    default=_env_default("budget", 256, int),
+                    help="search budget for randomized procedures")
     common(pa)
     pa.set_defaults(func=cmd_analyze)
 

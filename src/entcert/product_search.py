@@ -20,8 +20,16 @@ Two independent routes are provided and cross-checked in the tests:
   finitely many, or one, are left.  Each candidate is accepted by its
   rank-1 defect, so "not found" is the result of a complete
   enumeration.  A smaller side of 5 or more levels, or of 4 levels
-  beside more than 8 (operator determinants above 512 rows), raises
-  UndecidableError.
+  beside more than 8 (operator determinants above 512 rows), is out of
+  its reach;
+* the second compound: the 2 x 2 minors of sum_i z_i M_i are linear in
+  the k (k + 1) / 2 products z_i z_j, and where there are at least as
+  many minors as products one SVD bounds sigma_2 / sigma_1 from below
+  on every combination (cf. K. R. Parthasarathy, Proc. Indian Acad.
+  Sci. 114, 365 (2004)).  A bound above residual_tol proves "no
+  product" with no random numbers and at any shape; the enumeration
+  runs only where it does not, and UndecidableError is raised only
+  where neither decides.
 
 The same two-parameter problem finds the products a (x) b on C^2 (x) C^n
 with a (x) b in R(rho) and conj(a) (x) b in R(rho^G) that the 2 x N
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from importlib import resources
@@ -217,10 +226,12 @@ class ProductSearchResult:
     a, b and coefficients describe the accepted product with the smallest
     rank-1 defect; products holds every distinct accepted product as
     (a, b, coefficients), best first.  method names the route taken
-    (the eigenvalue problem, "dimension count", "hyperplane section" or
-    "trivial") and candidates counts the points it tested.  The
-    enumeration is complete, so found=False means the span holds no
-    product.
+    (the eigenvalue problem, "dimension count", "hyperplane section",
+    "trivial" or "second compound") and candidates counts the points it
+    tested.  best_defect is the smallest sigma_2 / sigma_1 among them;
+    on the "second compound" route no point is tested and it is a
+    proved lower bound on sigma_2 / sigma_1 over the whole span.  Both
+    routes are complete, so found=False means the span holds no product.
     """
 
     found: bool
@@ -239,6 +250,8 @@ class ProductSearchResult:
         return (f"{self.method}, {self.candidates} candidates examined, "
                 f"best rank-1 defect {self.best_defect:.3e}")
 
+
+_EPS = float(np.finfo(float).eps)
 
 # Relative smallest singular value below which a pencil or the operator
 # determinant Delta_0 counts as singular.
@@ -375,32 +388,102 @@ def _product(mats, z):
     return u[:, 0] * np.sqrt(s[0]), vh[0, :] * np.sqrt(s[0]), z
 
 
+# Largest k * k * C(p, 2) * C(q, 2) for which _compound_screen builds its
+# matrix (16 MB of complex entries per temporary); larger stacks skip it.
+_SCREEN_MAX_ENTRIES = 1 << 20
+
+
+@lru_cache(maxsize=None)
+def _minor_pairs(k, p, q):
+    """The indices _compound_screen needs for a (k, p, q) stack: the flat
+    positions of the corners r1 c1, r1 c2, r2 c1, r2 c2 of each 2 x 2
+    minor (r1 < r2, c1 < c2), the pairs i <= j, and a weight that halves
+    the columns i == j."""
+    (r1, r2), (c1, c2) = np.triu_indices(p, 1), np.triu_indices(q, 1)
+    corners = np.stack([(r[:, None] * q + c).ravel() for r in (r1, r2) for c in (c1, c2)])
+    i, j = np.triu_indices(k)
+    return corners, i, j, np.where(i == j, 0.5, 1.0)[:, None]
+
+
+def _compound_screen(work):
+    """A lower bound on sigma_2 / sigma_1 over every nonzero combination
+    M = sum_i z_i work[i] of the (k, p, q) stack, or None where it proves
+    nothing.
+
+    The 2 x 2 minors of M are A y: y = (z_i z_j)_{i <= j}, and the column
+    (i, j) of A holds the minors of the symmetrized bilinear form of
+    work[i] and work[j], so A has C(p, 2) C(q, 2) rows and k (k + 1) / 2
+    columns.  With C = C(min(p, q), 2) and N = ||work||_F^2:
+    ||y|| >= ||z||^2 / sqrt(2), ||A y|| = ||C_2(M)||_F <= sqrt(C) sigma_1
+    sigma_2 and sigma_1 <= sqrt(N) ||z||, so
+    sigma_2 / sigma_1 >= sigma_min(A) / (sqrt(2 C) N).
+
+    Floating-point margin, with u the unit roundoff.  Each entry of A is
+    a sum of at most four complex products, formed with an error of at
+    most 6 u times the sum T of their moduli; each pair of entries of
+    work[i], work[j] in distinct rows and columns enters T once, so
+    ||T||_F <= sqrt(2) N and ||dA||_2 <= 9 u N.  The computed singular
+    values lie within c u ||A||_2 of those of A, c at most the larger side
+    of A for LAPACK's SVD, with ||A||_2 <= ||T||_F.  N comes out within
+    k p q u relative, which moves the bound as much as a shift of
+    sigma_min(A) <= sqrt(2) N by that share.  So sigma_min(A) is taken
+    16 (max(rows, cols) + k p q) u N smaller than computed.
+
+    None when A has fewer rows than columns (its null space then holds
+    nonzero y), when the margin leaves no positive bound, or when A
+    would exceed _SCREEN_MAX_ENTRIES.  No random numbers are drawn.
+    """
+    k, p, q = work.shape
+    corners, i, j, half = _minor_pairs(k, p, q)
+    rows, cols = corners.shape[1], len(i)
+    if rows < cols or k * k * rows > _SCREEN_MAX_ENTRIES:
+        return None
+    w11, w12, w21, w22 = work.reshape(k, -1)[:, corners].transpose(1, 0, 2)
+    minors = w11[:, None] * w22[None] - w12[:, None] * w21[None]  # (k, k, rows)
+    a = (minors + minors.transpose(1, 0, 2))[i, j] * half  # A transposed
+    norm2 = float(np.vdot(work, work).real)
+    margin = 16 * (max(rows, cols) + work.size) * _EPS * norm2
+    sigma_min = np.linalg.svd(a, compute_uv=False)[-1] - margin
+    if not sigma_min > 0:
+        return None
+    small = min(p, q)
+    return float(sigma_min / (math.sqrt(small * (small - 1)) * norm2))
+
+
 def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> ProductSearchResult:
     """Find z with sum_i z_i mats[i] of rank 1 (up to the defect tolerance).
 
-    Every point where a rank-1 combination can sit is enumerated as an
-    eigenvalue (a pencil when the smaller matrix side has 2 levels, a
-    two- or three-parameter eigenvalue problem for 3 or 4) and tested, so
-    "not found" means none exists.  Success means the second singular
-    value of the combination is at most residual_tol times the first.
-    A smaller side of 5 or more levels, or of 4 beside more than 8, is
-    out of scope and raises UndecidableError; an all-zero stack raises
-    ValueError.
+    First one SVD of the second-compound matrix (_compound_screen) bounds
+    sigma_2 / sigma_1 from below on every combination; a bound above
+    residual_tol proves that no rank-1 combination exists, draws no
+    random numbers and returns found=False with method "second compound"
+    and the bound as best_defect.  Otherwise every point where a rank-1
+    combination can sit is enumerated as an eigenvalue (a pencil when the
+    smaller matrix side has 2 levels, a two- or three-parameter
+    eigenvalue problem for 3 or 4) and tested, so "not found" means none
+    exists.  Success means the second singular value of the combination
+    is at most residual_tol times the first.  A span the bound does not
+    decide is out of scope, and raises UndecidableError, when the smaller
+    side has 5 or more levels, or 4 beside more than 8; an all-zero stack
+    raises ValueError.
     """
     mats = np.asarray(mats, dtype=complex)
     k, p, q = mats.shape
     scale = np.linalg.norm(mats.reshape(k, -1), axis=1)
     if not scale.any():
         raise ValueError("rank_one_in_span needs a nonzero matrix in the span")
+    first = int(np.argmax(scale > 0))
+    scale[scale == 0] = 1.0
+    work = mats / scale[:, None, None]
+    bound = _compound_screen(work)
+    if bound is not None and bound > tol.residual_tol:
+        return ProductSearchResult(False, None, None, None, bound, "second compound", 0)
     small, large = sorted((p, q))
     if small > 4 or (small == 4 and large > 8):
         raise UndecidableError(
             f"no complete product search for {p}x{q} matrices: the eigenvalue "
             "enumeration needs a smaller side of at most 4 levels, and at most "
             "8 levels beside a 4-level side")
-    first = int(np.argmax(scale > 0))
-    scale[scale == 0] = 1.0
-    work = mats / scale[:, None, None]
     rng = as_rng(rng)
 
     if small < 2:
@@ -430,8 +513,9 @@ def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> Product
 
 
 def find_product_vector(subspace: Subspace, rng=7) -> ProductSearchResult:
-    """Search the subspace for a product vector a (x) b, by the complete
-    enumeration of rank_one_in_span (same scope).
+    """Search the subspace for a product vector a (x) b, by the second
+    compound bound and the complete enumeration of rank_one_in_span
+    (same scope).
 
     On success the returned (a, b) satisfies a (x) b ~ sum_i z_i basis_i
     up to the rank-1 defect tolerance; membership in the subspace holds

@@ -359,11 +359,17 @@ def _peel_anchor(state: BipartiteState, a_vec, b_vec):
     """Factor rho = lam |a,b><a,b| + rest with rest PSD of rank 3.
 
     Returns the W matrix (rows conj of the summands) whose Gram is rho.
+    A product accepted by its rank-1 defect can lie a relative d off
+    R(rho); rho - lam e e^dag then has an eigenvalue pair of about
+    +-lam d, which can pass the rank cutoff as a fifth summand, so the
+    product is first projected onto R(rho).
     """
     tol = state.tol
-    e = kron(a_vec, b_vec)
+    split = psd_eigen(state.matrix, tol)
+    span = split[1][:, split[2]:]  # orthonormal basis of R(rho)
+    e = span @ (dagger(span) @ kron(a_vec, b_vec))
     e = e / np.linalg.norm(e)
-    lam = 1.0 / max(_pinv_quadratic(psd_eigen(state.matrix, tol), e), 1.0e-300)
+    lam = 1.0 / max(_pinv_quadratic(split, e), 1.0e-300)
     w, q = psd_range(state.matrix - lam * np.outer(e, e.conj()), tol)
     return np.vstack([np.sqrt(lam) * e.conj()]
                      + [np.sqrt(wk) * qk.conj() for wk, qk in zip(w, q.T)])
@@ -657,7 +663,9 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
         return Rank4Verdict(side.lift(cert), (side_tag,))
 
     # (b) a direction with a rank-1 sector; one range split gives the
-    # block form here and the range basis in (c)
+    # block form here and the range basis in (c).  Three 4 x 3 blocks
+    # have 18 minors against 6 monomials, so the second-compound bound
+    # usually proves "none" without the enumeration or a random draw
     range_w, range_q = psd_range(restricted.matrix, restricted.tol)
     blocks = _block_form_from_range(range_w, range_q, m, n)
     found = rank_one_in_span(np.stack(blocks.blocks), rng=rng, tol=restricted.tol)

@@ -12,7 +12,7 @@ from entcert.io import (
     load_state,
     save_state,
 )
-from entcert.product_search import Subspace
+from entcert.product_search import Subspace, random_product_containing_subspace
 from entcert.random_states import complex_gaussian, random_rank_r_state
 from entcert.states import BipartiteState
 from entcert.tripartite import TripartitePure
@@ -143,6 +143,22 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert run_cli(["analyze", str(bad)]).returncode == 1
+    # usage errors are errors, not "undecided" (2)
+    for argv in (["analyze"], [], ["classify", "x.json"], ["analyze", "x.json", "--mode", "nope"]):
+        proc = run_cli(argv)
+        assert proc.returncode == 1, argv
+        assert "usage:" in proc.stderr
+    assert run_cli(["--help"]).returncode == 0
+    assert run_cli(["analyze", "--help"]).returncode == 0
+
+
+@pytest.mark.parametrize("argv", [["product-test", "sub.json"],
+                                  ["generate", "werner", "3", "-0.8", "--out", "w.json"]])
+def test_cli_budget_belongs_to_analyze_only(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
 
 
 def test_cli_tiles_ppt_entangled(tmp_path):
@@ -202,13 +218,26 @@ def test_cli_product_test_numeric_only_shape(tmp_path, rng):
 
 
 def test_cli_product_test_beyond_the_search_scope_is_undecided(tmp_path, rng):
-    sub = Subspace(5, 5, complex_gaussian(rng, (3, 25)))
+    # a planted product leaves the second-compound bound at zero, and the
+    # eigenvalue enumeration does not reach a 5-level side
+    sub = random_product_containing_subspace(5, 5, 3, rng)
     path = tmp_path / "sub55.json"
     save_state(sub, path)
     proc = run_cli(["product-test", str(path)])
     assert proc.returncode == 2
     assert proc.stderr.startswith("undecided:")
     assert "5x5" in proc.stderr
+
+
+def test_cli_product_test_decides_a_generic_5x5_span_by_the_second_compound(tmp_path, rng):
+    sub = Subspace(5, 5, complex_gaussian(rng, (3, 25)))
+    path = tmp_path / "sub55.json"
+    save_state(sub, path)
+    proc = run_cli(["product-test", str(path)])
+    assert proc.returncode == 0
+    search = json.loads(proc.stdout)["payload"]["search"]
+    assert search["found"] is False
+    assert search["best_rank1_defect"] > 1e-6
 
 
 def test_cli_env_override(tmp_path, monkeypatch):

@@ -12,10 +12,15 @@ from entcert.product_search import (
     random_product_containing_subspace,
     random_subspace,
     rank_one_in_span,
+    _compound_screen,
+    _enumerate_rank_one,
     _operator_determinants,
 )
 from entcert.certificates import UndecidableError
+from entcert.linalg import DEFAULT_TOL
 from entcert.random_states import complex_gaussian
+from entcert.states import BipartiteState
+from entcert import rank4
 
 
 def spec_example_basis():
@@ -327,6 +332,98 @@ def test_enumeration_agrees_with_the_restart_search(dims, dim):
 
 @pytest.mark.parametrize("dims", [(5, 5), (4, 9)])
 def test_search_beyond_its_scope_raises(rng, dims):
-    v = random_subspace(*dims, 3, rng)
+    # a planted product puts the second-compound bound at zero, and the
+    # eigenvalue enumeration does not reach a 5-level side or 4 beside 9
+    v = random_product_containing_subspace(*dims, 3, rng)
     with pytest.raises(UndecidableError, match=f"{dims[0]}x{dims[1]}"):
         find_product_vector(v, rng=rng)
+
+
+def test_search_beyond_its_scope_raises_where_the_compound_has_too_few_rows(rng):
+    # 5x5 dim 14: C(5, 2)^2 = 100 minors against 14 * 15 / 2 = 105 monomials
+    v = random_subspace(5, 5, 14, rng)
+    assert _compound_screen(normalized(v.matrices())) is None
+    with pytest.raises(UndecidableError, match="5x5"):
+        find_product_vector(v, rng=rng)
+
+
+@pytest.mark.parametrize("dims, dim", [((5, 5), 3), ((5, 5), 13), ((4, 9), 3),
+                                       ((4, 9), 20), ((6, 6), 15)])
+def test_second_compound_decides_generic_spans_beyond_the_enumeration(rng, dims, dim):
+    v = random_subspace(*dims, dim, rng)
+    state = rng.bit_generator.state
+    result = find_product_vector(v, rng=rng)
+    assert not result.found
+    assert (result.method, result.candidates) == ("second compound", 0)
+    assert result.best_defect > 1e-6  # a proved bound, far above residual_tol
+    assert rng.bit_generator.state == state  # no random numbers drawn
+
+
+def normalized(mats):
+    """The stack rank_one_in_span searches: each member at unit norm."""
+    return mats / np.linalg.norm(mats, axis=(1, 2))[:, None, None]
+
+
+def decide_rank4_stacks(seed, count):
+    """The step-(b) stacks of decide_rank4 on generic and planted 3x3
+    rank-4 states, all irreducible."""
+    stacks = []
+    real = rank4.rank_one_in_span
+
+    def record(mats, rng, tol):
+        stacks.append(np.array(mats))
+        return real(mats, rng=rng, tol=tol)
+
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rank4, "rank_one_in_span", record)
+        for i in range(count):
+            vecs = [complex_gaussian(rng, 9) for _ in range(4)]
+            if i % 2:
+                vecs[0] = np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3))
+            rank4.decide_rank4(BipartiteState.from_vectors(3, 3, vecs), rng=rng)
+    return stacks
+
+
+def random_stacks(rng):
+    # (k, p, q) with C(p, 2) C(q, 2) >= k (k + 1) / 2, in the enumeration's scope
+    for shape in [(2, 2, 3), (2, 3, 3), (3, 3, 3), (3, 4, 3), (3, 2, 5),
+                  (5, 4, 4), (6, 4, 5)]:
+        for _ in range(3):
+            yield complex_gaussian(rng, shape)
+
+
+def test_second_compound_bound_is_below_every_enumerated_defect(rng):
+    stacks = decide_rank4_stacks(5, 12) + list(random_stacks(rng))
+    assert len(stacks) > 30
+    for mats in stacks:
+        work = normalized(mats)
+        bound = _compound_screen(work)
+        _, defect, _ = _enumerate_rank_one(work, np.random.default_rng(1), DEFAULT_TOL)
+        assert bound is not None and 0 < bound <= defect.min() * (1 + 1e-9)
+        # a generic span holds no product, and the bound proves it
+        assert bound > DEFAULT_TOL.residual_tol
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 3), (3, 3, 3), (4, 4, 4), (5, 4, 5)])
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-10, 1e-8, 1e-6])
+def test_second_compound_never_screens_out_a_product_the_enumeration_accepts(shape, eps):
+    k, p, q = shape
+    rng = np.random.default_rng(100 * k + 10 * p + q)
+    accepted = 0
+    for _ in range(4):
+        mats = complex_gaussian(rng, shape)
+        mats[0] = (np.outer(complex_gaussian(rng, p), complex_gaussian(rng, q))
+                   + eps * complex_gaussian(rng, (p, q)))
+        mats = np.einsum("ij,jpq->ipq", np.eye(k) + 0.3 * complex_gaussian(rng, (k, k)), mats)
+        work = normalized(mats)
+        bound = _compound_screen(work)
+        _, defect, _ = _enumerate_rank_one(work, np.random.default_rng(2), DEFAULT_TOL)
+        assert bound is None or bound <= defect.min() * (1 + 1e-9) + 1e-15
+        if defect.min() <= DEFAULT_TOL.residual_tol:
+            accepted += 1
+            assert bound is None or bound <= DEFAULT_TOL.residual_tol
+            # undecided by the bound, the search draws the enumeration's numbers
+            assert rank_one_in_span(mats, rng=np.random.default_rng(2)).found
+    if eps <= 1e-10:
+        assert accepted == 4  # the check above is not vacuous

@@ -9,9 +9,12 @@ the branch reached may be a different one; what matters is that every
 deep exit produces a validated certificate.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
+from entcert import product_search
 from entcert.certificates import (
     Distillable,
     Separable,
@@ -19,6 +22,7 @@ from entcert.certificates import (
     validate_witness,
 )
 from entcert.criteria import Frame, is_ppt
+from entcert.linalg import rel_residual
 from entcert.product_search import Subspace, find_product_vector
 from entcert.random_states import (
     as_rng,
@@ -27,7 +31,7 @@ from entcert.random_states import (
     random_product_sum,
     random_rank_r_state,
 )
-from entcert.rank4 import _product_cascade, _range_product_basis, decide_rank4
+from entcert.rank4 import _peel_anchor, _product_cascade, _range_product_basis, decide_rank4
 from entcert.states import BipartiteState, apply_local
 
 
@@ -128,6 +132,39 @@ def test_decide_rank4_rank1_sector_fixtures(rng):
         assert isinstance(verdict.outcome, Distillable)
         assert "sector-rank-1" in verdict.trail
         assert validate_witness(state, verdict.outcome.witness) < -1e-10
+
+
+def sector_fixture(rng):
+    c1 = np.zeros((4, 3), complex)
+    c1[0, 0] = 1.0
+    w = np.hstack([c1, complex_gaussian(rng, (4, 3)), complex_gaussian(rng, (4, 3))])
+    return apply_local(BipartiteState(3, 3, w.conj().T @ w),
+                       random_invertible(3, rng), random_invertible(3, rng))
+
+
+def test_sector_rank1_verdicts_do_not_depend_on_the_second_compound(monkeypatch):
+    # a rank-1 sector puts the bound at zero, so the enumeration runs on
+    # the same random numbers and the verdict keeps its bytes
+    rng = np.random.default_rng(41)
+    states = [sector_fixture(rng) for _ in range(5)]
+    screened = [pickle.dumps(decide_rank4(s, rng=i)) for i, s in enumerate(states)]
+    monkeypatch.setattr(product_search, "_compound_screen", lambda work: None)
+    unscreened = [decide_rank4(s, rng=i) for i, s in enumerate(states)]
+    assert all("sector-rank-1" in v.trail for v in unscreened)
+    assert screened == [pickle.dumps(v) for v in unscreened]
+
+
+def test_generic_rank4_state_enumerates_only_the_range(monkeypatch):
+    # the bound proves step (b)'s "no rank-1 sector"; only the range test
+    # of step (c), 9 minors against 10 monomials, runs the enumeration
+    calls = []
+    enumerate_rank_one = product_search._enumerate_rank_one
+    monkeypatch.setattr(product_search, "_enumerate_rank_one",
+                        lambda *a: calls.append(a[0].shape) or enumerate_rank_one(*a))
+    state = random_rank_r_state(3, 3, 4, np.random.default_rng(8))
+    verdict = decide_rank4(state, rng=8)
+    assert verdict.trail[0] == "no-product-in-range"
+    assert calls == [(4, 3, 3)]
 
 
 # A seeded 3x3 rank-4 corpus, in cycles of eight: sums of 4 random
@@ -233,3 +270,20 @@ def test_rank4_with_infinitely_many_range_products_is_never_misjudged(rng):
         assert isinstance(verdict.outcome, expected)
         validate_certificate(state, verdict.outcome)
     assert kinds == {True, False}
+
+
+def test_anchor_peel_projects_a_product_just_off_the_range():
+    # a product accepted by its rank-1 defect may sit slightly off R(rho);
+    # rho - lam e e^dag then had a +-lam d eigenvalue pair, which passed
+    # the rank cutoff as a fifth summand from d ~ 1e-12 on (this corpus
+    # state failed so for about one decision rng in 300)
+    state = corpus_state(10, 4)
+    (a, b, _), = range_products(state)
+    rng = np.random.default_rng(0)
+    for d in (0.0, 1e-12, 1e-10, 1e-9):
+        w0 = _peel_anchor(state, a + d * complex_gaussian(rng, 3),
+                          b + d * complex_gaussian(rng, 3))
+        assert w0.shape[0] == 4
+        assert rel_residual(w0.conj().T @ w0, state.matrix) < 1e-8
+    for seed in (188, 73479951):
+        assert isinstance(decide_rank4(state, rng=seed).outcome, Distillable)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from entcert.analyze import classify_state
-from entcert.certificates import Distillable, Separable, validate_witness
-from entcert.criteria import is_ppt
+from entcert.certificates import Distillable, Separable, UndecidableError, validate_witness
+from entcert.criteria import is_ppt, left_pencil
 from entcert.families import make_generalized_ghz, make_label_state
 from entcert.linalg import rel_residual
+from entcert.product_search import rank_one_in_span
 from entcert.random_states import (
     complex_gaussian,
     random_invertible,
@@ -16,6 +17,7 @@ from entcert.states import (
     BipartiteState,
     PureState,
     apply_local,
+    block_form,
     reduce,
     von_neumann_entropy,
 )
@@ -321,10 +323,27 @@ def test_common_kernel_generic_none(rng):
     assert common_kernel_distill(state, rng=rng) is None
 
 
-def test_common_kernel_none_beyond_the_product_search_scope(rng):
-    # a 5-level A side beside rank 6: the rank-1 search raises
+def test_common_kernel_none_beyond_the_product_search_scope():
+    # a 5-level A side whose kernel holds C^4 (x) |0>: the pencil has a
+    # rank-1 combination, so the second-compound bound cannot decide and
+    # the enumeration does not reach 5 levels; the search raises
     # UndecidableError, which the route reports as no pattern
+    rng = np.random.default_rng(5)
+    vecs = complex_gaussian(rng, (6, 15))
+    vecs[:, [0, 3, 6, 9]] = 0.0  # orthogonal to e_a (x) e_0 for a < 4
+    state = BipartiteState.from_vectors(5, 3, list(vecs))
+    assert state.local_ranks() == (5, 3)
+    pencil = np.stack(left_pencil(block_form(state)))
+    with pytest.raises(UndecidableError, match="6x5"):
+        rank_one_in_span(pencil)
+    assert common_kernel_distill(state, rng=rng) is None
+
+
+def test_common_kernel_none_on_a_generic_5x3_state_by_the_second_compound(rng):
+    # no common-kernel pattern, proved by the bound beyond the enumeration
     state = random_rank_r_state(5, 3, 6, rng)
+    found = rank_one_in_span(np.stack(left_pencil(block_form(state))))
+    assert (found.found, found.method) == (False, "second compound")
     assert common_kernel_distill(state, rng=rng) is None
 
 
