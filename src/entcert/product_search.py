@@ -21,7 +21,8 @@ Two independent routes are provided and cross-checked in the tests:
   rank-1 defect, so "not found" is the result of a complete
   enumeration.  A smaller side of 5 or more levels, or of 4 levels
   beside more than 8 (operator determinants above 512 rows), is out of
-  its reach;
+  its reach, unless the span is so large that the dimension count
+  alone puts a product in it;
 * the second compound: the 2 x 2 minors of sum_i z_i M_i are linear in
   the k (k + 1) / 2 products z_i z_j, and where there are at least as
   many minors as products one SVD bounds sigma_2 / sigma_1 from below
@@ -353,16 +354,26 @@ def _parameter_candidates(comp, comp2, rng):
 
 
 def _enumerate_rank_one(work, rng, tol):
-    """Every candidate rank-1 combination of work (k, p, q), with
-    min(p, q) <= 4 and some work[i] nonzero.
+    """Every candidate rank-1 combination of work (k, p, q), some
+    work[i] nonzero.
 
     Returns (z, defect, method): coefficients (C, k) with respect to
-    work, the rank-1 defect of each, and the method name.
+    work, the rank-1 defect of each, and the method name.  A span whose
+    complement has fewer vectors than the larger side holds a product
+    at every v (the dimension count) whatever the shape; otherwise a
+    smaller side of 5 or more levels, or 4 beside more than 8, raises
+    UndecidableError.
     """
     k, p, q = work.shape
     flat = work.reshape(k, -1)
     u_x, s_x, vh_x = np.linalg.svd(flat)
     r = singular_rank(s_x, flat.shape, tol)
+    small, large = sorted((p, q))
+    if p * q - r >= large and (small > 4 or (small == 4 and large > 8)):
+        raise UndecidableError(
+            f"no complete product search for {p}x{q} matrices: the eigenvalue "
+            "enumeration needs a smaller side of at most 4 levels, and at most "
+            "8 levels beside a 4-level side")
     # orthonormal span basis, mixed at random so no candidate sits on a
     # coordinate hyperplane, and coefficients back to work: z = y @ to_work
     mix = np.linalg.qr(complex_gaussian(rng, (r, r)))[0]
@@ -462,10 +473,12 @@ def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> Product
     smaller matrix side has 2 levels, a two- or three-parameter
     eigenvalue problem for 3 or 4) and tested, so "not found" means none
     exists.  Success means the second singular value of the combination
-    is at most residual_tol times the first.  A span the bound does not
-    decide is out of scope, and raises UndecidableError, when the smaller
-    side has 5 or more levels, or 4 beside more than 8; an all-zero stack
-    raises ValueError.
+    is at most residual_tol times the first.  A span whose complement
+    has fewer vectors than the larger side holds a product at every
+    smaller-side vector ("dimension count"), at any shape.  Any other
+    span the bound does not decide is out of scope, and raises
+    UndecidableError, when the smaller side has 5 or more levels, or 4
+    beside more than 8; an all-zero stack raises ValueError.
     """
     mats = np.asarray(mats, dtype=complex)
     k, p, q = mats.shape
@@ -478,15 +491,9 @@ def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> Product
     bound = _compound_screen(work)
     if bound is not None and bound > tol.residual_tol:
         return ProductSearchResult(False, None, None, None, bound, "second compound", 0)
-    small, large = sorted((p, q))
-    if small > 4 or (small == 4 and large > 8):
-        raise UndecidableError(
-            f"no complete product search for {p}x{q} matrices: the eigenvalue "
-            "enumeration needs a smaller side of at most 4 levels, and at most "
-            "8 levels beside a 4-level side")
     rng = as_rng(rng)
 
-    if small < 2:
+    if min(p, q) < 2:
         z = np.zeros(k, dtype=complex)
         z[first] = 1.0 / scale[first]
         prod = _product(mats, z)

@@ -6,10 +6,13 @@ contains a product vector.  The decision tree:
 
 * max local rank 4: rank equals the max, so the rank-max machinery
   decides (PPT -> N products, NPT -> projection witness);
-* 3x3 locals: reducibility, rank-1 sector directions, then a product
-  vector in the range.  A PPT state is then separable, and four of the
-  range's product vectors diagonalize it; an NPT state enters a
-  gauge-fixing cascade that ends in a trivially distillable projection;
+* 3x3 locals: a PPT state's range is searched for product vectors
+  first; when four of them diagonalize the state it is separable, with
+  them as the certificate.  Every other state goes through
+  reducibility, rank-1 sector directions, then a product vector in the
+  range (a PPT state reuses its search): an NPT state with one enters
+  a gauge-fixing cascade that ends in a trivially distillable
+  projection;
 * PPT with no product vector in range: PPT entangled;
 * NPT with no product vector in range: the coordinate 2x3 scan of
   rho^G only; its failure is surfaced as undecidable, not as a verdict.
@@ -68,8 +71,11 @@ from .states import (
     partial_transpose,
     partial_transpose_matrix,
     reduce_matrix,
+    swap_sides_matrix,
 )
-from .structure import aggregate, common_kernel_distill, decompose_b_direct
+from .structure import (
+    aggregate, common_kernel_distill, decompose_b_direct, decompose_b_direct_matrix,
+)
 
 __all__ = [
     "Rank4Verdict",
@@ -582,7 +588,8 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
 
 def _range_product_basis(state: BipartiteState, products):
     """Weighted products summing to a separable 3x3 rank-4 state, drawn
-    from the (a, b, coefficients) product vectors of its range.
+    from the (a, b, coefficients) product vectors of its range, or None
+    when no four of them do.
 
     For independent e_1..e_4 in R(rho), rho = E Lambda E^dag with
     Lambda = E^+ rho E^+dag; the first 4-subset whose Lambda is diagonal
@@ -599,9 +606,32 @@ def _range_product_basis(state: BipartiteState, products):
         if (frob(lam - np.diag(np.diag(lam))) <= state.tol.residual_tol * frob(lam)
                 and np.all(weights > 0)):
             return [(np.sqrt(w) * a, b) for w, (a, b) in zip(weights, subset)]
-    raise RuntimeError(
-        f"range-product-basis: no 4 of the {len(products)} product vectors in "
-        "the range diagonalize the state")
+    return None
+
+
+def _reducible_verdict(restricted: BipartiteState, rng):
+    """Step (a) of the 3x3 tree: the verdict of a B- or A-reducible
+    state, or None for an irreducible one.
+
+    The A side is tested on the swapped matrix; the swapped state and
+    its frame are built only when that side splits.
+    """
+    m, n, tol = restricted.dim_a, restricted.dim_b, restricted.tol
+    sides = (("reducible-b", restricted.matrix, (m, n)),
+             ("reducible-a", swap_sides_matrix(restricted.matrix, m, n), (n, m)))
+    for side_tag, mat, dims in sides:
+        decomp = decompose_b_direct_matrix(mat, *dims, tol, rng)
+        if decomp.irreducible:
+            continue
+        side = Frame(restricted, restricted) if side_tag == "reducible-b" else Frame.swap(restricted)
+        verdicts = [classify_state(c, rng=rng) for c in decomp.components]
+        cert = aggregate(side.work, decomp, verdicts)
+        if isinstance(cert, Ppt):
+            raise RuntimeError(
+                "components of a reducible rank-4 state did not fully "
+                "classify; every component is decidable at this rank")
+        return Rank4Verdict(side.lift(cert), (side_tag,))
+    return None
 
 
 def decide_rank4(state: BipartiteState, rng=7) -> Rank4Verdict:
@@ -648,39 +678,46 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
                 "the scan of its 2xN blocks found no negative direction")
         return Rank4Verdict(Distillable(w), ("small-locals",))
 
-    # (a) reducibility, B side then A side
-    for side_tag, side in (("reducible-b", Frame(restricted, restricted)),
-                           ("reducible-a", Frame.swap(restricted))):
-        decomp = decompose_b_direct(side.work, rng=rng)
-        if decomp.irreducible:
-            continue
-        verdicts = [classify_state(c, rng=rng) for c in decomp.components]
-        cert = aggregate(side.work, decomp, verdicts)
-        if isinstance(cert, Ppt):
-            raise RuntimeError(
-                "components of a reducible rank-4 state did not fully "
-                "classify; every component is decidable at this rank")
-        return Rank4Verdict(side.lift(cert), (side_tag,))
-
-    # (b) a direction with a rank-1 sector; one range split gives the
-    # block form here and the range basis in (c).  Three 4 x 3 blocks
-    # have 18 minors against 6 monomials, so the second-compound bound
-    # usually proves "none" without the enumeration or a random draw
+    # (0) PPT only: the state is separable iff its range holds a product,
+    # and then four of the range's products diagonalize it, so the range
+    # is searched first.  No product, or products that diagonalize
+    # nothing (the families of a reducible range), fall through to (a)
+    # and (b), and (c) reuses the search.  "No product" is not reported
+    # here: under an ill-conditioned ILO the search can miss a product,
+    # and the checks of (a) are what stop that becoming PptEntangled.
+    # One range split gives the range basis and (b)'s block form
     range_w, range_q = psd_range(restricted.matrix, restricted.tol)
+    prod = None
+    if ppt_flag:
+        prod = find_product_vector(Subspace(3, 3, range_q.T, restricted.tol), rng=rng)
+        products = _range_product_basis(restricted, prod.products)
+        if products is not None:  # decide_rank4 validates it in the caller's frame
+            return Rank4Verdict(Separable(products=tuple(products)),
+                                ("product-in-range", "range-product-basis"))
+
+    # (a) reducibility, B side then A side
+    reducible = _reducible_verdict(restricted, rng)
+    if reducible is not None:
+        return reducible
+
+    # (b) a direction with a rank-1 sector.  Three 4 x 3 blocks have 18
+    # minors against 6 monomials, so the second-compound bound usually
+    # proves "none" without the enumeration or a random draw
     blocks = _block_form_from_range(range_w, range_q, m, n)
     found = rank_one_in_span(np.stack(blocks.blocks), rng=rng, tol=restricted.tol)
     if found.found:
         g = _Gauge(restricted, blocks.stacked())
         return _rank1_sector_path(g, found.coefficients, restricted, rng, ())
 
-    # (c) a product vector in the range: PPT means separable, and the
-    # range's products hold the decomposition; NPT runs the cascade
-    subspace = Subspace(3, 3, range_q.T, restricted.tol)
-    prod = find_product_vector(subspace, rng=rng)
+    # (c) a product vector in the range.  NPT runs the cascade; a PPT
+    # state got here only if (0) found no product, since an irreducible
+    # separable state's products diagonalize it
+    if prod is None:
+        prod = find_product_vector(Subspace(3, 3, range_q.T, restricted.tol), rng=rng)
     if prod.found and ppt_flag:
-        outcome = Separable(products=tuple(_range_product_basis(restricted, prod.products)))
-        validate_certificate(restricted, outcome)
-        return Rank4Verdict(outcome, ("product-in-range", "range-product-basis"))
+        raise RuntimeError(
+            f"range-product-basis: no 4 of the {len(prod.products)} product "
+            "vectors in the range diagonalize the state")
     if prod.found:
         return _product_cascade(restricted, prod.a, prod.b, rng, ("product-in-range",))
 

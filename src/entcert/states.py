@@ -320,11 +320,16 @@ def tensor(rho: BipartiteState, sigma: BipartiteState) -> BipartiteState:
     return BipartiteState(m1 * m2, n1 * n2, t.reshape(d, d), rho.tol)
 
 
+def swap_sides_matrix(mat: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Matrix-level swap_sides: mat on A (x) B reordered to B (x) A."""
+    t = np.asarray(mat).reshape(dim_a, dim_b, dim_a, dim_b).transpose(1, 0, 3, 2)
+    return t.reshape(dim_a * dim_b, dim_a * dim_b)
+
+
 def swap_sides(state: BipartiteState) -> BipartiteState:
     """The same state with the roles of A and B interchanged."""
     m, n = state.dim_a, state.dim_b
-    t = state.matrix.reshape(m, n, m, n).transpose(1, 0, 3, 2)
-    return BipartiteState(n, m, t.reshape(m * n, m * n), state.tol)
+    return BipartiteState(n, m, swap_sides_matrix(state.matrix, m, n), state.tol)
 
 
 def swap_vector(v: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:

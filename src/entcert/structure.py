@@ -27,12 +27,12 @@ from .certificates import (
 from .criteria import Frame, _validated, is_ppt, left_pencil, trivially_distillable
 from .linalg import (
     DEFAULT_TOL, ToleranceConfig, check_hermitian, common_eigenbasis, complete_rows, dagger, frob,
-    numerical_rank, psd_range,
+    numerical_rank, psd_range, singular_rank,
 )
 from .product_search import rank_one_in_span
 from .random_states import as_rng, complex_gaussian
 from .states import (
-    BipartiteState, apply_local, apply_local_matrix, block_form, reduce, swap_sides,
+    BipartiteState, apply_local, apply_local_matrix, block_form, reduce_matrix, swap_sides,
 )
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "b_normalize",
     "commutant_decompose",
     "decompose_b_direct",
+    "decompose_b_direct_matrix",
     "aggregate",
     "common_kernel_distill",
     "classical_side",
@@ -106,12 +107,12 @@ def b_normalize(state: BipartiteState):
     PPT/separability/reducibility verdicts are unchanged (ILO on the
     support).
     """
-    conj_fwd, conj_inv = _b_conjugators(state)
+    conj_fwd, conj_inv = _b_conjugators(state.matrix, state.dim_a, state.dim_b, state.tol)
     return apply_local(state, None, conj_fwd), conj_fwd, conj_inv
 
 
-def _b_conjugators(state: BipartiteState):
-    lam, q = psd_range(reduce(state, "B"), state.tol)
+def _b_conjugators(mat: np.ndarray, m: int, n: int, tol: ToleranceConfig):
+    lam, q = psd_range(reduce_matrix(mat, m, n, "B"), tol)
     conj_fwd = (q / np.sqrt(lam)).conj().T      # n x N, sigma^{-1/2} on the range
     conj_inv = q * np.sqrt(lam)                 # N x n
     return conj_fwd, conj_inv
@@ -160,18 +161,21 @@ def commutant_decompose(blocks, tol: ToleranceConfig = DEFAULT_TOL, rng=11):
     2 K n^2 rows, block-major: for each S the real parts of [X, S]
     (row-major), then its imaginary parts.  A 1-dimensional solution
     space (scalars) means the family is irreducible and the single full
-    projector is returned.  Otherwise a generic random element of the
-    commutant is eigen-split and its gap-grouped eigenprojectors are
-    returned, each verified to commute with every block.
+    projector is returned.  That is decided from the singular values of
+    the real constraint alone; only a reducible family pays for the
+    kernel basis.  Its generic random element is eigen-split and the
+    gap-grouped eigenprojectors are returned, each verified to commute
+    with every block.
     """
     blocks = np.asarray(blocks, dtype=complex)
     n = blocks.shape[1]
-    basis = _hermitian_basis(n)
     constraint = _commutant_constraint(blocks)
-    rank, kernel = numerical_rank(constraint, tol)
-    null_dim = kernel.shape[1]
-    if null_dim <= 1:
+    s = np.linalg.svd(constraint, compute_uv=False)
+    if len(s) - singular_rank(s, constraint.shape, tol) <= 1:
         return [np.eye(n, dtype=complex)]
+    kernel = numerical_rank(constraint, tol)[1]
+    null_dim = kernel.shape[1]
+    basis = _hermitian_basis(n)
     solution_basis = [
         sum(kernel[e, l].real * basis[e] for e in range(len(basis)))
         for l in range(null_dim)
@@ -203,12 +207,24 @@ def decompose_b_direct(state: BipartiteState, rng=11) -> BDirectDecomposition:
     Works on the b_normalize matrix without building its state; the
     components become states only when read.
     """
-    conj_fwd, conj_inv = _b_conjugators(state)
-    m, n = state.dim_a, conj_fwd.shape[0]
+    return decompose_b_direct_matrix(state.matrix, state.dim_a, state.dim_b, state.tol, rng)
+
+
+def decompose_b_direct_matrix(mat: np.ndarray, dim_a: int, dim_b: int,
+                              tol: ToleranceConfig = DEFAULT_TOL, rng=11) -> BDirectDecomposition:
+    """decompose_b_direct on the matrix of a validated M x N state, for a
+    caller that has the matrix but no state (a swapped side, say).
+
+    The B-normalized matrix is a product of the library's own, and is
+    still checked for Hermiticity: under an ill-conditioned local
+    operation its defect is what stops a wrong verdict downstream.
+    """
+    conj_fwd, conj_inv = _b_conjugators(mat, dim_a, dim_b, tol)
+    n = conj_fwd.shape[0]
     normalized = check_hermitian(
-        apply_local_matrix(state.matrix, m, state.dim_b, None, conj_fwd, state.tol), state.tol)
-    projectors = commutant_decompose(_b_blocks(normalized, m, n), state.tol, rng=rng)
-    return BDirectDecomposition(normalized, tuple(projectors), conj_fwd, conj_inv, state.tol)
+        apply_local_matrix(mat, dim_a, dim_b, None, conj_fwd, tol), tol)
+    projectors = commutant_decompose(_b_blocks(normalized, dim_a, n), tol, rng=rng)
+    return BDirectDecomposition(normalized, tuple(projectors), conj_fwd, conj_inv, tol)
 
 
 def _lift_component_witness(decomp: BDirectDecomposition, index: int,

@@ -12,7 +12,9 @@ from entcert.io import (
     load_state,
     save_state,
 )
-from entcert.product_search import Subspace, random_product_containing_subspace
+from entcert.product_search import (
+    Subspace, random_product_containing_subspace, random_subspace,
+)
 from entcert.random_states import complex_gaussian, random_rank_r_state
 from entcert.states import BipartiteState
 from entcert.tripartite import TripartitePure
@@ -227,6 +229,17 @@ def test_cli_product_test_beyond_the_search_scope_is_undecided(tmp_path, rng):
     assert proc.returncode == 2
     assert proc.stderr.startswith("undecided:")
     assert "5x5" in proc.stderr
+
+
+def test_cli_product_test_finds_a_product_in_a_large_5x5_span_by_dimension_count(tmp_path):
+    sub = random_subspace(5, 5, 21, 0)
+    path = tmp_path / "sub55.json"
+    save_state(sub, path)
+    proc = run_cli(["product-test", str(path)])
+    assert proc.returncode == 0
+    search = json.loads(proc.stdout)["payload"]["search"]
+    assert search["found"] is True
+    assert search["best_rank1_defect"] < 1e-10
 
 
 def test_cli_product_test_decides_a_generic_5x5_span_by_the_second_compound(tmp_path, rng):

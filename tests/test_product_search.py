@@ -339,12 +339,27 @@ def test_search_beyond_its_scope_raises(rng, dims):
         find_product_vector(v, rng=rng)
 
 
-def test_search_beyond_its_scope_raises_where_the_compound_has_too_few_rows(rng):
-    # 5x5 dim 14: C(5, 2)^2 = 100 minors against 14 * 15 / 2 = 105 monomials
-    v = random_subspace(5, 5, 14, rng)
+@pytest.mark.parametrize("make", [random_subspace, random_product_containing_subspace])
+def test_search_beyond_its_scope_raises_where_the_compound_has_too_few_rows(rng, make):
+    # 5x5 dim 14: C(5, 2)^2 = 100 minors against 14 * 15 / 2 = 105
+    # monomials, and 11 complement vectors, too many for the dimension count
+    v = make(5, 5, 14, rng)
     assert _compound_screen(normalized(v.matrices())) is None
     with pytest.raises(UndecidableError, match="5x5"):
         find_product_vector(v, rng=rng)
+
+
+@pytest.mark.parametrize("dims, dim", [((5, 5), 21), ((5, 5), 22), ((6, 5), 27),
+                                       ((4, 9), 33)])
+def test_dimension_count_decides_large_spans_beyond_the_enumeration(dims, dim):
+    # fewer complement vectors than the larger side: every L(v) has a null
+    # vector, so the span holds a product whatever the shape
+    v = random_subspace(*dims, dim, 0)
+    result = find_product_vector(v, rng=0)
+    assert result.found and result.method == "dimension count"
+    e = np.kron(result.a, result.b)
+    q = np.linalg.qr(v.basis.T)[0]
+    assert np.linalg.norm(e - q @ (q.conj().T @ e)) < 1e-10 * np.linalg.norm(e)
 
 
 @pytest.mark.parametrize("dims, dim", [((5, 5), 3), ((5, 5), 13), ((4, 9), 3),

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from entcert import linalg, rank4
+from entcert import criteria, linalg, rank4, structure
 from entcert.certificates import (
     Distillable,
     PptEntangled,
@@ -28,6 +28,7 @@ from entcert.random_states import (
     random_product_sum,
     random_rank_r_state,
     random_tripartite_pure_amplitudes,
+    random_unitary,
 )
 from entcert.rank4 import (
     classify_state,
@@ -449,3 +450,81 @@ def test_reducible_b_route_lifts_a_rank_below_max_component(rng):
     assert verdict.trail == ("reducible-b",)
     assert isinstance(verdict.outcome.witness, SchmidtRank2Witness)
     validate_certificate(state, verdict.outcome)
+
+
+def ill_conditioned(kappa, rng):
+    """A 3 x 3 invertible operator with singular values 1 .. 1/kappa
+    between random unitaries."""
+    s = np.diag(np.logspace(0, -np.log10(kappa), 3))
+    return random_unitary(3, rng) @ s @ random_unitary(3, rng)
+
+
+def test_decide_rank4_gives_no_wrong_verdict_under_ill_conditioned_ilos():
+    # 30 sums of 4 products, 30 planted products, 10 tiles, 10 generic
+    # states; under A (x) B of condition number kappa each call either
+    # raises or returns the verdict type it returns for a unitary A (x) B
+    rng = np.random.default_rng(15)
+    corpus = [random_product_sum(3, 3, 4, rng) for _ in range(30)]
+    for _ in range(30):
+        prod = np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3))
+        vecs = [prod] + [complex_gaussian(rng, 9) for _ in range(3)]
+        corpus.append(BipartiteState.from_vectors(3, 3, vecs))
+    corpus += [make_tiles_upb()] * 10
+    corpus += [random_rank_r_state(3, 3, 4, rng) for _ in range(10)]
+    wrong = []
+    for index, state in enumerate(corpus):
+        conj = apply_local(state, ill_conditioned(1, rng), ill_conditioned(1, rng))
+        expected = type(decide_rank4(conj, rng=index).outcome)
+        for kappa in (1e3, 1e5):
+            conj = apply_local(state, ill_conditioned(kappa, rng), ill_conditioned(kappa, rng))
+            try:
+                outcome = decide_rank4(conj, rng=index).outcome
+            except Exception:
+                continue
+            if not isinstance(outcome, expected):
+                wrong.append((index, kappa, expected.__name__, type(outcome).__name__))
+    assert not wrong
+
+
+def test_irreducible_state_reducibility_test_runs_no_kernel_svd_and_no_swapped_state(
+        rng, monkeypatch):
+    # step (a) decides irreducibility from singular values alone, and
+    # tests the A side on the swapped matrix without building its state
+    kernels, swaps = [], []
+    numerical_rank, swap_sides = structure.numerical_rank, criteria.swap_sides
+    monkeypatch.setattr(structure, "numerical_rank",
+                        lambda *a: kernels.append(1) or numerical_rank(*a))
+    monkeypatch.setattr(criteria, "swap_sides", lambda s: swaps.append(1) or swap_sides(s))
+    for state in (npt_rank4_with_product(rng), make_tiles_upb()):
+        assert rank4._reducible_verdict(state, rng) is None
+    assert not kernels and not swaps
+
+
+def test_ppt_sum_of_four_products_never_reaches_the_b_direct_code(rng, monkeypatch):
+    calls = []
+    for name in ("decompose_b_direct", "decompose_b_direct_matrix"):
+        fn = getattr(rank4, name)
+        monkeypatch.setattr(rank4, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+    for _ in range(5):
+        state = apply_local(random_product_sum(3, 3, 4, rng), random_invertible(3, rng),
+                            random_invertible(3, rng))
+        verdict = decide_rank4(state, rng=rng)
+        assert verdict.trail == ("product-in-range", "range-product-basis")
+    assert not calls
+
+
+def test_ppt_b_reducible_state_with_range_product_families_ends_reducible_b(rng):
+    # a (x) C^2 on B-levels 0, 1 plus two products on B-level 2: the range
+    # holds two families of products, no four of which the search returns
+    # diagonalize the state, so the reducibility test decides it
+    a = complex_gaussian(rng, 3)
+    e = np.eye(3)
+    vecs = [np.kron(a, e[0]), np.kron(a, e[1]),
+            np.kron(complex_gaussian(rng, 3), e[2]), np.kron(complex_gaussian(rng, 3), e[2])]
+    for _ in range(3):
+        state = apply_local(BipartiteState.from_vectors(3, 3, vecs),
+                            random_invertible(3, rng), random_invertible(3, rng))
+        assert is_ppt(state)[0] and state.rank() == 4
+        verdict = decide_rank4(state, rng=rng)
+        assert verdict.trail == ("reducible-b",)
+        validate_certificate(state, verdict.outcome)

@@ -14,7 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
-from entcert import product_search
+from entcert import product_search, rank4
 from entcert.certificates import (
     Distillable,
     Separable,
@@ -62,13 +62,14 @@ def test_cascade_deep_distillable_branches(knob):
 def test_cascade_separable_terminus_from_gauge_state():
     # with every knob at zero the gauge state is a separable B-direct sum
     # (row 0 alone holds B-level 0).  Its four range products diagonalize
-    # it, and the NPT-only cascade walked to its terminus reports the
+    # it, so the PPT range search settles it before the reducibility
+    # test, and the NPT-only cascade walked to its terminus reports the
     # contradiction
     state, aa, bb = late_stage_state()
     assert is_ppt(state)[0]
     verdict = decide_rank4(state, rng=3)
     assert isinstance(verdict.outcome, Separable)
-    assert verdict.trail == ("reducible-b",)
+    assert verdict.trail == ("product-in-range", "range-product-basis")
     products = range_products(state)
     assert len(products) == 4
     outcome = Separable(products=tuple(_range_product_basis(state, products)))
@@ -224,19 +225,27 @@ def test_rank4_corpus_state_with_a_fragile_anchor_always_decides():
         assert verdict.trail == ("product-in-range", "range-product-basis")
 
 
-def test_range_product_basis_names_its_failure(rng):
+def test_range_product_basis_is_none_without_four_diagonalizing_products(rng):
     state = random_product_sum(3, 3, 4, rng)
     products = range_products(state)
     assert len(products) == 4
     outcome = Separable(products=tuple(_range_product_basis(state, products)))
     assert validate_certificate(state, outcome)["reconstruction_residual"] < 1e-12
-    with pytest.raises(RuntimeError, match="range-product-basis"):
-        _range_product_basis(state, products[:3])
+    assert _range_product_basis(state, products[:3]) is None
     # three range products and one product from outside the range: Lambda
     # is not diagonal
     stray = (complex_gaussian(rng, 3), complex_gaussian(rng, 3), None)
-    with pytest.raises(RuntimeError, match="range-product-basis"):
-        _range_product_basis(state, products[:3] + (stray,))
+    assert _range_product_basis(state, products[:3] + (stray,)) is None
+
+
+def test_irreducible_ppt_state_whose_products_diagonalize_nothing_names_the_failure(
+        rng, monkeypatch):
+    # with the basis solve failing, a separable state passes (a) and (b)
+    # and reaches (c), where a PPT state with range products is an error
+    monkeypatch.setattr(rank4, "_range_product_basis", lambda *a: None)
+    state = random_product_sum(3, 3, 4, rng)
+    with pytest.raises(RuntimeError, match="range-product-basis: no 4 of the 4"):
+        decide_rank4(state, rng=rng)
 
 
 def block_plus_product_state(rng, with_sum):
