@@ -1,9 +1,11 @@
 """The complete rank-4 decision: separable iff PPT with a product in range.
 
-decide_rank4 walks a decision tree (reducibility, rank-1 sectors, then
-the product vectors in the range: for a PPT state four of them
-diagonalize it, an NPT state goes through a gauge-fixing cascade) and
-reports the proof path alongside the verdict.
+decide_rank4 walks a decision tree and reports the proof path alongside
+the verdict.  A PPT state is settled by the product vectors in its
+range: four of them diagonalize a separable state, and none means PPT
+entangled.  An irreducible NPT state takes a negative coordinate 2x3
+block of rho^G as its witness; only when that scan misses does it go
+through rank-1 sectors and the gauge-fixing cascade.
 """
 
 import numpy as np

@@ -139,7 +139,7 @@ def singular_rank(s: np.ndarray, shape: tuple[int, int],
     default the largest singular value."""
     if scale is None:
         scale = float(s[0]) if s.size else 0.0
-    return int(np.sum(s > tol.rank_cutoff(scale, shape)))
+    return int(np.count_nonzero(s > tol.rank_cutoff(scale, shape)))
 
 
 def numerical_rank(a: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):

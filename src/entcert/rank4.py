@@ -9,13 +9,15 @@ contains a product vector.  The decision tree:
 * 3x3 locals: a PPT state's range is searched for product vectors
   first; when four of them diagonalize the state it is separable, with
   them as the certificate.  Every other state goes through
-  reducibility, rank-1 sector directions, then a product vector in the
-  range (a PPT state reuses its search): an NPT state with one enters
-  a gauge-fixing cascade that ends in a trivially distillable
+  reducibility; an irreducible NPT state then takes a negative
+  coordinate 2x3 block of rho^G as its witness.  The rest go through
+  rank-1 sector directions, then a product vector in the range (a PPT
+  state reuses its search): an NPT state with one enters a
+  gauge-fixing cascade that ends in a trivially distillable
   projection;
 * PPT with no product vector in range: PPT entangled;
-* NPT with no product vector in range: the coordinate 2x3 scan of
-  rho^G only; its failure is surfaced as undecidable, not as a verdict.
+* NPT with no product vector in range and no negative 2x3 block: no
+  verdict; it is surfaced as undecidable.
 
 Also hosts the peeling decomposition for two-level-by-N PPT states
 (Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302 (2000)), whose
@@ -638,7 +640,8 @@ def decide_rank4(state: BipartiteState, rng=7) -> Rank4Verdict:
     """Separability/distillability decision for a rank-4 bipartite state.
 
     Separable iff PPT with a product vector in the range; the verdict
-    carries the proof path.  The only undecided corner is NPT with no
+    carries the proof path.  The only undecided corner is an irreducible
+    NPT 3x3 state with no negative coordinate 2x3 block of rho^G and no
     product vector found in the range, which raises UndecidableError.
     """
     frame = Frame.local(state, orient=False)
@@ -685,10 +688,9 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     # and (b), and (c) reuses the search.  "No product" is not reported
     # here: under an ill-conditioned ILO the search can miss a product,
     # and the checks of (a) are what stop that becoming PptEntangled.
-    # One range split gives the range basis and (b)'s block form
-    range_w, range_q = psd_range(restricted.matrix, restricted.tol)
     prod = None
     if ppt_flag:
+        range_w, range_q = psd_range(restricted.matrix, restricted.tol)
         prod = find_product_vector(Subspace(3, 3, range_q.T, restricted.tol), rng=rng)
         products = _range_product_basis(restricted, prod.products)
         if products is not None:  # decide_rank4 validates it in the caller's frame
@@ -699,6 +701,17 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     reducible = _reducible_verdict(restricted, rng)
     if reducible is not None:
         return reducible
+
+    # (a') NPT only: a negative coordinate 2x3 block of rho^G is a
+    # witness on its own, so the scan runs before the case tree.  It
+    # draws no random numbers, and decide_rank4 validates the witness in
+    # the caller's frame.  It runs after (a), whose Hermiticity check on
+    # the B-normalized state guards ill-conditioned input
+    if not ppt_flag:
+        w = schmidt2_witness(restricted)
+        if w is not None:
+            return Rank4Verdict(Distillable(w), ("schmidt2-search",))
+        range_w, range_q = psd_range(restricted.matrix, restricted.tol)
 
     # (b) a direction with a rank-1 sector.  Three 4 x 3 blocks have 18
     # minors against 6 monomials, so the second-compound bound usually
@@ -721,15 +734,13 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     if prod.found:
         return _product_cascade(restricted, prod.a, prod.b, rng, ("product-in-range",))
 
-    # (d) no product vector in the range
+    # (d) no product vector in the range.  An NPT state gets here only
+    # when the scan of (a') missed
     report = f"no product vector in the range ({prod.report()})"
     if ppt_flag:
         return Rank4Verdict(
             PptEntangled(min_eig_gamma=min_eig, product_search_report=report),
             ("no-product-in-range",))
-    w = schmidt2_witness(restricted)
-    if w is not None:
-        return Rank4Verdict(Distillable(w), ("no-product-in-range", "schmidt2-search"))
     raise UndecidableError(
         "NPT 3x3 rank-4 state with no product vector in its range and no "
         "negative coordinate 2x3 block; distillability here is an open "

@@ -268,10 +268,18 @@ def _block_form_from_range(w: np.ndarray, q: np.ndarray, m: int, n: int) -> Bloc
 
 
 def apply_local_matrix(mat: np.ndarray, dim_a: int, dim_b: int, a: np.ndarray | None,
-                       b: np.ndarray | None, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+                       b: np.ndarray | None) -> np.ndarray:
     """Matrix-level (A (x) B) mat (A (x) B)^dag; A is M'xM, B is N'xN (None: I).
 
-    Rejects a result that vanishes at the psd_tol scale of mat.
+    Rejects a result that is zero up to the rounding of the product.
+    With op = A (x) B, both products have inner dimension d = M N, so
+    to first order each computed entry of op mat op^dag is off by at
+    most about 2 d u times the same entry of |op| |mat| |op^dag| (u the
+    unit roundoff; complex arithmetic at most doubles the constant), and
+    || |op| |mat| |op^dag| ||_F <= ||op||_F^2 ||mat||_F.  An output with
+    no entry above 4 d u ||op||_F^2 ||mat||_F is therefore rounding
+    noise.  The bar scales with mat and with op, so the test gives the
+    same answer for c mat and for (s A) (x) B at any c, s.
     """
     a = np.eye(dim_a, dtype=complex) if a is None else np.asarray(a, dtype=complex)
     b = np.eye(dim_b, dtype=complex) if b is None else np.asarray(b, dtype=complex)
@@ -279,7 +287,9 @@ def apply_local_matrix(mat: np.ndarray, dim_a: int, dim_b: int, a: np.ndarray | 
         raise ValueError("local operator shapes do not conform with the state")
     op = kron(a, b)
     out = op @ mat @ dagger(op)
-    if not np.any(np.abs(out) > tol.psd_tol * max(frob(mat), 1.0)):
+    u = np.finfo(float).eps / 2
+    bar = 4 * mat.shape[0] * u * frob(op) ** 2 * frob(mat)
+    if not np.any(np.abs(out) > bar):
         raise ValueError("local operation produced the zero state")
     return out
 
@@ -290,7 +300,7 @@ def apply_local(state: BipartiteState, a: np.ndarray | None, b: np.ndarray | Non
     With square invertible A, B this is an ILO: it preserves rank,
     PPT-ness, separability and both full-rank properties.
     """
-    out = apply_local_matrix(state.matrix, state.dim_a, state.dim_b, a, b, state.tol)
+    out = apply_local_matrix(state.matrix, state.dim_a, state.dim_b, a, b)
     dim_a = state.dim_a if a is None else np.shape(a)[0]
     dim_b = state.dim_b if b is None else np.shape(b)[0]
     return BipartiteState(dim_a, dim_b, out, state.tol)

@@ -222,7 +222,7 @@ def decompose_b_direct_matrix(mat: np.ndarray, dim_a: int, dim_b: int,
     conj_fwd, conj_inv = _b_conjugators(mat, dim_a, dim_b, tol)
     n = conj_fwd.shape[0]
     normalized = check_hermitian(
-        apply_local_matrix(mat, dim_a, dim_b, None, conj_fwd, tol), tol)
+        apply_local_matrix(mat, dim_a, dim_b, None, conj_fwd), tol)
     projectors = commutant_decompose(_b_blocks(normalized, dim_a, n), tol, rng=rng)
     return BDirectDecomposition(normalized, tuple(projectors), conj_fwd, conj_inv, tol)
 

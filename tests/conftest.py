@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entcert import rank4
 from entcert.random_states import (
     as_rng,
     complex_gaussian,
@@ -39,3 +40,20 @@ def bell_projector(scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def miss_3x3_scan(monkeypatch):
+    """Make decide_rank4's coordinate 2x3 scan find nothing on 3x3
+    states, so that NPT states walk the rest of the case tree; the
+    cascade's projected 3x2 states keep the real scan.  Returns the
+    list of 3x3 states the scan was called on."""
+    scanned, scan = [], rank4.schmidt2_witness
+
+    def missing(state):
+        if (state.dim_a, state.dim_b) != (3, 3):
+            return scan(state)
+        scanned.append(state)
+        return None
+
+    monkeypatch.setattr(rank4, "schmidt2_witness", missing)
+    return scanned

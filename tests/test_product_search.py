@@ -22,6 +22,8 @@ from entcert.random_states import complex_gaussian
 from entcert.states import BipartiteState
 from entcert import rank4
 
+from conftest import miss_3x3_scan
+
 
 def spec_example_basis():
     a = np.zeros(6, dtype=complex)
@@ -381,7 +383,9 @@ def normalized(mats):
 
 def decide_rank4_stacks(seed, count):
     """The step-(b) stacks of decide_rank4 on generic and planted 3x3
-    rank-4 states, all irreducible."""
+    rank-4 states, all irreducible.  These NPT states reach step (b)
+    only when the coordinate 2x3 scan misses, and then a generic one
+    ends undecided."""
     stacks = []
     real = rank4.rank_one_in_span
 
@@ -392,11 +396,17 @@ def decide_rank4_stacks(seed, count):
     rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rank4, "rank_one_in_span", record)
+        miss_3x3_scan(mp)
         for i in range(count):
             vecs = [complex_gaussian(rng, 9) for _ in range(4)]
             if i % 2:
                 vecs[0] = np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3))
-            rank4.decide_rank4(BipartiteState.from_vectors(3, 3, vecs), rng=rng)
+            state = BipartiteState.from_vectors(3, 3, vecs)
+            if i % 2:
+                rank4.decide_rank4(state, rng=rng)
+            else:
+                with pytest.raises(UndecidableError):
+                    rank4.decide_rank4(state, rng=rng)
     return stacks
 
 

@@ -14,14 +14,16 @@ import pickle
 import numpy as np
 import pytest
 
-from entcert import product_search, rank4
+from entcert import criteria, product_search, rank4
 from entcert.certificates import (
     Distillable,
     Separable,
+    UndecidableError,
     validate_certificate,
     validate_witness,
 )
 from entcert.criteria import Frame, is_ppt
+from entcert.families import make_tiles_upb
 from entcert.linalg import rel_residual
 from entcert.product_search import Subspace, find_product_vector
 from entcert.random_states import (
@@ -33,6 +35,8 @@ from entcert.random_states import (
 )
 from entcert.rank4 import _peel_anchor, _product_cascade, _range_product_basis, decide_rank4
 from entcert.states import BipartiteState, apply_local
+
+from conftest import miss_3x3_scan
 
 
 def late_stage_state(u3=0, v1=0, v3=0, w1=0, w2=0,
@@ -117,9 +121,10 @@ def test_cascade_dependent_pencil_reroutes_to_sector_path():
     assert validate_witness(state, verdict.outcome.witness) < -1e-10
 
 
-def test_decide_rank4_rank1_sector_fixtures(rng):
-    # a rank-1 block plus generic ones: irreducible, so the sector path
-    # must end in a trivial submatrix
+def test_decide_rank4_rank1_sector_fixtures(rng, monkeypatch):
+    # a rank-1 block plus generic ones: irreducible, so once the 2x3
+    # scan misses, the sector path must end in a trivial submatrix
+    miss_3x3_scan(monkeypatch)
     for _ in range(5):
         c1 = np.zeros((4, 3), complex)
         c1[0, 0] = 1.0
@@ -145,7 +150,9 @@ def sector_fixture(rng):
 
 def test_sector_rank1_verdicts_do_not_depend_on_the_second_compound(monkeypatch):
     # a rank-1 sector puts the bound at zero, so the enumeration runs on
-    # the same random numbers and the verdict keeps its bytes
+    # the same random numbers and the verdict keeps its bytes (the 2x3
+    # scan misses, so that these NPT states reach the sector test)
+    miss_3x3_scan(monkeypatch)
     rng = np.random.default_rng(41)
     states = [sector_fixture(rng) for _ in range(5)]
     screened = [pickle.dumps(decide_rank4(s, rng=i)) for i, s in enumerate(states)]
@@ -157,14 +164,16 @@ def test_sector_rank1_verdicts_do_not_depend_on_the_second_compound(monkeypatch)
 
 def test_generic_rank4_state_enumerates_only_the_range(monkeypatch):
     # the bound proves step (b)'s "no rank-1 sector"; only the range test
-    # of step (c), 9 minors against 10 monomials, runs the enumeration
+    # of step (c), 9 minors against 10 monomials, runs the enumeration.
+    # The state reaches (b) once the 2x3 scan misses, and ends at (d)
+    miss_3x3_scan(monkeypatch)
     calls = []
     enumerate_rank_one = product_search._enumerate_rank_one
     monkeypatch.setattr(product_search, "_enumerate_rank_one",
                         lambda *a: calls.append(a[0].shape) or enumerate_rank_one(*a))
     state = random_rank_r_state(3, 3, 4, np.random.default_rng(8))
-    verdict = decide_rank4(state, rng=8)
-    assert verdict.trail[0] == "no-product-in-range"
+    with pytest.raises(UndecidableError, match="no product vector in its range"):
+        decide_rank4(state, rng=8)
     assert calls == [(4, 3, 3)]
 
 
@@ -296,3 +305,54 @@ def test_anchor_peel_projects_a_product_just_off_the_range():
         assert rel_residual(w0.conj().T @ w0, state.matrix) < 1e-8
     for seed in (188, 73479951):
         assert isinstance(decide_rank4(state, rng=seed).outcome, Distillable)
+
+
+# corpus 1: items 1, 4 and 7 are planted NPT states, item 5 is generic
+NPT_ITEMS = [(1, 1), (1, 4), (1, 5), (1, 7)]
+
+
+@pytest.mark.parametrize("seed, index", NPT_ITEMS)
+def test_npt_state_takes_the_coordinate_2x3_witness_validated_once(seed, index, monkeypatch):
+    validations = []
+    for module in (criteria, rank4):
+        check = module.validate_certificate
+        monkeypatch.setattr(module, "validate_certificate",
+                            lambda s, c, check=check: validations.append(c) or check(s, c))
+    state = corpus_state(seed, index)
+    verdict = decide_rank4(state, rng=index)
+    assert verdict.trail == ("schmidt2-search",)
+    assert isinstance(verdict.outcome, Distillable)
+    assert len(validations) == 1
+    assert validate_witness(state, verdict.outcome.witness) < -1e-10
+
+
+def test_coordinate_2x3_route_runs_no_search_and_no_cascade(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the coordinate 2x3 route searched the range")
+
+    for name in ("rank_one_in_span", "find_product_vector", "_product_cascade"):
+        monkeypatch.setattr(rank4, name, forbidden)
+    for seed, index in NPT_ITEMS:
+        assert decide_rank4(corpus_state(seed, index), rng=index).trail == ("schmidt2-search",)
+
+
+def test_when_the_2x3_scan_misses_the_tree_decides_planted_and_not_generic(monkeypatch):
+    scanned = miss_3x3_scan(monkeypatch)
+    planted = corpus_state(1, 1)
+    verdict = decide_rank4(planted, rng=1)
+    assert verdict.trail == ("product-in-range", "projected-b-pair-npt")
+    assert validate_witness(planted, verdict.outcome.witness) < -1e-10
+    assert len(scanned) == 1
+    scanned.clear()
+    with pytest.raises(UndecidableError, match="no negative coordinate 2x3 block"):
+        decide_rank4(corpus_state(1, 5), rng=5)
+    assert len(scanned) == 1
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6, 1e12])
+def test_rank4_verdict_type_does_not_depend_on_the_scale_of_the_state(c):
+    for index in range(3 * len(CORPUS_CYCLE)):
+        state = corpus_state(3, index) or make_tiles_upb()
+        expected = type(decide_rank4(state, rng=index).outcome)
+        scaled = BipartiteState(3, 3, c * state.matrix, state.tol)
+        assert isinstance(decide_rank4(scaled, rng=index).outcome, expected)

@@ -355,6 +355,19 @@ def test_apply_local_rejects_zero_result(rng):
         apply_local(state, kill, None)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_apply_local_zero_state_test_is_scale_invariant(c, rng):
+    # a generic ILO keeps any scale; an operator that kills the range up
+    # to rounding is rejected at any scale
+    a, b = complex_gaussian(rng, 3), complex_gaussian(rng, 3)
+    state = BipartiteState(3, 3, c * np.outer(kron(a, b), kron(a, b).conj()))
+    out = apply_local(state, 1e-6 * random_invertible(3, rng), random_invertible(3, rng))
+    assert out.rank() == 1
+    kill = np.eye(3) - np.outer(a, a.conj()) / np.vdot(a, a)
+    with pytest.raises(ValueError, match="zero"):
+        apply_local(state, kill, random_invertible(3, rng))
+
+
 def test_schmidt_bell():
     coeffs, _, _ = schmidt(PureState(2, 2, np.array([1, 0, 0, 1], dtype=complex)))
     assert np.allclose(coeffs, [1, 1])
