@@ -11,9 +11,8 @@ iff any part is.
 import numpy as np
 
 from entcert.analyze import classify_state
-from entcert.certificates import Distillable, Separable
+from entcert.certificates import validate_witness
 from entcert.families import make_label_state, make_reducible_4x4_example, label_state_entanglement
-from entcert.linalg import rel_residual
 from entcert.random_states import complex_gaussian, random_invertible, random_rank_r_state
 from entcert.states import BipartiteState, PureState, apply_local, reduce, von_neumann_entropy
 from entcert.structure import aggregate, decompose_b_direct
@@ -35,11 +34,13 @@ state = apply_local(state, random_invertible(3, rng), random_invertible(3, rng))
 
 decomp = decompose_b_direct(state, rng=rng)
 verdicts = [classify_state(c, rng=rng) for c in decomp.components]
-cert = aggregate(state, decomp, verdicts)
+cert = aggregate(decomp, verdicts)
 print(f"\nILO-hidden B-direct sum: {decomp.n_components} components, "
       f"component verdicts {[type(v).__name__ for v in verdicts]}")
 print(f"  aggregate: {type(cert).__name__} "
-      f"(witness value {cert.witness.value:+.3f})")
+      f"(witness value {cert.witness.value:+.3f} on its component)")
+# aggregate only combines; its witness is re-checked on the whole state
+print(f"  re-checked on the whole state: {validate_witness(state, cert.witness):+.3f}")
 
 # --- irreducible states stay in one piece ------------------------------------
 generic = random_rank_r_state(3, 3, 4, rng)

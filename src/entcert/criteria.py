@@ -174,6 +174,8 @@ class Frame:
     work is the caller's state compressed by the range isometries qa, qb
     (None: not compressed) and, when swapped, with its sides exchanged.
     lift_witness and lift_products map results on work back to state.
+    A frame only maps: the public function that returns the lifted
+    certificate checks it against its own argument.
     """
 
     state: BipartiteState
@@ -233,15 +235,12 @@ class Frame:
         return list(products)
 
     def lift(self, cert: Certificate) -> Certificate:
-        """A Distillable or Separable verdict on work, lifted and
-        re-validated against the caller's state; others pass through."""
+        """A Distillable or Separable verdict on work, lifted to the
+        caller's state and not checked; others pass through."""
         if isinstance(cert, Distillable):
-            cert = Distillable(self.lift_witness(cert.witness))
-        elif isinstance(cert, Separable):
-            cert = Separable(products=tuple(self.lift_products(cert.products)))
-        else:
-            return cert
-        validate_certificate(self.state, cert)
+            return Distillable(self.lift_witness(cert.witness))
+        if isinstance(cert, Separable):
+            return Separable(products=tuple(self.lift_products(cert.products)))
         return cert
 
 
@@ -344,13 +343,6 @@ def _reduction_pair_witness(state: BipartiteState) -> SchmidtRank2Witness:
     values = np.real(np.sum(vecs.conj() * (partial_transpose(state) @ vecs), axis=0))
     best = int(np.argmin(values))
     return SchmidtRank2Witness(vector=vecs[:, best], value=float(values[best]))
-
-
-def _validated(state: BipartiteState, witness) -> Distillable:
-    """Distillable(witness), re-validated against state."""
-    cert = Distillable(witness)
-    validate_certificate(state, cert)
-    return cert
 
 
 def _pair_state(c_block: np.ndarray, tol) -> BipartiteState:
@@ -529,12 +521,14 @@ def classify_rank_le_max(state: BipartiteState, rng=7) -> Certificate:
             f"rank {r} exceeds max local rank {n}; use decide_rank4 "
             "or the general analysis for such states")
     if r < n:
-        return _validated(state, _reduction_pair_witness(state))
-    frame = Frame.local(state)
-    work = frame.work
-    if is_ppt(work)[0]:
-        return frame.lift(Separable(products=tuple(_rank_n_products(work, rng))))
-    return frame.lift(Distillable(_distill_rank_max(work, rng)))
+        cert = Distillable(_reduction_pair_witness(state))
+    else:
+        frame = Frame.local(state)
+        work = frame.work
+        cert = frame.lift(Separable(products=tuple(_rank_n_products(work, rng)))
+                          if is_ppt(work)[0] else Distillable(_distill_rank_max(work, rng)))
+    validate_certificate(state, cert)
+    return cert
 
 
 def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certificate:
@@ -617,7 +611,8 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
             "the projected 2xN state is not trivially distillable; this "
             "contradicts the construction and indicates a numerical issue")
     vec = lift_through_local(tw.vector, a_chain, b_chain, (2, n))
-    witness = TwoByNProjectionWitness(
+    cert = Distillable(TwoByNProjectionWitness(
         a_columns=dagger(a_chain), b_operator=np.asarray(b_chain),
-        x=None, vector=vec, value=tw.value)
-    return _validated(state, witness)
+        x=None, vector=vec, value=tw.value))
+    validate_certificate(state, cert)
+    return cert

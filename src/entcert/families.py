@@ -14,8 +14,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .certificates import Certificate, SchmidtRank2Witness, lift_through_local
-from .criteria import Frame, _validated, classify_rank_le_max, is_ppt, trivially_distillable
+from .certificates import (
+    Certificate, Distillable, SchmidtRank2Witness, lift_through_local, validate_certificate,
+)
+from .criteria import Frame, classify_rank_le_max, is_ppt, trivially_distillable
 from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, kron
 from .random_states import as_rng, complex_gaussian, unit_disc
 from .rank4 import decide_rank4
@@ -70,9 +72,6 @@ class CheckerboardParams:
     q: complex = 0
     r: complex = 0
     s: complex = 0
-
-    def as_dict(self):
-        return {f.name: complex(getattr(self, f.name)) for f in fields(self)}
 
     def __post_init__(self):
         if all(getattr(self, f.name) == 0 for f in fields(self)):
@@ -175,7 +174,9 @@ def classify_checkerboard(state: BipartiteState, rng=17) -> Certificate:
             "NPT checkerboard state defeated the trivial-submatrix scan and "
             "the projection sweep; the distillability theorem guarantees a "
             "witness, so this is a numerical failure, not a verdict")
-    return _validated(state, SchmidtRank2Witness(vector=w.vector, value=w.value))
+    cert = Distillable(SchmidtRank2Witness(vector=w.vector, value=w.value))
+    validate_certificate(state, cert)
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ products come from the exact search product_in_both_ranges, and the
 separable_decomposition dispatcher.  classify_state lives here
 because it and decide_rank4 call each other: the components of a
 reducible rank-4 state are classified by classify_state.
+
+The tree's exits build certificates unchecked; decide_rank4,
+classify_state and separable_decomposition check the one they return
+once, against their own argument, and pass through unchanged a
+verdict from another public call on the same state.
 """
 
 from __future__ import annotations
@@ -48,13 +53,13 @@ from .certificates import (
 )
 from .criteria import (
     Frame,
+    _distill_rank_max,
     _rank_n_products,
-    _validated,
     classify_rank_le_max,
     is_ppt,
     reduction_criterion,
     schmidt2_witness,
-    separable_decomposition_rank_n,
+    separable_decomposition_rank_n,  # unused here; perfbench/spans.py wraps this binding
     trivially_distillable,
 )
 from .linalg import (
@@ -189,11 +194,13 @@ def separable_decomposition(state: BipartiteState, rng=7):
     ppt, min_eig = is_ppt(state)
     if not ppt:
         raise ValueError(f"state is NPT (min eig of rho^G = {min_eig:.3e})")
-    return _ppt_products(state, rng)
+    products = _ppt_products(state, rng)
+    validate_certificate(state, Separable(products=tuple(products)))
+    return products
 
 
 def _ppt_products(state: BipartiteState, rng):
-    """separable_decomposition for a state its caller has tested PPT."""
+    """separable_decomposition's products, unchecked, for a tested PPT state."""
     frame = Frame.local(state)
     work = frame.work
     wm, wn = work.dim_a, work.dim_b
@@ -203,7 +210,7 @@ def _ppt_products(state: BipartiteState, rng):
     elif wm == 2 and wn <= 3:
         products = _peel_two_by_n(work, rng)
     elif (wm, wn) == (3, 3) and r == 4:
-        verdict = decide_rank4(work, rng=rng)
+        verdict = _decide_rank4_local(work, as_rng(rng))
         if not isinstance(verdict.outcome, Separable):
             raise RuntimeError(
                 f"rank-4 decision returned {type(verdict.outcome).__name__} "
@@ -213,9 +220,7 @@ def _ppt_products(state: BipartiteState, rng):
         raise NotImplementedError(
             f"no constructive separable decomposition for locals {wm}x{wn} "
             f"at rank {r}")
-    products = frame.lift_products(products)
-    validate_certificate(state, Separable(products=tuple(products)))
-    return products
+    return frame.lift_products(products)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +293,7 @@ def _zero_thr(gauge: _Gauge) -> float:
     return np.sqrt(gauge.base.tol.residual_tol) * gauge.scale()
 
 
-def _pair_verdict(gauge: _Gauge, i, j, original, trail, tag):
+def _pair_verdict(gauge: _Gauge, i, j, trail, tag):
     """Trivial-submatrix witness on the (i, j) A-pair projection."""
     pair = gauge.projected_pair_state(i, j)
     tw = trivially_distillable(pair)
@@ -298,7 +303,7 @@ def _pair_verdict(gauge: _Gauge, i, j, original, trail, tag):
             f"onto A-levels ({i}, {j}) but the scan found none")
     vec = gauge.lift_from_pair(tw.vector, i, j)
     witness = SchmidtRank2Witness(vector=vec, value=tw.value)
-    return Rank4Verdict(_validated(original, witness), trail + (tag, "trivial-submatrix"))
+    return Rank4Verdict(Distillable(witness), trail + (tag, "trivial-submatrix"))
 
 
 def _sector_is_rank1(sector) -> bool:
@@ -307,7 +312,7 @@ def _sector_is_rank1(sector) -> bool:
     return s.size < 2 or s[1] <= 1.0e-6 * s[0]
 
 
-def _rank1_sector_path(gauge: _Gauge, x, original, rng, trail):
+def _rank1_sector_path(gauge: _Gauge, x, rng, trail):
     """A direction with rank-1 sector: trivially distillable or reducible.
 
     After gauge fixing, either an off-diagonal element certifies trivial
@@ -335,8 +340,7 @@ def _rank1_sector_path(gauge: _Gauge, x, original, rng, trail):
                 "rank-1 sector gauge has off-diagonal mass but no trivial "
                 "submatrix was found")
         witness = SchmidtRank2Witness(vector=gauge.lift(tw.vector), value=tw.value)
-        return Rank4Verdict(_validated(original, witness),
-                            trail + ("sector-rank-1", "trivial-submatrix"))
+        return Rank4Verdict(Distillable(witness), trail + ("sector-rank-1", "trivial-submatrix"))
 
     sigma = gauge.entry(0, 0, 0)
     t2 = np.eye(m, dtype=complex)
@@ -347,17 +351,15 @@ def _rank1_sector_path(gauge: _Gauge, x, original, rng, trail):
     side = Frame.swap(gauge.state())
     decomp = decompose_b_direct(side.work, rng=rng)
     verdicts = [classify_state(c, rng=rng) for c in decomp.components]
-    cert = aggregate(side.work, decomp, verdicts)
+    cert = aggregate(decomp, verdicts)
     sub_trail = trail + ("sector-rank-1", "a-direct-split")
     if isinstance(cert, Distillable):
         w = side.lift_witness(cert.witness)
         witness = SchmidtRank2Witness(vector=gauge.lift(w.vector), value=w.value)
-        return Rank4Verdict(_validated(original, witness), sub_trail)
+        return Rank4Verdict(Distillable(witness), sub_trail)
     if isinstance(cert, Separable):
         products = gauge.lift_products(side.lift_products(cert.products))
-        outcome = Separable(products=tuple(products))
-        validate_certificate(original, outcome)
-        return Rank4Verdict(outcome, sub_trail)
+        return Rank4Verdict(Separable(products=tuple(products)), sub_trail)
     raise RuntimeError(
         f"A-direct split of a rank-4 state returned {type(cert).__name__}; "
         "components of these states are always fully decidable")
@@ -420,7 +422,7 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
     if w is not None:
         inner = lift_through_local(w.vector, None, sel_b, (3, 2))
         witness = SchmidtRank2Witness(vector=g.lift(inner), value=w.value)
-        return Rank4Verdict(_validated(state, witness), trail + ("projected-b-pair-npt",))
+        return Rank4Verdict(Distillable(witness), trail + ("projected-b-pair-npt",))
 
     products = _ppt_products(tau, rng)
     if len(products) > 3:
@@ -461,8 +463,7 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
         g.apply_a(t)
         x_dir = np.zeros(3, dtype=complex)
         x_dir[2] = 1.0
-        return _rank1_sector_path(g, x_dir, state, rng,
-                                  trail + ("d-pencil-dependent",))
+        return _rank1_sector_path(g, x_dir, rng, trail + ("d-pencil-dependent",))
 
     # pick a product row whose removal keeps the (D2, D3) pencil independent
     removable = None
@@ -498,7 +499,7 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
             1.0e-300) and _sector_is_rank1(g.blocks()[0]):
         x_dir = np.zeros(3, dtype=complex)
         x_dir[0] = 1.0
-        return _rank1_sector_path(g, x_dir, state, rng, trail + ("d1-zero",))
+        return _rank1_sector_path(g, x_dir, rng, trail + ("d1-zero",))
 
     # B-side: first product row of the C matrix becomes (1, 0)
     u_row = d1 * c_rows[0]
@@ -538,7 +539,7 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
 
     zthr = _zero_thr(g)
     if abs(g.entry(2, 0, 0)) > zthr:
-        return _pair_verdict(g, 0, 1, state, trail, "u2")
+        return _pair_verdict(g, 0, 1, trail, "u2")
 
     t = np.eye(3, dtype=complex)
     t[1, 0] = (-g.entry(1, 1, 1)).conjugate()
@@ -546,25 +547,25 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
     g.apply_a(t)
 
     if abs(g.entry(1, 1, 0)) > zthr:
-        return _pair_verdict(g, 0, 1, state, trail, "v1")
+        return _pair_verdict(g, 0, 1, trail, "v1")
 
     zeta = g.entry(3, 2, 2)
     if abs(zeta) <= zthr:
         if abs(g.entry(2, 2, 0)) > zthr:
-            return _pair_verdict(g, 1, 2, state, trail, "zeta-zero-w2")
+            return _pair_verdict(g, 1, 2, trail, "zeta-zero-w2")
         raise RuntimeError("zeta = 0 with w2 = 0 makes the state reducible, "
                            "contradicting the irreducibility established "
                            "earlier in the decision tree")
 
     if abs(g.entry(3, 0, 0)) > zthr:
-        return _pair_verdict(g, 0, 2, state, trail, "u3")
+        return _pair_verdict(g, 0, 2, trail, "u3")
 
     if abs(g.entry(1, 2, 0)) > zthr:
         eps = g.entry(3, 2, 1)
         bdag = np.eye(3, dtype=complex)
         bdag[2, 1] = -eps / zeta
         g.apply_b_dag(bdag)
-        return _pair_verdict(g, 0, 2, state, trail, "w1")
+        return _pair_verdict(g, 0, 2, trail, "w1")
 
     eps = g.entry(3, 2, 1)
     if abs(eps) <= zthr:
@@ -573,7 +574,7 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
                            "earlier in the decision tree")
 
     if abs(g.entry(3, 1, 0)) > zthr:
-        return _pair_verdict(g, 1, 2, state, trail, "v3")
+        return _pair_verdict(g, 1, 2, trail, "v3")
 
     if abs(g.entry(2, 2, 0)) <= zthr:
         raise RuntimeError(
@@ -585,7 +586,7 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
     bdag[1, 0] = -w3p / eps
     bdag[1, 2] = -zeta / eps
     g.apply_b_dag(bdag)
-    return _pair_verdict(g, 1, 2, state, trail, "w2-final")
+    return _pair_verdict(g, 1, 2, trail, "w2-final")
 
 
 def _range_product_basis(state: BipartiteState, products):
@@ -627,7 +628,7 @@ def _reducible_verdict(restricted: BipartiteState, rng):
             continue
         side = Frame(restricted, restricted) if side_tag == "reducible-b" else Frame.swap(restricted)
         verdicts = [classify_state(c, rng=rng) for c in decomp.components]
-        cert = aggregate(side.work, decomp, verdicts)
+        cert = aggregate(decomp, verdicts)
         if isinstance(cert, Ppt):
             raise RuntimeError(
                 "components of a reducible rank-4 state did not fully "
@@ -649,7 +650,10 @@ def decide_rank4(state: BipartiteState, rng=7) -> Rank4Verdict:
     if r != 4:
         raise ValueError(f"decide_rank4 needs a rank-4 state, got rank {r}")
     verdict = _decide_rank4_local(frame.work, as_rng(rng))
-    return Rank4Verdict(frame.lift(verdict.outcome), verdict.trail)
+    outcome = frame.lift(verdict.outcome)
+    if isinstance(outcome, (Separable, Distillable)):
+        validate_certificate(state, outcome)
+    return Rank4Verdict(outcome, verdict.trail)
 
 
 def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
@@ -658,12 +662,13 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     ppt_flag, min_eig = is_ppt(restricted)
 
     if max(m, n) == 4:
+        local = Frame.local(restricted)
         if ppt_flag:
-            products = separable_decomposition_rank_n(restricted, rng=rng)
+            products = local.lift_products(_rank_n_products(local.work, rng))
             return Rank4Verdict(Separable(products=tuple(products)),
                                 ("max-local-rank-4", "ppt-rank-max"))
         # rank-4 verdicts carry the plain Schmidt-rank-2 form of the witness
-        w = classify_rank_le_max(restricted, rng=rng).witness
+        w = local.lift_witness(_distill_rank_max(local.work, rng))
         return Rank4Verdict(
             Distillable(SchmidtRank2Witness(vector=w.vector, value=w.value)),
             ("max-local-rank-4", "npt-rank-max"))
@@ -720,7 +725,7 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     found = rank_one_in_span(np.stack(blocks.blocks), rng=rng, tol=restricted.tol)
     if found.found:
         g = _Gauge(restricted, blocks.stacked())
-        return _rank1_sector_path(g, found.coefficients, restricted, rng, ())
+        return _rank1_sector_path(g, found.coefficients, rng, ())
 
     # (c) a product vector in the range.  NPT runs the cascade; a PPT
     # state got here only if (0) found no product, since an irreducible
@@ -784,31 +789,35 @@ def classify_state(state: BipartiteState, rng=7, budget: int = 256) -> Certifica
         return decide_rank4(state, rng=rng).outcome
 
     ppt, min_eig = is_ppt(state)
-    if ppt:
-        if min(ra, rb) <= 2 and max(ra, rb) <= 3:
-            # PPT implies separable below 2x3, and a decomposition exists
-            return Separable(products=tuple(_ppt_products(state, rng)))
+    if ppt and (min(ra, rb) > 2 or max(ra, rb) > 3):
         return Ppt(min_eig_gamma=min_eig)
+    # a PPT state left here is at most 2x3, where PPT implies separable
+    cert = (Separable(products=tuple(_ppt_products(state, rng))) if ppt
+            else _npt_certificate(state, rng, budget))
+    if cert is None:
+        # common_kernel_distill checks the certificate it returns
+        return common_kernel_distill(state, rng=rng) or Undecided(report=(
+            f"NPT state of rank {r} > max local rank {max(ra, rb)}: witness "
+            f"searches exhausted (budget {budget}); no decision procedure is "
+            "known for this regime"))
+    if isinstance(cert, (Separable, Distillable)):
+        validate_certificate(state, cert)
+    return cert
 
+
+def _npt_certificate(state: BipartiteState, rng, budget):
+    """classify_state's unchecked certificate for an NPT state from a witness
+    search or the B-direct components; None for an irreducible state."""
     w = (trivially_distillable(state) or schmidt2_witness(state)
          or _random_frame_witness(state, budget, rng))
     if w is not None:
-        return _validated(state, SchmidtRank2Witness(vector=w.vector, value=w.value))
+        return Distillable(SchmidtRank2Witness(vector=w.vector, value=w.value))
     violated, rw = reduction_criterion(state)
     if violated:
         # a reduction violation by itself proves 1-distillability
-        return _validated(state, rw)
-
+        return Distillable(rw)
     decomp = decompose_b_direct(state, rng=rng)
-    if not decomp.irreducible:
-        verdicts = [classify_state(c, rng=rng, budget=budget)
-                    for c in decomp.components]
-        return aggregate(state, decomp, verdicts)
-
-    cert = common_kernel_distill(state, rng=rng)
-    if isinstance(cert, Distillable):
-        return cert
-    return Undecided(report=(
-        f"NPT state of rank {r} > max local rank {max(ra, rb)}: witness "
-        f"searches exhausted (budget {budget}); no decision procedure is "
-        "known for this regime"))
+    if decomp.irreducible:
+        return None
+    return aggregate(decomp, [classify_state(c, rng=rng, budget=budget)
+                              for c in decomp.components])

@@ -132,10 +132,6 @@ class BipartiteState:
         return psd_range(self.matrix, self.tol)[1]
 
     @staticmethod
-    def from_pure(psi: PureState, tol: ToleranceConfig = DEFAULT_TOL) -> "BipartiteState":
-        return BipartiteState(psi.dim_a, psi.dim_b, psi.projector(), tol)
-
-    @staticmethod
     def from_vectors(dim_a, dim_b, vectors, tol: ToleranceConfig = DEFAULT_TOL) -> "BipartiteState":
         """Sum of |v><v| over the given (non-normalized) vectors."""
         rho = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)

@@ -23,14 +23,15 @@ from .certificates import (
     UndecidableError,
     Undecided,
     lift_through_local,
+    validate_certificate,
 )
-from .criteria import Frame, _validated, is_ppt, left_pencil, trivially_distillable
+from .criteria import Frame, is_ppt, left_pencil, trivially_distillable
 from .linalg import (
     DEFAULT_TOL, ToleranceConfig, check_hermitian, common_eigenbasis, complete_rows, dagger, frob,
     numerical_rank, psd_range, singular_rank,
 )
 from .product_search import rank_one_in_span
-from .random_states import as_rng, complex_gaussian
+from .random_states import as_rng
 from .states import (
     BipartiteState, apply_local, apply_local_matrix, block_form, reduce_matrix, swap_sides,
 )
@@ -234,14 +235,14 @@ def _lift_component_witness(decomp: BDirectDecomposition, index: int,
     return SchmidtRank2Witness(vector=vec, value=witness.value)
 
 
-def aggregate(state: BipartiteState, decomp: BDirectDecomposition,
-              verdicts) -> Certificate:
-    """Combine per-component certificates into one for the full state.
+def aggregate(decomp: BDirectDecomposition, verdicts) -> Certificate:
+    """Combine per-component certificates into one for the decomposed state.
 
     Separable iff all components separable (product lists concatenated
     and mapped back through the conjugator); PPT iff all PPT;
     Distillable iff any component is (witness lifted).  Undecided
-    components block everything except a Distillable elsewhere.
+    components block everything except a Distillable elsewhere.  It
+    only combines; the caller checks the result against its state.
     """
     if len(verdicts) != decomp.n_components:
         raise ValueError("need exactly one verdict per component")
@@ -249,7 +250,7 @@ def aggregate(state: BipartiteState, decomp: BDirectDecomposition,
     n = decomp.components[0].dim_b
     for idx, cert in enumerate(verdicts):
         if isinstance(cert, Distillable):
-            return _validated(state, _lift_component_witness(decomp, idx, cert.witness, (m, n)))
+            return Distillable(_lift_component_witness(decomp, idx, cert.witness, (m, n)))
     if any(isinstance(c, Undecided) for c in verdicts):
         reports = [c.report for c in verdicts if isinstance(c, Undecided)]
         return Undecided(report="undecided components: " + "; ".join(reports))
@@ -276,8 +277,7 @@ def common_kernel_distill(state: BipartiteState, rng=11):
     """
     frame = Frame.local(state, orient=False)
     restricted = frame.work
-    m, n = restricted.dim_a, restricted.dim_b
-    if m < 2:
+    if restricted.dim_a < 2:
         return None
     blocks = block_form(restricted)
     pencil = np.stack(left_pencil(blocks))  # (N, R, M)
@@ -296,21 +296,19 @@ def common_kernel_distill(state: BipartiteState, rng=11):
         return None
 
     # build the trivially distillable gauge from the common kernel
-    c_coeff = sv[0] * vh[0, :].conj()  # columns satisfy C_j b = c_j * u0
+    c_coeff = sv[0] * vh[0, :]  # columns satisfy C_j b = c_j * u0
     t_op = complete_rows(c_coeff)
     # rows 2..M of t_op give block mixes annihilating b; row 1 does not
-    b_comp = np.linalg.qr(
-        np.hstack([b_vec.reshape(-1, 1),
-                   complex_gaussian(as_rng(rng), (n, n - 1))]))[0]
-    b_dag = np.hstack([b_vec.reshape(-1, 1), b_comp[:, 1:]])  # B^dag, first col b
-    b_op = dagger(b_dag)
+    b_op = complete_rows(b_vec).conj()  # B^dag = complete_rows(b).T, first column b
     transformed = apply_local(restricted, t_op, b_op)
     tw = trivially_distillable(transformed)
     if tw is None:
         raise RuntimeError(
             "common-kernel construction did not produce a trivially "
             "distillable gauge; numerical inconsistency")
-    return _validated(state, frame.lift_witness(tw, t_op, b_op))
+    cert = Distillable(frame.lift_witness(tw, t_op, b_op))
+    validate_certificate(state, cert)
+    return cert
 
 
 def classical_side(state: BipartiteState, side: str = "B"):

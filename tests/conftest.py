@@ -31,6 +31,17 @@ def ppt_rank_n_state(m, n, rng, conjugate=True):
     return state
 
 
+def reducible_b_state(rng):
+    """The B-direct sum of a pure entangled 2x2 block (rank 1 < local
+    rank 2) and a rank-3 3x1 block, under random ILOs: a 3x3 rank-4
+    state that decide_rank4 decides on its "reducible-b" route."""
+    psi = np.zeros((3, 3), dtype=complex)
+    psi[:2, :2] = complex_gaussian(rng, (2, 2))
+    rest = [np.kron(complex_gaussian(rng, 3), np.array([0, 0, 1.0])) for _ in range(3)]
+    state = BipartiteState.from_vectors(3, 3, [psi.reshape(-1)] + rest)
+    return apply_local(state, random_invertible(3, rng), random_invertible(3, rng))
+
+
 def bell_projector(scale=1.0):
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1.0

@@ -371,7 +371,7 @@ def test_criterion_08_reducibility():
         if decomp.n_components == n_true:
             count_ok += 1
         verdicts = [classify_state(c, rng=rng) for c in decomp.components]
-        cert = aggregate(state, decomp, verdicts)
+        cert = aggregate(decomp, verdicts)
         if truth_distillable:
             ok = isinstance(cert, Distillable) and \
                 validate_witness(state, cert.witness) < -1e-10

@@ -2,8 +2,9 @@
 only linalg applies the rank cutoff and calls np.kron, states counts
 ranks with psd_eigen, the common eigenbases of commuting normal block
 families come from linalg.common_eigenbasis, the witness constructions
-that theorems back draw no random numbers, and no function takes a
-restart budget.
+that theorems back draw no random numbers, no function takes a
+restart budget, and only the public verdict functions check
+certificates.
 
 Reads the source with ast only (nothing is imported), so a cycle that
 an import inside a function would hide at load time is still reported.
@@ -111,7 +112,8 @@ def test_theorem_backed_witnesses_draw_no_random_numbers():
     modules = _modules()
     for module, func_name in (("criteria", "schmidt2_witness"),
                               ("criteria", "_reduction_pair_witness"),
-                              ("families", "_structured_projection_sweep")):
+                              ("families", "_structured_projection_sweep"),
+                              ("structure", "common_kernel_distill")):
         func = next(node for node in ast.walk(modules[module])
                     if isinstance(node, ast.FunctionDef) and node.name == func_name)
         called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
@@ -131,3 +133,36 @@ def test_no_function_takes_a_restart_budget():
              for arg in ast.walk(node.args)
              if isinstance(arg, ast.arg) and arg.arg == "restarts"]
     assert not found, "functions with a restarts parameter: " + ", ".join(found)
+
+
+# each returns a Separable or Distillable it checked against its argument
+CHECKING_FUNCTIONS = {
+    "rank4.decide_rank4", "rank4.classify_state", "rank4.separable_decomposition",
+    "criteria.classify_rank_le_max", "criteria.separable_decomposition_rank_n",
+    "criteria.certify_pure_plus_sigma", "structure.common_kernel_distill",
+    "families.classify_checkerboard", "tripartite.classify_pairs",
+}
+
+
+def test_only_public_verdict_functions_check_certificates():
+    # internal code builds certificates unchecked and each public verdict
+    # function checks the one it returns, so no private function, no
+    # method of Frame or _Gauge and no other helper checks one.  The CLI
+    # re-checks what it prints, and is left out
+    checkers = {"validate_certificate", "validate_witness"}
+    callers = set()
+    for name, tree in _modules().items():
+        if name in ("certificates", "cli"):
+            continue
+        owners = {id(func): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for func in cls.body if isinstance(func, ast.FunctionDef)}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and checkers & {
+                    getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    for node in ast.walk(func) if isinstance(node, ast.Call)}:
+                owner = owners.get(id(func))
+                callers.add(f"{name}.{owner}.{func.name}" if owner else f"{name}.{func.name}")
+    private = sorted(c for c in callers if c.split(".")[-1].startswith("_")
+                     or c.split(".")[1] in ("Frame", "_Gauge"))
+    assert not private, "certificates checked inside " + ", ".join(private)
+    assert callers == CHECKING_FUNCTIONS

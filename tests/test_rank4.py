@@ -38,7 +38,7 @@ from entcert.rank4 import (
 )
 from entcert.states import BipartiteState, apply_local, partial_transpose
 
-from conftest import ppt_rank_n_state
+from conftest import ppt_rank_n_state, reducible_b_state
 
 
 def npt_rank4_with_product(rng):
@@ -437,14 +437,9 @@ def test_small_locals_3x2_state_that_no_a_pair_block_certifies():
 
 
 def test_reducible_b_route_lifts_a_rank_below_max_component(rng):
-    # the B-direct sum of a pure entangled 2x2 block (rank 1 < local
-    # rank 2) and a rank-3 3x1 block, under random ILOs: the entangled
-    # component's reduction-violation witness is lifted by aggregate
-    psi = np.zeros((3, 3), dtype=complex)
-    psi[:2, :2] = complex_gaussian(rng, (2, 2))
-    rest = [np.kron(complex_gaussian(rng, 3), np.array([0, 0, 1.0])) for _ in range(3)]
-    state = BipartiteState.from_vectors(3, 3, [psi.reshape(-1)] + rest)
-    state = apply_local(state, random_invertible(3, rng), random_invertible(3, rng))
+    # the entangled component's reduction-violation witness is lifted by
+    # aggregate
+    state = reducible_b_state(rng)
     assert (state.rank(), state.local_ranks()) == (4, (3, 3))
     verdict = decide_rank4(state, rng=rng)
     assert verdict.trail == ("reducible-b",)

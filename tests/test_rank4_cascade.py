@@ -10,11 +10,12 @@ deep exit produces a validated certificate.
 """
 
 import pickle
+import sys
 
 import numpy as np
 import pytest
 
-from entcert import criteria, product_search, rank4
+from entcert import certificates, product_search, rank4
 from entcert.certificates import (
     Distillable,
     Separable,
@@ -33,10 +34,16 @@ from entcert.random_states import (
     random_product_sum,
     random_rank_r_state,
 )
-from entcert.rank4 import _peel_anchor, _product_cascade, _range_product_basis, decide_rank4
+from entcert.rank4 import (
+    _peel_anchor,
+    _product_cascade,
+    _range_product_basis,
+    decide_rank4,
+    separable_decomposition,
+)
 from entcert.states import BipartiteState, apply_local
 
-from conftest import miss_3x3_scan
+from conftest import miss_3x3_scan, reducible_b_state
 
 
 def late_stage_state(u3=0, v1=0, v3=0, w1=0, w2=0,
@@ -311,19 +318,55 @@ def test_anchor_peel_projects_a_product_just_off_the_range():
 NPT_ITEMS = [(1, 1), (1, 4), (1, 5), (1, 7)]
 
 
-@pytest.mark.parametrize("seed, index", NPT_ITEMS)
-def test_npt_state_takes_the_coordinate_2x3_witness_validated_once(seed, index, monkeypatch):
-    validations = []
-    for module in (criteria, rank4):
-        check = module.validate_certificate
-        monkeypatch.setattr(module, "validate_certificate",
-                            lambda s, c, check=check: validations.append(c) or check(s, c))
-    state = corpus_state(seed, index)
-    verdict = decide_rank4(state, rng=index)
-    assert verdict.trail == ("schmidt2-search",)
-    assert isinstance(verdict.outcome, Distillable)
-    assert len(validations) == 1
-    assert validate_witness(state, verdict.outcome.witness) < -1e-10
+def count_checks(monkeypatch):
+    """Count validate_certificate calls made through every entcert module
+    that binds it; returns the list of checked certificates."""
+    checked, check = [], certificates.validate_certificate
+    for name, module in list(sys.modules.items()):
+        if name.startswith("entcert") and vars(module).get("validate_certificate") is check:
+            monkeypatch.setattr(module, "validate_certificate",
+                                lambda s, c: checked.append(c) or check(s, c))
+    return checked
+
+
+# (state, public call, scan missed, trail, checks): each public call checks
+# the certificate it returns once, against its own argument, and the
+# components of a B-direct split once each in their own classify_state call
+CHECKED_ROUTES = {
+    "reducible-b": (lambda: reducible_b_state(np.random.default_rng(20260810)),
+                    decide_rank4, False, ("reducible-b",), 3),
+    "sector-rank-1": (lambda: sector_fixture(np.random.default_rng(41)), decide_rank4, True,
+                      ("sector-rank-1", "trivial-submatrix"), 1),
+    "cascade": (lambda: corpus_state(1, 1), decide_rank4, True,
+                ("product-in-range", "projected-b-pair-npt"), 1),
+    "separable-decomposition-3x3": (lambda: corpus_state(1, 0), separable_decomposition,
+                                    False, None, 1),
+    "max-local-rank-4": (lambda: random_product_sum(2, 4, 4, np.random.default_rng(2)),
+                         decide_rank4, False, ("max-local-rank-4", "ppt-rank-max"), 1),
+    "range-product-basis": (lambda: corpus_state(1, 0), decide_rank4, False,
+                            ("product-in-range", "range-product-basis"), 1),
+    "tiles": (make_tiles_upb, decide_rank4, False, ("no-product-in-range",), 0),
+}
+CHECKED_ROUTES.update({
+    f"schmidt2-search-{seed}-{index}": (lambda seed=seed, index=index: corpus_state(seed, index),
+                                        decide_rank4, False, ("schmidt2-search",), 1)
+    for seed, index in NPT_ITEMS})
+
+
+@pytest.mark.parametrize("route", CHECKED_ROUTES)
+def test_each_route_checks_its_verdict_once(route, monkeypatch):
+    build, call, miss, trail, checks = CHECKED_ROUTES[route]
+    state = build()
+    if miss:
+        miss_3x3_scan(monkeypatch)
+    checked = count_checks(monkeypatch)
+    result = call(state, rng=3)
+    assert len(checked) == checks
+    if trail is None:  # separable_decomposition returns the products
+        validate_certificate(state, Separable(products=tuple(result)))
+    else:
+        assert result.trail == trail
+        validate_certificate(state, result.outcome)
 
 
 def test_coordinate_2x3_route_runs_no_search_and_no_cascade(monkeypatch):

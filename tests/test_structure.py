@@ -269,7 +269,7 @@ def test_aggregate_all_separable(rng):
     decomp = decompose_b_direct(state, rng=rng)
     verdicts = [classify_state(c, rng=rng) for c in decomp.components]
     assert all(isinstance(v, Separable) for v in verdicts)
-    cert = aggregate(state, decomp, verdicts)
+    cert = aggregate(decomp, verdicts)
     assert isinstance(cert, Separable)
     assert rel_residual(cert.reconstruct(3, 3), state.matrix) < 1e-8
 
@@ -284,21 +284,27 @@ def test_aggregate_distillable_component(rng):
     decomp = decompose_b_direct(state, rng=rng)
     assert decomp.n_components == 2
     verdicts = [classify_state(c, rng=rng) for c in decomp.components]
-    cert = aggregate(state, decomp, verdicts)
+    cert = aggregate(decomp, verdicts)
     assert isinstance(cert, Distillable)
     assert validate_witness(state, cert.witness) < -1e-10
 
 
 def test_common_kernel_constructed_fixture(rng):
-    # blocks with zeroed first columns for all but the first A level
+    # blocks with zeroed first columns for all but the first A level, as
+    # built, under local unitaries and under ILOs: the kernel pattern's
+    # coefficients are then complex, not real up to a phase
     blocks = [complex_gaussian(rng, (4, 3)) for _ in range(3)]
     for c in blocks[1:]:
         c[:, 0] = 0.0
     w = np.hstack(blocks)
-    state = BipartiteState(3, 3, w.conj().T @ w)
-    cert = common_kernel_distill(state, rng=rng)
-    assert isinstance(cert, Distillable)
-    assert validate_witness(state, cert.witness) < -1e-10
+    base = BipartiteState(3, 3, w.conj().T @ w)
+    states = [base]
+    for local in (random_unitary, random_invertible):
+        states += [apply_local(base, local(3, rng), local(3, rng)) for _ in range(3)]
+    for state in states:
+        cert = common_kernel_distill(state, rng=rng)
+        assert isinstance(cert, Distillable)
+        assert validate_witness(state, cert.witness) < -1e-10
 
 
 def test_common_kernel_reducible_three_level_route(rng):
@@ -313,7 +319,7 @@ def test_common_kernel_reducible_three_level_route(rng):
     assert common_kernel_distill(state, rng=rng) is None
     decomp = decompose_b_direct(state, rng=rng)
     verdicts = [classify_state(c, rng=rng) for c in decomp.components]
-    routed = aggregate(state, decomp, verdicts)
+    routed = aggregate(decomp, verdicts)
     assert isinstance(routed, Distillable)
     assert validate_witness(state, routed.witness) < -1e-10
 
