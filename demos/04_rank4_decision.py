@@ -3,9 +3,9 @@
 decide_rank4 walks a decision tree and reports the proof path alongside
 the verdict.  A PPT state is settled by the product vectors in its
 range: four of them diagonalize a separable state, and none means PPT
-entangled.  An irreducible NPT state takes a negative coordinate 2x3
-block of rho^G as its witness; only when that scan misses does it go
-through rank-1 sectors and the gauge-fixing cascade.
+entangled.  An NPT state takes a negative coordinate 2x3 block of
+rho^G as its witness; only when that scan misses does it go through
+reducibility, rank-1 sectors and the gauge-fixing cascade.
 """
 
 import numpy as np

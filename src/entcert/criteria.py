@@ -304,17 +304,16 @@ def schmidt2_witness(state: BipartiteState):
     g = partial_transpose(state)
     n = state.dim_b
     thr = state.tol.negativity_floor(state.spectral_norm)
-    blocks = ([np.arange(g.shape[0])] if n == 2 else
-              [np.r_[k * n:(k + 1) * n, l * n:(l + 1) * n]
-               for k, l in combinations(range(state.dim_a), 2)])
-    best = None
-    for idx in blocks:
-        w, v = np.linalg.eigh(g[np.ix_(idx, idx)])
-        if w[0] < -thr and (best is None or w[0] < best.value):
-            vec = np.zeros(g.shape[0], dtype=complex)
-            vec[idx] = v[:, 0]
-            best = SchmidtRank2Witness(vector=vec, value=float(w[0]))
-    return best
+    pairs = np.array(list(combinations(range(state.dim_a), 2)), dtype=int).reshape(-1, 2, 1)
+    idx = np.arange(g.shape[0])[None] if n == 2 else (n * pairs + np.arange(n)).reshape(-1, 2 * n)
+    # one eigh on the stacked blocks; argmin keeps the first most negative
+    w, v = np.linalg.eigh(g[idx[:, :, None], idx[:, None, :]])
+    if not np.any(w[:, 0] < -thr):
+        return None
+    best = int(np.argmin(w[:, 0]))
+    vec = np.zeros(g.shape[0], dtype=complex)
+    vec[idx[best]] = v[best, :, 0]
+    return SchmidtRank2Witness(vector=vec, value=float(w[best, 0]))
 
 
 def _reduction_pair_witness(state: BipartiteState) -> SchmidtRank2Witness:

@@ -8,13 +8,12 @@ contains a product vector.  The decision tree:
   decides (PPT -> N products, NPT -> projection witness);
 * 3x3 locals: a PPT state's range is searched for product vectors
   first; when four of them diagonalize the state it is separable, with
-  them as the certificate.  Every other state goes through
-  reducibility; an irreducible NPT state then takes a negative
-  coordinate 2x3 block of rho^G as its witness.  The rest go through
-  rank-1 sector directions, then a product vector in the range (a PPT
-  state reuses its search): an NPT state with one enters a
-  gauge-fixing cascade that ends in a trivially distillable
-  projection;
+  them as the certificate.  An NPT state first scans the coordinate 2x3
+  blocks of rho^G, and a negative one is its witness.  Every other
+  state goes through reducibility, then rank-1 sector directions, then
+  a product vector in the range (a PPT state reuses its search): an
+  NPT state with one enters a gauge-fixing cascade that ends in a
+  trivially distillable projection;
 * PPT with no product vector in range: PPT entangled;
 * NPT with no product vector in range and no negative 2x3 block: no
   verdict; it is surfaced as undecidable.
@@ -641,9 +640,9 @@ def decide_rank4(state: BipartiteState, rng=7) -> Rank4Verdict:
     """Separability/distillability decision for a rank-4 bipartite state.
 
     Separable iff PPT with a product vector in the range; the verdict
-    carries the proof path.  The only undecided corner is an irreducible
-    NPT 3x3 state with no negative coordinate 2x3 block of rho^G and no
-    product vector found in the range, which raises UndecidableError.
+    carries the proof path.  The only undecided corner is an NPT 3x3
+    state whose coordinate 2x3 scan misses, that is irreducible and has
+    no product vector found in the range; it raises UndecidableError.
     """
     frame = Frame.local(state, orient=False)
     r = frame.work.rank()
@@ -701,22 +700,22 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
         if products is not None:  # decide_rank4 validates it in the caller's frame
             return Rank4Verdict(Separable(products=tuple(products)),
                                 ("product-in-range", "range-product-basis"))
-
-    # (a) reducibility, B side then A side
-    reducible = _reducible_verdict(restricted, rng)
-    if reducible is not None:
-        return reducible
-
-    # (a') NPT only: a negative coordinate 2x3 block of rho^G is a
-    # witness on its own, so the scan runs before the case tree.  It
-    # draws no random numbers, and decide_rank4 validates the witness in
-    # the caller's frame.  It runs after (a), whose Hermiticity check on
-    # the B-normalized state guards ill-conditioned input
-    if not ppt_flag:
+    else:
+        # (a') NPT only: a negative coordinate 2x3 block of rho^G is a
+        # witness on its own, with no reducibility theorem behind it, so
+        # it is tried first.  The scan draws no random numbers, and
+        # decide_rank4 re-checks the witness on the caller's state
         w = schmidt2_witness(restricted)
         if w is not None:
             return Rank4Verdict(Distillable(w), ("schmidt2-search",))
         range_w, range_q = psd_range(restricted.matrix, restricted.tol)
+
+    # (a) reducibility, B side then A side.  It precedes every route that
+    # relies on irreducibility or can end in PptEntangled, and its
+    # Hermiticity check on the B-normalized state guards them
+    reducible = _reducible_verdict(restricted, rng)
+    if reducible is not None:
+        return reducible
 
     # (b) a direction with a rank-1 sector.  Three 4 x 3 blocks have 18
     # minors against 6 monomials, so the second-compound bound usually

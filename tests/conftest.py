@@ -34,7 +34,8 @@ def ppt_rank_n_state(m, n, rng, conjugate=True):
 def reducible_b_state(rng):
     """The B-direct sum of a pure entangled 2x2 block (rank 1 < local
     rank 2) and a rank-3 3x1 block, under random ILOs: a 3x3 rank-4
-    state that decide_rank4 decides on its "reducible-b" route."""
+    state that decide_rank4 decides by its 2x3 scan, or on its
+    "reducible-b" route once the scan misses."""
     psi = np.zeros((3, 3), dtype=complex)
     psi[:2, :2] = complex_gaussian(rng, (2, 2))
     rest = [np.kron(complex_gaussian(rng, 3), np.array([0, 0, 1.0])) for _ in range(3)]

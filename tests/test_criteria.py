@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from entcert.states import (
     BipartiteState,
     PureState,
     apply_local,
+    partial_transpose,
     reduce,
     swap_sides,
     tensor,
@@ -188,6 +191,42 @@ def test_schmidt2_witness_antisymmetric():
     w = schmidt2_witness(state)
     assert w is not None
     assert validate_witness(state, w) < -1e-10
+
+
+def schmidt2_reference(state):
+    """The per-pair loop that schmidt2_witness stacks: one eigh per
+    coordinate 2xN block, the first most negative block wins."""
+    g = partial_transpose(state)
+    n = state.dim_b
+    thr = state.tol.negativity_floor(state.spectral_norm)
+    blocks = ([np.arange(g.shape[0])] if n == 2 else
+              [np.r_[k * n:(k + 1) * n, l * n:(l + 1) * n]
+               for k, l in combinations(range(state.dim_a), 2)])
+    best = None
+    for idx in blocks:
+        w, v = np.linalg.eigh(g[np.ix_(idx, idx)])
+        if w[0] < -thr and (best is None or w[0] < best[1]):
+            vec = np.zeros(g.shape[0], dtype=complex)
+            vec[idx] = v[:, 0]
+            best = (vec, float(w[0]))
+    return best
+
+
+def test_schmidt2_witness_matches_the_per_block_loop(rng):
+    # same blocks, same eigh per block, so the witness keeps its bytes;
+    # the antisymmetric state ties every block and the first one wins
+    states = [make_antisymmetric(3), random_product_sum(3, 3, 6, rng)]
+    for dims in ((1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3), (5, 3)):
+        for r in (1, 2, 4, dims[0] * dims[1]):
+            states.append(random_rank_r_state(*dims, min(r, dims[0] * dims[1]), rng))
+    found = 0
+    for state in states:
+        ref, w = schmidt2_reference(state), schmidt2_witness(state)
+        assert (w is None) == (ref is None)
+        if w is not None:
+            found += 1
+            assert np.array_equal(w.vector, ref[0]) and w.value == ref[1]
+    assert found > len(states) // 2
 
 
 def test_classify_rank_below_max_distillable(rng):

@@ -15,6 +15,7 @@ from entcert.certificates import (
 )
 from entcert.criteria import is_ppt, trivially_distillable
 from entcert.families import (
+    checkerboard_ppt_instance,
     make_shifts_upb,
     make_tiles_upb,
     random_checkerboard,
@@ -38,7 +39,7 @@ from entcert.rank4 import (
 )
 from entcert.states import BipartiteState, apply_local, partial_transpose
 
-from conftest import ppt_rank_n_state, reducible_b_state
+from conftest import miss_3x3_scan, ppt_rank_n_state, reducible_b_state
 
 
 def npt_rank4_with_product(rng):
@@ -436,15 +437,45 @@ def test_small_locals_3x2_state_that_no_a_pair_block_certifies():
     assert value == pytest.approx(np.linalg.eigvalsh(g)[0], rel=1e-9)
 
 
-def test_reducible_b_route_lifts_a_rank_below_max_component(rng):
+def test_reducible_b_route_lifts_a_rank_below_max_component(rng, monkeypatch):
     # the entangled component's reduction-violation witness is lifted by
-    # aggregate
+    # aggregate (the 2x3 scan misses, so that this NPT state reaches the
+    # reducibility test)
+    miss_3x3_scan(monkeypatch)
     state = reducible_b_state(rng)
     assert (state.rank(), state.local_ranks()) == (4, (3, 3))
     verdict = decide_rank4(state, rng=rng)
     assert verdict.trail == ("reducible-b",)
     assert isinstance(verdict.outcome.witness, SchmidtRank2Witness)
     validate_certificate(state, verdict.outcome)
+
+
+def test_reducible_npt_state_is_decided_by_the_2x3_scan_before_reducibility(rng):
+    # a negative coordinate 2x3 block proves 1-distillability with no
+    # reducibility theorem behind it, so step (a) never runs
+    state = reducible_b_state(rng)
+    verdict = decide_rank4(state, rng=rng)
+    assert verdict.trail == ("schmidt2-search",)
+    assert validate_witness(state, verdict.outcome.witness) < 0
+
+
+def test_ppt_rank4_states_run_no_2x3_scan(rng, monkeypatch):
+    # the scan settles NPT states only; a PPT state still meets the
+    # reducibility test before it can be reported PPT entangled
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a PPT state ran the coordinate 2x3 scan")
+
+    monkeypatch.setattr(rank4, "schmidt2_witness", forbidden)
+    calls, reducible_verdict = [], rank4._reducible_verdict
+    monkeypatch.setattr(rank4, "_reducible_verdict",
+                        lambda *a: calls.append(1) or reducible_verdict(*a))
+    assert decide_rank4(make_tiles_upb(), rng=0).trail == ("no-product-in-range",)
+    assert len(calls) == 1
+    states = [checkerboard_ppt_instance(0)[1]] + [
+        apply_local(random_product_sum(3, 3, 4, rng), random_invertible(3, rng),
+                    random_invertible(3, rng)) for _ in range(3)]
+    outcomes = [type(decide_rank4(state, rng=rng).outcome) for state in states]
+    assert outcomes == [PptEntangled] + [Separable] * 3
 
 
 def ill_conditioned(kappa, rng):

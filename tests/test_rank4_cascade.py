@@ -334,7 +334,7 @@ def count_checks(monkeypatch):
 # components of a B-direct split once each in their own classify_state call
 CHECKED_ROUTES = {
     "reducible-b": (lambda: reducible_b_state(np.random.default_rng(20260810)),
-                    decide_rank4, False, ("reducible-b",), 3),
+                    decide_rank4, True, ("reducible-b",), 3),
     "sector-rank-1": (lambda: sector_fixture(np.random.default_rng(41)), decide_rank4, True,
                       ("sector-rank-1", "trivial-submatrix"), 1),
     "cascade": (lambda: corpus_state(1, 1), decide_rank4, True,
@@ -371,9 +371,10 @@ def test_each_route_checks_its_verdict_once(route, monkeypatch):
 
 def test_coordinate_2x3_route_runs_no_search_and_no_cascade(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the coordinate 2x3 route searched the range")
+        raise AssertionError("the coordinate 2x3 route ran a later step")
 
-    for name in ("rank_one_in_span", "find_product_vector", "_product_cascade"):
+    for name in ("_reducible_verdict", "decompose_b_direct_matrix", "rank_one_in_span",
+                 "find_product_vector", "_product_cascade"):
         monkeypatch.setattr(rank4, name, forbidden)
     for seed, index in NPT_ITEMS:
         assert decide_rank4(corpus_state(seed, index), rng=index).trail == ("schmidt2-search",)
