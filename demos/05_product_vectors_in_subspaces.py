@@ -7,9 +7,11 @@ every shape with a smaller side of up to 4 levels: it enumerates every
 candidate product as an eigenvalue of a multiparameter eigenvalue
 problem, so it returns all the product vectors with explicit factors,
 and "not found" means there are none.  Before it, one SVD of the matrix
-taking the products z_i z_j to the 2 x 2 minors bounds the rank-1
-defect of the whole span from below; a bound above the tolerance proves
-"none" at any shape, with no random numbers.
+taking the products z_i z_j to the 2 x 2 minors decides many spans with
+no random numbers and at any shape: without a null space it bounds the
+rank-1 defect of the whole span from below, and a bound above the
+tolerance proves "none"; a null space spanned by a few independent
+products hands them over, all of them.
 """
 
 import numpy as np
@@ -52,7 +54,7 @@ result = find_product_vector(v, rng=rng)
 vec = np.kron(result.a, result.b)
 member = result.coefficients @ v.basis
 print(f"\n3x3, dim-4 subspace with a planted product (no known equation):")
-print(f"  found = {result.found}, rank-1 defect = {result.best_defect:.1e}")
+print(f"  found = {result.found} ({result.method}), rank-1 defect = {result.best_defect:.1e}")
 print(f"  |a x b - combination| = {np.linalg.norm(vec - member):.1e}")
 
 # --- large subspaces always contain product vectors --------------------------

@@ -37,9 +37,8 @@ verdicts = [classify_state(c, rng=rng) for c in decomp.components]
 cert = aggregate(decomp, verdicts)
 print(f"\nILO-hidden B-direct sum: {decomp.n_components} components, "
       f"component verdicts {[type(v).__name__ for v in verdicts]}")
-print(f"  aggregate: {type(cert).__name__} "
-      f"(witness value {cert.witness.value:+.3f} on its component)")
-# aggregate only combines; its witness is re-checked on the whole state
+print(f"  aggregate: {type(cert).__name__} (witness value {cert.witness.value:+.3f})")
+# aggregate only combines; its lifted witness is re-checked on the whole state
 print(f"  re-checked on the whole state: {validate_witness(state, cert.witness):+.3f}")
 
 # --- irreducible states stay in one piece ------------------------------------

@@ -30,6 +30,7 @@ __all__ = [
     "Certificate",
     "UndecidableError",
     "lift_through_local",
+    "lifted_value",
     "validate_witness",
     "validate_certificate",
 ]
@@ -61,6 +62,24 @@ def lift_through_local(psi: np.ndarray, a: np.ndarray | None, b: np.ndarray | No
     return op @ (psi if psi.ndim == 2 else psi.reshape(-1))
 
 
+def lifted_value(witness, phi: np.ndarray) -> float:
+    """The value of a Schmidt-rank-2 witness phi on rho, for phi a lift
+    (lift_through_local, a swap) of witness.vector psi on tau.
+
+    <psi| tau^G |psi> = <phi| rho^G |phi>, so the normalized expectation
+    is <psi| tau^G |psi> / ||phi||^2, with no state needed.  That is
+    value ||psi||^2 for a witness whose value is the normalized
+    expectation of its vector, and value for a 2xN projection witness,
+    whose vector is the lift of the unit lowest eigenvector.
+    """
+    psi = np.asarray(witness.vector).reshape(-1)
+    quad = witness.value
+    if not isinstance(witness, TwoByNProjectionWitness):
+        quad *= np.vdot(psi, psi).real
+    phi = np.asarray(phi).reshape(-1)
+    return float(quad / np.vdot(phi, phi).real)
+
+
 @dataclass(frozen=True)
 class TrivialSubmatrixWitness:
     """2x2 principal submatrix of rho^G with a zero diagonal entry and
@@ -82,7 +101,10 @@ class TwoByNProjectionWitness:
     a_columns (M x 2) and b_operator (N' x N, optional) define the local
     map; the projected state is (a_columns^dag (x) b_operator) applied to
     rho.  x is the scalar of the combination x C_i + C_j of a
-    non-commuting normal block pair, when one was used.
+    non-commuting normal block pair, when one was used.  value is the
+    lowest eigenvalue of the projected state's partial transpose and
+    vector the lift of its unit eigenvector, so <vector| rho^G |vector>
+    = value.
     """
 
     a_columns: np.ndarray

@@ -290,7 +290,7 @@ def cmd_product_test(args) -> int:
     else:
         payload["hypersurface"] = None
         payload["note"] = ("no hypersurface equation for this shape; "
-                           "the eigenvalue enumeration decides alone")
+                           "the product search decides alone")
     rng = np.random.default_rng(args.seed)
     result = find_product_vector(obj, rng=rng)
     payload["search"] = {

@@ -28,6 +28,7 @@ from .certificates import (
     TwoByNProjectionWitness,
     UndecidableError,
     lift_through_local,
+    lifted_value,
     validate_certificate,
 )
 from .linalg import (
@@ -223,8 +224,8 @@ class Frame:
             return TwoByNProjectionWitness(
                 a_columns=self.qa @ witness.a_columns,
                 b_operator=witness.b_operator @ dagger(self.qb),
-                x=witness.x, vector=vec, value=witness.value)
-        return SchmidtRank2Witness(vector=vec, value=witness.value)
+                x=witness.x, vector=vec, value=witness.value)  # the same projected state
+        return SchmidtRank2Witness(vector=vec, value=lifted_value(witness, vec))
 
     def lift_products(self, products) -> list:
         """Product pairs (a, b) on work as pairs for the caller's state."""
@@ -604,14 +605,14 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
     a_chain = sel @ u2 @ u1 @ dagger(qa)
     b_chain = v_op @ dagger(qb)
     projected = apply_local(state, a_chain, b_chain)
-    tw = trivially_distillable(projected)
-    if tw is None:
+    if trivially_distillable(projected) is None:
         raise RuntimeError(
             "the projected 2xN state is not trivially distillable; this "
             "contradicts the construction and indicates a numerical issue")
-    vec = lift_through_local(tw.vector, a_chain, b_chain, (2, n))
+    w, v = np.linalg.eigh(partial_transpose(projected))
+    vec = lift_through_local(v[:, 0], a_chain, b_chain, (2, n))
     cert = Distillable(TwoByNProjectionWitness(
         a_columns=dagger(a_chain), b_operator=np.asarray(b_chain),
-        x=None, vector=vec, value=tw.value))
+        x=None, vector=vec, value=float(w[0])))
     validate_certificate(state, cert)
     return cert

@@ -24,13 +24,16 @@ Two independent routes are provided and cross-checked in the tests:
   its reach, unless the span is so large that the dimension count
   alone puts a product in it;
 * the second compound: the 2 x 2 minors of sum_i z_i M_i are linear in
-  the k (k + 1) / 2 products z_i z_j, and where there are at least as
-  many minors as products one SVD bounds sigma_2 / sigma_1 from below
-  on every combination (cf. K. R. Parthasarathy, Proc. Indian Acad.
-  Sci. 114, 365 (2004)).  A bound above residual_tol proves "no
-  product" with no random numbers and at any shape; the enumeration
-  runs only where it does not, and UndecidableError is raised only
-  where neither decides.
+  the k (k + 1) / 2 products z_i z_j (cf. K. R. Parthasarathy, Proc.
+  Indian Acad. Sci. 114, 365 (2004)), and one SVD of that degree-2
+  Macaulay matrix decides many spans with no random numbers and at any
+  shape.  Without a null space it bounds sigma_2 / sigma_1 from below on
+  every combination, and a bound above residual_tol proves "no
+  product".  A null space spanned by s <= k independent products is
+  read off as an s x s eigenvalue problem, and those products are all
+  of them ("second compound null space").  The enumeration runs only
+  where neither decides, and UndecidableError is raised only where it
+  cannot run either.
 
 The same two-parameter problem finds the products a (x) b on C^2 (x) C^n
 with a (x) b in R(rho) and conj(a) (x) b in R(rho^G) that the 2 x N
@@ -228,11 +231,12 @@ class ProductSearchResult:
     rank-1 defect; products holds every distinct accepted product as
     (a, b, coefficients), best first.  method names the route taken
     (the eigenvalue problem, "dimension count", "hyperplane section",
-    "trivial" or "second compound") and candidates counts the points it
-    tested.  best_defect is the smallest sigma_2 / sigma_1 among them;
-    on the "second compound" route no point is tested and it is a
-    proved lower bound on sigma_2 / sigma_1 over the whole span.  Both
-    routes are complete, so found=False means the span holds no product.
+    "trivial", "second compound" or "second compound null space") and
+    candidates counts the points it tested.  best_defect is the smallest
+    sigma_2 / sigma_1 among them; on the "second compound" route no
+    point is tested and it is a proved lower bound on sigma_2 / sigma_1
+    over the whole span.  Every route is complete, so found=False means
+    the span holds no product; the null-space route only ever finds.
     """
 
     found: bool
@@ -393,92 +397,158 @@ def _enumerate_rank_one(work, rng, tol):
     return y @ to_work, _rank1_defects(basis, y), method
 
 
-def _product(mats, z):
-    e = np.einsum("k,kpq->pq", z, mats)
-    u, s, vh = np.linalg.svd(e)
-    return u[:, 0] * np.sqrt(s[0]), vh[0, :] * np.sqrt(s[0]), z
+def _products(mats, z):
+    """(a, b, z[c]) with a (x) b the leading singular part of sum_i
+    z[c, i] mats[i], for each row c of z."""
+    u, s, vh = np.linalg.svd(np.einsum("ck,kpq->cpq", z, mats))
+    root = np.sqrt(s[:, :1])
+    return tuple(zip(u[:, :, 0] * root, vh[:, 0] * root, z))
 
 
 # Largest k * k * C(p, 2) * C(q, 2) for which _compound_screen builds its
 # matrix (16 MB of complex entries per temporary); larger stacks skip it.
 _SCREEN_MAX_ENTRIES = 1 << 20
 
+# Smallest singular value of the unit products read off the null space
+# of the second compound for them to count as independent.
+_POINTS_RCOND = 1.0e-2
+
+_NULL_SPACE = "second compound null space"
+
 
 @lru_cache(maxsize=None)
 def _minor_pairs(k, p, q):
     """The indices _compound_screen needs for a (k, p, q) stack: the flat
     positions of the corners r1 c1, r1 c2, r2 c1, r2 c2 of each 2 x 2
-    minor (r1 < r2, c1 < c2), the pairs i <= j, and a weight that halves
-    the columns i == j."""
+    minor (r1 < r2, c1 < c2), the pairs i <= j, the weight of column
+    (i, j) on the symmetrized minors (1/2 for i == j, 1/sqrt(2) for
+    i < j), and the readout matrix, which takes y to the products Y a
+    and Y b of its symmetric matrix Y (y(z) reads as z z^T) with the
+    fixed phase vectors a and b."""
     (r1, r2), (c1, c2) = np.triu_indices(p, 1), np.triu_indices(q, 1)
     corners = np.stack([(r[:, None] * q + c).ravel() for r in (r1, r2) for c in (c1, c2)])
     i, j = np.triu_indices(k)
-    return corners, i, j, np.where(i == j, 0.5, 1.0)[:, None]
+    root = np.where(i == j, 1.0, math.sqrt(0.5))  # Y_ij = Y_ji = root y_ij
+    phases = np.exp(1j * np.outer(np.arange(k), [math.sqrt(2), math.sqrt(3)]))
+    readout = np.zeros((len(i), k, 2), dtype=complex)
+    readout[np.arange(len(i)), i] = root[:, None] * phases[j]
+    off = np.flatnonzero(i < j)
+    readout[off, j[off]] = root[off, None] * phases[i[off]]
+    return corners, i, j, np.where(i == j, 0.5, 1.0) * root, readout.reshape(len(i), -1)
 
 
-def _compound_screen(work):
-    """A lower bound on sigma_2 / sigma_1 over every nonzero combination
-    M = sum_i z_i work[i] of the (k, p, q) stack, or None where it proves
-    nothing.
+def _compound_screen(work, tau):
+    """Decide the (k, p, q) stack from the 2 x 2 minors of M = sum_i z_i
+    work[i]: (bound, None) when no combination has rank-1 defect
+    sigma_2 / sigma_1 <= tau, (None, (z, defect)) with every such
+    combination as a row of z, (None, None) when it decides nothing.
 
-    The 2 x 2 minors of M are A y: y = (z_i z_j)_{i <= j}, and the column
-    (i, j) of A holds the minors of the symmetrized bilinear form of
-    work[i] and work[j], so A has C(p, 2) C(q, 2) rows and k (k + 1) / 2
-    columns.  With C = C(min(p, q), 2) and N = ||work||_F^2:
-    ||y|| >= ||z||^2 / sqrt(2), ||A y|| = ||C_2(M)||_F <= sqrt(C) sigma_1
-    sigma_2 and sigma_1 <= sqrt(N) ||z||, so
-    sigma_2 / sigma_1 >= sigma_min(A) / (sqrt(2 C) N).
+    The minors of M are A y: y holds z_i^2 and sqrt(2) z_i z_j (i < j),
+    so ||y|| = ||z||^2, and column (i, j) of A holds the minors of the
+    symmetrized bilinear form of work[i] and work[j], weighted as y is.
+    A has C(p, 2) C(q, 2) rows and k (k + 1) / 2 columns.  With C =
+    C(min(p, q), 2), N = ||work||_F^2 and nu = sqrt(C) N: ||A y|| =
+    ||C_2(M)||_F <= sqrt(C) sigma_1 sigma_2 and sigma_1 <= sqrt(N) ||z||,
+    so sigma_2 / sigma_1 >= ||A y|| / (nu ||y||), and a combination of
+    defect at most tau has ||A y|| <= nu tau ||y||.
 
     Floating-point margin, with u the unit roundoff.  Each entry of A is
     a sum of at most four complex products, formed with an error of at
     most 6 u times the sum T of their moduli; each pair of entries of
-    work[i], work[j] in distinct rows and columns enters T once, so
-    ||T||_F <= sqrt(2) N and ||dA||_2 <= 9 u N.  The computed singular
-    values lie within c u ||A||_2 of those of A, c at most the larger side
-    of A for LAPACK's SVD, with ||A||_2 <= ||T||_F.  N comes out within
-    k p q u relative, which moves the bound as much as a shift of
-    sigma_min(A) <= sqrt(2) N by that share.  So sigma_min(A) is taken
-    16 (max(rows, cols) + k p q) u N smaller than computed.
+    work[i], work[j] in distinct rows and columns enters T once, and the
+    weights are at most 1, so ||T||_F <= sqrt(2) N and ||dA||_2 <= 9 u N.
+    The computed SVD is exact for a matrix within c u ||A||_2 of A, c at
+    most the larger side of A for LAPACK, with ||A||_2 <= ||T||_F.  N
+    comes out within k p q u relative, which moves nu by that share.  So
+    the SVD is taken as exact for a matrix within m = 16 (max(rows, cols)
+    + k p q) u N of A.
 
-    None when A has fewer rows than columns (its null space then holds
-    nonzero y), when the margin leaves no positive bound, or when A
-    would exceed _SCREEN_MAX_ENTRIES.  No random numbers are drawn.
+    Singular values at most t = nu tau + m (and the cols - rows zeros of
+    a wide A) are dropped; s counts them.
+    * s = 0: every y has ||A y|| > (t - m) ||y||, so sigma_2 / sigma_1
+      >= (sigma_min - m) / nu > tau over the whole span, the bound.
+    * 0 < s <= k: the dropped right singular vectors span null(A), read
+      as s symmetric k x k matrices Y_l (y(z) reads as z z^T).  If
+      null(A) = span{y(z_1), .., y(z_s)} with z_m independent, Y_l = Z
+      C_l Z^T with C_l diagonal, so N_a = [Y_l a]_l = Z D_a W and N_b =
+      Z D_b W for the fixed phase vectors a, b and an invertible W;
+      N_a^+ N_b = W^-1 D_a^-1 D_b W has eigenvectors v with z_m ~ N_a v.
+      The points are returned only if (independence) the unit matrices
+      sum_i z_mi work[i] have smallest singular value at least
+      _POINTS_RCOND, (defect) each has defect at most tau, and (gap) the
+      smallest kept singular value sigma_keep has sqrt(tau) sigma_keep >
+      t.  The gap puts y of any combination of defect at most tau within
+      t / sigma_keep < sqrt(tau) of the dropped space, which the found
+      y(z_m) span to the same order; and z z^T = Z C Z^T with Z of full
+      rank has one nonzero c_m, so z is a found point.  An exact product
+      has y in null(A) exactly, and sigma_keep > m leaves null(A) at
+      most s dimensions: no other product exists.
+    * Otherwise (s > k, A over _SCREEN_MAX_ENTRIES, or a failed check)
+      nothing is decided.
+
+    No random numbers are drawn.  A span on which a or b fails (a . z_m
+    = 0, or two equal ratios b . z_m / a . z_m) fails a check instead.
     """
     k, p, q = work.shape
-    corners, i, j, half = _minor_pairs(k, p, q)
+    corners, i, j, weight, readout = _minor_pairs(k, p, q)
     rows, cols = corners.shape[1], len(i)
-    if rows < cols or k * k * rows > _SCREEN_MAX_ENTRIES:
-        return None
+    if k * k * rows > _SCREEN_MAX_ENTRIES or cols - rows > k:  # then s > k
+        return None, None
     w11, w12, w21, w22 = work.reshape(k, -1)[:, corners].transpose(1, 0, 2)
     minors = w11[:, None] * w22[None] - w12[:, None] * w21[None]  # (k, k, rows)
-    a = (minors + minors.transpose(1, 0, 2))[i, j] * half  # A transposed
+    a_mat = ((minors + minors.transpose(1, 0, 2))[i, j] * weight[:, None]).T
     norm2 = float(np.vdot(work, work).real)
     margin = 16 * (max(rows, cols) + work.size) * _EPS * norm2
-    sigma_min = np.linalg.svd(a, compute_uv=False)[-1] - margin
-    if not sigma_min > 0:
-        return None
     small = min(p, q)
-    return float(sigma_min / (math.sqrt(small * (small - 1)) * norm2))
+    nu = math.sqrt(small * (small - 1) / 2) * norm2
+    _, sv, vh = np.linalg.svd(a_mat, full_matrices=rows < cols)
+    sv = np.concatenate([sv, np.zeros(cols - len(sv))])
+    t = nu * tau + margin
+    s = int(np.count_nonzero(sv <= t))
+    if s == 0:
+        return float((sv[-1] - margin) / nu), None
+    if s > k or (s < cols and not math.sqrt(tau) * sv[cols - s - 1] > t):
+        return None, None
+    n_a, n_b = (vh[cols - s:].conj() @ readout).reshape(s, k, 2).T  # (k, s) each
+    z = n_a.T
+    if s > 1:
+        # N_a^+ N_b from the normal equations; a poor conditioning of N_a
+        # shows as a failed check below
+        adj = n_a.conj().T
+        z = (n_a @ np.linalg.eig(np.linalg.solve(adj @ n_a, adj @ n_b))[1]).T
+    combos = np.einsum("ck,kpq->cpq", z, work)
+    sc = np.linalg.svd(combos, compute_uv=False)
+    defect = sc[:, 1] / np.maximum(sc[:, 0], 1.0e-300)
+    units = combos.reshape(s, -1) / np.maximum(np.sqrt(np.sum(sc * sc, axis=1)), 1.0e-300)[:, None]
+    if not (np.all(defect <= tau)
+            and np.linalg.svd(units, compute_uv=False)[-1] >= _POINTS_RCOND):
+        return None, None
+    return None, (z, defect)
 
 
 def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> ProductSearchResult:
     """Find z with sum_i z_i mats[i] of rank 1 (up to the defect tolerance).
 
-    First one SVD of the second-compound matrix (_compound_screen) bounds
-    sigma_2 / sigma_1 from below on every combination; a bound above
-    residual_tol proves that no rank-1 combination exists, draws no
-    random numbers and returns found=False with method "second compound"
-    and the bound as best_defect.  Otherwise every point where a rank-1
-    combination can sit is enumerated as an eigenvalue (a pencil when the
-    smaller matrix side has 2 levels, a two- or three-parameter
-    eigenvalue problem for 3 or 4) and tested, so "not found" means none
-    exists.  Success means the second singular value of the combination
-    is at most residual_tol times the first.  A span whose complement
-    has fewer vectors than the larger side holds a product at every
-    smaller-side vector ("dimension count"), at any shape.  Any other
-    span the bound does not decide is out of scope, and raises
-    UndecidableError, when the smaller side has 5 or more levels, or 4
-    beside more than 8; an all-zero stack raises ValueError.
+    First one SVD of the second compound (_compound_screen) of the span,
+    whose 2 x 2 minors are linear in the products z_i z_j.  With no null
+    space it bounds sigma_2 / sigma_1 from below on every combination,
+    and a bound above residual_tol proves that no rank-1 combination
+    exists: found=False, method "second compound" and the bound as
+    best_defect.  With a null space of dimension s at most the span's
+    dimension that is spanned by s independent rank-1 combinations, read
+    off as the eigenvectors of an s x s problem, those are all of them:
+    method "second compound null space".  Both draw no random numbers.
+    Otherwise every point where a rank-1 combination can sit is
+    enumerated as an eigenvalue (a pencil when the smaller matrix side
+    has 2 levels, a two- or three-parameter eigenvalue problem for 3 or
+    4) and tested, so "not found" means none exists.  Success means the
+    second singular value of the combination is at most residual_tol
+    times the first.  A span whose complement has fewer vectors than the
+    larger side holds a product at every smaller-side vector ("dimension
+    count"), at any shape.  Any other span the second compound does not
+    decide is out of scope, and raises UndecidableError, when the
+    smaller side has 5 or more levels, or 4 beside more than 8; an
+    all-zero stack raises ValueError.
     """
     mats = np.asarray(mats, dtype=complex)
     k, p, q = mats.shape
@@ -487,42 +557,41 @@ def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> Product
         raise ValueError("rank_one_in_span needs a nonzero matrix in the span")
     first = int(np.argmax(scale > 0))
     scale[scale == 0] = 1.0
-    work = mats / scale[:, None, None]
-    bound = _compound_screen(work)
-    if bound is not None and bound > tol.residual_tol:
-        return ProductSearchResult(False, None, None, None, bound, "second compound", 0)
-    rng = as_rng(rng)
-
     if min(p, q) < 2:
-        z = np.zeros(k, dtype=complex)
-        z[first] = 1.0 / scale[first]
-        prod = _product(mats, z)
-        return ProductSearchResult(True, *prod, 0.0, "trivial", 1, (prod,))
+        z = np.zeros((1, k), dtype=complex)
+        z[0, first] = 1.0 / scale[first]
+        products = _products(mats, z)
+        return ProductSearchResult(True, *products[0], 0.0, "trivial", 1, products)
 
-    z, defect, method = _enumerate_rank_one(work, rng, tol)
+    work = mats / scale[:, None, None]
+    bound, points = _compound_screen(work, tol.residual_tol)
+    if bound is not None:
+        return ProductSearchResult(False, None, None, None, bound, "second compound", 0)
+    if points is not None:
+        (z, defect), method = points, _NULL_SPACE
+    else:
+        z, defect, method = _enumerate_rank_one(work, as_rng(rng), tol)
     order = np.argsort(defect)
-    products = []
-    kept = []
-    for idx in order:
-        if not defect[idx] <= tol.residual_tol:
-            break
-        e = np.einsum("k,kpq->pq", z[idx], work).ravel()
-        e = e / np.linalg.norm(e)
-        if any(abs(np.vdot(f, e)) > 1.0 - 1.0e-6 for f in kept):
-            continue
-        kept.append(e)
-        products.append(_product(mats, z[idx] / scale))
     best = float(defect[order[0]])
-    if not products:
+    accepted = order[defect[order] <= tol.residual_tol]
+    if not len(accepted):
         return ProductSearchResult(False, None, None, None, best, method, len(z))
-    return ProductSearchResult(True, *products[0], best, method, len(z),
-                               tuple(products))
+    # the best of each group of accepted directions within 1e-6 of overlap
+    units = np.einsum("ck,kpq->cpq", z[accepted], work).reshape(len(accepted), -1)
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    near = np.abs(units.conj() @ units.T) > 1.0 - 1.0e-6
+    kept = []
+    for c in range(len(accepted)):
+        if not near[c, kept].any():
+            kept.append(c)
+    products = _products(mats, z[accepted[kept]] / scale)
+    return ProductSearchResult(True, *products[0], best, method, len(z), products)
 
 
 def find_product_vector(subspace: Subspace, rng=7) -> ProductSearchResult:
     """Search the subspace for a product vector a (x) b, by the second
-    compound bound and the complete enumeration of rank_one_in_span
-    (same scope).
+    compound and the complete enumeration of rank_one_in_span (same
+    scope).
 
     On success the returned (a, b) satisfies a (x) b ~ sum_i z_i basis_i
     up to the rank-1 defect tolerance; membership in the subspace holds

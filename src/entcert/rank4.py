@@ -48,6 +48,7 @@ from .certificates import (
     UndecidableError,
     Undecided,
     lift_through_local,
+    lifted_value,
     validate_certificate,
 )
 from .criteria import (
@@ -301,7 +302,7 @@ def _pair_verdict(gauge: _Gauge, i, j, trail, tag):
             f"proof step '{tag}' promised a trivially distillable projection "
             f"onto A-levels ({i}, {j}) but the scan found none")
     vec = gauge.lift_from_pair(tw.vector, i, j)
-    witness = SchmidtRank2Witness(vector=vec, value=tw.value)
+    witness = SchmidtRank2Witness(vector=vec, value=lifted_value(tw, vec))
     return Rank4Verdict(Distillable(witness), trail + (tag, "trivial-submatrix"))
 
 
@@ -338,7 +339,8 @@ def _rank1_sector_path(gauge: _Gauge, x, rng, trail):
             raise RuntimeError(
                 "rank-1 sector gauge has off-diagonal mass but no trivial "
                 "submatrix was found")
-        witness = SchmidtRank2Witness(vector=gauge.lift(tw.vector), value=tw.value)
+        vec = gauge.lift(tw.vector)
+        witness = SchmidtRank2Witness(vector=vec, value=lifted_value(tw, vec))
         return Rank4Verdict(Distillable(witness), trail + ("sector-rank-1", "trivial-submatrix"))
 
     sigma = gauge.entry(0, 0, 0)
@@ -354,7 +356,8 @@ def _rank1_sector_path(gauge: _Gauge, x, rng, trail):
     sub_trail = trail + ("sector-rank-1", "a-direct-split")
     if isinstance(cert, Distillable):
         w = side.lift_witness(cert.witness)
-        witness = SchmidtRank2Witness(vector=gauge.lift(w.vector), value=w.value)
+        vec = gauge.lift(w.vector)
+        witness = SchmidtRank2Witness(vector=vec, value=lifted_value(w, vec))
         return Rank4Verdict(Distillable(witness), sub_trail)
     if isinstance(cert, Separable):
         products = gauge.lift_products(side.lift_products(cert.products))
@@ -419,8 +422,8 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
     tau = BipartiteState(3, 2, dagger(w_sub) @ w_sub, tol)
     w = schmidt2_witness(tau)  # complete on 3x2: None means PPT
     if w is not None:
-        inner = lift_through_local(w.vector, None, sel_b, (3, 2))
-        witness = SchmidtRank2Witness(vector=g.lift(inner), value=w.value)
+        vec = g.lift(lift_through_local(w.vector, None, sel_b, (3, 2)))
+        witness = SchmidtRank2Witness(vector=vec, value=lifted_value(w, vec))
         return Rank4Verdict(Distillable(witness), trail + ("projected-b-pair-npt",))
 
     products = _ppt_products(tau, rng)
@@ -669,7 +672,7 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
         # rank-4 verdicts carry the plain Schmidt-rank-2 form of the witness
         w = local.lift_witness(_distill_rank_max(local.work, rng))
         return Rank4Verdict(
-            Distillable(SchmidtRank2Witness(vector=w.vector, value=w.value)),
+            Distillable(SchmidtRank2Witness(vector=w.vector, value=lifted_value(w, w.vector))),
             ("max-local-rank-4", "npt-rank-max"))
 
     if (m, n) != (3, 3):
@@ -687,9 +690,11 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
 
     # (0) PPT only: the state is separable iff its range holds a product,
     # and then four of the range's products diagonalize it, so the range
-    # is searched first.  No product, or products that diagonalize
-    # nothing (the families of a reducible range), fall through to (a)
-    # and (b), and (c) reuses the search.  "No product" is not reported
+    # is searched first.  A separable range's products are read off the
+    # null space of its second compound, with no enumeration and no
+    # random draw.  No product, or products that diagonalize nothing
+    # (the families of a reducible range), fall through to (a) and (b),
+    # and (c) reuses the search.  "No product" is not reported
     # here: under an ill-conditioned ILO the search can miss a product,
     # and the checks of (a) are what stop that becoming PptEntangled.
     prod = None
@@ -718,8 +723,9 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
         return reducible
 
     # (b) a direction with a rank-1 sector.  Three 4 x 3 blocks have 18
-    # minors against 6 monomials, so the second-compound bound usually
-    # proves "none" without the enumeration or a random draw
+    # minors against 6 monomials, so the second compound usually proves
+    # "none", or reads the sector off its null space, without the
+    # enumeration or a random draw
     blocks = _block_form_from_range(range_w, range_q, m, n)
     found = rank_one_in_span(np.stack(blocks.blocks), rng=rng, tol=restricted.tol)
     if found.found:

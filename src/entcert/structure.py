@@ -23,6 +23,7 @@ from .certificates import (
     UndecidableError,
     Undecided,
     lift_through_local,
+    lifted_value,
     validate_certificate,
 )
 from .criteria import Frame, is_ppt, left_pencil, trivially_distillable
@@ -232,7 +233,7 @@ def _lift_component_witness(decomp: BDirectDecomposition, index: int,
                             witness, dims) -> SchmidtRank2Witness:
     b_map = decomp.b_projectors[index] @ decomp.conjugator
     vec = lift_through_local(witness.vector, None, b_map, dims)
-    return SchmidtRank2Witness(vector=vec, value=witness.value)
+    return SchmidtRank2Witness(vector=vec, value=lifted_value(witness, vec))
 
 
 def aggregate(decomp: BDirectDecomposition, verdicts) -> Certificate:

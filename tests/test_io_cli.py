@@ -220,15 +220,32 @@ def test_cli_product_test_numeric_only_shape(tmp_path, rng):
 
 
 def test_cli_product_test_beyond_the_search_scope_is_undecided(tmp_path, rng):
-    # a planted product leaves the second-compound bound at zero, and the
-    # eigenvalue enumeration does not reach a 5-level side
-    sub = random_product_containing_subspace(5, 5, 3, rng)
+    # a planted product in a 14-dim span: 100 minors against 105
+    # monomials leave a null space the readout cannot account for, and
+    # the eigenvalue enumeration does not reach a 5-level side
+    sub = random_product_containing_subspace(5, 5, 14, rng)
     path = tmp_path / "sub55.json"
     save_state(sub, path)
     proc = run_cli(["product-test", str(path)])
     assert proc.returncode == 2
     assert proc.stderr.startswith("undecided:")
     assert "5x5" in proc.stderr
+
+
+def test_cli_product_test_reads_a_planted_5x5_product_off_the_null_space(tmp_path, rng):
+    sub = random_product_containing_subspace(5, 5, 3, rng)
+    path = tmp_path / "sub55.json"
+    save_state(sub, path)
+    proc = run_cli(["product-test", str(path)])
+    assert proc.returncode == 0
+    search = json.loads(proc.stdout)["payload"]["search"]
+    assert search["found"] is True
+    assert search["best_rank1_defect"] < 1e-10
+    a, b = (np.array([complex(float.fromhex(re), float.fromhex(im)) for re, im in search[key]])
+            for key in "ab")
+    e = np.kron(a, b)
+    q = np.linalg.qr(sub.basis.T)[0]
+    assert np.linalg.norm(e - q @ (q.conj().T @ e)) < 1e-10 * np.linalg.norm(e)
 
 
 def test_cli_product_test_finds_a_product_in_a_large_5x5_span_by_dimension_count(tmp_path):

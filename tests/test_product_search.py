@@ -12,15 +12,18 @@ from entcert.product_search import (
     random_product_containing_subspace,
     random_subspace,
     rank_one_in_span,
+    _METHODS,
+    _NULL_SPACE,
     _compound_screen,
     _enumerate_rank_one,
     _operator_determinants,
 )
 from entcert.certificates import UndecidableError
-from entcert.linalg import DEFAULT_TOL
-from entcert.random_states import complex_gaussian
+from entcert.linalg import DEFAULT_TOL, psd_range
+from entcert.random_states import complex_gaussian, random_product_sum
 from entcert.states import BipartiteState
 from entcert import rank4
+from entcert.families import make_tiles_upb
 
 from conftest import miss_3x3_scan
 
@@ -221,22 +224,127 @@ def assert_products_in_span(result, mats):
         units.append(unit)
 
 
+def enumerated_products(work, rng):
+    """The distinct products _enumerate_rank_one accepts in the span of
+    work, as unit vectors, and its method name."""
+    z, defect, method = _enumerate_rank_one(work, rng, DEFAULT_TOL)
+    combos = np.einsum("ck,kpq->cpq", z[defect <= DEFAULT_TOL.residual_tol], work)
+    units = []
+    for e in combos.reshape(len(combos), -1):
+        e = e / np.linalg.norm(e)
+        if all(abs(np.vdot(f, e)) < 1 - 1e-6 for f in units):
+            units.append(e)
+    return units, method
+
+
+def result_units(result):
+    return [np.kron(a, b) / np.linalg.norm(np.kron(a, b)) for a, b, _ in result.products]
+
+
+def assert_same_products(found, expected):
+    """The same number of products, each matching one of the others."""
+    assert len(found) == len(expected)
+    if found:
+        overlap = np.abs(np.conj(np.array(found)) @ np.array(expected).T)
+        assert np.all(overlap.max(axis=0) >= 1 - 1e-6)
+        assert np.all(overlap.max(axis=1) >= 1 - 1e-6)
+
+
+def null_space_route(mats):
+    """What the second compound reads off the span: the unit products, or
+    None where it declines (or proves that there is none)."""
+    work = normalized(mats)
+    bound, points = _compound_screen(work, DEFAULT_TOL.residual_tol)
+    if points is None:
+        return None
+    combos = np.einsum("ck,kpq->cpq", points[0], work).reshape(len(points[0]), -1)
+    return list(combos / np.linalg.norm(combos, axis=1)[:, None])
+
+
+def cross_check_spans(rng):
+    for _ in range(6):
+        state = random_product_sum(3, 3, 4, rng)
+        yield Subspace(3, 3, psd_range(state.matrix, state.tol)[1].T)
+    for dims in ((2, 3), (3, 2), (2, 4), (4, 2)):
+        for _ in range(4):
+            yield random_subspace(*dims, (dims[0] - 1) * (dims[1] - 1) + 1, rng)
+    for _ in range(4):
+        yield random_product_containing_subspace(2, 4, 3, rng)
+
+
+def line_of_products(rng):
+    # a (x) C^2 lies in a 3-dim span of 4 x 2 matrices: the null space of
+    # the second compound is the 3 monomials of a plane of coefficients,
+    # whose points are all products but not independent
+    a = complex_gaussian(rng, 4)
+    rows = [np.kron(a, e) for e in np.eye(2)] + [complex_gaussian(rng, 8)]
+    return Subspace(4, 2, (np.eye(3) + 0.3 * complex_gaussian(rng, (3, 3))) @ np.array(rows))
+
+
+def near_miss(rng):
+    # a planted product and, in a 3-dim span of 3 x 3 matrices (9 minors
+    # against 6 monomials), a member 1e-6 away from a second product:
+    # its singular value lies between what an accepted product leaves and
+    # the gap the readout needs above it
+    rows = [np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3)) for _ in range(2)]
+    rows[1] = rows[1] + 1e-6 * np.linalg.norm(rows[1]) * complex_gaussian(rng, 9) / 3
+    rows.append(complex_gaussian(rng, 9))
+    return Subspace(3, 3, (np.eye(3) + 0.3 * complex_gaussian(rng, (3, 3))) @ np.array(rows))
+
+
+def test_null_space_route_matches_the_enumeration(rng):
+    decided = 0
+    for v in cross_check_spans(rng):
+        state = rng.bit_generator.state
+        result = rank_one_in_span(v.matrices(), rng=rng)
+        assert rng.bit_generator.state == state  # the route draws nothing
+        assert result.method == _NULL_SPACE
+        found = null_space_route(v.matrices())
+        assert_same_products(result_units(result), found)
+        units, _ = enumerated_products(normalized(v.matrices()), rng)
+        assert_same_products(found, units)
+        decided += 1
+    assert decided == 26
+
+    # it declines where it cannot read every product off, and the
+    # enumeration decides (or raises) as before
+    tiles = make_tiles_upb()
+    declined = [Subspace(3, 3, tiles.range_basis().T),  # no product
+                random_subspace(2, 3, 4, rng),  # a curve of products
+                random_subspace(3, 3, 5, rng),  # 6 products in a 5-dim span
+                line_of_products(rng),  # dependent points
+                near_miss(rng)]  # no gap
+    for v in declined:
+        assert null_space_route(v.matrices()) is None
+        assert rank_one_in_span(v.matrices(), rng=1).method != _NULL_SPACE
+    assert len(enumerated_products(normalized(declined[3].matrices()), rng)[0]) == 1
+    near = rank_one_in_span(declined[4].matrices(), rng=1)
+    assert (near.found, len(near.products)) == (True, 1)
+
+
 @pytest.mark.parametrize("dims, count", [((2, 3), 3), ((3, 2), 3), ((2, 4), 4),
                                          ((4, 2), 4), ((3, 3), 6), ((4, 4), 20),
                                          ((4, 5), 35), ((5, 4), 35)])
 def test_search_returns_every_product_of_a_segre_dimension_subspace(rng, dims, count):
     # a generic subspace of dimension (M-1)(N-1)+1 meets the Segre variety
-    # in exactly C(M+N-2, M-1) points (its degree)
+    # in exactly C(M+N-2, M-1) points (its degree).  With a 2-level side
+    # they are as many as the span's dimension, and the second compound's
+    # null space holds them; larger shapes have more and enumerate
     m, n = dims
+    small = min(dims)
     for _ in range(20):
         v = random_subspace(m, n, (m - 1) * (n - 1) + 1, rng)
         result = find_product_vector(v, rng=rng)
         assert result.found
-        assert result.method in ("pencil eigenvalues", "two-parameter eigenvalues",
-                                 "three-parameter eigenvalues")
+        assert result.method == (_NULL_SPACE if small == 2 else _METHODS[small])
         assert len(result.products) == count
         assert_products_in_span(result, v.matrices())
         assert result.a is result.products[0][0]
+        if small == 2:
+            # the pencil stays covered: it enumerates the same products
+            units, method = enumerated_products(normalized(v.matrices()), rng)
+            assert method == _METHODS[2]
+            assert_same_products(result_units(result), units)
 
 
 def _kron_det2(x, y, i, j):
@@ -279,14 +387,19 @@ def test_operator_determinants_match_the_kron_formula_bit_for_bit(p):
 
 
 def test_fallback_search_on_a_min_side_four_shape(rng):
-    # a 4-level side is enumerated by the three-parameter problem
+    # a planted product in a span of 4 x 5 matrices: the null space of the
+    # second compound holds it, and the three-parameter problem, which
+    # enumerates a 4-level side, finds the same one
     rank1 = np.outer(complex_gaussian(rng, 4), complex_gaussian(rng, 5))
     mats = np.stack([rank1] + [complex_gaussian(rng, (4, 5)) for _ in range(3)])
     mixed = np.einsum("ij,jpq->ipq", np.eye(4) + 0.3 * complex_gaussian(rng, (4, 4)), mats)
     result = rank_one_in_span(mixed, rng=rng)
     assert result.found
-    assert result.method == "three-parameter eigenvalues"
+    assert result.method == _NULL_SPACE
     assert_products_in_span(result, mixed)
+    units, method = enumerated_products(normalized(mixed), rng)
+    assert method == "three-parameter eigenvalues"
+    assert_same_products(result_units(result), units)
 
 
 @pytest.mark.parametrize("m, n", [(4, 2), (3, 3), (4, 4)])
@@ -332,13 +445,38 @@ def test_enumeration_agrees_with_the_restart_search(dims, dim):
             assert found == (make is random_product_containing_subspace)
 
 
+# the smallest dimension at which the second compound of a span of these
+# shapes is wide (fewer minors than monomials): its null space then has
+# more vectors than a planted product accounts for
+WIDE_DIM = {(5, 5): 14, (4, 9): 21}
+
+
 @pytest.mark.parametrize("dims", [(5, 5), (4, 9)])
 def test_search_beyond_its_scope_raises(rng, dims):
-    # a planted product puts the second-compound bound at zero, and the
-    # eigenvalue enumeration does not reach a 5-level side or 4 beside 9
-    v = random_product_containing_subspace(*dims, 3, rng)
+    # a planted product in a span whose second compound is wide: the null
+    # space holds one product and other vectors, so the readout declines,
+    # and the eigenvalue enumeration does not reach a 5-level side or 4
+    # beside 9
+    v = random_product_containing_subspace(*dims, WIDE_DIM[dims], rng)
+    assert _compound_screen(normalized(v.matrices()), DEFAULT_TOL.residual_tol) == (None, None)
     with pytest.raises(UndecidableError, match=f"{dims[0]}x{dims[1]}"):
-        find_product_vector(v, rng=rng)
+        rank_one_in_span(v.matrices(), rng=rng)
+
+
+@pytest.mark.parametrize("dims", [(5, 5), (4, 9)])
+def test_planted_product_beyond_the_enumeration_is_read_off_the_null_space(rng, dims):
+    # a planted product in a 3-dim span of these shapes is the one null
+    # vector of the second compound, read with no random draw
+    a, b = complex_gaussian(rng, dims[0]), complex_gaussian(rng, dims[1])
+    rows = [np.kron(a, b)] + [complex_gaussian(rng, dims[0] * dims[1]) for _ in range(2)]
+    v = Subspace(*dims, (np.eye(3) + 0.3 * complex_gaussian(rng, (3, 3))) @ np.array(rows))
+    state = rng.bit_generator.state
+    result = find_product_vector(v, rng=rng)
+    assert rng.bit_generator.state == state
+    assert (result.found, result.method, len(result.products)) == (True, _NULL_SPACE, 1)
+    assert_products_in_span(result, v.matrices())
+    planted = np.kron(a, b) / np.linalg.norm(np.kron(a, b))
+    assert_same_products(result_units(result), [planted])
 
 
 @pytest.mark.parametrize("make", [random_subspace, random_product_containing_subspace])
@@ -346,7 +484,7 @@ def test_search_beyond_its_scope_raises_where_the_compound_has_too_few_rows(rng,
     # 5x5 dim 14: C(5, 2)^2 = 100 minors against 14 * 15 / 2 = 105
     # monomials, and 11 complement vectors, too many for the dimension count
     v = make(5, 5, 14, rng)
-    assert _compound_screen(normalized(v.matrices())) is None
+    assert _compound_screen(normalized(v.matrices()), DEFAULT_TOL.residual_tol) == (None, None)
     with pytest.raises(UndecidableError, match="5x5"):
         find_product_vector(v, rng=rng)
 
@@ -423,8 +561,9 @@ def test_second_compound_bound_is_below_every_enumerated_defect(rng):
     assert len(stacks) > 30
     for mats in stacks:
         work = normalized(mats)
-        bound = _compound_screen(work)
+        bound, points = _compound_screen(work, DEFAULT_TOL.residual_tol)
         _, defect, _ = _enumerate_rank_one(work, np.random.default_rng(1), DEFAULT_TOL)
+        assert points is None
         assert bound is not None and 0 < bound <= defect.min() * (1 + 1e-9)
         # a generic span holds no product, and the bound proves it
         assert bound > DEFAULT_TOL.residual_tol
@@ -442,13 +581,14 @@ def test_second_compound_never_screens_out_a_product_the_enumeration_accepts(sha
                    + eps * complex_gaussian(rng, (p, q)))
         mats = np.einsum("ij,jpq->ipq", np.eye(k) + 0.3 * complex_gaussian(rng, (k, k)), mats)
         work = normalized(mats)
-        bound = _compound_screen(work)
+        bound, points = _compound_screen(work, DEFAULT_TOL.residual_tol)
         _, defect, _ = _enumerate_rank_one(work, np.random.default_rng(2), DEFAULT_TOL)
         assert bound is None or bound <= defect.min() * (1 + 1e-9) + 1e-15
         if defect.min() <= DEFAULT_TOL.residual_tol:
             accepted += 1
-            assert bound is None or bound <= DEFAULT_TOL.residual_tol
-            # undecided by the bound, the search draws the enumeration's numbers
+            assert bound is None
+            # read off the null space, or undecided by the second compound,
+            # when the search draws the enumeration's numbers
             assert rank_one_in_span(mats, rng=np.random.default_rng(2)).found
     if eps <= 1e-10:
         assert accepted == 4  # the check above is not vacuous

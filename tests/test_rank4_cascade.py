@@ -9,13 +9,14 @@ the branch reached may be a different one; what matters is that every
 deep exit produces a validated certificate.
 """
 
-import pickle
+import inspect
 import sys
 
 import numpy as np
 import pytest
 
-from entcert import certificates, product_search, rank4
+from entcert import certificates, criteria, product_search, rank4, structure
+from entcert.analyze import classify_state
 from entcert.certificates import (
     Distillable,
     Separable,
@@ -23,7 +24,7 @@ from entcert.certificates import (
     validate_certificate,
     validate_witness,
 )
-from entcert.criteria import Frame, is_ppt
+from entcert.criteria import Frame, certify_pure_plus_sigma, is_ppt
 from entcert.families import make_tiles_upb
 from entcert.linalg import rel_residual
 from entcert.product_search import Subspace, find_product_vector
@@ -41,7 +42,8 @@ from entcert.rank4 import (
     decide_rank4,
     separable_decomposition,
 )
-from entcert.states import BipartiteState, apply_local
+from entcert.states import BipartiteState, PureState, apply_local
+from entcert.structure import aggregate, common_kernel_distill, decompose_b_direct
 
 from conftest import miss_3x3_scan, reducible_b_state
 
@@ -156,17 +158,28 @@ def sector_fixture(rng):
 
 
 def test_sector_rank1_verdicts_do_not_depend_on_the_second_compound(monkeypatch):
-    # a rank-1 sector puts the bound at zero, so the enumeration runs on
-    # the same random numbers and the verdict keeps its bytes (the 2x3
-    # scan misses, so that these NPT states reach the sector test)
+    # a rank-1 sector is read off the null space of the second compound;
+    # with the screen off the enumeration finds the same direction, and
+    # the verdicts agree in type and trail (the 2x3 scan misses, so that
+    # these NPT states reach the sector test).  decide_rank4 checks each
+    # witness on its state
     miss_3x3_scan(monkeypatch)
     rng = np.random.default_rng(41)
     states = [sector_fixture(rng) for _ in range(5)]
-    screened = [pickle.dumps(decide_rank4(s, rng=i)) for i, s in enumerate(states)]
-    monkeypatch.setattr(product_search, "_compound_screen", lambda work: None)
+    sectors = []
+    search = rank4.rank_one_in_span
+    monkeypatch.setattr(rank4, "rank_one_in_span",
+                        lambda *a, **kw: sectors.append(search(*a, **kw)) or sectors[-1])
+    screened = [decide_rank4(s, rng=i) for i, s in enumerate(states)]
+    monkeypatch.setattr(product_search, "_compound_screen", lambda work, tau: (None, None))
     unscreened = [decide_rank4(s, rng=i) for i, s in enumerate(states)]
     assert all("sector-rank-1" in v.trail for v in unscreened)
-    assert screened == [pickle.dumps(v) for v in unscreened]
+    assert ([(type(v.outcome), v.trail) for v in screened]
+            == [(type(v.outcome), v.trail) for v in unscreened])
+    assert [f.method for f in sectors[:5]] == ["second compound null space"] * 5
+    for mine, theirs in zip(sectors[:5], sectors[5:]):
+        x, y = mine.coefficients, theirs.coefficients
+        assert abs(np.vdot(x, y)) >= (1 - 1e-6) * np.linalg.norm(x) * np.linalg.norm(y)
 
 
 def test_generic_rank4_state_enumerates_only_the_range(monkeypatch):
@@ -400,3 +413,90 @@ def test_rank4_verdict_type_does_not_depend_on_the_scale_of_the_state(c):
         expected = type(decide_rank4(state, rng=index).outcome)
         scaled = BipartiteState(3, 3, c * state.matrix, state.tol)
         assert isinstance(decide_rank4(scaled, rng=index).outcome, expected)
+
+
+def lift_sites():
+    """Every call of lifted_value in the library, as (module, line)."""
+    sites = set()
+    for mod in (criteria, rank4, structure):
+        lines, _ = inspect.getsourcelines(mod)
+        sites.update((mod.__name__, no) for no, line in enumerate(lines, 1)
+                     if "lifted_value(" in line)
+    return sites
+
+
+def outcome(state):
+    return decide_rank4(state, rng=3).outcome
+
+
+def past_reducibility(state):
+    # an A-direct sum walks past step (a) into the rank-1 sector path,
+    # which splits it again and lifts its distillable component
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rank4, "_reducible_verdict", lambda *args: None)
+        return outcome(state)
+
+
+def lifted_witness_cases():
+    """(state, verdict) pairs whose witnesses are lifted onto state by
+    each route that lifts one; verdict is the certificate or the call
+    that returns it."""
+    rng = np.random.default_rng(77)
+    for knob in ("u3", "v1", "v3", "w1", "w2"):  # the cascade's pair projections
+        state, aa, bb = late_stage_state(**{knob: 0.8})
+        yield state, _product_cascade(state, aa, bb, as_rng(3), ()).outcome
+    yield sector_fixture(rng), outcome  # sector-rank-1, once the scan misses
+    yield corpus_state(1, 1), outcome  # projected-b-pair-npt
+    yield reducible_b_state(rng), outcome  # reducible-b: a Frame lift
+    yield random_rank_r_state(3, 4, 4, rng), outcome  # max-local-rank-4, NPT
+    yield random_rank_r_state(3, 2, 2, rng), classify_state  # a swapped frame
+    rows = [np.kron([1.0, 0, 0], complex_gaussian(rng, 3))]
+    rows += [np.concatenate([np.zeros(3), complex_gaussian(rng, 6)]) for _ in range(3)]
+    yield (apply_local(BipartiteState.from_vectors(3, 3, rows), random_invertible(3, rng),
+                       random_invertible(3, rng)), past_reducibility)
+    state = common_kernel_5x3_state()
+    yield state, common_kernel_distill(state, rng=5)  # Frame.lift_witness through an ILO
+    bell = np.zeros(9, complex)
+    bell[0] = bell[4] = 1.0
+    prod = np.kron(complex_gaussian(rng, 3), np.array([0, 0, 1.0]))
+    state = apply_local(BipartiteState.from_vectors(3, 3, [bell, prod]),
+                        random_invertible(3, rng), random_invertible(3, rng))
+    decomp = decompose_b_direct(state, rng=rng)
+    yield state, aggregate(decomp, [classify_state(c, rng=rng) for c in decomp.components])
+    for _ in range(3):  # a 2xN projection through an ILO
+        a_basis = complex_gaussian(rng, (3, 1))
+        sigma = BipartiteState.from_vectors(3, 3, [np.kron(a_basis[:, 0], complex_gaussian(rng, 3))
+                                                   for _ in range(2)])
+        psi = PureState(3, 3, complex_gaussian(rng, 9))
+        yield (BipartiteState(3, 3, psi.projector() + sigma.matrix),
+               certify_pure_plus_sigma(psi, sigma))
+
+
+def common_kernel_5x3_state():
+    # the kernel holds C^4 (x) |0>
+    vecs = complex_gaussian(np.random.default_rng(5), (6, 15))
+    vecs[:, [0, 3, 6, 9]] = 0.0
+    return BipartiteState.from_vectors(5, 3, list(vecs))
+
+
+def test_every_lifted_witness_carries_the_value_of_the_callers_state(monkeypatch):
+    # <psi| tau^G |psi> = <phi| rho^G |phi> for phi the lift of psi, so a
+    # lifted witness's value is its old one times ||psi||^2 / ||phi||^2;
+    # every call of lifted_value in the library is exercised here
+    miss_3x3_scan(monkeypatch)
+    seen = set()
+    for mod in (criteria, rank4, structure):
+        def record(witness, phi, name=mod.__name__):
+            seen.add((name, sys._getframe(1).f_lineno))
+            return certificates.lifted_value(witness, phi)
+        monkeypatch.setattr(mod, "lifted_value", record)
+    cases = 0
+    for state, cert in lifted_witness_cases():
+        if callable(cert):
+            cert = cert(state) if cert is not classify_state else cert(state, rng=3)
+        assert isinstance(cert, Distillable)
+        value = validate_witness(state, cert.witness)
+        assert cert.witness.value == pytest.approx(value, rel=1e-10, abs=0)
+        cases += 1
+    assert cases == 16
+    assert seen == lift_sites()

@@ -329,20 +329,41 @@ def test_common_kernel_generic_none(rng):
     assert common_kernel_distill(state, rng=rng) is None
 
 
-def test_common_kernel_none_beyond_the_product_search_scope():
-    # a 5-level A side whose kernel holds C^4 (x) |0>: the pencil has a
-    # rank-1 combination, so the second-compound bound cannot decide and
-    # the enumeration does not reach 5 levels; the search raises
-    # UndecidableError, which the route reports as no pattern
+def common_kernel_5x3_state(zero_cols):
+    """A rank-6 5x3 state whose kernel holds e_a (x) e_b for a < 4 and
+    every column b (0 or 1) listed in zero_cols."""
     rng = np.random.default_rng(5)
     vecs = complex_gaussian(rng, (6, 15))
-    vecs[:, [0, 3, 6, 9]] = 0.0  # orthogonal to e_a (x) e_0 for a < 4
+    vecs[:, [3 * a + b for a in range(4) for b in zero_cols]] = 0.0
     state = BipartiteState.from_vectors(5, 3, list(vecs))
     assert state.local_ranks() == (5, 3)
+    return state
+
+
+def test_common_kernel_none_beyond_the_product_search_scope():
+    # the kernel holds C^4 (x) C^2: every combination of the first two
+    # pencil members is rank 1, the points of that plane are not
+    # independent, so the second compound declines, and the enumeration
+    # does not reach 5 levels; the search raises UndecidableError, which
+    # the route reports as no pattern
+    state = common_kernel_5x3_state((0, 1))
     pencil = np.stack(left_pencil(block_form(state)))
     with pytest.raises(UndecidableError, match="6x5"):
         rank_one_in_span(pencil)
-    assert common_kernel_distill(state, rng=rng) is None
+    assert common_kernel_distill(state, rng=np.random.default_rng(5)) is None
+
+
+def test_common_kernel_pattern_read_off_the_null_space_of_a_6x5_pencil():
+    # the kernel holds C^4 (x) |0>: the pencil's one rank-1 combination
+    # is the null vector of its second compound, beyond the enumeration
+    state = common_kernel_5x3_state((0,))
+    found = rank_one_in_span(np.stack(left_pencil(block_form(state))))
+    assert (found.found, found.method) == (True, "second compound null space")
+    b = found.coefficients / np.linalg.norm(found.coefficients)
+    assert abs(b[0]) == pytest.approx(1.0, abs=1e-10)
+    cert = common_kernel_distill(state, rng=np.random.default_rng(5))
+    assert isinstance(cert, Distillable)
+    assert validate_witness(state, cert.witness) < 0
 
 
 def test_common_kernel_none_on_a_generic_5x3_state_by_the_second_compound(rng):
