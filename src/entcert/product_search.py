@@ -31,7 +31,10 @@ Two independent routes are provided and cross-checked in the tests:
   every combination, and a bound above residual_tol proves "no
   product".  A null space spanned by s <= k independent products is
   read off as an s x s eigenvalue problem, and those products are all
-  of them ("second compound null space").  The enumeration runs only
+  of them ("second compound null space"): exactly so in exact
+  arithmetic, and in floating point every combination within the
+  defect tolerance lies within a stated angle of one of them.  The
+  enumeration runs only
   where neither decides, and UndecidableError is raised only where it
   cannot run either.
 
@@ -236,7 +239,9 @@ class ProductSearchResult:
     sigma_2 / sigma_1 among them; on the "second compound" route no
     point is tested and it is a proved lower bound on sigma_2 / sigma_1
     over the whole span.  Every route is complete, so found=False means
-    the span holds no product; the null-space route only ever finds.
+    the span holds no product; the null-space route only ever finds, and
+    every combination within the defect tolerance lies within an angle
+    its checks bound (see _compound_screen) of one of its products.
     """
 
     found: bool
@@ -397,21 +402,15 @@ def _enumerate_rank_one(work, rng, tol):
     return y @ to_work, _rank1_defects(basis, y), method
 
 
-def _products(mats, z):
-    """(a, b, z[c]) with a (x) b the leading singular part of sum_i
-    z[c, i] mats[i], for each row c of z."""
-    u, s, vh = np.linalg.svd(np.einsum("ck,kpq->cpq", z, mats))
-    root = np.sqrt(s[:, :1])
-    return tuple(zip(u[:, :, 0] * root, vh[:, 0] * root, z))
+def _product(mats, z):
+    e = np.einsum("k,kpq->pq", z, mats)
+    u, s, vh = np.linalg.svd(e)
+    return u[:, 0] * np.sqrt(s[0]), vh[0, :] * np.sqrt(s[0]), z
 
 
 # Largest k * k * C(p, 2) * C(q, 2) for which _compound_screen builds its
 # matrix (16 MB of complex entries per temporary); larger stacks skip it.
 _SCREEN_MAX_ENTRIES = 1 << 20
-
-# Smallest singular value of the unit products read off the null space
-# of the second compound for them to count as independent.
-_POINTS_RCOND = 1.0e-2
 
 _NULL_SPACE = "second compound null space"
 
@@ -473,18 +472,33 @@ def _compound_screen(work, tau):
       C_l Z^T with C_l diagonal, so N_a = [Y_l a]_l = Z D_a W and N_b =
       Z D_b W for the fixed phase vectors a, b and an invertible W;
       N_a^+ N_b = W^-1 D_a^-1 D_b W has eigenvectors v with z_m ~ N_a v.
-      The points are returned only if (independence) the unit matrices
-      sum_i z_mi work[i] have smallest singular value at least
-      _POINTS_RCOND, (defect) each has defect at most tau, and (gap) the
-      smallest kept singular value sigma_keep has sqrt(tau) sigma_keep >
-      t.  The gap puts y of any combination of defect at most tau within
-      t / sigma_keep < sqrt(tau) of the dropped space, which the found
-      y(z_m) span to the same order; and z z^T = Z C Z^T with Z of full
-      rank has one nonzero c_m, so z is a found point.  An exact product
-      has y in null(A) exactly, and sigma_keep > m leaves null(A) at
-      most s dimensions: no other product exists.
+      The points are returned only if (gap) the smallest kept singular
+      value sigma_keep has sqrt(tau) sigma_keep > t, so that a span with
+      a combination of defect below about sqrt(tau) that is not a product
+      is left to the enumeration, (defect) each point has defect at most
+      tau, and (independence) the unit points, the columns of Z, have
+      sigma_Z = sigma_min(Z) with sigma_Z^4 sigma_keep > 13 s^2 t.
     * Otherwise (s > k, A over _SCREEN_MAX_ENTRIES, or a failed check)
       nothing is decided.
+
+    Why the points are all the products: let z be a unit combination of
+    defect at most tau, and delta = t / sigma_keep.  y(z) and each y(z_m)
+    (which passed (defect)) lie within delta of the dropped space V.  The
+    Gram matrix of the y(z_m) is G o G with G = Z^H Z, so their smallest
+    singular value is at least sigma_Z (Schur), their projections span V,
+    and z z^T = Z C Z^T + R with C diagonal and ||R||_F <= rho = delta (1
+    + sqrt(s) / (sigma_Z - sqrt(s) delta)).  With P the projector off the
+    range of Z, P z z^T = P R gives ||z - Z w|| <= rho for w = Z^+ z, and
+    the off-diagonal of w w^T - C = Z^+ R Z^+T puts w within rho /
+    (sigma_Z^2 |w_m|) of w_m e_m, w_m its largest entry, |w_m| >= sqrt(1 -
+    rho^2) / s.  (independence) gives sqrt(s) delta <= sigma_Z / 2 and rho
+    <= 3 sqrt(s) delta / sigma_Z <= 1/2, so z lies within sine theta <= (1
+    + 2 / sqrt(3)) s^(3/2) rho / sigma_Z^2 <= 6.5 s^2 delta / sigma_Z^3 <
+    sigma_Z / 2 of the line of z_m, while the lines of two found points
+    are at least arcsin(sigma_Z) apart.  So every combination of defect at
+    most tau is one found point to within theta, and the found list is
+    complete to that angle; in exact arithmetic an exact product has y in
+    null(A), and null(A) = span{y(z_m)} leaves no other product.
 
     No random numbers are drawn.  A span on which a or b fails (a . z_m
     = 0, or two equal ratios b . z_m / a . z_m) fails a check instead.
@@ -507,21 +521,26 @@ def _compound_screen(work, tau):
     s = int(np.count_nonzero(sv <= t))
     if s == 0:
         return float((sv[-1] - margin) / nu), None
-    if s > k or (s < cols and not math.sqrt(tau) * sv[cols - s - 1] > t):
+    if s > k:
+        return None, None
+    keep = sv[cols - s - 1] if s < cols else math.inf
+    if not math.sqrt(tau) * keep > t:
         return None, None
     n_a, n_b = (vh[cols - s:].conj() @ readout).reshape(s, k, 2).T  # (k, s) each
     z = n_a.T
     if s > 1:
-        # N_a^+ N_b from the normal equations; a poor conditioning of N_a
-        # shows as a failed check below
-        adj = n_a.conj().T
-        z = (n_a @ np.linalg.eig(np.linalg.solve(adj @ n_a, adj @ n_b))[1]).T
-    combos = np.einsum("ck,kpq->cpq", z, work)
-    sc = np.linalg.svd(combos, compute_uv=False)
+        # N_a^+ N_b through N_a = Q R, which keeps cond(N_a) unsquared; a
+        # poorly conditioned N_a shows as a failed check below
+        q_a, r_a = np.linalg.qr(n_a)
+        try:
+            z = (n_a @ np.linalg.eig(np.linalg.solve(r_a, q_a.conj().T @ n_b))[1]).T
+        except np.linalg.LinAlgError:
+            return None, None
+    sc = np.linalg.svd(np.einsum("ck,kpq->cpq", z, work), compute_uv=False)
     defect = sc[:, 1] / np.maximum(sc[:, 0], 1.0e-300)
-    units = combos.reshape(s, -1) / np.maximum(np.sqrt(np.sum(sc * sc, axis=1)), 1.0e-300)[:, None]
-    if not (np.all(defect <= tau)
-            and np.linalg.svd(units, compute_uv=False)[-1] >= _POINTS_RCOND):
+    unit_z = z / np.maximum(np.linalg.norm(z, axis=1), 1.0e-300)[:, None]
+    sigma_z = np.linalg.svd(unit_z, compute_uv=False)[-1]
+    if not (np.all(defect <= tau) and sigma_z ** 4 * keep > 13 * s * s * t):
         return None, None
     return None, (z, defect)
 
@@ -536,8 +555,9 @@ def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> Product
     exists: found=False, method "second compound" and the bound as
     best_defect.  With a null space of dimension s at most the span's
     dimension that is spanned by s independent rank-1 combinations, read
-    off as the eigenvectors of an s x s problem, those are all of them:
-    method "second compound null space".  Both draw no random numbers.
+    off as the eigenvectors of an s x s problem, those are all of them,
+    to within the angle _compound_screen bounds: method "second compound
+    null space".  Both draw no random numbers.
     Otherwise every point where a rank-1 combination can sit is
     enumerated as an eigenvalue (a pencil when the smaller matrix side
     has 2 levels, a two- or three-parameter eigenvalue problem for 3 or
@@ -558,10 +578,10 @@ def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> Product
     first = int(np.argmax(scale > 0))
     scale[scale == 0] = 1.0
     if min(p, q) < 2:
-        z = np.zeros((1, k), dtype=complex)
-        z[0, first] = 1.0 / scale[first]
-        products = _products(mats, z)
-        return ProductSearchResult(True, *products[0], 0.0, "trivial", 1, products)
+        z = np.zeros(k, dtype=complex)
+        z[first] = 1.0 / scale[first]
+        prod = _product(mats, z)
+        return ProductSearchResult(True, *prod, 0.0, "trivial", 1, (prod,))
 
     work = mats / scale[:, None, None]
     bound, points = _compound_screen(work, tol.residual_tol)
@@ -572,20 +592,22 @@ def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> Product
     else:
         z, defect, method = _enumerate_rank_one(work, as_rng(rng), tol)
     order = np.argsort(defect)
-    best = float(defect[order[0]])
-    accepted = order[defect[order] <= tol.residual_tol]
-    if not len(accepted):
-        return ProductSearchResult(False, None, None, None, best, method, len(z))
-    # the best of each group of accepted directions within 1e-6 of overlap
-    units = np.einsum("ck,kpq->cpq", z[accepted], work).reshape(len(accepted), -1)
-    units /= np.linalg.norm(units, axis=1)[:, None]
-    near = np.abs(units.conj() @ units.T) > 1.0 - 1.0e-6
+    products = []
     kept = []
-    for c in range(len(accepted)):
-        if not near[c, kept].any():
-            kept.append(c)
-    products = _products(mats, z[accepted[kept]] / scale)
-    return ProductSearchResult(True, *products[0], best, method, len(z), products)
+    for idx in order:
+        if not defect[idx] <= tol.residual_tol:
+            break
+        e = np.einsum("k,kpq->pq", z[idx], work).ravel()
+        e = e / np.linalg.norm(e)
+        if any(abs(np.vdot(f, e)) > 1.0 - 1.0e-6 for f in kept):
+            continue
+        kept.append(e)
+        products.append(_product(mats, z[idx] / scale))
+    best = float(defect[order[0]])
+    if not products:
+        return ProductSearchResult(False, None, None, None, best, method, len(z))
+    return ProductSearchResult(True, *products[0], best, method, len(z),
+                               tuple(products))
 
 
 def find_product_vector(subspace: Subspace, rng=7) -> ProductSearchResult:

@@ -317,9 +317,14 @@ def _rank1_sector_path(gauge: _Gauge, x, rng, trail):
 
     After gauge fixing, either an off-diagonal element certifies trivial
     distillability, or the state splits as an A-direct sum handled by
-    the side-swapped B-direct decomposition.
+    the side-swapped B-direct decomposition.  Only the line of x counts:
+    it is taken as the unit vector whose largest entry is real and
+    positive, so that the gauge, and the witness, do not depend on how
+    the search that found it scaled it.
     """
-    gauge.apply_a(complete_rows(np.asarray(x).conj()))
+    x = np.asarray(x)
+    top = x[np.argmax(np.abs(x))]
+    gauge.apply_a(complete_rows((x * (abs(top) / top) / np.linalg.norm(x)).conj()))
     c0 = gauge.blocks()[0]
     if not _sector_is_rank1(c0):
         raise RuntimeError("claimed rank-1 sector direction is not rank 1")

@@ -283,11 +283,12 @@ def line_of_products(rng):
 
 def near_miss(rng):
     # a planted product and, in a 3-dim span of 3 x 3 matrices (9 minors
-    # against 6 monomials), a member 1e-6 away from a second product:
-    # its singular value lies between what an accepted product leaves and
-    # the gap the readout needs above it
+    # against 6 monomials), a member 1e-5 away from a second product: its
+    # singular value lies about 100 times above what an accepted product
+    # leaves, enough for the points to pass the independence check but
+    # short of the gap the readout needs
     rows = [np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3)) for _ in range(2)]
-    rows[1] = rows[1] + 1e-6 * np.linalg.norm(rows[1]) * complex_gaussian(rng, 9) / 3
+    rows[1] = rows[1] + 1e-5 * np.linalg.norm(rows[1]) * complex_gaussian(rng, 9) / 3
     rows.append(complex_gaussian(rng, 9))
     return Subspace(3, 3, (np.eye(3) + 0.3 * complex_gaussian(rng, (3, 3))) @ np.array(rows))
 

@@ -9,6 +9,7 @@ the branch reached may be a different one; what matters is that every
 deep exit produces a validated certificate.
 """
 
+import copy
 import inspect
 import sys
 
@@ -158,11 +159,12 @@ def sector_fixture(rng):
 
 
 def test_sector_rank1_verdicts_do_not_depend_on_the_second_compound(monkeypatch):
-    # a rank-1 sector is read off the null space of the second compound;
-    # with the screen off the enumeration finds the same direction, and
-    # the verdicts agree in type and trail (the 2x3 scan misses, so that
-    # these NPT states reach the sector test).  decide_rank4 checks each
-    # witness on its state
+    # a rank-1 sector is read off the null space of the second compound,
+    # which draws no random numbers.  With the screen off the enumeration
+    # finds the same direction; run on a copy of the caller's rng, it
+    # leaves the later draws of the decision as they were, so the two
+    # verdicts carry the same witness (the 2x3 scan misses, so that these
+    # NPT states reach the sector test)
     miss_3x3_scan(monkeypatch)
     rng = np.random.default_rng(41)
     states = [sector_fixture(rng) for _ in range(5)]
@@ -171,7 +173,10 @@ def test_sector_rank1_verdicts_do_not_depend_on_the_second_compound(monkeypatch)
     monkeypatch.setattr(rank4, "rank_one_in_span",
                         lambda *a, **kw: sectors.append(search(*a, **kw)) or sectors[-1])
     screened = [decide_rank4(s, rng=i) for i, s in enumerate(states)]
+    enumerate_rank_one = product_search._enumerate_rank_one
     monkeypatch.setattr(product_search, "_compound_screen", lambda work, tau: (None, None))
+    monkeypatch.setattr(product_search, "_enumerate_rank_one",
+                        lambda work, rng, tol: enumerate_rank_one(work, copy.deepcopy(rng), tol))
     unscreened = [decide_rank4(s, rng=i) for i, s in enumerate(states)]
     assert all("sector-rank-1" in v.trail for v in unscreened)
     assert ([(type(v.outcome), v.trail) for v in screened]
@@ -180,6 +185,12 @@ def test_sector_rank1_verdicts_do_not_depend_on_the_second_compound(monkeypatch)
     for mine, theirs in zip(sectors[:5], sectors[5:]):
         x, y = mine.coefficients, theirs.coefficients
         assert abs(np.vdot(x, y)) >= (1 - 1e-6) * np.linalg.norm(x) * np.linalg.norm(y)
+    for mine, theirs in zip(screened, unscreened):
+        x, y = mine.outcome.witness, theirs.outcome.witness
+        assert type(x) is type(y)
+        assert abs(np.vdot(x.vector, y.vector)) >= (
+            (1 - 1e-6) * np.linalg.norm(x.vector) * np.linalg.norm(y.vector))
+        assert x.value == pytest.approx(y.value, rel=1e-8)
 
 
 def test_generic_rank4_state_enumerates_only_the_range(monkeypatch):
