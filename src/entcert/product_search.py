@@ -253,9 +253,6 @@ class ProductSearchResult:
     candidates: int
     products: tuple = ()
 
-    def pair(self):
-        return (self.a, self.b) if self.found else None
-
     def report(self) -> str:
         return (f"{self.method}, {self.candidates} candidates examined, "
                 f"best rank-1 defect {self.best_defect:.3e}")

@@ -13,7 +13,7 @@ contains a product vector.  The decision tree:
   state goes through reducibility, then rank-1 sector directions, then
   a product vector in the range (a PPT state reuses its search): an
   NPT state with one enters a gauge-fixing cascade that ends in a
-  trivially distillable projection;
+  negative 2x3 block of the gauged state;
 * PPT with no product vector in range: PPT entangled;
 * NPT with no product vector in range and no negative 2x3 block: no
   verdict; it is surfaced as undecidable.
@@ -60,17 +60,11 @@ from .criteria import (
     reduction_criterion,
     schmidt2_witness,
     separable_decomposition_rank_n,  # unused here; perfbench/spans.py wraps this binding
-    trivially_distillable,
 )
 from .linalg import (
     check_hermitian, complete_rows, dagger, frob, kron, numerical_rank, psd_eigen, psd_range,
 )
-from .product_search import (
-    Subspace,
-    find_product_vector,
-    product_in_both_ranges,
-    rank_one_in_span,
-)
+from .product_search import product_in_both_ranges, rank_one_in_span
 from .random_states import as_rng, complex_gaussian
 from .states import (
     BipartiteState,
@@ -244,9 +238,6 @@ class _Gauge:
     def entry(self, row, a_block, b_col):
         return self.w[row, a_block * self.n + b_col]
 
-    def scale(self):
-        return max(frob(self.w), 1.0e-300)
-
     def apply_a(self, t):
         self.w = self.w @ dagger(kron(t, np.eye(self.n, dtype=complex)))
         self.a = t @ self.a
@@ -272,38 +263,20 @@ class _Gauge:
         b_inv = np.linalg.inv(self.b)
         return [(a_inv @ a, b_inv @ b) for a, b in products]
 
-    def projected_pair_state(self, i, j):
-        n = self.n
-        w_sub = np.hstack([self.w[:, i * n:(i + 1) * n], self.w[:, j * n:(j + 1) * n]])
-        return BipartiteState(2, n, dagger(w_sub) @ w_sub, self.base.tol)
-
-    def lift_from_pair(self, vec, i, j):
-        sel = np.zeros((2, self.m), dtype=complex)
-        sel[0, i] = 1.0
-        sel[1, j] = 1.0
-        inner = lift_through_local(vec, sel, None, (2, self.n))
-        return self.lift(inner)
-
 
 # ---------------------------------------------------------------------------
 # the rank-4 decision tree
 # ---------------------------------------------------------------------------
 
-def _zero_thr(gauge: _Gauge) -> float:
-    return np.sqrt(gauge.base.tol.residual_tol) * gauge.scale()
-
-
-def _pair_verdict(gauge: _Gauge, i, j, trail, tag):
-    """Trivial-submatrix witness on the (i, j) A-pair projection."""
-    pair = gauge.projected_pair_state(i, j)
-    tw = trivially_distillable(pair)
-    if tw is None:
-        raise RuntimeError(
-            f"proof step '{tag}' promised a trivially distillable projection "
-            f"onto A-levels ({i}, {j}) but the scan found none")
-    vec = gauge.lift_from_pair(tw.vector, i, j)
-    witness = SchmidtRank2Witness(vector=vec, value=lifted_value(tw, vec))
-    return Rank4Verdict(Distillable(witness), trail + (tag, "trivial-submatrix"))
+def _pair_verdict(gauge: _Gauge, trail, tag):
+    """The 2x3 scan of the gauged state, its witness lifted to the base
+    state; None when no A-pair block of its rho^G is negative."""
+    w = schmidt2_witness(gauge.state())
+    if w is None:
+        return None
+    vec = gauge.lift(w.vector)
+    witness = SchmidtRank2Witness(vector=vec, value=lifted_value(w, vec))
+    return Rank4Verdict(Distillable(witness), trail + (tag,))
 
 
 def _sector_is_rank1(sector) -> bool:
@@ -313,18 +286,23 @@ def _sector_is_rank1(sector) -> bool:
 
 
 def _rank1_sector_path(gauge: _Gauge, x, rng, trail):
-    """A direction with rank-1 sector: trivially distillable or reducible.
+    """A direction with rank-1 sector: an NPT A-pair, or reducible.
 
-    After gauge fixing, either an off-diagonal element certifies trivial
-    distillability, or the state splits as an A-direct sum handled by
-    the side-swapped B-direct decomposition.  Only the line of x counts:
-    it is taken as the unit vector whose largest entry is real and
-    positive, so that the gauge, and the witness, do not depend on how
-    the search that found it scaled it.
+    With x as A-level 0, an entry coupling its rank-1 sector to another
+    A-level leaves a negative trivial 2x2 submatrix of rho^G inside an
+    A-pair block, so the 2x3 scan of the gauged state decides; without
+    one the state splits as an A-direct sum, handled by the side-swapped
+    B-direct decomposition.  Only the line of x counts: it is taken as
+    the unit vector whose largest entry is real and positive, so that the
+    gauge, and the witness, do not depend on how the search that found
+    it scaled it.
     """
     x = np.asarray(x)
     top = x[np.argmax(np.abs(x))]
     gauge.apply_a(complete_rows((x * (abs(top) / top) / np.linalg.norm(x)).conj()))
+    verdict = _pair_verdict(gauge, trail + ("sector-rank-1",), "gauge-pair-npt")
+    if verdict is not None:
+        return verdict
     c0 = gauge.blocks()[0]
     if not _sector_is_rank1(c0):
         raise RuntimeError("claimed rank-1 sector direction is not rank 1")
@@ -335,22 +313,9 @@ def _rank1_sector_path(gauge: _Gauge, x, rng, trail):
         np.eye(gauge.n, dtype=complex)[:, :-1]]))[0]
     gauge.apply_b_dag(b_unit)
 
-    zthr = _zero_thr(gauge)
-    m, n = gauge.m, gauge.n
-    off = [abs(gauge.entry(0, i, c)) for i in range(1, m) for c in range(1, n)]
-    if off and max(off) > zthr:
-        tw = trivially_distillable(gauge.state())
-        if tw is None:
-            raise RuntimeError(
-                "rank-1 sector gauge has off-diagonal mass but no trivial "
-                "submatrix was found")
-        vec = gauge.lift(tw.vector)
-        witness = SchmidtRank2Witness(vector=vec, value=lifted_value(tw, vec))
-        return Rank4Verdict(Distillable(witness), trail + ("sector-rank-1", "trivial-submatrix"))
-
     sigma = gauge.entry(0, 0, 0)
-    t2 = np.eye(m, dtype=complex)
-    for i in range(1, m):
+    t2 = np.eye(gauge.m, dtype=complex)
+    for i in range(1, gauge.m):
         t2[i, 0] = (-gauge.entry(0, i, 0) / sigma).conjugate()
     gauge.apply_a(t2)
 
@@ -396,10 +361,13 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
     """Gauge-fixing cascade for an irreducible NPT 3x3 rank-4 state with
     the product vector a (x) b in its range.
 
-    Each step either exposes a trivially distillable projection or
-    refines the gauge.  Its terminus, where all four rows are product
-    vectors, would make the state separable; for an NPT state that is a
-    contradiction and raises.
+    Each step either exposes an NPT projection or refines the gauge.
+    After the pivot step every exit of the proof names an A-pair with a
+    negative trivial 2x2 submatrix, so two 2x3 scans of the gauge, before
+    and after the shift t of A-level 0, stand for all of them.  A miss in
+    both is the proof's contradiction: a reducible state, or its
+    terminus, where all four rows are product vectors and the state
+    would be separable.  It raises.
     """
     w0 = _peel_anchor(state, a_vec, b_vec)
     if w0.shape[0] != 4:
@@ -523,7 +491,7 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
     bdag[1, 0] = -u1
     g.apply_b_dag(bdag)
 
-    zthr = _zero_thr(g)
+    zthr = np.sqrt(tol.residual_tol) * max(frob(g.w), 1.0e-300)
     dlt = g.entry(2, 1, 2)
     zeta = g.entry(3, 2, 2)
     if abs(dlt) <= zthr and abs(zeta) <= zthr:
@@ -544,56 +512,26 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
     bdag[2, 1] = -gam2
     g.apply_b_dag(bdag)
 
-    zthr = _zero_thr(g)
-    if abs(g.entry(2, 0, 0)) > zthr:
-        return _pair_verdict(g, 0, 1, trail, "u2")
-
-    t = np.eye(3, dtype=complex)
-    t[1, 0] = (-g.entry(1, 1, 1)).conjugate()
-    t[2, 0] = (-g.entry(1, 2, 1)).conjugate()
-    g.apply_a(t)
-
-    if abs(g.entry(1, 1, 0)) > zthr:
-        return _pair_verdict(g, 0, 1, trail, "v1")
-
-    zeta = g.entry(3, 2, 2)
-    if abs(zeta) <= zthr:
-        if abs(g.entry(2, 2, 0)) > zthr:
-            return _pair_verdict(g, 1, 2, trail, "zeta-zero-w2")
-        raise RuntimeError("zeta = 0 with w2 = 0 makes the state reducible, "
-                           "contradicting the irreducibility established "
-                           "earlier in the decision tree")
-
-    if abs(g.entry(3, 0, 0)) > zthr:
-        return _pair_verdict(g, 0, 2, trail, "u3")
-
-    if abs(g.entry(1, 2, 0)) > zthr:
-        eps = g.entry(3, 2, 1)
-        bdag = np.eye(3, dtype=complex)
-        bdag[2, 1] = -eps / zeta
-        g.apply_b_dag(bdag)
-        return _pair_verdict(g, 0, 2, trail, "w1")
-
-    eps = g.entry(3, 2, 1)
-    if abs(eps) <= zthr:
-        raise RuntimeError("epsilon = 0 makes the state reducible, "
-                           "contradicting the irreducibility established "
-                           "earlier in the decision tree")
-
-    if abs(g.entry(3, 1, 0)) > zthr:
-        return _pair_verdict(g, 1, 2, trail, "v3")
-
-    if abs(g.entry(2, 2, 0)) <= zthr:
+    # B-gauge steps and unitary row operations change no A-pair's
+    # NPT-ness, and a negative trivial 2x2 submatrix of a pair makes its
+    # 2x3 block negative (interlacing), so one scan stands for every pair
+    # exit of the proof on this gauge.  t adds level 0 to levels 1 and 2,
+    # so only the (1, 2) plane is new to the second scan
+    verdict = _pair_verdict(g, trail, "gauge-pair-npt")
+    if verdict is None:
+        t = np.eye(3, dtype=complex)
+        t[1, 0] = (-g.entry(1, 1, 1)).conjugate()
+        t[2, 0] = (-g.entry(1, 2, 1)).conjugate()
+        g.apply_a(t)
+        verdict = _pair_verdict(g, trail, "shifted-gauge-pair-npt")
+    if verdict is None:
         raise RuntimeError(
-            "cascade reached its terminus: all four rows are product vectors, "
-            "so the state is separable, contradicting NPT")
-
-    w3p = g.entry(3, 2, 0)
-    bdag = np.eye(3, dtype=complex)
-    bdag[1, 0] = -w3p / eps
-    bdag[1, 2] = -zeta / eps
-    g.apply_b_dag(bdag)
-    return _pair_verdict(g, 1, 2, trail, "w2-final")
+            "cascade found no NPT 2x3 projection in its gauge: the proof then "
+            "has zeta = 0 with w2 = 0 or epsilon = 0, which make the state "
+            "reducible, or reaches its terminus, where all four rows are "
+            "product vectors and the state is separable; either contradicts "
+            "an irreducible NPT state")
+    return verdict
 
 
 def _range_product_basis(state: BipartiteState, products):
@@ -686,7 +624,7 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
             products = _ppt_products(restricted, rng)
             return Rank4Verdict(Separable(products=tuple(products)),
                                 ("small-locals", "peeling"))
-        w = trivially_distillable(restricted) or schmidt2_witness(restricted)
+        w = schmidt2_witness(restricted)
         if w is None:
             raise UndecidableError(
                 "NPT state with a 2-level side must be 1-distillable, but "
@@ -705,7 +643,7 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     prod = None
     if ppt_flag:
         range_w, range_q = psd_range(restricted.matrix, restricted.tol)
-        prod = find_product_vector(Subspace(3, 3, range_q.T, restricted.tol), rng=rng)
+        prod = rank_one_in_span(range_q.T.reshape(-1, 3, 3), rng=rng, tol=restricted.tol)
         products = _range_product_basis(restricted, prod.products)
         if products is not None:  # decide_rank4 validates it in the caller's frame
             return Rank4Verdict(Separable(products=tuple(products)),
@@ -741,7 +679,7 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     # state got here only if (0) found no product, since an irreducible
     # separable state's products diagonalize it
     if prod is None:
-        prod = find_product_vector(Subspace(3, 3, range_q.T, restricted.tol), rng=rng)
+        prod = rank_one_in_span(range_q.T.reshape(-1, 3, 3), rng=rng, tol=restricted.tol)
     if prod.found and ppt_flag:
         raise RuntimeError(
             f"range-product-basis: no 4 of the {len(prod.products)} product "
@@ -818,10 +756,9 @@ def classify_state(state: BipartiteState, rng=7, budget: int = 256) -> Certifica
 def _npt_certificate(state: BipartiteState, rng, budget):
     """classify_state's unchecked certificate for an NPT state from a witness
     search or the B-direct components; None for an irreducible state."""
-    w = (trivially_distillable(state) or schmidt2_witness(state)
-         or _random_frame_witness(state, budget, rng))
+    w = schmidt2_witness(state) or _random_frame_witness(state, budget, rng)
     if w is not None:
-        return Distillable(SchmidtRank2Witness(vector=w.vector, value=w.value))
+        return Distillable(w)
     violated, rw = reduction_criterion(state)
     if violated:
         # a reduction violation by itself proves 1-distillability

@@ -100,10 +100,6 @@ class BipartiteState:
         object.__setattr__(self, "_spectral_norm", float(w[-1]))
 
     @property
-    def normalized(self) -> bool:
-        return bool(abs(np.real(np.trace(self.matrix)) - 1.0) <= self.tol.residual_tol)
-
-    @property
     def spectral_norm(self) -> float:
         """Largest eigenvalue, kept from the PSD check at construction."""
         return self._spectral_norm

@@ -39,7 +39,6 @@ from .states import (
 
 __all__ = [
     "BDirectDecomposition",
-    "b_normalize",
     "commutant_decompose",
     "decompose_b_direct",
     "decompose_b_direct_matrix",
@@ -99,18 +98,6 @@ class BDirectDecomposition:
     @property
     def irreducible(self) -> bool:
         return self.n_components == 1
-
-
-def b_normalize(state: BipartiteState):
-    """Conjugate by I (x) rho_B^{-1/2} (on the range of rho_B).
-
-    Returns (normalized_state, conjugator, conjugator_inv); the
-    normalized state has rho_B = I on an n-dimensional B space.  All
-    PPT/separability/reducibility verdicts are unchanged (ILO on the
-    support).
-    """
-    conj_fwd, conj_inv = _b_conjugators(state.matrix, state.dim_a, state.dim_b, state.tol)
-    return apply_local(state, None, conj_fwd), conj_fwd, conj_inv
 
 
 def _b_conjugators(mat: np.ndarray, m: int, n: int, tol: ToleranceConfig):
@@ -206,8 +193,9 @@ def commutant_decompose(blocks, tol: ToleranceConfig = DEFAULT_TOL, rng=11):
 def decompose_b_direct(state: BipartiteState, rng=11) -> BDirectDecomposition:
     """Split the state into its finest B-direct sum of irreducible parts.
 
-    Works on the b_normalize matrix without building its state; the
-    components become states only when read.
+    Works on the B-normalized matrix (I (x) rho_B^{-1/2}, on the range
+    of rho_B) without building its state; the components become states
+    only when read.
     """
     return decompose_b_direct_matrix(state.matrix, state.dim_a, state.dim_b, state.tol, rng)
 

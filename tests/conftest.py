@@ -1,5 +1,7 @@
 """Shared fixture generators for the test suite."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,14 +57,16 @@ def rng():
 
 
 def miss_3x3_scan(monkeypatch):
-    """Make decide_rank4's coordinate 2x3 scan find nothing on 3x3
-    states, so that NPT states walk the rest of the case tree; the
-    cascade's projected 3x2 states keep the real scan.  Returns the
-    list of 3x3 states the scan was called on."""
+    """Make step (a') of the rank-4 tree, the coordinate 2x3 scan of a 3x3
+    state, find nothing, so that NPT states walk the rest of the case
+    tree; the scans of the cascade and of the sector path, and every
+    other caller's, stay real.  Returns the list of states step (a')
+    scanned."""
     scanned, scan = [], rank4.schmidt2_witness
 
     def missing(state):
-        if (state.dim_a, state.dim_b) != (3, 3):
+        if ((state.dim_a, state.dim_b) != (3, 3)
+                or sys._getframe(1).f_code is not rank4._decide_rank4_local.__code__):
             return scan(state)
         scanned.append(state)
         return None

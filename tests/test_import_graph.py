@@ -3,8 +3,8 @@ only linalg applies the rank cutoff and calls np.kron, states counts
 ranks with psd_eigen, the common eigenbases of commuting normal block
 families come from linalg.common_eigenbasis, the witness constructions
 that theorems back draw no random numbers, no function takes a
-restart budget, and only the public verdict functions check
-certificates.
+restart budget, only the public verdict functions check certificates,
+and the rank-4 tree never uses the trivial-submatrix scan.
 
 Reads the source with ast only (nothing is imported), so a cycle that
 an import inside a function would hide at load time is still reported.
@@ -166,3 +166,13 @@ def test_only_public_verdict_functions_check_certificates():
                      or c.split(".")[1] in ("Frame", "_Gauge"))
     assert not private, "certificates checked inside " + ", ".join(private)
     assert callers == CHECKING_FUNCTIONS
+
+
+def test_rank4_never_references_trivially_distillable():
+    # a negative trivial 2x2 submatrix of rho^G lies in an A-pair block,
+    # whose 2xN scan then finds a witness at least as negative, so the
+    # rank-4 tree certifies with schmidt2_witness alone
+    names = [f"rank4.py:{node.lineno}" for node in ast.walk(_modules()["rank4"])
+             if "trivially_distillable" in {getattr(node, "id", None), getattr(node, "attr", None),
+                                            getattr(node, "name", None)}]
+    assert not names, "rank4 references trivially_distillable at " + ", ".join(names)

@@ -529,7 +529,8 @@ def decide_rank4_stacks(seed, count):
     real = rank4.rank_one_in_span
 
     def record(mats, rng, tol):
-        stacks.append(np.array(mats))
+        if np.shape(mats) == (3, 4, 3):  # step (c)'s range stacks are (4, 3, 3)
+            stacks.append(np.array(mats))
         return real(mats, rng=rng, tol=tol)
 
     rng = np.random.default_rng(seed)

@@ -368,7 +368,6 @@ def test_classify_state_returns_the_reduction_violation(monkeypatch):
     state = BipartiteState.from_vectors(
         3, 3, [phi] + [complex_gaussian(rng, 9) for _ in range(4)])
     assert (state.rank(), state.local_ranks()) == (5, (3, 3))
-    monkeypatch.setattr(rank4, "trivially_distillable", lambda *a, **k: None)
     monkeypatch.setattr(rank4, "schmidt2_witness", lambda *a, **k: None)
     monkeypatch.setattr(rank4, "_random_frame_witness", lambda *a, **k: None)
     cert = classify_state(state, rng=3)

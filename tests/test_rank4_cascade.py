@@ -4,9 +4,9 @@ decides PPT ones.
 
 Generic rank-4 states exit the cascade at its first projection test, so
 these states are assembled directly in (near) proof gauge to push the
-walk into the later branches.  The cascade re-derives its own gauge, so
-the branch reached may be a different one; what matters is that every
-deep exit produces a validated certificate.
+walk past it, to the 2x3 scans of the gauge.  The cascade re-derives
+its own gauge; what matters is that every exit produces a validated
+certificate.
 """
 
 import copy
@@ -69,7 +69,30 @@ def test_cascade_deep_distillable_branches(knob):
     assert not ppt
     verdict = _product_cascade(state, aa, bb, as_rng(3), ())
     assert isinstance(verdict.outcome, Distillable)
-    assert verdict.trail[-1] == "trivial-submatrix"
+    assert verdict.trail == ("gauge-pair-npt",)
+    assert validate_witness(state, verdict.outcome.witness) < -1e-10
+
+
+@pytest.mark.parametrize("knob", ["u3", "v1", "v3", "w1", "w2"])
+def test_cascade_second_scan_decides_when_the_first_misses(knob, monkeypatch):
+    # the first scan of the gauge decides every late-stage state, so it is
+    # made to miss; the scan after the shift t must then decide.  The
+    # negative trivial submatrices of u3 and w1 lie in the (1, 2) plane,
+    # the one t changes
+    scans, scan = [], rank4.schmidt2_witness
+
+    def first_misses(state):
+        if (state.dim_a, state.dim_b) != (3, 3):
+            return scan(state)  # step 2's projected 3x2 state
+        scans.append(state)
+        return None if len(scans) == 1 else scan(state)
+
+    monkeypatch.setattr(rank4, "schmidt2_witness", first_misses)
+    state, aa, bb = late_stage_state(**{knob: 0.8})
+    verdict = _product_cascade(state, aa, bb, as_rng(3), ())
+    assert len(scans) == 2
+    assert isinstance(verdict.outcome, Distillable)
+    assert verdict.trail == ("shifted-gauge-pair-npt",)
     assert validate_witness(state, verdict.outcome.witness) < -1e-10
 
 
@@ -360,7 +383,7 @@ CHECKED_ROUTES = {
     "reducible-b": (lambda: reducible_b_state(np.random.default_rng(20260810)),
                     decide_rank4, True, ("reducible-b",), 3),
     "sector-rank-1": (lambda: sector_fixture(np.random.default_rng(41)), decide_rank4, True,
-                      ("sector-rank-1", "trivial-submatrix"), 1),
+                      ("sector-rank-1", "gauge-pair-npt"), 1),
     "cascade": (lambda: corpus_state(1, 1), decide_rank4, True,
                 ("product-in-range", "projected-b-pair-npt"), 1),
     "separable-decomposition-3x3": (lambda: corpus_state(1, 0), separable_decomposition,
@@ -398,7 +421,7 @@ def test_coordinate_2x3_route_runs_no_search_and_no_cascade(monkeypatch):
         raise AssertionError("the coordinate 2x3 route ran a later step")
 
     for name in ("_reducible_verdict", "decompose_b_direct_matrix", "rank_one_in_span",
-                 "find_product_vector", "_product_cascade"):
+                 "_product_cascade"):
         monkeypatch.setattr(rank4, name, forbidden)
     for seed, index in NPT_ITEMS:
         assert decide_rank4(corpus_state(seed, index), rng=index).trail == ("schmidt2-search",)
@@ -440,6 +463,17 @@ def outcome(state):
     return decide_rank4(state, rng=3).outcome
 
 
+def masked_a_direct_sum():
+    """A product on A-levels {0, 2} (x) |0> plus an NPT rank-3 state on
+    A-levels {1, 2}.  The product's part on levels 1, 2 makes the (1, 2)
+    block of rho^G PSD, so the 2x3 scan of the sector gauge misses and
+    the A-direct split finds the NPT component."""
+    e = np.eye(3)
+    psi = (np.kron(e[1], e[0]) + np.kron(e[2], e[1])) / np.sqrt(2)
+    return BipartiteState.from_vectors(3, 3, [psi, np.kron(e[1], e[1]), np.kron(e[2], e[2]),
+                                              np.kron(e[0] + e[2], e[0])])
+
+
 def past_reducibility(state):
     # an A-direct sum walks past step (a) into the rank-1 sector path,
     # which splits it again and lifts its distillable component
@@ -461,9 +495,7 @@ def lifted_witness_cases():
     yield reducible_b_state(rng), outcome  # reducible-b: a Frame lift
     yield random_rank_r_state(3, 4, 4, rng), outcome  # max-local-rank-4, NPT
     yield random_rank_r_state(3, 2, 2, rng), classify_state  # a swapped frame
-    rows = [np.kron([1.0, 0, 0], complex_gaussian(rng, 3))]
-    rows += [np.concatenate([np.zeros(3), complex_gaussian(rng, 6)]) for _ in range(3)]
-    yield (apply_local(BipartiteState.from_vectors(3, 3, rows), random_invertible(3, rng),
+    yield (apply_local(masked_a_direct_sum(), random_invertible(3, rng),
                        random_invertible(3, rng)), past_reducibility)
     state = common_kernel_5x3_state()
     yield state, common_kernel_distill(state, rng=5)  # Frame.lift_witness through an ILO

@@ -22,11 +22,11 @@ from entcert.states import (
     von_neumann_entropy,
 )
 from entcert.structure import (
+    _b_conjugators,
     _commutant_constraint,
     _hermitian_basis,
     aggregate,
     b_blocks,
-    b_normalize,
     classical_side,
     common_kernel_distill,
     commutant_decompose,
@@ -51,6 +51,13 @@ def b_direct_sum_of_products(n_components, rng, conjugate=True):
         state = apply_local(state, random_invertible(3, rng),
                             random_invertible(n, rng))
     return state
+
+
+def b_normalize(state):
+    """The state conjugated by I (x) rho_B^{-1/2} on the range of rho_B
+    (rho_B -> I), with the conjugator and its inverse."""
+    fwd, inv = _b_conjugators(state.matrix, state.dim_a, state.dim_b, state.tol)
+    return apply_local(state, None, fwd), fwd, inv
 
 
 def reducible_4x4():
