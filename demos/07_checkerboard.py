@@ -2,8 +2,11 @@
 
 The family is built from four pure states on a fixed checkerboard
 sparsity pattern (18 complex parameters), generically of rank 4.  Every
-NPT member is 1-distillable; the classifier finds a witness via a
-structured projection sweep and re-validates it.
+NPT member is 1-distillable.  classify_checkerboard returns the verdict
+of classify_state, so a rank-4 member goes through decide_rank4: a
+negative coordinate 2x3 block of rho^G, or, for a range with no product
+vector, the proof's structured projection sweep, gives the witness,
+which decide_rank4 re-validates.
 """
 
 import numpy as np

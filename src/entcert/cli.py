@@ -3,10 +3,11 @@
 Subcommands: analyze (verdicts with machine-checkable payloads),
 generate (fixture files), product-test (hypersurface and numeric
 product-vector search on a subspace file).  Exit codes: 0 decided,
-2 undecided, 1 error, usage errors included.  Every flag can also be set
-by an environment variable with the ENTCERT_ prefix (ENTCERT_SEED,
-ENTCERT_TOL, ENTCERT_BUDGET, ENTCERT_MODE); --budget and --mode belong
-to analyze only.
+2 undecided, 1 error, usage errors included.  --seed, --tol, --budget
+and --mode can also be set by an environment variable with the ENTCERT_
+prefix (ENTCERT_SEED, ENTCERT_TOL, ENTCERT_BUDGET, ENTCERT_MODE); --text,
+and generate's --out, --random and --cut, cannot.  --budget and --mode
+belong to analyze only.
 """
 
 from __future__ import annotations

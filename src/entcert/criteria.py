@@ -2,9 +2,10 @@
 
 Implements the PPT test, the reduction criterion, trivial distillability
 (2x2 principal submatrices of rho^G), left/right full-rank properties,
-the Schmidt-rank-2 scan of the coordinate 2xN blocks of rho^G, and the
-certified classification of states whose rank is at most the maximum
-local rank.  Below it, the reduction-criterion proof builds the witness
+the Schmidt-rank-2 scan of the coordinate 2xN blocks of rho^G, the
+checkerboard proof's projection sweep (the rank-4 tree's last NPT
+search), and the certified classification of states whose rank is at
+most the maximum local rank.  Below it, the reduction-criterion proof builds the witness
 with no search.  At it, both halves of the theorem (PPT -> exactly N
 products, NPT -> a 2xN projection witness) run in a `Frame`, which
 compresses a state onto its local ranges, orients it to M <= N and maps
@@ -14,7 +15,7 @@ the results back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -315,6 +316,39 @@ def schmidt2_witness(state: BipartiteState):
     vec = np.zeros(g.shape[0], dtype=complex)
     vec[idx[best]] = v[best, :, 0]
     return SchmidtRank2Witness(vector=vec, value=float(w[best, 0]))
+
+
+# x values of the sweep's compressions: four phases at five moduli
+_SWEEP_GRID = tuple(s * m for m in (1.0, 2.0, 0.5, 4.0, 0.25) for s in (1.0, -1.0, 1.0j, -1.0j))
+
+
+def _structured_projection_sweep(state):
+    """The checkerboard proof's rank-2 conjugation sweep.
+
+    Tests NPT of the compressions (x|i> + |k>)<i| + |j><j| over all
+    coordinate anchors and the fixed x grid, on both sides.  Any
+    negative eigenvalue certifies 1-distillability; None is no claim.
+    """
+    for frame in (Frame(state, state), Frame.swap(state)):
+        work = frame.work
+        m, n = work.dim_a, work.dim_b
+        gam = partial_transpose(work)
+        thr = work.tol.negativity_floor(work.spectral_norm)
+        for i, k, j in permutations(range(m), 3):
+            for x in _SWEEP_GRID:
+                # orthonormal rows: the eigenvalue is the lifted vector's
+                # normalized expectation, the value validation recomputes
+                comp = np.eye(m, dtype=complex)[[k, j]]
+                comp[0, i] = np.conj(x)
+                comp[0] /= np.sqrt(abs(x) ** 2 + 1.0)
+                # Gamma of the compressed state, from Gamma of the full one
+                op = kron(comp.conj(), np.eye(n))
+                sub = op @ gam @ dagger(op)
+                w, v = np.linalg.eigh(0.5 * (sub + dagger(sub)))
+                if w[0] < -thr:
+                    vec = lift_through_local(v[:, 0], comp, None, (2, n))
+                    return frame.lift_witness(SchmidtRank2Witness(vector=vec, value=float(w[0])))
+    return None
 
 
 def _reduction_pair_witness(state: BipartiteState) -> SchmidtRank2Witness:

@@ -10,23 +10,14 @@ example.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import permutations
 
 import numpy as np
 
-from .certificates import (
-    Certificate, Distillable, SchmidtRank2Witness, lift_through_local, validate_certificate,
-)
-from .criteria import Frame, classify_rank_le_max, is_ppt, trivially_distillable
+from .analyze import classify_state
+from .certificates import Certificate
 from .linalg import DEFAULT_TOL, ToleranceConfig, dagger, kron
 from .random_states import as_rng, complex_gaussian, unit_disc
-from .rank4 import decide_rank4
-from .states import (
-    BipartiteState,
-    PureState,
-    partial_transpose,
-    von_neumann_entropy,
-)
+from .states import BipartiteState, PureState, von_neumann_entropy
 from .tripartite import TripartitePure
 
 __all__ = [
@@ -120,63 +111,12 @@ def checkerboard_ppt_instance(rng=0, tol: ToleranceConfig = DEFAULT_TOL):
     return params, state
 
 
-# x values of the sweep's compressions: four phases at five moduli
-_SWEEP_GRID = tuple(s * m for m in (1.0, 2.0, 0.5, 4.0, 0.25) for s in (1.0, -1.0, 1.0j, -1.0j))
-
-
-def _structured_projection_sweep(state):
-    """The proof-guided rank-2 conjugation sweep.
-
-    Tests NPT of the compressions (x|i> + |k>)<i| + |j><j| over all
-    coordinate anchors and the fixed x grid, on both sides.  Any
-    negative eigenvalue certifies 1-distillability; None is no claim.
-    """
-    for frame in (Frame(state, state), Frame.swap(state)):
-        work = frame.work
-        m, n = work.dim_a, work.dim_b
-        gam = partial_transpose(work)
-        thr = work.tol.negativity_floor(work.spectral_norm)
-        for i, k, j in permutations(range(m), 3):
-            for x in _SWEEP_GRID:
-                # orthonormal rows: the eigenvalue is the lifted vector's
-                # normalized expectation, the value validation recomputes
-                comp = np.eye(m, dtype=complex)[[k, j]]
-                comp[0, i] = np.conj(x)
-                comp[0] /= np.sqrt(abs(x) ** 2 + 1.0)
-                # Gamma of the compressed state, from Gamma of the full one
-                op = kron(comp.conj(), np.eye(n))
-                sub = op @ gam @ dagger(op)
-                w, v = np.linalg.eigh(0.5 * (sub + dagger(sub)))
-                if w[0] < -thr:
-                    vec = lift_through_local(v[:, 0], comp, None, (2, n))
-                    return frame.lift_witness(SchmidtRank2Witness(vector=vec, value=float(w[0])))
-    return None
-
-
 def classify_checkerboard(state: BipartiteState, rng=17) -> Certificate:
-    """NPT checkerboard states are 1-distillable; PPT ones are routed to
-    the rank-4 decision.
-
-    The witness comes from the trivial-submatrix scan, then the proof's
-    structured projection sweep; neither draws a random number, so rng
-    reaches only the rank-max and rank-4 routes.  An NPT instance that
-    neither certifies raises: the theorem guarantees a witness, so that
-    is a numerical failure, not a verdict.
-    """
-    if state.rank() <= max(state.local_ranks()):
-        return classify_rank_le_max(state, rng=rng)
-    if is_ppt(state)[0]:
-        return decide_rank4(state, rng=rng).outcome
-
-    w = trivially_distillable(state) or _structured_projection_sweep(state)
-    if w is None:
-        raise RuntimeError(
-            "NPT checkerboard state defeated the trivial-submatrix scan and "
-            "the projection sweep; the distillability theorem guarantees a "
-            "witness, so this is a numerical failure, not a verdict")
-    cert = Distillable(SchmidtRank2Witness(vector=w.vector, value=w.value))
-    validate_certificate(state, cert)
-    return cert
+    """The verdict of classify_state, which decides every checkerboard
+    state: rank 4 goes to decide_rank4, whose last NPT step is the
+    distillability proof's projection sweep.  An NPT instance that no
+    step certifies raises UndecidableError."""
+    return classify_state(state, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +238,17 @@ def make_generalized_ghz(coefficients, tol: ToleranceConfig = DEFAULT_TOL) -> Tr
     return TripartitePure((d, d, d), amp, tol)
 
 
+def _label_probabilities(probabilities, components) -> np.ndarray:
+    """The probabilities as a float vector, one per component, checked to
+    be nonnegative and to sum to 1."""
+    probs = np.asarray(probabilities, dtype=float).reshape(-1)
+    if len(components) != probs.shape[0]:
+        raise ValueError("need one component per probability")
+    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+        raise ValueError("probabilities must be nonnegative and sum to 1")
+    return probs
+
+
 def make_label_state(probabilities, components,
                      tol: ToleranceConfig = DEFAULT_TOL) -> BipartiteState:
     """Label state sum_i p_i |1,i><1,i| (x) |psi_i><psi_i|.
@@ -306,11 +257,7 @@ def make_label_state(probabilities, components,
     label lives on the B side, so the result is a B-direct sum and the
     distillable entanglement is sum_i p_i S(tr_A |psi_i><psi_i|).
     """
-    probs = np.asarray(probabilities, dtype=float).reshape(-1)
-    if len(components) != probs.shape[0]:
-        raise ValueError("need one component per probability")
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-        raise ValueError("probabilities must be nonnegative and sum to 1")
+    probs = _label_probabilities(probabilities, components)
     d_a = components[0].dim_a
     d_b = components[0].dim_b
     if any((c.dim_a, c.dim_b) != (d_a, d_b) for c in components):
@@ -332,9 +279,7 @@ def make_label_state(probabilities, components,
 def label_state_entanglement(probabilities, components) -> float:
     """Distillable entanglement of a label state, in bits:
     sum_i p_i S(tr_A |psi_i><psi_i|) over normalized components."""
-    probs = np.asarray(probabilities, dtype=float).reshape(-1)
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-        raise ValueError("probabilities must be nonnegative and sum to 1")
+    probs = _label_probabilities(probabilities, components)
     total = 0.0
     for p, comp in zip(probs, components):
         amp = comp.amplitudes / np.linalg.norm(comp.amplitudes)

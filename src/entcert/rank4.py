@@ -15,8 +15,9 @@ contains a product vector.  The decision tree:
   NPT state with one enters a gauge-fixing cascade that ends in a
   negative 2x3 block of the gauged state;
 * PPT with no product vector in range: PPT entangled;
-* NPT with no product vector in range and no negative 2x3 block: no
-  verdict; it is surfaced as undecidable.
+* NPT with no product vector in range and no negative 2x3 block: the
+  checkerboard proof's projection sweep, whose negative compression is
+  the witness; a state it misses too is surfaced as undecidable.
 
 Also hosts the peeling decomposition for two-level-by-N PPT states
 (Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302 (2000)), whose
@@ -55,6 +56,7 @@ from .criteria import (
     Frame,
     _distill_rank_max,
     _rank_n_products,
+    _structured_projection_sweep,
     classify_rank_le_max,
     is_ppt,
     reduction_criterion,
@@ -587,8 +589,9 @@ def decide_rank4(state: BipartiteState, rng=7) -> Rank4Verdict:
 
     Separable iff PPT with a product vector in the range; the verdict
     carries the proof path.  The only undecided corner is an NPT 3x3
-    state whose coordinate 2x3 scan misses, that is irreducible and has
-    no product vector found in the range; it raises UndecidableError.
+    state that is irreducible, has no product vector found in the range,
+    and on which both the coordinate 2x3 scan and the projection sweep
+    find no negative direction; it raises UndecidableError.
     """
     frame = Frame.local(state, orient=False)
     r = frame.work.rank()
@@ -688,16 +691,20 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
         return _product_cascade(restricted, prod.a, prod.b, rng, ("product-in-range",))
 
     # (d) no product vector in the range.  An NPT state gets here only
-    # when the scan of (a') missed
+    # when the scan of (a') missed; the checkerboard proof's projection
+    # sweep, which draws no random numbers, is its last search
     report = f"no product vector in the range ({prod.report()})"
     if ppt_flag:
         return Rank4Verdict(
             PptEntangled(min_eig_gamma=min_eig, product_search_report=report),
             ("no-product-in-range",))
+    w = _structured_projection_sweep(restricted)
+    if w is not None:
+        return Rank4Verdict(Distillable(w), ("no-product-in-range", "projection-sweep"))
     raise UndecidableError(
-        "NPT 3x3 rank-4 state with no product vector in its range and no "
-        "negative coordinate 2x3 block; distillability here is an open "
-        "question and no verdict is returned. " + report)
+        "NPT 3x3 rank-4 state with no product vector in its range; neither "
+        "the coordinate 2x3 scan nor the projection sweep found a negative "
+        "Schmidt-rank-2 direction, so no verdict is returned. " + report)
 
 
 # ---------------------------------------------------------------------------

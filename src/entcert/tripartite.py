@@ -81,8 +81,11 @@ def reduced_pair(psi: TripartitePure, pair: str) -> BipartiteState:
 
 
 def reduced_single(psi: TripartitePure, system: str) -> np.ndarray:
+    """Reduced density matrix of one system: A, B or C."""
+    axis = {"A": 0, "B": 1, "C": 2}.get(system.upper())
+    if axis is None:
+        raise ValueError("system must be 'A', 'B' or 'C'")
     t = psi.tensor()
-    axis = {"A": 0, "B": 1, "C": 2}[system.upper()]
     mat = np.moveaxis(t, axis, 0).reshape(psi.dims[axis], -1)
     return mat @ dagger(mat)
 

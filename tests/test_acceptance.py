@@ -304,8 +304,8 @@ def test_criterion_07_checkerboard():
         n_npt += 1
         try:
             cert = classify_checkerboard(state, rng=seed)
-        except RuntimeError:
-            n_error += 1  # flagged as an error, never a verdict
+        except UndecidableError:
+            n_error += 1  # flagged as undecided, never a verdict
             continue
         assert isinstance(cert, Distillable)
         if validate_witness(state, cert.witness) < -1e-10:
@@ -319,7 +319,7 @@ def test_criterion_07_checkerboard():
         assert not isinstance(cert, Distillable)
     report("criterion 7 (checkerboard theorem)",
            f"{n_certified}/{n_npt} NPT instances certified "
-           f"({n_error} search errors), 20 proof-constraint instances PPT")
+           f"({n_error} undecided), 20 proof-constraint instances PPT")
 
 
 # --------------------------------------------------------------------------

@@ -1,12 +1,13 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from entcert import families
+from entcert import criteria
 from entcert.certificates import (
     Distillable,
     Separable,
+    UndecidableError,
     validate_witness,
 )
 from entcert.criteria import full_rank_property, is_ppt, schmidt2_witness, trivially_distillable
@@ -29,6 +30,7 @@ from entcert.families import (
     shifts_bipartite_cut,
 )
 from entcert.product_search import Subspace, find_product_vector
+from entcert.rank4 import decide_rank4
 from entcert.states import PureState
 from entcert.structure import decompose_b_direct
 
@@ -116,8 +118,9 @@ def _moved_ppt_checkerboard(base, name, delta):
 
 
 def test_classify_checkerboard_certifies_near_ppt_corpus():
-    # one parameter of a PPT instance moved by 10^U(-6, -1): the trivial
-    # scan and the fixed-grid sweep certify every NPT item
+    # one parameter of a PPT instance moved by 10^U(-6, -1): the rank-4
+    # tree, through its 2x3 scan or its projection sweep, certifies
+    # every NPT item
     rng = np.random.default_rng(11)
     names = ["a", "c", "f", "g", "h", "k", "l", "n", "r", "s"]
     n_npt = 0
@@ -133,6 +136,35 @@ def test_classify_checkerboard_certifies_near_ppt_corpus():
     assert n_npt > 150
 
 
+# The draws of the corpus below on which classify_checkerboard raised
+# while it ran its own trivial-submatrix scan and projection sweep, before
+# the sweep became the last NPT step of decide_rank4
+_NEAR_PPT_UNCERTIFIED = (54, 83, 94, 129, 164, 173, 283, 348, 376, 432, 599, 696, 817, 820,
+                         886, 894, 909, 929, 949, 968, 1090, 1099, 1167, 1194, 1295, 1323,
+                         1432, 1475)
+
+
+def test_decide_rank4_certifies_the_pinned_near_ppt_checkerboards():
+    # one of the 18 parameters of a PPT instance moved by 10^U(-9, -6):
+    # each of the 634 NPT items that the scan and sweep of the old
+    # classify_checkerboard certified gets a validating witness
+    rng = np.random.default_rng(5)
+    names = [f.name for f in fields(CheckerboardParams)]
+    npt = []
+    for s in range(1500):
+        name = names[rng.integers(len(names))]
+        delta = 10 ** rng.uniform(-9, -6) * np.exp(2j * np.pi * rng.uniform())
+        state = _moved_ppt_checkerboard(s % 20, name, delta)
+        if not is_ppt(state)[0]:
+            npt.append((s, state))
+    certified = [(s, state) for s, state in npt if s not in _NEAR_PPT_UNCERTIFIED]
+    assert (len(npt), len(certified)) == (662, 634)
+    for s, state in certified:
+        for cert in (decide_rank4(state, rng=s).outcome, classify_checkerboard(state, rng=s)):
+            assert isinstance(cert, Distillable)
+            assert validate_witness(state, cert.witness) < 0
+
+
 @pytest.mark.parametrize("base, name, delta, needed, before", [
     # every x = 1 compression has min eigenvalue above -0.3 of the floor
     (19, "n", -5.480144811559844e-07 + 3.8176964608448576e-07j, -1.0, [1.0]),
@@ -144,10 +176,10 @@ def test_projection_sweep_needs_more_than_x_equal_1(monkeypatch, base, name, del
     state = _moved_ppt_checkerboard(base, name, delta)
     assert not is_ppt(state)[0]
     assert trivially_distillable(state) is None
-    monkeypatch.setattr(families, "_SWEEP_GRID", before)
-    with pytest.raises(RuntimeError, match="sweep"):
+    monkeypatch.setattr(criteria, "_SWEEP_GRID", before)
+    with pytest.raises(UndecidableError, match="sweep"):
         classify_checkerboard(state)
-    monkeypatch.setattr(families, "_SWEEP_GRID", before + [needed])
+    monkeypatch.setattr(criteria, "_SWEEP_GRID", before + [needed])
     assert isinstance(classify_checkerboard(state), Distillable)
 
 
@@ -248,6 +280,13 @@ def test_label_state_rejects_bad_probs():
     bell = PureState(2, 2, np.array([1, 0, 0, 1], dtype=complex))
     with pytest.raises(ValueError):
         make_label_state([0.5, 0.4], [bell, bell])
+
+
+def test_label_state_rejects_a_probability_without_a_component():
+    bell = PureState(2, 2, np.array([1, 0, 0, 1], dtype=complex))
+    for call in (make_label_state, label_state_entanglement):
+        with pytest.raises(ValueError, match="one component per probability"):
+            call([0.5, 0.5], [bell])
 
 
 def test_fixture_registry_dispatch():

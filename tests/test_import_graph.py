@@ -4,7 +4,8 @@ ranks with psd_eigen, the common eigenbases of commuting normal block
 families come from linalg.common_eigenbasis, the witness constructions
 that theorems back draw no random numbers, no function takes a
 restart budget, only the public verdict functions check certificates,
-and the rank-4 tree never uses the trivial-submatrix scan.
+the rank-4 tree never uses the trivial-submatrix scan, and the named
+families compute no witness.
 
 Reads the source with ast only (nothing is imported), so a cycle that
 an import inside a function would hide at load time is still reported.
@@ -112,7 +113,7 @@ def test_theorem_backed_witnesses_draw_no_random_numbers():
     modules = _modules()
     for module, func_name in (("criteria", "schmidt2_witness"),
                               ("criteria", "_reduction_pair_witness"),
-                              ("families", "_structured_projection_sweep"),
+                              ("criteria", "_structured_projection_sweep"),
                               ("structure", "common_kernel_distill")):
         func = next(node for node in ast.walk(modules[module])
                     if isinstance(node, ast.FunctionDef) and node.name == func_name)
@@ -140,7 +141,7 @@ CHECKING_FUNCTIONS = {
     "rank4.decide_rank4", "rank4.classify_state", "rank4.separable_decomposition",
     "criteria.classify_rank_le_max", "criteria.separable_decomposition_rank_n",
     "criteria.certify_pure_plus_sigma", "structure.common_kernel_distill",
-    "families.classify_checkerboard", "tripartite.classify_pairs",
+    "tripartite.classify_pairs",
 }
 
 
@@ -176,3 +177,24 @@ def test_rank4_never_references_trivially_distillable():
              if "trivially_distillable" in {getattr(node, "id", None), getattr(node, "attr", None),
                                             getattr(node, "name", None)}]
     assert not names, "rank4 references trivially_distillable at " + ", ".join(names)
+
+
+def test_families_compute_no_witness():
+    # classify_checkerboard passes classify_state's checked verdict
+    # through; the checkerboard proof's sweep lives in criteria, and only
+    # the rank-4 tree runs it
+    banned = {"partial_transpose", "eigh", "trivially_distillable", "validate_certificate"}
+    calls = [f"families.py:{node.lineno} {called}"
+             for node in ast.walk(_modules()["families"]) if isinstance(node, ast.Call)
+             for called in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+             if called in banned]
+    assert not calls, "families computes a witness: " + ", ".join(calls)
+
+
+def test_only_the_rank4_tree_runs_the_projection_sweep():
+    callers = [f"{name}.py:{node.lineno}"
+               for name, tree in _modules().items()
+               for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and "_structured_projection_sweep" in {getattr(node.func, "id", None),
+                                                      getattr(node.func, "attr", None)}]
+    assert len(callers) == 1 and callers[0].startswith("rank4.py:"), callers

@@ -219,8 +219,10 @@ def test_sector_rank1_verdicts_do_not_depend_on_the_second_compound(monkeypatch)
 def test_generic_rank4_state_enumerates_only_the_range(monkeypatch):
     # the bound proves step (b)'s "no rank-1 sector"; only the range test
     # of step (c), 9 minors against 10 monomials, runs the enumeration.
-    # The state reaches (b) once the 2x3 scan misses, and ends at (d)
+    # The state reaches (b) once the 2x3 scan misses, and ends at (d),
+    # where the projection sweep is stubbed to miss as well
     miss_3x3_scan(monkeypatch)
+    monkeypatch.setattr(rank4, "_structured_projection_sweep", lambda state: None)
     calls = []
     enumerate_rank_one = product_search._enumerate_rank_one
     monkeypatch.setattr(product_search, "_enumerate_rank_one",
@@ -435,9 +437,17 @@ def test_when_the_2x3_scan_misses_the_tree_decides_planted_and_not_generic(monke
     assert validate_witness(planted, verdict.outcome.witness) < -1e-10
     assert len(scanned) == 1
     scanned.clear()
-    with pytest.raises(UndecidableError, match="no negative coordinate 2x3 block"):
-        decide_rank4(corpus_state(1, 5), rng=5)
+    # steps (a) to (c) leave the generic item to (d), and its projection sweep
+    generic = corpus_state(1, 5)
+    with monkeypatch.context() as mp:
+        mp.setattr(rank4, "_structured_projection_sweep", lambda state: None)
+        with pytest.raises(UndecidableError, match="coordinate 2x3 scan nor the projection sweep"):
+            decide_rank4(generic, rng=5)
     assert len(scanned) == 1
+    verdict = decide_rank4(generic, rng=5)
+    assert verdict.trail == ("no-product-in-range", "projection-sweep")
+    assert validate_witness(generic, verdict.outcome.witness) < -1e-10
+    assert len(scanned) == 2
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e6, 1e12])

@@ -150,3 +150,6 @@ def test_tripartite_validation():
         TripartitePure((2, 2, 2), np.zeros(8))
     with pytest.raises(ValueError):
         reduced_pair(ghz_state(), "AD")
+    for system in ("D", "AB", ""):
+        with pytest.raises(ValueError, match="system must be"):
+            reduced_single(ghz_state(), system)
