@@ -10,8 +10,10 @@ and "not found" means there are none.  Before it, one SVD of the matrix
 taking the products z_i z_j to the 2 x 2 minors decides many spans with
 no random numbers and at any shape: without a null space it bounds the
 rank-1 defect of the whole span from below, and a bound above the
-tolerance proves "none"; a null space spanned by a few independent
-products hands them over, all of them.
+tolerance proves "none"; a one-dimensional null space whose symmetric
+matrix is far from rank 1 proves it too (the range of a 3x3 rank-4
+state); a null space spanned by a few independent products hands them
+over, all of them.
 """
 
 import numpy as np
@@ -70,4 +72,9 @@ print(f"\ngeneric 10-dimensional subspace of 4x4: {len(result.products)} product
 # --- the second-compound bound proves "none" beyond the enumeration ---------
 result = find_product_vector(random_subspace(5, 5, 13, rng), rng=rng)
 print(f"\ngeneric 13-dimensional subspace of 5x5: found = {result.found} "
+      f"({result.method}, rank-1 defect >= {result.best_defect:.1e})")
+
+# --- a generic 4-dim subspace of 3x3: the null vector proves "none" ---------
+result = find_product_vector(random_subspace(3, 3, 4, rng), rng=rng)
+print(f"\ngeneric 4-dimensional subspace of 3x3: found = {result.found} "
       f"({result.method}, rank-1 defect >= {result.best_defect:.1e})")

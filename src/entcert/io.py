@@ -52,7 +52,7 @@ def decode_complex(pair, where: str) -> complex:
 def _from_number(x):
     if isinstance(x, str):
         return float.fromhex(x)
-    if isinstance(x, (int, float)):
+    if isinstance(x, (int, float)) and not isinstance(x, bool):  # bool is an int
         return float(x)
     raise ValueError(f"not a number or hex-float string: {x!r}")
 

@@ -89,13 +89,19 @@ def rel_residual(actual: np.ndarray, target: np.ndarray) -> float:
 
 
 def check_hermitian(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """The square matrix h, checked against the Hermiticity tolerance and
-    symmetrized, so later routines see exactly Hermitian data."""
+    """The square matrix h, checked for finite entries and against the
+    Hermiticity tolerance, and symmetrized, so later routines see
+    exactly Hermitian data."""
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    scale = frob(h)
+    # NaN compares False against every bar below; finite entries whose
+    # norm overflows go on to them
+    if not np.isfinite(scale) and not np.all(np.isfinite(h)):
+        raise ValueError("matrix has an entry that is not finite")
     defect = frob(h - dagger(h))
-    scale = max(frob(h), 1.0e-300)
+    scale = max(scale, 1.0e-300)
     if defect > tol.residual_tol * max(scale, 1.0):
         raise ValueError(
             f"matrix is not Hermitian: |H - H^dag| = {defect:.3e} "

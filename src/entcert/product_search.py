@@ -29,14 +29,18 @@ Two independent routes are provided and cross-checked in the tests:
   Macaulay matrix decides many spans with no random numbers and at any
   shape.  Without a null space it bounds sigma_2 / sigma_1 from below on
   every combination, and a bound above residual_tol proves "no
-  product".  A null space spanned by s <= k independent products is
-  read off as an s x s eigenvalue problem, and those products are all
-  of them ("second compound null space"): exactly so in exact
-  arithmetic, and in floating point every combination within the
-  defect tolerance lies within a stated angle of one of them.  The
-  enumeration runs only
-  where neither decides, and UndecidableError is raised only where it
-  cannot run either.
+  product".  A one-dimensional null space, read as a symmetric k x k
+  matrix, must be near rank 1 if the span holds a product, so its
+  second singular value bounds the defect too ("second compound null
+  vector"): this decides the 4-dim ranges of 3x3 rank-4 states (9
+  minors against 10 monomials) that hold no product, the tiles and
+  checkerboard ranges among them.  A null space spanned by s <= k
+  independent products is read off as an s x s eigenvalue problem, and
+  those products are all of them ("second compound null space"):
+  exactly so in exact arithmetic, and in floating point every
+  combination within the defect tolerance lies within a stated angle of
+  one of them.  The enumeration runs only where none of these decides,
+  and UndecidableError is raised only where it cannot run either.
 
 The same two-parameter problem finds the products a (x) b on C^2 (x) C^n
 with a (x) b in R(rho) and conj(a) (x) b in R(rho^G) that the 2 x N
@@ -234,14 +238,16 @@ class ProductSearchResult:
     rank-1 defect; products holds every distinct accepted product as
     (a, b, coefficients), best first.  method names the route taken
     (the eigenvalue problem, "dimension count", "hyperplane section",
-    "trivial", "second compound" or "second compound null space") and
-    candidates counts the points it tested.  best_defect is the smallest
-    sigma_2 / sigma_1 among them; on the "second compound" route no
+    "trivial", "second compound", "second compound null vector" or
+    "second compound null space") and candidates counts the points it
+    tested.  best_defect is the smallest sigma_2 / sigma_1 among them;
+    on the "second compound" and "second compound null vector" routes no
     point is tested and it is a proved lower bound on sigma_2 / sigma_1
-    over the whole span.  Every route is complete, so found=False means
-    the span holds no product; the null-space route only ever finds, and
-    every combination within the defect tolerance lies within an angle
-    its checks bound (see _compound_screen) of one of its products.
+    over the whole span, which report() words as a bound.  Every route
+    is complete, so found=False means the span holds no product; the
+    null-space route only ever finds, and every combination within the
+    defect tolerance lies within an angle its checks bound (see
+    _compound_screen) of one of its products.
     """
 
     found: bool
@@ -254,8 +260,10 @@ class ProductSearchResult:
     products: tuple = ()
 
     def report(self) -> str:
+        defect = ("rank-1 defect at least" if self.method in (_BOUND, _NULL_VECTOR)
+                  else "best rank-1 defect")
         return (f"{self.method}, {self.candidates} candidates examined, "
-                f"best rank-1 defect {self.best_defect:.3e}")
+                f"{defect} {self.best_defect:.3e}")
 
 
 _EPS = float(np.finfo(float).eps)
@@ -409,6 +417,8 @@ def _product(mats, z):
 # matrix (16 MB of complex entries per temporary); larger stacks skip it.
 _SCREEN_MAX_ENTRIES = 1 << 20
 
+_BOUND = "second compound"
+_NULL_VECTOR = "second compound null vector"
 _NULL_SPACE = "second compound null space"
 
 
@@ -416,11 +426,12 @@ _NULL_SPACE = "second compound null space"
 def _minor_pairs(k, p, q):
     """The indices _compound_screen needs for a (k, p, q) stack: the flat
     positions of the corners r1 c1, r1 c2, r2 c1, r2 c2 of each 2 x 2
-    minor (r1 < r2, c1 < c2), the pairs i <= j, the weight of column
-    (i, j) on the symmetrized minors (1/2 for i == j, 1/sqrt(2) for
-    i < j), and the readout matrix, which takes y to the products Y a
-    and Y b of its symmetric matrix Y (y(z) reads as z z^T) with the
-    fixed phase vectors a and b."""
+    minor (r1 < r2, c1 < c2), the pairs i <= j, the factors root that
+    read y as its symmetric matrix Y (Y_ij = Y_ji = root_ij y_ij, so
+    ||Y||_F = ||y|| and y(z) reads as z z^T), the weight of column (i, j)
+    on the symmetrized minors (1/2 for i == j, 1/sqrt(2) for i < j), and
+    the readout matrix, which takes y to the products Y a and Y b with
+    the fixed phase vectors a and b."""
     (r1, r2), (c1, c2) = np.triu_indices(p, 1), np.triu_indices(q, 1)
     corners = np.stack([(r[:, None] * q + c).ravel() for r in (r1, r2) for c in (c1, c2)])
     i, j = np.triu_indices(k)
@@ -430,14 +441,16 @@ def _minor_pairs(k, p, q):
     readout[np.arange(len(i)), i] = root[:, None] * phases[j]
     off = np.flatnonzero(i < j)
     readout[off, j[off]] = root[off, None] * phases[i[off]]
-    return corners, i, j, np.where(i == j, 0.5, 1.0) * root, readout.reshape(len(i), -1)
+    return (corners, i, j, root, np.where(i == j, 0.5, 1.0) * root,
+            readout.reshape(len(i), -1))
 
 
 def _compound_screen(work, tau):
     """Decide the (k, p, q) stack from the 2 x 2 minors of M = sum_i z_i
-    work[i]: (bound, None) when no combination has rank-1 defect
-    sigma_2 / sigma_1 <= tau, (None, (z, defect)) with every such
-    combination as a row of z, (None, None) when it decides nothing.
+    work[i]: (method, bound, None) when no combination has rank-1 defect
+    sigma_2 / sigma_1 <= tau, (method, None, (z, defect)) with every
+    such combination as a row of z, (None, None, None) when it decides
+    nothing.
 
     The minors of M are A y: y holds z_i^2 and sqrt(2) z_i z_j (i < j),
     so ||y|| = ||z||^2, and column (i, j) of A holds the minors of the
@@ -460,9 +473,30 @@ def _compound_screen(work, tau):
     + k p q) u N of A.
 
     Singular values at most t = nu tau + m (and the cols - rows zeros of
-    a wide A) are dropped; s counts them.
+    a wide A) are dropped; s counts them, and sigma_keep is the smallest
+    one kept.
     * s = 0: every y has ||A y|| > (t - m) ||y||, so sigma_2 / sigma_1
-      >= (sigma_min - m) / nu > tau over the whole span, the bound.
+      >= (sigma_min - m) / nu > tau over the whole span, the bound
+      (method "second compound").
+    * s = 1, k >= 2: the dropped unit vector y_1, read as the symmetric
+      k x k matrix Y_1 (||Y_1||_F = 1), must be near rank 1 if a
+      combination of small defect exists.  Let z be a unit combination
+      of defect d, and A' the matrix within m of A whose SVD was
+      computed, so ||A' y(z)|| <= nu d + m and ||y(z)|| = 1.  Write y(z)
+      = c y_1 + r with r on the kept right singular vectors: sigma_keep
+      ||r|| <= nu d + m, so ||r|| <= delta = (nu d + m) / sigma_keep, and
+      |c|^2 = 1 - ||r||^2.  As matrices z z^T = c Y_1 + R with ||R||_F =
+      ||r||, and z z^T has rank 1, so |c| sigma_2(Y_1) <= ||R||_2 <= delta
+      (Weyl): sigma_2(Y_1) <= delta / sqrt(1 - delta^2), that is delta >=
+      sigma_2 / sqrt(1 + sigma_2^2).  Hence every combination has defect
+      d >= beta = (sigma_keep sigma_2 / sqrt(1 + sigma_2^2) - m) / nu,
+      the bound when beta > tau (method "second compound null vector").
+      sigma_2 is taken 16 (cols + k) u below its computed value: the
+      computed y_1 lies within about cols u of an exact singular vector
+      of A', the small SVD is exact for a matrix within about k u of Y_1,
+      and sigma_2 moves by at most as much as its matrix.  Otherwise, as
+      when the line holds a product (sigma_2(Y_1) = 0), the readout
+      below decides or declines.
     * 0 < s <= k: the dropped right singular vectors span null(A), read
       as s symmetric k x k matrices Y_l (y(z) reads as z z^T).  If
       null(A) = span{y(z_1), .., y(z_s)} with z_m independent, Y_l = Z
@@ -501,10 +535,10 @@ def _compound_screen(work, tau):
     = 0, or two equal ratios b . z_m / a . z_m) fails a check instead.
     """
     k, p, q = work.shape
-    corners, i, j, weight, readout = _minor_pairs(k, p, q)
+    corners, i, j, root, weight, readout = _minor_pairs(k, p, q)
     rows, cols = corners.shape[1], len(i)
     if k * k * rows > _SCREEN_MAX_ENTRIES or cols - rows > k:  # then s > k
-        return None, None
+        return None, None, None
     w11, w12, w21, w22 = work.reshape(k, -1)[:, corners].transpose(1, 0, 2)
     minors = w11[:, None] * w22[None] - w12[:, None] * w21[None]  # (k, k, rows)
     a_mat = ((minors + minors.transpose(1, 0, 2))[i, j] * weight[:, None]).T
@@ -517,12 +551,19 @@ def _compound_screen(work, tau):
     t = nu * tau + margin
     s = int(np.count_nonzero(sv <= t))
     if s == 0:
-        return float((sv[-1] - margin) / nu), None
+        return _BOUND, float((sv[-1] - margin) / nu), None
     if s > k:
-        return None, None
+        return None, None, None
     keep = sv[cols - s - 1] if s < cols else math.inf
+    if s == 1 and k > 1:
+        y_1 = np.zeros((k, k), dtype=complex)
+        y_1[i, j] = y_1[j, i] = root * vh[-1].conj()
+        sigma_2 = np.linalg.svd(y_1, compute_uv=False)[1] - 16 * (cols + k) * _EPS
+        bound = (keep * sigma_2 / math.hypot(1.0, sigma_2) - margin) / nu
+        if bound > tau:
+            return _NULL_VECTOR, float(bound), None
     if not math.sqrt(tau) * keep > t:
-        return None, None
+        return None, None, None
     n_a, n_b = (vh[cols - s:].conj() @ readout).reshape(s, k, 2).T  # (k, s) each
     z = n_a.T
     if s > 1:
@@ -532,14 +573,14 @@ def _compound_screen(work, tau):
         try:
             z = (n_a @ np.linalg.eig(np.linalg.solve(r_a, q_a.conj().T @ n_b))[1]).T
         except np.linalg.LinAlgError:
-            return None, None
+            return None, None, None
     sc = np.linalg.svd(np.einsum("ck,kpq->cpq", z, work), compute_uv=False)
     defect = sc[:, 1] / np.maximum(sc[:, 0], 1.0e-300)
     unit_z = z / np.maximum(np.linalg.norm(z, axis=1), 1.0e-300)[:, None]
     sigma_z = np.linalg.svd(unit_z, compute_uv=False)[-1]
     if not (np.all(defect <= tau) and sigma_z ** 4 * keep > 13 * s * s * t):
-        return None, None
-    return None, (z, defect)
+        return None, None, None
+    return _NULL_SPACE, None, (z, defect)
 
 
 def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> ProductSearchResult:
@@ -550,11 +591,15 @@ def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> Product
     space it bounds sigma_2 / sigma_1 from below on every combination,
     and a bound above residual_tol proves that no rank-1 combination
     exists: found=False, method "second compound" and the bound as
-    best_defect.  With a null space of dimension s at most the span's
-    dimension that is spanned by s independent rank-1 combinations, read
-    off as the eigenvectors of an s x s problem, those are all of them,
-    to within the angle _compound_screen bounds: method "second compound
-    null space".  Both draw no random numbers.
+    best_defect.  A one-dimensional null space whose symmetric matrix is
+    far from rank 1 gives such a bound in the same way, with method
+    "second compound null vector"; this is how the range of a 3x3
+    rank-4 state with no product is decided.  With a null space of
+    dimension s at most the span's dimension that is spanned by s
+    independent rank-1 combinations, read off as the eigenvectors of an
+    s x s problem, those are all of them, to within the angle
+    _compound_screen bounds: method "second compound null space".  None
+    of these draws random numbers.
     Otherwise every point where a rank-1 combination can sit is
     enumerated as an eigenvalue (a pencil when the smaller matrix side
     has 2 levels, a two- or three-parameter eigenvalue problem for 3 or
@@ -581,11 +626,11 @@ def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> Product
         return ProductSearchResult(True, *prod, 0.0, "trivial", 1, (prod,))
 
     work = mats / scale[:, None, None]
-    bound, points = _compound_screen(work, tol.residual_tol)
+    method, bound, points = _compound_screen(work, tol.residual_tol)
     if bound is not None:
-        return ProductSearchResult(False, None, None, None, bound, "second compound", 0)
+        return ProductSearchResult(False, None, None, None, bound, method, 0)
     if points is not None:
-        (z, defect), method = points, _NULL_SPACE
+        z, defect = points
     else:
         z, defect, method = _enumerate_rank_one(work, as_rng(rng), tol)
     order = np.argsort(defect)

@@ -637,12 +637,14 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     # (0) PPT only: the state is separable iff its range holds a product,
     # and then four of the range's products diagonalize it, so the range
     # is searched first.  A separable range's products are read off the
-    # null space of its second compound, with no enumeration and no
-    # random draw.  No product, or products that diagonalize nothing
-    # (the families of a reducible range), fall through to (a) and (b),
-    # and (c) reuses the search.  "No product" is not reported
-    # here: under an ill-conditioned ILO the search can miss a product,
-    # and the checks of (a) are what stop that becoming PptEntangled.
+    # null space of its second compound, and "no product" in the range
+    # of the tiles UPB or a PPT checkerboard is proved by its null
+    # vector, both with no enumeration and no random draw.  No product,
+    # or products that diagonalize nothing (the families of a reducible
+    # range), fall through to (a) and (b), and (c) reuses the search.
+    # "No product" is not reported here: under an ill-conditioned ILO the
+    # search can miss a product, and the checks of (a) are what stop that
+    # becoming PptEntangled.
     prod = None
     if ppt_flag:
         range_w, range_q = psd_range(restricted.matrix, restricted.tol)

@@ -54,6 +54,8 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amp.shape[0] != self.dim_a * self.dim_b:
             raise ValueError("amplitude vector length does not match dims")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("amplitudes must be finite")
         if not np.any(np.abs(amp) > 0):
             raise ValueError("pure state must be a nonzero vector")
         amp.flags.writeable = False

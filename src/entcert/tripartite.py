@@ -51,6 +51,8 @@ class TripartitePure:
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amp.shape[0] != dims[0] * dims[1] * dims[2]:
             raise ValueError("amplitude length does not match dims")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("amplitudes must be finite")
         if not np.any(np.abs(amp) > 0):
             raise ValueError("state must be a nonzero vector")
         amp.flags.writeable = False

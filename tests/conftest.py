@@ -45,6 +45,13 @@ def reducible_b_state(rng):
     return apply_local(state, random_invertible(3, rng), random_invertible(3, rng))
 
 
+def ill_conditioned(kappa, rng):
+    """A 3 x 3 invertible operator with singular values 1 .. 1/kappa
+    between random unitaries."""
+    s = np.diag(np.logspace(0, -np.log10(kappa), 3))
+    return random_unitary(3, rng) @ s @ random_unitary(3, rng)
+
+
 def bell_projector(scale=1.0):
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1.0

@@ -9,6 +9,7 @@ from entcert.cli import main
 from entcert.io import (
     StateFileError,
     doc_to_object,
+    encode_complex,
     load_state,
     save_state,
 )
@@ -73,10 +74,28 @@ def test_parse_errors_are_positioned(tmp_path):
         ({"kind": "bipartite", "dims": [1, 2], "data": [[zero, zero], [zero]]}, r"data\[1\]"),
         ({"kind": "bipartite", "dims": [None, 1], "data": one}, r"dims"),
         ({"kind": "bipartite", "dims": [1.5, 1], "data": one}, r"dims"),
+        # a JSON boolean is a Python int, but not a number of the format
+        ({"kind": "bipartite", "dims": [1, 1], "data": [[[True, False]]]}, r"data\[0\]\[0\]"),
     ]
     for doc, where in bad:
         with pytest.raises(StateFileError, match=where):
             doc_to_object({"version": 1, **doc})
+
+
+@pytest.mark.parametrize("kind, dims, data", [
+    ("bipartite", [2, 2], np.diag([1.0, np.nan, 1.0, 1.0]).astype(complex)),
+    ("tripartite", [2, 2, 2], np.append(np.ones(7), np.nan).astype(complex)),
+])
+def test_cli_rejects_non_finite_entries(tmp_path, capsys, kind, dims, data):
+    # "nan" is a valid hex-float string, so the state's constructor is
+    # what rejects it, before any search sees it
+    encode = np.vectorize(encode_complex, otypes=[object])
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"version": 1, "kind": kind, "dims": dims,
+                                "data": encode(data).tolist()}))
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: data: ") and "finite" in err
 
 
 def test_non_psd_input_rejected(tmp_path):

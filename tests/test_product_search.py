@@ -14,18 +14,23 @@ from entcert.product_search import (
     rank_one_in_span,
     _METHODS,
     _NULL_SPACE,
+    _NULL_VECTOR,
     _compound_screen,
     _enumerate_rank_one,
     _operator_determinants,
 )
 from entcert.certificates import UndecidableError
 from entcert.linalg import DEFAULT_TOL, psd_range
-from entcert.random_states import complex_gaussian, random_product_sum
+from entcert.random_states import (
+    complex_gaussian,
+    random_product_sum,
+    random_rank_r_state,
+)
 from entcert.states import BipartiteState
 from entcert import rank4
-from entcert.families import make_tiles_upb
+from entcert.families import checkerboard_ppt_instance, make_tiles_upb, random_checkerboard
 
-from conftest import miss_3x3_scan
+from conftest import ill_conditioned, miss_3x3_scan
 
 
 def spec_example_basis():
@@ -139,12 +144,15 @@ def test_find_product_vector_upb_complement_none(rng):
     state = make_tiles_upb()
     basis = state.range_basis().T
     v = Subspace(3, 3, basis)
+    state = rng.bit_generator.state
     result = find_product_vector(v, rng=rng)
+    assert rng.bit_generator.state == state
     assert not result.found
     assert result.best_defect > 1e-3
-    assert result.method == "two-parameter eigenvalues"
-    assert result.candidates == 9
-    assert result.report().startswith("two-parameter eigenvalues, 9 candidates")
+    assert result.method == _NULL_VECTOR
+    assert result.candidates == 0
+    assert result.report().startswith(
+        "second compound null vector, 0 candidates examined, rank-1 defect at least ")
 
 
 def test_find_product_vector_dimension_guarantee(rng):
@@ -254,7 +262,7 @@ def null_space_route(mats):
     """What the second compound reads off the span: the unit products, or
     None where it declines (or proves that there is none)."""
     work = normalized(mats)
-    bound, points = _compound_screen(work, DEFAULT_TOL.residual_tol)
+    _, _, points = _compound_screen(work, DEFAULT_TOL.residual_tol)
     if points is None:
         return None
     combos = np.einsum("ck,kpq->cpq", points[0], work).reshape(len(points[0]), -1)
@@ -459,7 +467,7 @@ def test_search_beyond_its_scope_raises(rng, dims):
     # and the eigenvalue enumeration does not reach a 5-level side or 4
     # beside 9
     v = random_product_containing_subspace(*dims, WIDE_DIM[dims], rng)
-    assert _compound_screen(normalized(v.matrices()), DEFAULT_TOL.residual_tol) == (None, None)
+    assert _compound_screen(normalized(v.matrices()), DEFAULT_TOL.residual_tol) == (None, None, None)
     with pytest.raises(UndecidableError, match=f"{dims[0]}x{dims[1]}"):
         rank_one_in_span(v.matrices(), rng=rng)
 
@@ -485,7 +493,7 @@ def test_search_beyond_its_scope_raises_where_the_compound_has_too_few_rows(rng,
     # 5x5 dim 14: C(5, 2)^2 = 100 minors against 14 * 15 / 2 = 105
     # monomials, and 11 complement vectors, too many for the dimension count
     v = make(5, 5, 14, rng)
-    assert _compound_screen(normalized(v.matrices()), DEFAULT_TOL.residual_tol) == (None, None)
+    assert _compound_screen(normalized(v.matrices()), DEFAULT_TOL.residual_tol) == (None, None, None)
     with pytest.raises(UndecidableError, match="5x5"):
         find_product_vector(v, rng=rng)
 
@@ -551,6 +559,45 @@ def decide_rank4_stacks(seed, count):
     return stacks
 
 
+def range_stack(state):
+    """The (4, 3, 3) stack of a 3x3 rank-4 range, as decide_rank4 searches it."""
+    return psd_range(state.matrix, state.tol)[1].T.reshape(-1, 3, 3)
+
+
+def near_product_stack(rng, shape, eps):
+    """A random stack whose span holds a member eps away from a product."""
+    k, p, q = shape
+    mats = complex_gaussian(rng, shape)
+    mats[0] = (np.outer(complex_gaussian(rng, p), complex_gaussian(rng, q))
+               + eps * complex_gaussian(rng, (p, q)))
+    return np.einsum("ij,jpq->ipq", np.eye(k) + 0.3 * complex_gaussian(rng, (k, k)), mats)
+
+
+# range stacks whose span holds no product: the null vector of the second
+# compound (9 minors against 10 monomials) proves it for these kinds
+NO_PRODUCT_RANGES = ("tiles 1", "tiles 10", "tiles 100", "ppt checkerboard",
+                     "random checkerboard", "generic")
+
+
+def range_stacks(rng):
+    """(kind, stack) pairs of (4, 3, 3) stacks: the tiles range under
+    ILOs of condition number 1 to 1e3, ranges of PPT and random
+    checkerboards and of generic states, and spans 0 to 1e-4 from a
+    product."""
+    tiles = range_stack(make_tiles_upb())
+    for kappa in (1, 10, 100, 1000):
+        for _ in range(8):
+            a, b = ill_conditioned(kappa, rng), ill_conditioned(kappa, rng)
+            yield f"tiles {kappa}", np.einsum("pi,kij,qj->kpq", a, tiles, b)
+    for _ in range(16):
+        yield "ppt checkerboard", range_stack(checkerboard_ppt_instance(rng)[1])
+        yield "random checkerboard", range_stack(random_checkerboard(rng)[1])
+        yield "generic", range_stack(random_rank_r_state(3, 3, 4, rng))
+    for eps in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4):
+        for _ in range(8):
+            yield f"near product {eps:g}", near_product_stack(rng, (4, 3, 3), eps)
+
+
 def random_stacks(rng):
     # (k, p, q) with C(p, 2) C(q, 2) >= k (k + 1) / 2, in the enumeration's scope
     for shape in [(2, 2, 3), (2, 3, 3), (3, 3, 3), (3, 4, 3), (3, 2, 5),
@@ -564,27 +611,45 @@ def test_second_compound_bound_is_below_every_enumerated_defect(rng):
     assert len(stacks) > 30
     for mats in stacks:
         work = normalized(mats)
-        bound, points = _compound_screen(work, DEFAULT_TOL.residual_tol)
+        method, bound, points = _compound_screen(work, DEFAULT_TOL.residual_tol)
         _, defect, _ = _enumerate_rank_one(work, np.random.default_rng(1), DEFAULT_TOL)
-        assert points is None
+        assert (method, points) == ("second compound", None)
         assert bound is not None and 0 < bound <= defect.min() * (1 + 1e-9)
         # a generic span holds no product, and the bound proves it
         assert bound > DEFAULT_TOL.residual_tol
 
+    # a 4-dim span of 3 x 3 matrices always has a null vector; where the
+    # span holds no product its matrix is far from rank 1, and bounds the
+    # defect with no enumeration and no random draw
+    fired = 0
+    for kind, mats in range_stacks(np.random.default_rng(6)):
+        work = normalized(mats)
+        method, bound, points = _compound_screen(work, DEFAULT_TOL.residual_tol)
+        _, defect, _ = _enumerate_rank_one(work, np.random.default_rng(1), DEFAULT_TOL)
+        if bound is None:
+            assert kind not in NO_PRODUCT_RANGES
+            continue
+        fired += 1
+        assert (method, points) == (_NULL_VECTOR, None)
+        assert DEFAULT_TOL.residual_tol < bound <= defect.min() * (1 + 1e-9)
+        search_rng = np.random.default_rng(fired)
+        state = search_rng.bit_generator.state
+        result = rank_one_in_span(mats, rng=search_rng)
+        assert search_rng.bit_generator.state == state
+        assert (result.found, result.method, result.best_defect) == (False, method, bound)
+    assert fired > 72  # the 72 stacks of NO_PRODUCT_RANGES, and spans 1e-5 from a product
 
-@pytest.mark.parametrize("shape", [(3, 4, 3), (3, 3, 3), (4, 4, 4), (5, 4, 5)])
-@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-10, 1e-8, 1e-6])
+
+@pytest.mark.parametrize("shape", [(3, 4, 3), (3, 3, 3), (4, 3, 3), (4, 4, 4), (5, 4, 5)])
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4])
 def test_second_compound_never_screens_out_a_product_the_enumeration_accepts(shape, eps):
     k, p, q = shape
     rng = np.random.default_rng(100 * k + 10 * p + q)
     accepted = 0
     for _ in range(4):
-        mats = complex_gaussian(rng, shape)
-        mats[0] = (np.outer(complex_gaussian(rng, p), complex_gaussian(rng, q))
-                   + eps * complex_gaussian(rng, (p, q)))
-        mats = np.einsum("ij,jpq->ipq", np.eye(k) + 0.3 * complex_gaussian(rng, (k, k)), mats)
+        mats = near_product_stack(rng, shape, eps)
         work = normalized(mats)
-        bound, points = _compound_screen(work, DEFAULT_TOL.residual_tol)
+        _, bound, _ = _compound_screen(work, DEFAULT_TOL.residual_tol)
         _, defect, _ = _enumerate_rank_one(work, np.random.default_rng(2), DEFAULT_TOL)
         assert bound is None or bound <= defect.min() * (1 + 1e-9) + 1e-15
         if defect.min() <= DEFAULT_TOL.residual_tol:

@@ -29,7 +29,6 @@ from entcert.random_states import (
     random_product_sum,
     random_rank_r_state,
     random_tripartite_pure_amplitudes,
-    random_unitary,
 )
 from entcert.rank4 import (
     classify_state,
@@ -39,7 +38,7 @@ from entcert.rank4 import (
 )
 from entcert.states import BipartiteState, apply_local, partial_transpose
 
-from conftest import miss_3x3_scan, ppt_rank_n_state, reducible_b_state
+from conftest import ill_conditioned, miss_3x3_scan, ppt_rank_n_state, reducible_b_state
 
 
 def npt_rank4_with_product(rng):
@@ -56,8 +55,8 @@ def test_decide_rank4_tiles_ppt_entangled(rng):
     assert isinstance(verdict.outcome, PptEntangled)
     assert "no-product-in-range" in verdict.trail
     assert verdict.outcome.product_search_report.startswith(
-        "no product vector in the range (two-parameter eigenvalues, "
-        "9 candidates examined, best rank-1 defect ")
+        "no product vector in the range (second compound null vector, "
+        "0 candidates examined, rank-1 defect at least ")
 
 
 def test_decide_rank4_separable_products(rng):
@@ -475,13 +474,6 @@ def test_ppt_rank4_states_run_no_2x3_scan(rng, monkeypatch):
                     random_invertible(3, rng)) for _ in range(3)]
     outcomes = [type(decide_rank4(state, rng=rng).outcome) for state in states]
     assert outcomes == [PptEntangled] + [Separable] * 3
-
-
-def ill_conditioned(kappa, rng):
-    """A 3 x 3 invertible operator with singular values 1 .. 1/kappa
-    between random unitaries."""
-    s = np.diag(np.logspace(0, -np.log10(kappa), 3))
-    return random_unitary(3, rng) @ s @ random_unitary(3, rng)
 
 
 def test_decide_rank4_gives_no_wrong_verdict_under_ill_conditioned_ilos():

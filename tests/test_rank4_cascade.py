@@ -197,7 +197,7 @@ def test_sector_rank1_verdicts_do_not_depend_on_the_second_compound(monkeypatch)
                         lambda *a, **kw: sectors.append(search(*a, **kw)) or sectors[-1])
     screened = [decide_rank4(s, rng=i) for i, s in enumerate(states)]
     enumerate_rank_one = product_search._enumerate_rank_one
-    monkeypatch.setattr(product_search, "_compound_screen", lambda work, tau: (None, None))
+    monkeypatch.setattr(product_search, "_compound_screen", lambda work, tau: (None, None, None))
     monkeypatch.setattr(product_search, "_enumerate_rank_one",
                         lambda work, rng, tol: enumerate_rank_one(work, copy.deepcopy(rng), tol))
     unscreened = [decide_rank4(s, rng=i) for i, s in enumerate(states)]
@@ -216,9 +216,10 @@ def test_sector_rank1_verdicts_do_not_depend_on_the_second_compound(monkeypatch)
         assert x.value == pytest.approx(y.value, rel=1e-8)
 
 
-def test_generic_rank4_state_enumerates_only_the_range(monkeypatch):
-    # the bound proves step (b)'s "no rank-1 sector"; only the range test
-    # of step (c), 9 minors against 10 monomials, runs the enumeration.
+def test_generic_rank4_state_runs_no_enumeration(monkeypatch):
+    # the bound proves step (b)'s "no rank-1 sector", and the null vector
+    # of the range's second compound (9 minors against 10 monomials)
+    # proves step (c)'s "no product in the range": no enumeration runs.
     # The state reaches (b) once the 2x3 scan misses, and ends at (d),
     # where the projection sweep is stubbed to miss as well
     miss_3x3_scan(monkeypatch)
@@ -230,7 +231,7 @@ def test_generic_rank4_state_enumerates_only_the_range(monkeypatch):
     state = random_rank_r_state(3, 3, 4, np.random.default_rng(8))
     with pytest.raises(UndecidableError, match="no product vector in its range"):
         decide_rank4(state, rng=8)
-    assert calls == [(4, 3, 3)]
+    assert calls == []
 
 
 # A seeded 3x3 rank-4 corpus, in cycles of eight: sums of 4 random

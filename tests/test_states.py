@@ -64,6 +64,20 @@ def test_hermitian_eigen_rejects_non_hermitian(rng):
         hermitian_eigen(h)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_non_finite_input_is_rejected(bad):
+    # NaN compares False against every tolerance, so it must be caught
+    # before any of them
+    m = np.eye(4, dtype=complex)
+    m[0, 0] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        BipartiteState(2, 2, m)
+    amp = np.ones(4, dtype=complex)
+    amp[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PureState(2, 2, amp)
+
+
 def test_numerical_rank_zero_matrix():
     rank, kernel = numerical_rank(np.zeros((4, 3)))
     assert rank == 0

@@ -148,6 +148,9 @@ def test_tripartite_validation():
         TripartitePure((2, 2), np.ones(4))
     with pytest.raises(ValueError):
         TripartitePure((2, 2, 2), np.zeros(8))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TripartitePure((2, 2, 2), np.append(np.ones(7), bad))
     with pytest.raises(ValueError):
         reduced_pair(ghz_state(), "AD")
     for system in ("D", "AB", ""):
