@@ -296,6 +296,7 @@ def cmd_product_test(args) -> int:
     result = find_product_vector(obj, rng=rng)
     payload["search"] = {
         "found": bool(result.found),
+        "method": result.method,
         "best_rank1_defect": result.best_defect,
     }
     if result.found:

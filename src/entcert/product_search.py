@@ -733,6 +733,13 @@ def product_in_both_ranges(ker, ker_gamma, rng=7, tol: ToleranceConfig = DEFAULT
     enumerates them all.  The candidate with the smallest relative
     singular value of L(v) is accepted if that is below residual_tol, and
     refined by Newton's method.
+
+    Returns None or (a, b, accepted).  accepted holds every candidate
+    whose defect passes the same test, as unit (a, b) pairs, best first
+    and not refined, when the candidates are a finite set that holds
+    every product in both ranges: the two-parameter eigenvalues or the
+    two Bloch points.  It is empty for the dimension count, a hyperplane
+    section and the Bloch circle, whose products form families.
     """
     n = ker.shape[0] // 2
     k = ker.conj().T.reshape(-1, 2, n)  # condition (a_0 k[l, 0] + a_1 k[l, 1]) . b = 0
@@ -744,9 +751,11 @@ def product_in_both_ranges(ker, ker_gamma, rng=7, tol: ToleranceConfig = DEFAULT
     if n == 2 and len(k) == len(g) == 1:
         v = _bloch_zeros(np.outer(g[0, :, 1], k[0, :, 0])
                          - np.outer(g[0, :, 0], k[0, :, 1]))
+        finite = len(v) == 2
     else:
         # a real root comes out up to a complex factor
-        v = _parameter_candidates(comp, comp.conj(), as_rng(rng))[0]
+        v, method = _parameter_candidates(comp, comp.conj(), as_rng(rng))
+        finite = method == _METHODS[3]
         v = (v / v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)][:, None]).real
     # one zero row keeps L(v) nonempty and puts a zero singular value
     # last whenever d < n
@@ -757,9 +766,17 @@ def product_in_both_ranges(ker, ker_gamma, rng=7, tol: ToleranceConfig = DEFAULT
     best = int(np.argmin(defect))
     if not defect[best] <= tol.residual_tol:
         return None
+    order = np.argsort(defect, kind="stable") if finite else []
+    accepted = tuple(_unit_pair(v[c], vh[c, -1].conj()) for c in order
+                     if defect[c] <= tol.residual_tol)
     v, b = v[best], vh[best, -1].conj()
     if d >= n:
         v, b = _newton(comp, v, b)
+    return (*_unit_pair(v, b), accepted)
+
+
+def _unit_pair(v, b):
+    """The unit (a, b) of a = (v0, v1 + i v2)."""
     a = np.array([v[0], v[1] + 1j * v[2]])
     return a / np.linalg.norm(a), b / np.linalg.norm(b)
 

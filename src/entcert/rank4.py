@@ -7,13 +7,13 @@ contains a product vector.  The decision tree:
 * max local rank 4: rank equals the max, so the rank-max machinery
   decides (PPT -> N products, NPT -> projection witness);
 * 3x3 locals: a PPT state's range is searched for product vectors
-  first; when four of them diagonalize the state it is separable, with
-  them as the certificate.  An NPT state first scans the coordinate 2x3
-  blocks of rho^G, and a negative one is its witness.  Every other
-  state goes through reducibility, then rank-1 sector directions, then
-  a product vector in the range (a PPT state reuses its search): an
-  NPT state with one enters a gauge-fixing cascade that ends in a
-  negative 2x3 block of the gauged state;
+  first; when four of them rebuild the state with positive weights it
+  is separable, with them as the certificate.  An NPT state first
+  scans the coordinate 2x3 blocks of rho^G, and a negative one is its
+  witness.  Every other state goes through reducibility, then rank-1
+  sector directions, then a product vector in the range (a PPT state
+  reuses its search): an NPT state with one enters a gauge-fixing
+  cascade that ends in a negative 2x3 block of the gauged state;
 * PPT with no product vector in range: PPT entangled;
 * NPT with no product vector in range and no negative 2x3 block: the
   checkerboard proof's projection sweep, whose negative compression is
@@ -22,8 +22,11 @@ contains a product vector.  The decision tree:
 Also hosts the peeling decomposition for two-level-by-N PPT states
 (Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302 (2000)), whose
 products come from the exact search product_in_both_ranges, and the
-separable_decomposition dispatcher.  classify_state lives here
-because it and decide_rank4 call each other: the components of a
+separable_decomposition dispatcher.  The peeling ends the way the 3x3
+tree does: once the search's finite candidate set holds r products
+that rebuild the rank-r remainder, _range_product_basis, the one
+range-product readout of both, reads them off.  classify_state lives
+here because it and decide_rank4 call each other: the components of a
 reducible rank-4 state are classified by classify_state.
 
 The tree's exits build certificates unchecked; decide_rank4,
@@ -65,6 +68,7 @@ from .criteria import (
 )
 from .linalg import (
     check_hermitian, complete_rows, dagger, frob, kron, numerical_rank, psd_eigen, psd_range,
+    rel_residual,
 )
 from .product_search import product_in_both_ranges, rank_one_in_span
 from .random_states import as_rng, complex_gaussian
@@ -108,6 +112,32 @@ def _pinv_quadratic(split, vec):
     return float(np.sum(coeffs[nullity:] / w[nullity:]))
 
 
+def _range_product_basis(matrix, tol, pairs, r):
+    """r weighted products summing to the rank-r PSD matrix, drawn from
+    the (a, b) product vectors of its range, or None when no r of them
+    do.
+
+    For independent e_1..e_r in R(rho), rho = E Lambda E^dag with
+    Lambda = E^+ rho E^+dag.  The first r-subset whose weights
+    lambda_kk are positive and rebuild rho, sum_k lambda_kk |e_k><e_k|
+    within the relative residual that validate_certificate allows,
+    gives the decomposition: the final readout of the 3x3 tree's step
+    (0) and of the 2xN peeling.
+    """
+    units = [(a / np.linalg.norm(kron(a, b)), b) for a, b in pairs]
+    for subset in combinations(units, r):
+        e = np.column_stack([kron(a, b) for a, b in subset])
+        if numerical_rank(e, tol)[0] < r:
+            continue
+        e_pinv = np.linalg.pinv(e)
+        lam = e_pinv @ matrix @ dagger(e_pinv)
+        weights = np.real(np.diag(lam))
+        if (np.all(weights > 0)
+                and rel_residual((e * weights) @ dagger(e), matrix) <= tol.residual_tol):
+            return [(np.sqrt(w) * a, b) for w, (a, b) in zip(weights, subset)]
+    return None
+
+
 def _peel_two_by_n(state: BipartiteState, rng):
     """Separable decomposition for PPT states with a 2-level A side.
 
@@ -116,6 +146,16 @@ def _peel_two_by_n(state: BipartiteState, rng):
     lowers rank(rho) + rank(rho^G), and the final rank-N remainder is
     decomposed by the rank-max route.  Valid for M(locals) = 2 and
     N <= 3, where PPT implies separable.
+
+    A step whose search returns a finite candidate set (the
+    two-parameter eigenvalues or the two Bloch points) holding at least
+    r = rank(rho) products, with rank(rho^G) <= r as any r-term product
+    decomposition forces, first tries the range-product readout on
+    them: r candidates that rebuild the remainder with positive weights
+    end the peeling, with no further subtraction and no rank-N tail.
+    The readout draws no random numbers.  On a 2x3 sum of 4 to 8
+    products it ends the peeling; a 2x2 sum, whose candidates form a
+    Bloch circle or the dimension count's family, ends in the tail.
 
     The steps work on matrices.  rho is decomposed once at entry; each
     step decomposes rho^G, the remainder and the remainder's two
@@ -138,7 +178,7 @@ def _peel_two_by_n(state: BipartiteState, rng):
         if len(w) - nullity <= local_rank:
             break
         gamma_split = psd_eigen(partial_transpose_matrix(mat, 2, n), tol)
-        _, v_gamma, nullity_gamma = gamma_split
+        w_gamma, v_gamma, nullity_gamma = gamma_split
         found = product_in_both_ranges(v[:, np.arange(nullity)],
                                        v_gamma[:, np.arange(nullity_gamma)], rng, tol)
         if found is None:
@@ -146,7 +186,12 @@ def _peel_two_by_n(state: BipartiteState, rng):
                 "peeling failed: no product vector found in both ranges; "
                 "PPT separable inputs are guaranteed to admit one, so this "
                 "signals a numerics problem or a non-separable input")
-        a, b = found
+        a, b, accepted = found
+        rank = len(w) - nullity
+        if len(accepted) >= rank >= len(w_gamma) - nullity_gamma:
+            readout = _range_product_basis(mat, tol, accepted, rank)
+            if readout is not None:
+                return products + readout
         e = kron(a, b)
         lam = min(
             1.0 / max(_pinv_quadratic(rho_split, e), 1.0e-300),
@@ -536,29 +581,6 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
     return verdict
 
 
-def _range_product_basis(state: BipartiteState, products):
-    """Weighted products summing to a separable 3x3 rank-4 state, drawn
-    from the (a, b, coefficients) product vectors of its range, or None
-    when no four of them do.
-
-    For independent e_1..e_4 in R(rho), rho = E Lambda E^dag with
-    Lambda = E^+ rho E^+dag; the first 4-subset whose Lambda is diagonal
-    and positive gives rho = sum_k lambda_k |e_k><e_k|.
-    """
-    units = [(a / np.linalg.norm(kron(a, b)), b) for a, b, _ in products]
-    for subset in combinations(units, 4):
-        e = np.column_stack([kron(a, b) for a, b in subset])
-        if numerical_rank(e, state.tol)[0] < 4:
-            continue
-        e_pinv = np.linalg.pinv(e)
-        lam = e_pinv @ state.matrix @ dagger(e_pinv)
-        weights = np.real(np.diag(lam))
-        if (frob(lam - np.diag(np.diag(lam))) <= state.tol.residual_tol * frob(lam)
-                and np.all(weights > 0)):
-            return [(np.sqrt(w) * a, b) for w, (a, b) in zip(weights, subset)]
-    return None
-
-
 def _reducible_verdict(restricted: BipartiteState, rng):
     """Step (a) of the 3x3 tree: the verdict of a B- or A-reducible
     state, or None for an irreducible one.
@@ -635,7 +657,7 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
         return Rank4Verdict(Distillable(w), ("small-locals",))
 
     # (0) PPT only: the state is separable iff its range holds a product,
-    # and then four of the range's products diagonalize it, so the range
+    # and then four of the range's products rebuild it, so the range
     # is searched first.  A separable range's products are read off the
     # null space of its second compound, and "no product" in the range
     # of the tiles UPB or a PPT checkerboard is proved by its null
@@ -649,7 +671,8 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
     if ppt_flag:
         range_w, range_q = psd_range(restricted.matrix, restricted.tol)
         prod = rank_one_in_span(range_q.T.reshape(-1, 3, 3), rng=rng, tol=restricted.tol)
-        products = _range_product_basis(restricted, prod.products)
+        products = _range_product_basis(
+            restricted.matrix, restricted.tol, [(a, b) for a, b, _ in prod.products], 4)
         if products is not None:  # decide_rank4 validates it in the caller's frame
             return Rank4Verdict(Separable(products=tuple(products)),
                                 ("product-in-range", "range-product-basis"))

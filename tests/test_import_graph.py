@@ -4,8 +4,8 @@ ranks with psd_eigen, the common eigenbases of commuting normal block
 families come from linalg.common_eigenbasis, the witness constructions
 that theorems back draw no random numbers, no function takes a
 restart budget, only the public verdict functions check certificates,
-the rank-4 tree never uses the trivial-submatrix scan, and the named
-families compute no witness.
+the rank-4 tree never uses the trivial-submatrix scan and reads range
+products in one helper, and the named families compute no witness.
 
 Reads the source with ast only (nothing is imported), so a cycle that
 an import inside a function would hide at load time is still reported.
@@ -198,3 +198,18 @@ def test_only_the_rank4_tree_runs_the_projection_sweep():
                and "_structured_projection_sweep" in {getattr(node.func, "id", None),
                                                       getattr(node.func, "attr", None)}]
     assert len(callers) == 1 and callers[0].startswith("rank4.py:"), callers
+
+
+def test_rank4_reads_range_products_in_one_helper():
+    # the 3x3 tree's step (0) and the 2xN peeling end a separable state
+    # by the same readout, so its pinv and weights exist once
+    tree = _modules()["rank4"]
+    funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for caller in ("_peel_two_by_n", "_decide_rank4_local"):
+        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                  for node in ast.walk(funcs[caller]) if isinstance(node, ast.Call)}
+        assert "_range_product_basis" in called, f"rank4.{caller} skips _range_product_basis"
+    pinv = sorted({name for name, func in funcs.items()
+                   for node in ast.walk(func) if isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) == "pinv"})
+    assert pinv == ["_range_product_basis"], "rank4 calls pinv in " + ", ".join(pinv)

@@ -14,7 +14,7 @@ from entcert.io import (
     save_state,
 )
 from entcert.product_search import (
-    Subspace, random_product_containing_subspace, random_subspace,
+    Subspace, find_product_vector, random_product_containing_subspace, random_subspace,
 )
 from entcert.random_states import complex_gaussian, random_rank_r_state
 from entcert.states import BipartiteState
@@ -287,6 +287,26 @@ def test_cli_product_test_decides_a_generic_5x5_span_by_the_second_compound(tmp_
     search = json.loads(proc.stdout)["payload"]["search"]
     assert search["found"] is False
     assert search["best_rank1_defect"] > 1e-6
+
+
+def test_cli_product_test_names_the_method_behind_its_defect(tmp_path, rng):
+    # a proved lower bound and a tested defect share best_rank1_defect, so
+    # the payload says which one it holds
+    planted = random_product_containing_subspace(2, 4, 3, rng)
+    generic = Subspace(3, 3, complex_gaussian(rng, (4, 9)))
+    searches = []
+    for name, sub in (("planted", planted), ("generic", generic)):
+        path = tmp_path / f"{name}.json"
+        save_state(sub, path)
+        proc = run_cli(["product-test", str(path)])
+        assert proc.returncode == 0
+        searches.append(json.loads(proc.stdout)["payload"]["search"])
+    planted_search, generic_search = searches
+    expected = find_product_vector(planted, rng=np.random.default_rng(7))
+    assert planted_search["found"] is True
+    assert planted_search["method"] == expected.method == "second compound null space"
+    assert generic_search["found"] is False
+    assert generic_search["method"] == "second compound null vector"
 
 
 def test_cli_env_override(tmp_path, monkeypatch):

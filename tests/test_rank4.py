@@ -231,9 +231,12 @@ def test_peeling_corpus_decomposes_and_each_step_is_exact(monkeypatch):
         cert = Separable(products=tuple(products))
         assert rel_residual(cert.reconstruct(m, n), state.matrix) < 1e-8
     circles = 0
-    for ker, ker_gamma, (a, b) in steps:
+    for ker, ker_gamma, (a, b, accepted) in steps:
         assert np.linalg.norm(ker.conj().T @ np.kron(a, b)) < 1e-10
         assert np.linalg.norm(ker_gamma.conj().T @ np.kron(a.conj(), b)) < 1e-10
+        for a, b in accepted:
+            assert np.linalg.norm(ker.conj().T @ np.kron(a, b)) < 1e-8
+            assert np.linalg.norm(ker_gamma.conj().T @ np.kron(a.conj(), b)) < 1e-8
         # 2x2 with rank 3 on both sides: the zeros form a Bloch circle
         circles += ker.shape == ker_gamma.shape == (4, 1)
     assert circles > 0
@@ -270,11 +273,37 @@ def test_peeling_decomposes_rho_and_rho_gamma_once_per_step(shape, terms, monkey
     products = separable_decomposition(state, rng=rng)
     assert rel_residual(Separable(products=tuple(products)).reconstruct(*shape),
                         state.matrix) < 1e-8
-    # rho once at entry; per step rho^G, the remainder and its two
-    # marginals, the remainder's split serving as the next step's rho;
-    # one state, for the rank-N tail
-    assert steps and len(splits) == 1 + 4 * len(steps)
-    assert len(built) == 1
+    # rho once at entry; per step rho^G and, unless the range-product
+    # readout ends the peeling there, the remainder and its two marginals,
+    # the remainder's split serving as the next step's rho.  A 2x2 sum
+    # ends in the rank-N tail, its one state; a 2x3 or 3x2 sum ends in the
+    # readout, which decomposes nothing and builds no state
+    readout = shape != (2, 2)
+    assert steps and len(splits) == 1 + 4 * len(steps) - 3 * readout
+    assert len(built) == 1 - readout
+
+
+def test_peeling_stress_ends_in_the_range_product_readout(monkeypatch):
+    # sums of 3-8 random products, seven per shape, term count and seed.
+    # A 2x3 or 3x2 peeling reaches a step whose both-ranges candidates
+    # are finite and rebuild the remainder, so no sum of 4-8 products
+    # runs the rank-N tail; 2x2 sums end there, their candidates being a
+    # Bloch circle or the dimension count
+    tails, tail = [], rank4._rank_n_products
+    monkeypatch.setattr(rank4, "_rank_n_products",
+                        lambda *a: tails.append(1) or tail(*a))
+    for m, n in ((2, 2), (2, 3), (3, 2)):
+        for terms in range(3, 9):
+            for seed in range(3):
+                rng = np.random.default_rng([m, n, terms, seed])
+                del tails[:]
+                for _ in range(7):
+                    state = random_product_sum(m, n, terms, rng)
+                    cert = classify_state(state, rng=rng)
+                    assert isinstance(cert, Separable)
+                    validate_certificate(state, cert)
+                if (m, n) != (2, 2) and terms >= 4:
+                    assert not tails, (m, n, terms, seed)
 
 
 def test_decide_rank4_splits_the_restricted_range_once(rng, monkeypatch):
@@ -479,7 +508,10 @@ def test_ppt_rank4_states_run_no_2x3_scan(rng, monkeypatch):
 def test_decide_rank4_gives_no_wrong_verdict_under_ill_conditioned_ilos():
     # 30 sums of 4 products, 30 planted products, 10 tiles, 10 generic
     # states; under A (x) B of condition number kappa each call either
-    # raises or returns the verdict type it returns for a unitary A (x) B
+    # raises or returns the verdict type it returns for a unitary A (x) B.
+    # The range-product readout judges the residual that validation
+    # checks, so at kappa = 1e3 it decomposes the separable items whose
+    # products rebuild the state within residual_tol, 14 of the 30
     rng = np.random.default_rng(15)
     corpus = [random_product_sum(3, 3, 4, rng) for _ in range(30)]
     for _ in range(30):
@@ -488,7 +520,7 @@ def test_decide_rank4_gives_no_wrong_verdict_under_ill_conditioned_ilos():
         corpus.append(BipartiteState.from_vectors(3, 3, vecs))
     corpus += [make_tiles_upb()] * 10
     corpus += [random_rank_r_state(3, 3, 4, rng) for _ in range(10)]
-    wrong = []
+    wrong, separable = [], 0
     for index, state in enumerate(corpus):
         conj = apply_local(state, ill_conditioned(1, rng), ill_conditioned(1, rng))
         expected = type(decide_rank4(conj, rng=index).outcome)
@@ -500,7 +532,9 @@ def test_decide_rank4_gives_no_wrong_verdict_under_ill_conditioned_ilos():
                 continue
             if not isinstance(outcome, expected):
                 wrong.append((index, kappa, expected.__name__, type(outcome).__name__))
+            separable += index < 30 and kappa == 1e3 and isinstance(outcome, Separable)
     assert not wrong
+    assert separable >= 14
 
 
 def test_irreducible_state_reducibility_test_runs_no_kernel_svd_and_no_swapped_state(

@@ -109,7 +109,7 @@ def test_cascade_separable_terminus_from_gauge_state():
     assert verdict.trail == ("product-in-range", "range-product-basis")
     products = range_products(state)
     assert len(products) == 4
-    outcome = Separable(products=tuple(_range_product_basis(state, products)))
+    outcome = Separable(products=tuple(range_product_basis(state, products)))
     assert validate_certificate(state, outcome)["reconstruction_residual"] < 1e-12
     with pytest.raises(RuntimeError, match="terminus"):
         _product_cascade(state, aa, bb, as_rng(3), ())
@@ -267,6 +267,11 @@ def range_products(state):
     return find_product_vector(sub, rng=0).products
 
 
+def range_product_basis(state, products):
+    """_range_product_basis on the (a, b) pairs of search products."""
+    return _range_product_basis(state.matrix, state.tol, [(a, b) for a, b, _ in products], 4)
+
+
 def test_small_d1_takes_the_zero_branch_only_with_a_rank1_sector():
     # one anchor of this separable state leaves d1 at 4.6e-5 relative:
     # "zero" for the sqrt(residual_tol) test, yet its sector is not rank 1,
@@ -295,13 +300,13 @@ def test_range_product_basis_is_none_without_four_diagonalizing_products(rng):
     state = random_product_sum(3, 3, 4, rng)
     products = range_products(state)
     assert len(products) == 4
-    outcome = Separable(products=tuple(_range_product_basis(state, products)))
+    outcome = Separable(products=tuple(range_product_basis(state, products)))
     assert validate_certificate(state, outcome)["reconstruction_residual"] < 1e-12
-    assert _range_product_basis(state, products[:3]) is None
-    # three range products and one product from outside the range: Lambda
-    # is not diagonal
+    assert range_product_basis(state, products[:3]) is None
+    # three range products and one product from outside the range: their
+    # weighted projectors leave the state's fourth direction unbuilt
     stray = (complex_gaussian(rng, 3), complex_gaussian(rng, 3), None)
-    assert _range_product_basis(state, products[:3] + (stray,)) is None
+    assert range_product_basis(state, products[:3] + (stray,)) is None
 
 
 def test_irreducible_ppt_state_whose_products_diagonalize_nothing_names_the_failure(
