@@ -603,10 +603,13 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
 
     u1 = dagger(basis)  # A-op: sigma_A range spans the first r coordinates
     psi_r = kron(dagger(qa), dagger(qb)) @ psi.amplitudes
-    k_mat = (u1 @ psi_r.reshape(m, n))
+    # unit norm, so that the B operator built from its rows, and with it
+    # the projected state, scale with the state
+    k_mat = u1 @ psi_r.reshape(m, n)
+    k_mat = k_mat / frob(k_mat)
     tail = k_mat[r:, :]
     uu, ss, _ = np.linalg.svd(tail)
-    if singular_rank(ss, tail.shape, state.tol, scale=frob(k_mat)) == 0:
+    if singular_rank(ss, tail.shape, state.tol, scale=1.0) == 0:
         raise ValueError("psi has no component outside range(sigma_A)")
     # unitary on the complement whose last row maps the tail onto row M
     w_rot = np.roll(uu, -1, axis=1)
@@ -623,7 +626,7 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
         score = float(np.linalg.norm(resid))
         if score > best_score:
             best_k, best_score = k, score
-    if best_k is None or best_score <= state.tol.residual_tol * max(frob(k2), 1.0):
+    if best_k is None or best_score <= state.tol.residual_tol:
         raise ValueError("all rows of psi are parallel; psi is not entangled")
 
     s_cols = np.zeros((n, n), dtype=complex)

@@ -723,23 +723,44 @@ def product_in_both_ranges(ker, ker_gamma, rng=7, tol: ToleranceConfig = DEFAULT
     and conj(a) (x) b orthogonal to those of ker_gamma, or None.
 
     With ker and ker_gamma the kernels of rho and rho^G this is a product
-    in R(rho) whose A-conjugate lies in R(rho^G).  Write a = (v0, v1 + i
-    v2) with v real: both conditions stack into one d x n matrix L(v),
-    linear in v, and b is a null vector of it.  Every v works when
-    d < n.  For the single 2 x 2 case det L(v) = <a|Y|a>, whose zeros
-    have a closed form on the Bloch sphere.  Otherwise every real root is
-    a common root of det(r1 L(v)) and det(r2 conj(L)(v)), conj(L) having
-    conjugated coefficients, so the two-parameter eigenvalue problem
-    enumerates them all.  The candidate with the smallest relative
-    singular value of L(v) is accepted if that is below residual_tol, and
-    refined by Newton's method.
+    in R(rho) whose A-conjugate lies in R(rho^G).  An exact search
+    (_both_ranges_candidates) lists the candidates; the best one, if its
+    relative defect is below residual_tol, is refined by Newton's method
+    (_refine_candidate).  The 2xN peeling runs the two apart, so that it
+    refines only a product it subtracts.
 
     Returns None or (a, b, accepted).  accepted holds every candidate
-    whose defect passes the same test, as unit (a, b) pairs, best first
-    and not refined, when the candidates are a finite set that holds
-    every product in both ranges: the two-parameter eigenvalues or the
-    two Bloch points.  It is empty for the dimension count, a hyperplane
-    section and the Bloch circle, whose products form families.
+    that passes the same test, unrefined, when the candidates are a
+    finite set that holds every product in both ranges, and is empty
+    otherwise.
+    """
+    found = _both_ranges_candidates(ker, ker_gamma, rng, tol)
+    if found is None:
+        return None
+    best, accepted = found
+    return (*_refine_candidate(*best), accepted)
+
+
+def _both_ranges_candidates(ker, ker_gamma, rng, tol):
+    """The search of product_in_both_ranges: None, or (best, accepted)
+    with best = (comp, v, b) the unrefined best candidate.
+
+    Write a = (v0, v1 + i v2) with v real: both conditions stack into one
+    d x n matrix L(v) = sum_c comp[:, :, c] v_c, linear in v, and b is a
+    null vector of it.  Every v works when d < n.  For the single 2 x 2
+    case det L(v) = <a|Y|a>, whose zeros have a closed form on the Bloch
+    sphere.  Otherwise every real root is a common root of det(r1 L(v))
+    and det(r2 conj(L)(v)), conj(L) having conjugated coefficients, so
+    the two-parameter eigenvalue problem enumerates them all.  The
+    candidate with the smallest relative singular value of L(v) is best,
+    and is returned if that is below residual_tol.
+
+    accepted holds every candidate whose defect passes the same test, as
+    unit (a, b) pairs, best first and not refined, when the candidates
+    are a finite set that holds every product in both ranges: the
+    two-parameter eigenvalues or the two Bloch points.  It is empty for
+    the dimension count, a hyperplane section and the Bloch circle, whose
+    products form families.
     """
     n = ker.shape[0] // 2
     k = ker.conj().T.reshape(-1, 2, n)  # condition (a_0 k[l, 0] + a_1 k[l, 1]) . b = 0
@@ -747,7 +768,6 @@ def product_in_both_ranges(ker, ker_gamma, rng=7, tol: ToleranceConfig = DEFAULT
     comp = np.stack([np.concatenate([k[:, 0], g[:, 0]]),
                      np.concatenate([k[:, 1], g[:, 1]]),
                      np.concatenate([1j * k[:, 1], -1j * g[:, 1]])], axis=2)
-    d = len(comp)
     if n == 2 and len(k) == len(g) == 1:
         v = _bloch_zeros(np.outer(g[0, :, 1], k[0, :, 0])
                          - np.outer(g[0, :, 0], k[0, :, 1]))
@@ -769,10 +789,16 @@ def product_in_both_ranges(ker, ker_gamma, rng=7, tol: ToleranceConfig = DEFAULT
     order = np.argsort(defect, kind="stable") if finite else []
     accepted = tuple(_unit_pair(v[c], vh[c, -1].conj()) for c in order
                      if defect[c] <= tol.residual_tol)
-    v, b = v[best], vh[best, -1].conj()
-    if d >= n:
+    return (comp, v[best], vh[best, -1].conj()), accepted
+
+
+def _refine_candidate(comp, v, b):
+    """The unit (a, b) of a both-ranges candidate (v, b), refined by
+    Newton's method when L(v) has at least as many rows as b has entries,
+    so that the root is isolated."""
+    if len(comp) >= len(b):
         v, b = _newton(comp, v, b)
-    return (*_unit_pair(v, b), accepted)
+    return _unit_pair(v, b)
 
 
 def _unit_pair(v, b):

@@ -21,11 +21,13 @@ contains a product vector.  The decision tree:
 
 Also hosts the peeling decomposition for two-level-by-N PPT states
 (Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302 (2000)), whose
-products come from the exact search product_in_both_ranges, and the
-separable_decomposition dispatcher.  The peeling ends the way the 3x3
-tree does: once the search's finite candidate set holds r products
-that rebuild the rank-r remainder, _range_product_basis, the one
-range-product readout of both, reads them off.  classify_state lives
+products come from the exact both-ranges search of product_search, and
+the separable_decomposition dispatcher.  The peeling ends the way the
+3x3 tree does: once the search's finite candidate set holds r = max(rank
+rho, rank rho^G) products that rebuild the side of rank r,
+_range_product_basis, the one range-product readout of both, reads them
+off.  Only a product the peeling subtracts is refined by Newton's
+method.  classify_state lives
 here because it and decide_rank4 call each other: the components of a
 reducible rank-4 state are classified by classify_state.
 
@@ -70,7 +72,7 @@ from .linalg import (
     check_hermitian, complete_rows, dagger, frob, kron, numerical_rank, psd_eigen, psd_range,
     rel_residual,
 )
-from .product_search import product_in_both_ranges, rank_one_in_span
+from .product_search import _both_ranges_candidates, _refine_candidate, rank_one_in_span
 from .random_states import as_rng, complex_gaussian
 from .states import (
     BipartiteState,
@@ -138,6 +140,11 @@ def _range_product_basis(matrix, tol, pairs, r):
     return None
 
 
+def _conj_a(pairs):
+    """The pairs (conj(a), b) of pairs (a, b)."""
+    return [(a.conj(), b) for a, b in pairs]
+
+
 def _peel_two_by_n(state: BipartiteState, rng):
     """Separable decomposition for PPT states with a 2-level A side.
 
@@ -149,13 +156,18 @@ def _peel_two_by_n(state: BipartiteState, rng):
 
     A step whose search returns a finite candidate set (the
     two-parameter eigenvalues or the two Bloch points) holding at least
-    r = rank(rho) products, with rank(rho^G) <= r as any r-term product
-    decomposition forces, first tries the range-product readout on
-    them: r candidates that rebuild the remainder with positive weights
-    end the peeling, with no further subtraction and no rank-N tail.
-    The readout draws no random numbers.  On a 2x3 sum of 4 to 8
-    products it ends the peeling; a 2x2 sum, whose candidates form a
-    Bloch circle or the dimension count's family, ends in the tail.
+    r = max(rank(rho), rank(rho^G)) products, the fewest any product
+    decomposition of the remainder has, first tries the range-product
+    readout on the side of rank r: on rho with the pairs (a, b), or on
+    rho^G with (conj(a), b), whose weights rebuild rho as well since
+    (conj(a) conj(a)^dag)^{T_A} = a a^dag.  r candidates that rebuild
+    it with positive weights end the peeling, with no further
+    subtraction and no rank-N tail.  The readout draws no random
+    numbers.  A 2x3 sum of 4 products ends at the first search, of 5 at
+    the second, and of 6 to 8 at the fourth; a 2x2 sum, whose candidates
+    form a Bloch circle or the dimension count's family, ends in the
+    tail.  The search's best candidate is refined by Newton's method
+    only on a step that subtracts it.
 
     The steps work on matrices.  rho is decomposed once at entry; each
     step decomposes rho^G, the remainder and the remainder's two
@@ -177,21 +189,29 @@ def _peel_two_by_n(state: BipartiteState, rng):
         w, v, nullity = rho_split
         if len(w) - nullity <= local_rank:
             break
-        gamma_split = psd_eigen(partial_transpose_matrix(mat, 2, n), tol)
+        mat_gamma = partial_transpose_matrix(mat, 2, n)
+        gamma_split = psd_eigen(mat_gamma, tol)
         w_gamma, v_gamma, nullity_gamma = gamma_split
-        found = product_in_both_ranges(v[:, np.arange(nullity)],
-                                       v_gamma[:, np.arange(nullity_gamma)], rng, tol)
+        found = _both_ranges_candidates(v[:, np.arange(nullity)],
+                                        v_gamma[:, np.arange(nullity_gamma)], rng, tol)
         if found is None:
             raise RuntimeError(
                 "peeling failed: no product vector found in both ranges; "
                 "PPT separable inputs are guaranteed to admit one, so this "
                 "signals a numerics problem or a non-separable input")
-        a, b, accepted = found
-        rank = len(w) - nullity
-        if len(accepted) >= rank >= len(w_gamma) - nullity_gamma:
-            readout = _range_product_basis(mat, tol, accepted, rank)
+        best, accepted = found
+        rank, rank_gamma = len(w) - nullity, len(w_gamma) - nullity_gamma
+        if len(accepted) >= max(rank, rank_gamma):
+            if rank >= rank_gamma:
+                readout = _range_product_basis(mat, tol, accepted, rank)
+            else:
+                # (conj(a) conj(a)^dag)^{T_A} = a a^dag: weights that
+                # rebuild rho^G rebuild rho, to the same relative residual
+                readout = _range_product_basis(mat_gamma, tol, _conj_a(accepted), rank_gamma)
+                readout = None if readout is None else _conj_a(readout)
             if readout is not None:
                 return products + readout
+        a, b = _refine_candidate(*best)
         e = kron(a, b)
         lam = min(
             1.0 / max(_pinv_quadratic(rho_split, e), 1.0e-300),
@@ -204,10 +224,12 @@ def _peel_two_by_n(state: BipartiteState, rng):
         products.append((np.sqrt(lam) * a, b))
         # the subtraction leaves the eigenvalue it removed at roundoff
         # scale, of either sign; zero everything the cutoff counts as
-        # kernel, and keep the split as the next step's
+        # kernel, and keep the split as the next step's.  A negative
+        # eigenvalue is judged against the largest one of the matrix
+        # subtracted from, so the guard does not depend on scale
+        floor = -1.0e-6 * float(w[-1])
         rho_split = psd_eigen(mat - lam * np.outer(e, e.conj()), tol)
         w, v, nullity = rho_split
-        floor = -1.0e-6 * max(float(w[-1]), 1.0)
         if float(w[0]) < floor:
             raise RuntimeError(
                 f"peeling left a negative eigenvalue {w[0]:.3e}; the "

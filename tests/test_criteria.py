@@ -364,6 +364,28 @@ def test_certify_pure_plus_sigma_random_instances(rng):
         assert validate_witness(total, cert.witness) < -1e-10
 
 
+@pytest.mark.parametrize("scale", [10.0 ** e for e in range(-20, 13, 2)])
+def test_certify_pure_plus_sigma_is_scale_invariant(scale):
+    # an entangled 3x3 psi plus a sigma whose A side has rank 1; the whole
+    # state scaled by `scale` keeps the verdict, and the witness value
+    # scales with it
+    rng = np.random.default_rng(4)
+    a_vec = complex_gaussian(rng, 3)
+    sig_vecs = [np.kron(a_vec, complex_gaussian(rng, 3)) for _ in range(2)]
+    amplitudes = complex_gaussian(rng, 9)
+    root = np.sqrt(scale)
+    psi = PureState(3, 3, root * amplitudes)
+    sigma = BipartiteState.from_vectors(3, 3, [root * v for v in sig_vecs])
+    cert = certify_pure_plus_sigma(psi, sigma)
+    assert isinstance(cert, Distillable)
+    total = BipartiteState(3, 3, psi.projector() + sigma.matrix)
+    validate_certificate(total, cert)
+    unit = certify_pure_plus_sigma(PureState(3, 3, amplitudes),
+                                   BipartiteState.from_vectors(3, 3, sig_vecs))
+    assert np.isclose(validate_witness(total, cert.witness),
+                      scale * unit.witness.value, rtol=1e-6)
+
+
 def test_certify_pure_plus_sigma_rejects_product_psi(rng):
     psi = PureState(2, 2, np.kron(complex_gaussian(rng, 2), complex_gaussian(rng, 2)))
     with pytest.raises(ValueError, match="product"):

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from entcert import criteria, linalg, rank4, structure
+from entcert import criteria, linalg, product_search, rank4, structure
 from entcert.certificates import (
     Distillable,
     PptEntangled,
@@ -211,15 +211,23 @@ PEELING_CORPUS += [((2, 3), 7, [1, 196]), ((3, 2), 4, [2, 361])]
 
 
 def test_peeling_corpus_decomposes_and_each_step_is_exact(monkeypatch):
+    # each step's search, its accepted candidates and the refined product
+    # it subtracts, if it subtracts one
     steps, events = [], []
+    search, refine = rank4._both_ranges_candidates, rank4._refine_candidate
 
-    def recording(ker, ker_gamma, rng, tol):
-        found = product_in_both_ranges(ker, ker_gamma, rng, tol)
-        steps.append((ker, ker_gamma, found))
+    def searching(ker, ker_gamma, rng, tol):
+        found = search(ker, ker_gamma, rng, tol)
+        steps.append((ker, ker_gamma, found[1], []))
         return found
 
+    def refining(*best):
+        steps[-1][3].append(refine(*best))
+        return steps[-1][3][-1]
+
     split, clean = rank4.psd_eigen, rank4.check_hermitian
-    monkeypatch.setattr(rank4, "product_in_both_ranges", recording)
+    monkeypatch.setattr(rank4, "_both_ranges_candidates", searching)
+    monkeypatch.setattr(rank4, "_refine_candidate", refining)
     monkeypatch.setattr(rank4, "psd_eigen",
                         lambda *a: events.append(("split", split(*a))) or events[-1][1])
     monkeypatch.setattr(rank4, "check_hermitian",
@@ -230,10 +238,13 @@ def test_peeling_corpus_decomposes_and_each_step_is_exact(monkeypatch):
         products = separable_decomposition(state, rng=rng)
         cert = Separable(products=tuple(products))
         assert rel_residual(cert.reconstruct(m, n), state.matrix) < 1e-8
+    assert sum(len(refined) for *_, refined in steps) > len(PEELING_CORPUS)
     circles = 0
-    for ker, ker_gamma, (a, b, accepted) in steps:
-        assert np.linalg.norm(ker.conj().T @ np.kron(a, b)) < 1e-10
-        assert np.linalg.norm(ker_gamma.conj().T @ np.kron(a.conj(), b)) < 1e-10
+    for ker, ker_gamma, accepted, refined in steps:
+        assert len(refined) <= 1
+        for a, b in refined:
+            assert np.linalg.norm(ker.conj().T @ np.kron(a, b)) < 1e-10
+            assert np.linalg.norm(ker_gamma.conj().T @ np.kron(a.conj(), b)) < 1e-10
         for a, b in accepted:
             assert np.linalg.norm(ker.conj().T @ np.kron(a, b)) < 1e-8
             assert np.linalg.norm(ker_gamma.conj().T @ np.kron(a.conj(), b)) < 1e-8
@@ -259,11 +270,12 @@ def test_peeling_corpus_decomposes_and_each_step_is_exact(monkeypatch):
                 < max(1e-10, 1e-14 / gap))
 
 
-@pytest.mark.parametrize("shape, terms", [((2, 2), 6), ((2, 3), 5), ((2, 3), 7), ((3, 2), 6)])
-def test_peeling_decomposes_rho_and_rho_gamma_once_per_step(shape, terms, monkeypatch):
+@pytest.mark.parametrize("shape, terms, searches",
+                         [((2, 2), 6, 3), ((2, 3), 5, 2), ((2, 3), 7, 4), ((3, 2), 6, 4)])
+def test_peeling_decomposes_rho_and_rho_gamma_once_per_step(shape, terms, searches, monkeypatch):
     steps, splits, built = [], [], []
-    find, psd_eigen = rank4.product_in_both_ranges, rank4.psd_eigen
-    monkeypatch.setattr(rank4, "product_in_both_ranges",
+    find, psd_eigen = rank4._both_ranges_candidates, rank4.psd_eigen
+    monkeypatch.setattr(rank4, "_both_ranges_candidates",
                         lambda *a: steps.append(1) or find(*a))
     monkeypatch.setattr(rank4, "psd_eigen", lambda *a: splits.append(1) or psd_eigen(*a))
     monkeypatch.setattr(rank4, "BipartiteState",
@@ -279,7 +291,8 @@ def test_peeling_decomposes_rho_and_rho_gamma_once_per_step(shape, terms, monkey
     # ends in the rank-N tail, its one state; a 2x3 or 3x2 sum ends in the
     # readout, which decomposes nothing and builds no state
     readout = shape != (2, 2)
-    assert steps and len(splits) == 1 + 4 * len(steps) - 3 * readout
+    assert len(steps) == searches
+    assert len(splits) == 1 + 4 * len(steps) - 3 * readout
     assert len(built) == 1 - readout
 
 
@@ -304,6 +317,77 @@ def test_peeling_stress_ends_in_the_range_product_readout(monkeypatch):
                     validate_certificate(state, cert)
                 if (m, n) != (2, 2) and terms >= 4:
                     assert not tails, (m, n, terms, seed)
+
+
+def test_peeling_takes_the_fewest_searches_and_refines_only_what_it_subtracts(monkeypatch):
+    # an r-term product decomposition needs r >= max(rank rho, rank rho^G),
+    # so the readout reads the side of larger rank.  A 2x3 or 3x2 sum of 4
+    # products (kernels of dimension 2 on both sides) ends at its first
+    # search; a sum of 5 first subtracts one product found by the dimension
+    # count, which needs no Newton step; a sum of 6-8, full rank, subtracts
+    # three.  A 2x2 sum's candidates form families, so it subtracts at
+    # every step and ends in the rank-N tail
+    searches, newtons = [], []
+    search, newton = rank4._both_ranges_candidates, product_search._newton
+    monkeypatch.setattr(rank4, "_both_ranges_candidates",
+                        lambda *a: searches.append(1) or search(*a))
+    monkeypatch.setattr(product_search, "_newton", lambda *a: newtons.append(1) or newton(*a))
+    for m, n in ((2, 3), (3, 2), (2, 2)):
+        for terms in range(4, 9):
+            for seed in range(8):
+                rng = np.random.default_rng([m, n, terms, seed])
+                state = random_product_sum(m, n, terms, rng)
+                del searches[:], newtons[:]
+                separable_decomposition(state, rng=rng)
+                if (m, n) == (2, 2):
+                    assert (len(searches), len(newtons)) == (3, 1), (terms, seed)
+                else:
+                    expected = {4: 1, 5: 2}.get(terms, 4)
+                    assert (len(searches), len(newtons)) == (expected, 0), (m, n, terms, seed)
+
+
+def test_peeling_reads_a_five_term_sum_off_rho_gamma(monkeypatch):
+    # the first 5-product sum of the classify-mixed seed-1 corpus: its
+    # first subtraction drops rank rho to 4 while rho^G keeps rank 5, so
+    # the 5 accepted candidates are dependent in R(rho) and read off R(rho^G)
+    state, call_seed = mixed_corpus_item(1, 10)
+    assert call_seed == 1558605341
+    assert (state.dim_a, state.dim_b, state.rank()) == (2, 3, 5)
+    kernels, refined, readouts = [], [], []
+    search, refine, basis = (rank4._both_ranges_candidates, rank4._refine_candidate,
+                             rank4._range_product_basis)
+    monkeypatch.setattr(rank4, "_both_ranges_candidates",
+                        lambda ker, ker_gamma, *a: kernels.append(
+                            (ker.shape[1], ker_gamma.shape[1])) or search(ker, ker_gamma, *a))
+    monkeypatch.setattr(rank4, "_refine_candidate",
+                        lambda *a: refined.append(len(kernels)) or refine(*a))
+    monkeypatch.setattr(rank4, "_range_product_basis",
+                        lambda *a: readouts.append((a[3], basis(*a))) or readouts[-1][1])
+    cert = classify_state(state, rng=call_seed)
+    assert isinstance(cert, Separable) and len(cert.products) == 6
+    validate_certificate(state, cert)
+    # nullities (rho, rho^G): both 1, then 2 and 1 after one subtraction,
+    # the only refinement; the readout of the 5 products of rho^G's
+    # remainder ends the peeling
+    assert kernels == [(1, 1), (2, 1)] and refined == [1]
+    assert len(readouts) == 1 and readouts[0][0] == 5 and readouts[0][1] is not None
+
+
+@pytest.mark.parametrize("scale", [10.0 ** e for e in range(-12, 13, 2)])
+def test_peeling_negative_eigenvalue_guard_is_relative(scale, monkeypatch):
+    # a product moved off R(rho) by 3e-3 leaves a negative eigenvalue of
+    # order 1e-5 of the state's norm; the guard must see it at every scale
+    refine = rank4._refine_candidate
+
+    def perturbed(*best):
+        a, b = refine(*best)
+        return a + 3.0e-3 * np.array([1.0, -1.0j]), b
+
+    monkeypatch.setattr(rank4, "_refine_candidate", perturbed)
+    state = random_product_sum(2, 2, 4, np.random.default_rng(0))
+    scaled = BipartiteState(2, 2, scale * state.matrix, state.tol)
+    with pytest.raises(RuntimeError, match="peeling left a negative eigenvalue"):
+        separable_decomposition(scaled, rng=1)
 
 
 def test_decide_rank4_splits_the_restricted_range_once(rng, monkeypatch):
