@@ -33,7 +33,7 @@ print(f"  re-validated from the state:  {validate_witness(rho, w):+.3f}")
 
 violated, rw = reduction_criterion(rho)
 print(f"  reduction criterion violated: {violated} "
-      f"(quantity {validate_witness(rho, rw):+.3f})")
+      f"(its Schmidt-rank-2 witness {validate_witness(rho, rw):+.3f})")
 
 # --- a separable state passes every test ----------------------------------
 sep = random_product_sum(3, 3, 6, rng=1)
@@ -46,8 +46,9 @@ v1 = np.array([1, 0, 0, 0.5], complex)
 v2 = np.array([0, 1, 0, 0], complex)
 triv = BipartiteState.from_vectors(2, 2, [v1, v2])
 tw = trivially_distillable(triv)
+row, col = np.flatnonzero(tw.vector)
 print(f"\nconstructed state: rho^G has a [[*,b],[b*,0]] submatrix at "
-      f"rows ({tw.row}, {tw.col}); min eigenvalue {tw.value:+.3f}")
+      f"rows ({row}, {col}); min eigenvalue {tw.value:+.3f}")
 
 # --- Werner states: the parameter ranges ----------------------------------
 print("\nWerner family I + phi*SWAP on 3x3:")

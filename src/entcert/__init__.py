@@ -11,11 +11,8 @@ from .certificates import (
     Distillable,
     Ppt,
     PptEntangled,
-    ReductionViolationWitness,
     SchmidtRank2Witness,
     Separable,
-    TrivialSubmatrixWitness,
-    TwoByNProjectionWitness,
     Undecided,
     UndecidableError,
     validate_certificate,

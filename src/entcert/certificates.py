@@ -1,9 +1,11 @@
 """Machine-checkable verdicts and the witnesses that back them.
 
-Every Distillable verdict carries a witness that re-validates from the
-state alone; every Separable verdict carries a product decomposition
-that reconstructs the state.  Validation helpers live here so the test
-suite and the CLI re-check certificates through one code path.
+Every Distillable verdict carries one kind of witness, a Schmidt-rank-2
+vector psi valued <psi| rho^G |psi> / <psi|psi> on the state it was
+returned for, which re-validates from that state alone; every Separable
+verdict carries a product decomposition that reconstructs the state.
+Validation helpers live here so the test suite and the CLI re-check
+certificates through one code path.
 """
 
 from __future__ import annotations
@@ -14,14 +16,10 @@ from typing import Union
 import numpy as np
 
 from .linalg import dagger, kron, rel_residual
-from .states import BipartiteState, PureState, apply_local, partial_transpose, reduce, schmidt
+from .states import BipartiteState, PureState, partial_transpose, schmidt
 
 __all__ = [
-    "TrivialSubmatrixWitness",
-    "TwoByNProjectionWitness",
-    "ReductionViolationWitness",
     "SchmidtRank2Witness",
-    "Witness",
     "Separable",
     "Ppt",
     "PptEntangled",
@@ -67,88 +65,23 @@ def lifted_value(witness, phi: np.ndarray) -> float:
     (lift_through_local, a swap) of witness.vector psi on tau.
 
     <psi| tau^G |psi> = <phi| rho^G |phi>, so the normalized expectation
-    is <psi| tau^G |psi> / ||phi||^2, with no state needed.  That is
-    value ||psi||^2 for a witness whose value is the normalized
-    expectation of its vector, and value for a 2xN projection witness,
-    whose vector is the lift of the unit lowest eigenvector.
+    is value ||psi||^2 / ||phi||^2, with no state needed.
     """
     psi = np.asarray(witness.vector).reshape(-1)
-    quad = witness.value
-    if not isinstance(witness, TwoByNProjectionWitness):
-        quad *= np.vdot(psi, psi).real
     phi = np.asarray(phi).reshape(-1)
-    return float(quad / np.vdot(phi, phi).real)
-
-
-@dataclass(frozen=True)
-class TrivialSubmatrixWitness:
-    """2x2 principal submatrix of rho^G with a zero diagonal entry and
-    a nonzero off-diagonal entry; (row, col) are global indices."""
-
-    row: int
-    col: int
-    vector: np.ndarray
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "vector", _freeze(self.vector))
-
-
-@dataclass(frozen=True)
-class TwoByNProjectionWitness:
-    """A 2 x N' compression of the state whose partial transpose is negative.
-
-    a_columns (M x 2) and b_operator (N' x N, optional) define the local
-    map; the projected state is (a_columns^dag (x) b_operator) applied to
-    rho.  x is the scalar of the combination x C_i + C_j of a
-    non-commuting normal block pair, when one was used.  value is the
-    lowest eigenvalue of the projected state's partial transpose and
-    vector the lift of its unit eigenvector, so <vector| rho^G |vector>
-    = value.
-    """
-
-    a_columns: np.ndarray
-    b_operator: np.ndarray | None
-    x: complex | None
-    vector: np.ndarray
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_columns", _freeze(self.a_columns))
-        if self.b_operator is not None:
-            object.__setattr__(self, "b_operator", _freeze(self.b_operator))
-        object.__setattr__(self, "vector", _freeze(self.vector))
-
-
-@dataclass(frozen=True)
-class ReductionViolationWitness:
-    """Negative direction of rho_A (x) I - rho (side A) or I (x) rho_B - rho."""
-
-    side: str
-    eigenvector: np.ndarray
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvector", _freeze(self.eigenvector))
+    return float(witness.value * np.vdot(psi, psi).real / np.vdot(phi, phi).real)
 
 
 @dataclass(frozen=True)
 class SchmidtRank2Witness:
-    """Schmidt-rank-2 vector psi with <psi| rho^G |psi> < 0."""
+    """Schmidt-rank-2 vector psi with value = <psi| rho^G |psi> / <psi|psi>
+    < 0 on the state it certifies."""
 
     vector: np.ndarray
     value: float
 
     def __post_init__(self):
         object.__setattr__(self, "vector", _freeze(self.vector))
-
-
-Witness = Union[
-    TrivialSubmatrixWitness,
-    TwoByNProjectionWitness,
-    ReductionViolationWitness,
-    SchmidtRank2Witness,
-]
 
 
 @dataclass(frozen=True)
@@ -186,7 +119,7 @@ class PptEntangled:
 
 @dataclass(frozen=True)
 class Distillable:
-    witness: Witness
+    witness: SchmidtRank2Witness
 
 
 @dataclass(frozen=True)
@@ -203,54 +136,21 @@ def _gamma_expectation(state: BipartiteState, psi: np.ndarray) -> float:
     return float(np.real(psi.conj() @ g @ psi) / (psi.conj() @ psi).real)
 
 
-def validate_witness(state: BipartiteState, witness: Witness) -> float:
-    """Recompute the witness's negative quantity from the state alone.
+def validate_witness(state: BipartiteState, witness: SchmidtRank2Witness) -> float:
+    """Recompute the witness's normalized expectation from the state alone.
 
-    Returns the recomputed value; raises ValueError if the witness does
-    not satisfy its structural invariants.
+    Returns the recomputed value; raises ValueError if the vector does
+    not have Schmidt rank 2 or its value is not negative beyond the
+    state's floor.
     """
-    thr = state.tol.negativity_floor(state.spectral_norm)
-    if isinstance(witness, TrivialSubmatrixWitness):
-        g = partial_transpose(state)
-        k, l = witness.row, witness.col
-        sub = np.array([[g[k, k], g[k, l]], [g[l, k], g[l, l]]])
-        a, c = float(np.real(sub[0, 0])), float(np.real(sub[1, 1]))
-        b = complex(sub[0, 1])
-        if abs(b) <= thr:
-            raise ValueError("trivial-submatrix witness has vanishing off-diagonal")
-        if min(a, c) > thr:
-            raise ValueError("trivial-submatrix witness lacks a zero diagonal entry")
-        value = float(np.linalg.eigvalsh(sub)[0])
-        if value >= -thr:
-            raise ValueError("trivial submatrix is not negative")
-        return value
-    if isinstance(witness, SchmidtRank2Witness):
-        psi = PureState(state.dim_a, state.dim_b, witness.vector)
-        coeffs, _, _ = schmidt(psi, state.tol)
-        if len(coeffs) != 2:
-            raise ValueError(f"witness vector has Schmidt rank {len(coeffs)}, expected 2")
-        value = _gamma_expectation(state, witness.vector)
-        if value >= -thr:
-            raise ValueError(f"witness expectation {value:.3e} is not negative")
-        return value
-    if isinstance(witness, TwoByNProjectionWitness):
-        a = dagger(witness.a_columns)  # 2 x M compression
-        projected = apply_local(state, a, witness.b_operator)
-        value = float(np.linalg.eigvalsh(partial_transpose(projected))[0])
-        if value >= -thr:
-            raise ValueError("projected 2xN state is not NPT")
-        return value
-    if isinstance(witness, ReductionViolationWitness):
-        v = witness.eigenvector.reshape(-1)
-        if witness.side.upper() == "A":
-            op = kron(reduce(state, "A"), np.eye(state.dim_b)) - state.matrix
-        else:
-            op = kron(np.eye(state.dim_a), reduce(state, "B")) - state.matrix
-        value = float(np.real(v.conj() @ op @ v) / (v.conj() @ v).real)
-        if value >= -thr:
-            raise ValueError("reduction-criterion expectation is not negative")
-        return value
-    raise TypeError(f"unknown witness type {type(witness).__name__}")
+    psi = PureState(state.dim_a, state.dim_b, witness.vector)
+    coeffs, _, _ = schmidt(psi, state.tol)
+    if len(coeffs) != 2:
+        raise ValueError(f"witness vector has Schmidt rank {len(coeffs)}, expected 2")
+    value = _gamma_expectation(state, witness.vector)
+    if value >= -state.tol.negativity_floor(state.spectral_norm):
+        raise ValueError(f"witness expectation {value:.3e} is not negative")
+    return value
 
 
 def validate_certificate(state: BipartiteState, cert: Certificate) -> dict:

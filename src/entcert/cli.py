@@ -26,11 +26,7 @@ from .certificates import (
     Distillable,
     Ppt,
     PptEntangled,
-    ReductionViolationWitness,
-    SchmidtRank2Witness,
     Separable,
-    TrivialSubmatrixWitness,
-    TwoByNProjectionWitness,
     Undecided,
     UndecidableError,
     validate_certificate,
@@ -62,26 +58,6 @@ def _vector_payload(vec):
     return [encode_complex(z) for z in np.asarray(vec).reshape(-1)]
 
 
-def _witness_payload(w):
-    if isinstance(w, TrivialSubmatrixWitness):
-        return {"kind": "trivial-submatrix", "row": w.row, "col": w.col,
-                "value": w.value, "vector": _vector_payload(w.vector)}
-    if isinstance(w, TwoByNProjectionWitness):
-        return {"kind": "two-by-n-projection",
-                "a_columns": [_vector_payload(c) for c in w.a_columns.T],
-                "b_operator": None if w.b_operator is None
-                else [_vector_payload(r) for r in w.b_operator],
-                "x": None if w.x is None else encode_complex(w.x),
-                "value": w.value, "vector": _vector_payload(w.vector)}
-    if isinstance(w, ReductionViolationWitness):
-        return {"kind": "reduction-violation", "side": w.side,
-                "value": w.value, "vector": _vector_payload(w.eigenvector)}
-    if isinstance(w, SchmidtRank2Witness):
-        return {"kind": "schmidt-rank-2", "value": w.value,
-                "vector": _vector_payload(w.vector)}
-    raise TypeError(f"unknown witness {type(w).__name__}")
-
-
 def _certificate_payload(state, cert):
     body = {"verdict": type(cert).__name__}
     if isinstance(cert, Separable):
@@ -94,7 +70,9 @@ def _certificate_payload(state, cert):
         body["min_eig_gamma"] = cert.min_eig_gamma
         body["product_search_report"] = cert.product_search_report
     elif isinstance(cert, Distillable):
-        body["witness"] = _witness_payload(cert.witness)
+        w = cert.witness
+        body["witness"] = {"kind": "schmidt-rank-2", "value": w.value,
+                           "vector": _vector_payload(w.vector)}
     elif isinstance(cert, Undecided):
         body["report"] = cert.report
     if state is not None and not isinstance(cert, Undecided):
@@ -126,7 +104,7 @@ def _emit_text(payload, stream, indent=0):
             _emit_text(value, stream, indent + 1)
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             stream.write(f"{pad}{key}: [{len(value)} entries]\n")
-        elif key in ("vector", "products", "a_columns", "b_operator"):
+        elif key in ("vector", "products"):
             stream.write(f"{pad}{key}: [...]\n")
         else:
             stream.write(f"{pad}{key}: {value}\n")

@@ -7,9 +7,10 @@ checkerboard proof's projection sweep (the rank-4 tree's last NPT
 search), and the certified classification of states whose rank is at
 most the maximum local rank.  Below it, the reduction-criterion proof builds the witness
 with no search.  At it, both halves of the theorem (PPT -> exactly N
-products, NPT -> a 2xN projection witness) run in a `Frame`, which
-compresses a state onto its local ranges, orients it to M <= N and maps
-the results back.
+products, NPT -> the lift of a negative 2xN projection's lowest
+eigenvector) run in a `Frame`, which compresses a state onto its local
+ranges, orients it to M <= N and maps the results back.  Every witness
+is a SchmidtRank2Witness valued on the state it is returned for.
 """
 
 from __future__ import annotations
@@ -22,11 +23,8 @@ import numpy as np
 from .certificates import (
     Certificate,
     Distillable,
-    ReductionViolationWitness,
     SchmidtRank2Witness,
     Separable,
-    TrivialSubmatrixWitness,
-    TwoByNProjectionWitness,
     UndecidableError,
     lift_through_local,
     lifted_value,
@@ -80,8 +78,15 @@ def is_ppt(state: BipartiteState) -> tuple[bool, float]:
 def reduction_criterion(state: BipartiteState):
     """Test rho_A (x) I - rho >= 0 and I (x) rho_B - rho >= 0.
 
-    Returns (violated, witness) where the witness is the most negative
-    eigendirection across both sides; violation implies 1-distillability.
+    Returns (violated, witness).  A violation implies 1-distillability
+    [hst03], and the witness is built from the most negative
+    eigendirection psi across both sides with no search.  Write psi =
+    (K (x) 1) Phi, Phi = sum_i |ii> (side A; B is the mirror image).
+    sigma = (K^dag (x) 1) rho (K (x) 1) has tr sigma - <Phi| sigma |Phi>
+    = <psi| rho_A (x) 1 - rho |psi> < 0, a sum of <chi| sigma^G |chi>
+    over chi = |ij> - |ji>, i < j.  The most negative chi, lifted
+    through K^dag, is the SchmidtRank2Witness.  witness is None when the
+    criterion holds, or when that chi is not negative beyond the floor.
     """
     m, n = state.dim_a, state.dim_b
     ops = {
@@ -92,9 +97,24 @@ def reduction_criterion(state: BipartiteState):
     best = None
     for side, op in ops.items():
         w, v = np.linalg.eigh(0.5 * (op + dagger(op)))
-        if w[0] < -thr and (best is None or w[0] < best.value):
-            best = ReductionViolationWitness(side=side, eigenvector=v[:, 0], value=float(w[0]))
-    return best is not None, best
+        if w[0] < -thr and (best is None or w[0] < best[0]):
+            best = (w[0], side, v[:, 0])
+    if best is None:
+        return False, None
+    _, side, psi = best
+    psi = psi.reshape(m, n)
+    k_op = psi if side == "A" else psi.T
+    d = k_op.shape[1]
+    e = np.eye(d)
+    chis = np.array([kron(e[i], e[j]) - kron(e[j], e[i]) for i, j in combinations(range(d), 2)]).T
+    maps = (dagger(k_op), None) if side == "A" else (None, dagger(k_op))
+    vecs = lift_through_local(chis, *maps, (d, d))
+    vecs = vecs / np.maximum(np.linalg.norm(vecs, axis=0), 1.0e-300)
+    values = np.real(np.sum(vecs.conj() * (partial_transpose(state) @ vecs), axis=0))
+    k = int(np.argmin(values))
+    if values[k] >= -thr:
+        return True, None
+    return True, SchmidtRank2Witness(vector=vecs[:, k], value=float(values[k]))
 
 
 def trivially_distillable(state: BipartiteState):
@@ -102,7 +122,9 @@ def trivially_distillable(state: BipartiteState):
 
     Scan order is row-major over index pairs; the first qualifying pair
     wins.  Entries with |b| below psd_tol * |rho| or both diagonal
-    entries above it do not qualify.
+    entries above it do not qualify.  The witness is the submatrix's
+    lowest eigenvector on the two product basis states, which share no
+    local index, so it has Schmidt rank 2.
     """
     g = partial_transpose(state)
     thr = state.tol.negativity_floor(state.spectral_norm)
@@ -126,7 +148,7 @@ def trivially_distillable(state: BipartiteState):
                 continue
             vec = np.zeros(d, dtype=complex)
             vec[r1], vec[r2] = v[0, 0], v[1, 0]
-            return TrivialSubmatrixWitness(row=r1, col=r2, vector=vec, value=float(w[0]))
+            return SchmidtRank2Witness(vector=vec, value=float(w[0]))
     return None
 
 
@@ -204,10 +226,9 @@ class Frame:
 
         With a_op or b_op the witness is for (a_op (x) b_op) work
         (a_op (x) b_op)^dag.  The swap is undone by
-        <psi| (S rho S)^G |psi> = <conj(S psi)| rho^G |conj(S psi)>.  A
-        2xN projection keeps its structure only in an unswapped frame
-        that compressed no A level; otherwise the Schmidt-rank-2 form,
-        checkable on any state, is returned.
+        <psi| (S rho S)^G |psi> = <conj(S psi)| rho^G |conj(S psi)>.
+        The lifted vector keeps Schmidt rank 2, and its value is
+        recomputed for the caller's state by lifted_value.
         """
         dims = (self.work.dim_a if a_op is None else a_op.shape[0],
                 self.work.dim_b if b_op is None else b_op.shape[0])
@@ -220,12 +241,6 @@ class Frame:
             b_op = dagger(self.qb) if b_op is None else b_op @ dagger(self.qb)
         if a_op is not None or b_op is not None:
             vec = lift_through_local(vec, a_op, b_op, dims)
-        if (isinstance(witness, TwoByNProjectionWitness) and not self.swapped
-                and self.qa is not None and self.qa.shape[0] == self.qa.shape[1]):
-            return TwoByNProjectionWitness(
-                a_columns=self.qa @ witness.a_columns,
-                b_operator=witness.b_operator @ dagger(self.qb),
-                x=witness.x, vector=vec, value=witness.value)  # the same projected state
         return SchmidtRank2Witness(vector=vec, value=lifted_value(witness, vec))
 
     def lift_products(self, products) -> list:
@@ -351,34 +366,6 @@ def _structured_projection_sweep(state):
     return None
 
 
-def _reduction_pair_witness(state: BipartiteState) -> SchmidtRank2Witness:
-    """Schmidt-rank-2 witness from a reduction-criterion violation [hst03].
-
-    Write the violating psi as (K (x) 1) Phi, Phi = sum_i |ii> (side A;
-    B is the mirror image).  sigma = (K^dag (x) 1) rho (K (x) 1) has
-    tr sigma - <Phi| sigma |Phi> = <psi| rho_A (x) 1 - rho |psi> < 0, a
-    sum of <chi| sigma^G |chi> over chi = |ij> - |ji>, i < j.  The most
-    negative chi, lifted through K^dag, is returned; a state that
-    satisfies the criterion raises UndecidableError.
-    """
-    violated, rv = reduction_criterion(state)
-    if not violated:
-        raise UndecidableError(
-            "rank below the max local rank violates the reduction criterion, "
-            "but the state satisfies it; inconsistent input")
-    psi = rv.eigenvector.reshape(state.dim_a, state.dim_b)
-    k_op = psi if rv.side == "A" else psi.T
-    d = k_op.shape[1]
-    e = np.eye(d)
-    chis = np.array([kron(e[i], e[j]) - kron(e[j], e[i]) for i, j in combinations(range(d), 2)]).T
-    ops = (dagger(k_op), None) if rv.side == "A" else (None, dagger(k_op))
-    vecs = lift_through_local(chis, *ops, (d, d))
-    vecs = vecs / np.maximum(np.linalg.norm(vecs, axis=0), 1.0e-300)
-    values = np.real(np.sum(vecs.conj() * (partial_transpose(state) @ vecs), axis=0))
-    best = int(np.argmin(values))
-    return SchmidtRank2Witness(vector=vecs[:, best], value=float(values[best]))
-
-
 def _pair_state(c_block: np.ndarray, tol) -> BipartiteState:
     """The 2 (x) N state (X, I_N)^dag (X, I_N) for X = c_block."""
     n = c_block.shape[1]
@@ -428,10 +415,12 @@ def _distill_rank_max(state, rng):
 
 
 def _pair_witness(blocks, a_op, b_op, tol):
-    """2xN projection witness for an NPT state with blocks (C_1, .., I_N).
+    """Witness for an NPT state with blocks (C_1, .., I_N) from a 2xN
+    projection.
 
     The blocks are those of (a_op (x) b_op) rho (a_op (x) b_op)^dag; the
-    witness refers to rho.  A pair state (X, I_N) is NPT iff X is not
+    witness is the lift of the NPT projection's lowest eigenvector,
+    valued on rho.  A pair state (X, I_N) is NPT iff X is not
     normal.  Some C_i is not normal, or two normal C_i, C_j do not
     commute; then X = x C_i + C_j has X^dag X - X X^dag = conj(x) K +
     x K^dag with K = C_i^dag C_j - C_j C_i^dag, which is nonzero by
@@ -439,24 +428,21 @@ def _pair_witness(blocks, a_op, b_op, tol):
     """
     m, n = len(blocks), blocks[-1].shape[1]
 
-    def certify(c_block, g_cols, x_val):
+    def certify(c_block, g_cols):
         pair = _pair_state(c_block, tol)
         if is_ppt(pair)[0]:
             return None
         w, v = np.linalg.eigh(partial_transpose(pair))
         comp = dagger(g_cols)  # 2 x M compression on the working state
         vec = lift_through_local(v[:, 0], comp @ a_op, b_op, (2, n))
-        a_cols = dagger(comp @ a_op)
-        return TwoByNProjectionWitness(
-            a_columns=a_cols, b_operator=np.asarray(b_op),
-            x=x_val, vector=vec, value=float(w[0]))
+        return SchmidtRank2Witness(vector=vec, value=float(w[0]) / np.vdot(vec, vec).real)
 
     # each pair-projected state (C_i, I_N); any NPT one certifies
     for i in range(m - 1):
         g_cols = np.zeros((m, 2), dtype=complex)
         g_cols[i, 0] = 1.0
         g_cols[m - 1, 1] = 1.0
-        witness = certify(blocks[i], g_cols, None)
+        witness = certify(blocks[i], g_cols)
         if witness is not None:
             return witness
 
@@ -478,7 +464,7 @@ def _pair_witness(blocks, a_op, b_op, tol):
         g_cols[i, 0] = x
         g_cols[j, 0] = 1.0
         g_cols[m - 1, 1] = 1.0
-        witness = certify(x * blocks[i] + blocks[j], g_cols, complex(x))
+        witness = certify(x * blocks[i] + blocks[j], g_cols)
         if witness is not None:
             return witness
     raise RuntimeError(
@@ -544,10 +530,10 @@ def classify_rank_le_max(state: BipartiteState, rng=7) -> Certificate:
 
     Rank below the max local rank: distillable, with the Schmidt-rank-2
     witness the reduction-criterion proof constructs.  Rank equal to it:
-    PPT implies separable with exactly N products; NPT yields a
-    validated 2xN projection witness via the constructive procedure.
-    A construction that fails raises a named error; it never returns
-    Undecided.
+    PPT implies separable with exactly N products; NPT yields the lift
+    of a negative 2xN projection's lowest eigenvector.  Every witness
+    is valued on the state given.  A construction that fails raises a
+    named error; it never returns Undecided.
     """
     r, n = state.rank(), max(state.local_ranks())
     if r > n:
@@ -555,7 +541,12 @@ def classify_rank_le_max(state: BipartiteState, rng=7) -> Certificate:
             f"rank {r} exceeds max local rank {n}; use decide_rank4 "
             "or the general analysis for such states")
     if r < n:
-        cert = Distillable(_reduction_pair_witness(state))
+        witness = reduction_criterion(state)[1]
+        if witness is None:
+            raise UndecidableError(
+                "rank below the max local rank violates the reduction criterion, "
+                "but no witness was found for it; inconsistent input")
+        cert = Distillable(witness)
     else:
         frame = Frame.local(state)
         work = frame.work
@@ -570,7 +561,8 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
 
     psi must be entangled (Schmidt rank >= 2) and rank(sigma_A) must be
     smaller than the A-local rank of the sum.  The constructive proof
-    yields a 2xN projection that is trivially distillable.
+    yields a 2xN projection that is trivially distillable; the witness
+    is the lift of its lowest eigenvector, valued on the sum.
     """
     if not isinstance(psi, PureState):
         raise TypeError("psi must be a PureState")
@@ -648,8 +640,6 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
             "contradicts the construction and indicates a numerical issue")
     w, v = np.linalg.eigh(partial_transpose(projected))
     vec = lift_through_local(v[:, 0], a_chain, b_chain, (2, n))
-    cert = Distillable(TwoByNProjectionWitness(
-        a_columns=dagger(a_chain), b_operator=np.asarray(b_chain),
-        x=None, vector=vec, value=float(w[0])))
+    cert = Distillable(SchmidtRank2Witness(vector=vec, value=float(w[0]) / np.vdot(vec, vec).real))
     validate_certificate(state, cert)
     return cert

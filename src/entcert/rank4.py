@@ -659,11 +659,8 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
             products = local.lift_products(_rank_n_products(local.work, rng))
             return Rank4Verdict(Separable(products=tuple(products)),
                                 ("max-local-rank-4", "ppt-rank-max"))
-        # rank-4 verdicts carry the plain Schmidt-rank-2 form of the witness
-        w = local.lift_witness(_distill_rank_max(local.work, rng))
-        return Rank4Verdict(
-            Distillable(SchmidtRank2Witness(vector=w.vector, value=lifted_value(w, w.vector))),
-            ("max-local-rank-4", "npt-rank-max"))
+        return Rank4Verdict(Distillable(local.lift_witness(_distill_rank_max(local.work, rng))),
+                            ("max-local-rank-4", "npt-rank-max"))
 
     if (m, n) != (3, 3):
         # small shapes (2x2, 2x3, 3x2): PPT iff separable
@@ -813,8 +810,8 @@ def _npt_certificate(state: BipartiteState, rng, budget):
     w = schmidt2_witness(state) or _random_frame_witness(state, budget, rng)
     if w is not None:
         return Distillable(w)
-    violated, rw = reduction_criterion(state)
-    if violated:
+    rw = reduction_criterion(state)[1]
+    if rw is not None:
         # a reduction violation by itself proves 1-distillability
         return Distillable(rw)
     decomp = decompose_b_direct(state, rng=rng)

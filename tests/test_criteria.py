@@ -24,7 +24,7 @@ from entcert.criteria import (
     trivially_distillable,
 )
 from entcert.families import make_antisymmetric
-from entcert.linalg import rel_residual
+from entcert.linalg import DEFAULT_TOL, rel_residual
 from entcert.random_states import (
     complex_gaussian,
     random_invertible,
@@ -93,6 +93,18 @@ def test_reduction_criterion_antisymmetric_not_violated():
     assert not violated
 
 
+def test_reduction_violation_inside_the_floor_has_no_witness():
+    # the isotropic state p |phi><phi| + (1 - p) I / 9: the reduction
+    # operator's lowest eigenvalue is (2 - 8p) / 9, twice the value of
+    # the best pair |ij> - |ji>; at 1.5 times the floor the criterion is
+    # violated, but no Schmidt-rank-2 vector is negative beyond the floor
+    p = 0.25 + 9 * DEFAULT_TOL.psd_tol / 16
+    phi = np.eye(3).reshape(-1) / np.sqrt(3)
+    state = BipartiteState(3, 3, p * np.outer(phi, phi) + (1 - p) * np.eye(9) / 9)
+    assert reduction_criterion(state) == (True, None)
+    assert is_ppt(state)[0]
+
+
 def test_trivially_distillable_constructed():
     # rho with a [[*, 1], [1, 0]] pattern in rho^G: |00><00| + the
     # cross terms of |01><10| (Gamma maps them onto rows (0,1)/(1,0))
@@ -100,8 +112,13 @@ def test_trivially_distillable_constructed():
     v2 = np.array([0, 1, 0, 0], dtype=complex)
     state = BipartiteState.from_vectors(2, 2, [v1, v2])
     w = trivially_distillable(state)
-    assert w is not None
-    assert validate_witness(state, w) < -1e-10
+    assert isinstance(w, SchmidtRank2Witness)
+    # the lowest eigenvector of [[1, 1/2], [1/2, 0]] on |01>, |10>
+    assert np.flatnonzero(w.vector).tolist() == [1, 2]
+    assert abs(w.vector[1]) == pytest.approx(np.sin(np.pi / 8))
+    assert abs(w.vector[2]) == pytest.approx(np.cos(np.pi / 8))
+    assert (w.vector[1] * np.conj(w.vector[2])).real < 0
+    assert validate_witness(state, w) == pytest.approx((1 - np.sqrt(2)) / 2)
 
 
 def test_trivially_distillable_classical_none(rng):
@@ -237,11 +254,18 @@ def test_classify_rank_below_max_distillable(rng):
         assert validate_witness(state, cert.witness) < -1e-10
 
 
+def violated_side(state):
+    """The side whose reduction operator has the lower eigenvalue."""
+    ops = {"A": np.kron(reduce(state, "A"), np.eye(state.dim_b)) - state.matrix,
+           "B": np.kron(np.eye(state.dim_a), reduce(state, "B")) - state.matrix}
+    return min(ops, key=lambda side: np.linalg.eigvalsh(ops[side])[0])
+
+
 def test_rank_below_max_witness_is_constructed_from_the_reduction_violation():
     # every shape 2..5 x 2..5 and every rank below the max local rank,
     # rank-1 (entangled pure) states included; odd ranks are padded into
-    # larger carriers.  The witness comes from the violated side of the
-    # reduction criterion, and both sides occur.
+    # larger carriers.  The witness is the reduction criterion's, and
+    # both sides of the criterion occur.
     rng = np.random.default_rng(31)
     sides = set()
     for m in range(2, 6):
@@ -251,9 +275,9 @@ def test_rank_below_max_witness_is_constructed_from_the_reduction_violation():
                 if r % 2:
                     state = apply_local(state, random_unitary(m + 1, rng)[:, :m],
                                         random_unitary(n + 2, rng)[:, :n])
-                sides.add(reduction_criterion(state)[1].side)
+                sides.add(violated_side(state))
                 cert = classify_rank_le_max(state, rng=rng)
-                assert isinstance(cert.witness, SchmidtRank2Witness)
+                assert np.array_equal(cert.witness.vector, reduction_criterion(state)[1].vector)
                 validate_certificate(state, cert)
     assert sides == {"A", "B"}
 
@@ -292,8 +316,10 @@ def antisymmetric_plus_03():
 
 def test_classify_rank_max_npt_distillable(rng):
     # 4x3 is the side-swapped orientation: the witness found on the
-    # 3x4 working state must be pulled back through the swap
-    for dims, rank in (((3, 3), 3), ((4, 3), 4)):
+    # 3x4 working state must be pulled back through the swap.  Scaling
+    # the state by 2^k is exact in floating point, so the witness value
+    # must scale by exactly 2^k, far past unit scale both ways
+    for dims, rank in (((3, 3), 3), ((4, 3), 4), ((3, 4), 4)):
         hits = 0
         while hits < 10:
             state = random_rank_r_state(*dims, rank, rng)
@@ -302,6 +328,13 @@ def test_classify_rank_max_npt_distillable(rng):
             cert = classify_rank_le_max(state, rng=rng)
             assert isinstance(cert, Distillable)
             assert validate_witness(state, cert.witness) < -1e-10
+            unit = classify_rank_le_max(state, rng=5)
+            unit_values = (unit.witness.value, validate_witness(state, unit.witness))
+            for k in (-60, -40, -20, 20, 40, 60):
+                scaled = BipartiteState(*dims, 2.0 ** k * state.matrix, state.tol)
+                witness = classify_rank_le_max(scaled, rng=5).witness
+                values = (witness.value, validate_witness(scaled, witness))
+                assert values == tuple(2.0 ** k * v for v in unit_values)
             hits += 1
     state = antisymmetric_plus_03()
     for oriented in (state, swap_sides(state)):
@@ -364,11 +397,12 @@ def test_certify_pure_plus_sigma_random_instances(rng):
         assert validate_witness(total, cert.witness) < -1e-10
 
 
-@pytest.mark.parametrize("scale", [10.0 ** e for e in range(-20, 13, 2)])
+@pytest.mark.parametrize("scale", [10.0 ** e for e in range(-20, 21, 2)])
 def test_certify_pure_plus_sigma_is_scale_invariant(scale):
     # an entangled 3x3 psi plus a sigma whose A side has rank 1; the whole
-    # state scaled by `scale` keeps the verdict, and the witness value
-    # scales with it
+    # state scaled by `scale` keeps the verdict of certify_pure_plus_sigma
+    # and of classify_state (rank 3 = the max local rank), and each
+    # witness value scales with it
     rng = np.random.default_rng(4)
     a_vec = complex_gaussian(rng, 3)
     sig_vecs = [np.kron(a_vec, complex_gaussian(rng, 3)) for _ in range(2)]
@@ -380,10 +414,16 @@ def test_certify_pure_plus_sigma_is_scale_invariant(scale):
     assert isinstance(cert, Distillable)
     total = BipartiteState(3, 3, psi.projector() + sigma.matrix)
     validate_certificate(total, cert)
-    unit = certify_pure_plus_sigma(PureState(3, 3, amplitudes),
-                                   BipartiteState.from_vectors(3, 3, sig_vecs))
+    unit_psi = PureState(3, 3, amplitudes)
+    unit_sigma = BipartiteState.from_vectors(3, 3, sig_vecs)
+    unit = certify_pure_plus_sigma(unit_psi, unit_sigma)
     assert np.isclose(validate_witness(total, cert.witness),
                       scale * unit.witness.value, rtol=1e-6)
+    classified = classify_state(total)
+    assert isinstance(classified, Distillable)
+    value = validate_certificate(total, classified)["witness_value"]
+    unit_total = BipartiteState(3, 3, unit_psi.projector() + unit_sigma.matrix)
+    assert np.isclose(value, scale * classify_state(unit_total).witness.value, rtol=1e-9)
 
 
 def test_certify_pure_plus_sigma_rejects_product_psi(rng):
@@ -452,7 +492,13 @@ def test_pair_witness_closed_form_on_normal_noncommuting_blocks(c1, x):
     state = BipartiteState(3, 3, w.conj().T @ w)
     assert not is_ppt(state)[0]
     witness = criteria._pair_witness(blocks, eye, eye, state.tol)
-    assert witness.x == x
+    # the compression's A rows are conj(x) e_1 + e_2 and e_3, so the A
+    # side of the lifted vector lies in their span, orthogonal to
+    # (1, -x, 0), for the x that certified and for no other
+    a_side = witness.vector.reshape(3, 3)
+    for y in (1.0, 1j):
+        off_span = np.linalg.norm(np.array([1.0, -y, 0.0]).conj() @ a_side)
+        assert (off_span < 1e-12) == (y == x)
     assert validate_witness(state, witness) < -1e-10
 
 

@@ -112,7 +112,7 @@ def test_theorem_backed_witnesses_draw_no_random_numbers():
     # them would make a verdict depend on the seed
     modules = _modules()
     for module, func_name in (("criteria", "schmidt2_witness"),
-                              ("criteria", "_reduction_pair_witness"),
+                              ("criteria", "reduction_criterion"),
                               ("criteria", "_structured_projection_sweep"),
                               ("structure", "common_kernel_distill")):
         func = next(node for node in ast.walk(modules[module])

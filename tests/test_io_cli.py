@@ -8,6 +8,7 @@ import pytest
 from entcert.cli import main
 from entcert.io import (
     StateFileError,
+    decode_complex,
     doc_to_object,
     encode_complex,
     load_state,
@@ -17,7 +18,7 @@ from entcert.product_search import (
     Subspace, find_product_vector, random_product_containing_subspace, random_subspace,
 )
 from entcert.random_states import complex_gaussian, random_rank_r_state
-from entcert.states import BipartiteState
+from entcert.states import BipartiteState, partial_transpose
 from entcert.tripartite import TripartitePure
 
 
@@ -112,17 +113,35 @@ def test_non_psd_input_rejected(tmp_path):
         load_state(path)
 
 
-def test_cli_analyze_bell(tmp_path):
+def bell_state():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1.0
-    state = BipartiteState.from_vectors(2, 2, [bell])
-    path = tmp_path / "bell.json"
+    return BipartiteState.from_vectors(2, 2, [bell])
+
+
+@pytest.mark.parametrize("build, value", [
+    (bell_state, -1.0),
+    # full local ranks, M = N so no swap, NPT, rank = max local rank:
+    # the witness comes from a 2x3 projection
+    (lambda: random_rank_r_state(3, 3, 3, np.random.default_rng(0)), None),
+], ids=["bell", "rank-max-3x3"])
+def test_cli_analyze_distillable(tmp_path, build, value):
+    state = build()
+    path = tmp_path / "state.json"
     save_state(state, path)
     proc = run_cli(["analyze", str(path)])
     assert proc.returncode == 0
-    doc = json.loads(proc.stdout)
-    assert doc["payload"]["verdict"] == "Distillable"
-    assert doc["payload"]["witness"]["value"] == pytest.approx(-1.0)
+    payload = json.loads(proc.stdout)["payload"]
+    assert payload["verdict"] == "Distillable"
+    witness = payload["witness"]
+    assert witness["kind"] == "schmidt-rank-2"
+    assert set(witness) == {"kind", "value", "vector"}
+    psi = np.array([decode_complex(z, "vector") for z in witness["vector"]])
+    expectation = (psi.conj() @ partial_transpose(state) @ psi).real / np.vdot(psi, psi).real
+    assert expectation == pytest.approx(payload["revalidation"]["witness_value"], rel=1e-12)
+    assert witness["value"] == pytest.approx(expectation, rel=1e-10)
+    if value is not None:
+        assert witness["value"] == pytest.approx(value)
 
 
 def test_cli_determinism(tmp_path):

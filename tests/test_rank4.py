@@ -7,7 +7,6 @@ from entcert import criteria, linalg, product_search, rank4, structure
 from entcert.certificates import (
     Distillable,
     PptEntangled,
-    ReductionViolationWitness,
     SchmidtRank2Witness,
     Separable,
     validate_certificate,
@@ -483,8 +482,8 @@ def test_classify_state_returns_the_reduction_violation(monkeypatch):
     monkeypatch.setattr(rank4, "schmidt2_witness", lambda *a, **k: None)
     monkeypatch.setattr(rank4, "_random_frame_witness", lambda *a, **k: None)
     cert = classify_state(state, rng=3)
-    assert isinstance(cert.witness, ReductionViolationWitness)
-    validate_certificate(state, cert)
+    assert isinstance(cert.witness, SchmidtRank2Witness)
+    assert validate_certificate(state, cert)["witness_value"] == pytest.approx(-6.025, abs=1e-3)
 
 
 def test_decide_rank4_ilo_invariance_100_fixtures(rng):
