@@ -2,8 +2,9 @@
 
 At rank N = max local rank the separability problem is completely
 solved: PPT states decompose into exactly N products (via commuting
-normal blocks), NPT states yield a validated 2xN projection witness.
-Below that rank every state is distillable.
+normal blocks), NPT states yield a validated Schmidt-rank-2 witness:
+a negative coordinate 2xN block of rho^G, or a 2xN projection when the
+scan finds none.  Below that rank every state is distillable.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ assert isinstance(cert, Distillable)
 check = validate_certificate(state, cert)
 print("random 3x3 state of rank 3 (NPT):")
 print(f"  verdict: Distillable, witness kind {type(cert.witness).__name__}")
-print(f"  re-validated projection eigenvalue: {check['witness_value']:+.4f}")
+print(f"  re-validated coordinate 2xN block value: {check['witness_value']:+.4f}")
 
 # --- PPT at rank = max local rank: exactly N products -----------------------
 u = random_unitary(3, rng)

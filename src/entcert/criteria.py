@@ -5,12 +5,12 @@ Implements the PPT test, the reduction criterion, trivial distillability
 the Schmidt-rank-2 scan of the coordinate 2xN blocks of rho^G, the
 checkerboard proof's projection sweep (the rank-4 tree's last NPT
 search), and the certified classification of states whose rank is at
-most the maximum local rank.  Below it, the reduction-criterion proof builds the witness
-with no search.  At it, both halves of the theorem (PPT -> exactly N
-products, NPT -> the lift of a negative 2xN projection's lowest
-eigenvector) run in a `Frame`, which compresses a state onto its local
-ranges, orients it to M <= N and maps the results back.  Every witness
-is a SchmidtRank2Witness valued on the state it is returned for.
+most the maximum local rank.  Below it, the reduction-criterion proof
+builds the witness with no search.  At it, both halves of the theorem
+(PPT -> N products, NPT -> the scan first, a negative 2xN projection
+as its fallback) run in a `Frame`, which compresses a state onto its
+local ranges, orients it to M <= N and maps the results back.  Every
+witness is a SchmidtRank2Witness valued on the state it is returned for.
 """
 
 from __future__ import annotations
@@ -391,22 +391,21 @@ def _normal_form(bf: BlockForm, witness: np.ndarray):
 
 
 def _distill_rank_max(state, rng):
-    """Witness construction for an NPT state with rank == dim_b == max.
+    """Witness for an NPT state with rank == dim_b == max.
 
     state must already be compressed to its local ranges with M <= N and
-    rank N; the witness refers to state.
+    rank N; the witness refers to state.  The coordinate 2xN scan
+    answers first; the theorem's 2xN projection is the fallback.
     """
+    if (w := schmidt2_witness(state)) is not None:
+        return w
     blocks = block_form(state)
     frp = _full_rank_from_blocks(blocks, "right", as_rng(rng), state.tol)
     if not frp.holds:
-        # violating a full-rank property already implies 1-distillability
-        w = trivially_distillable(state) or schmidt2_witness(state)
-        if w is None:
-            raise UndecidableError(
-                "state violates the right full-rank property but no coordinate "
-                "2xN block of rho^G is negative")
-        return w
-
+        # implies 1-distillability; each trivial 2x2 submatrix lies in a scanned block
+        raise UndecidableError(
+            "state violates the right full-rank property but no coordinate "
+            "2xN block of rho^G is negative")
     if frp.witness is None:
         # cannot happen for M >= 2 at rank N (the product bound shortcut
         # needs N > M(N-1)); guard against contract drift anyway
@@ -530,9 +529,10 @@ def classify_rank_le_max(state: BipartiteState, rng=7) -> Certificate:
 
     Rank below the max local rank: distillable, with the Schmidt-rank-2
     witness the reduction-criterion proof constructs.  Rank equal to it:
-    PPT implies separable with exactly N products; NPT yields the lift
-    of a negative 2xN projection's lowest eigenvector.  Every witness
-    is valued on the state given.  A construction that fails raises a
+    PPT implies separable with exactly N products; NPT yields the
+    coordinate 2xN scan's witness, or when the scan misses the lift of a
+    negative 2xN projection's lowest eigenvector.  Every witness is
+    valued on the state given.  A construction that fails raises a
     named error; it never returns Undecided.
     """
     r, n = state.rank(), max(state.local_ranks())

@@ -5,7 +5,7 @@ A bipartite state of rank 4 is separable iff it is PPT and its range
 contains a product vector.  The decision tree:
 
 * max local rank 4: rank equals the max, so the rank-max machinery
-  decides (PPT -> N products, NPT -> projection witness);
+  decides (PPT -> N products, NPT -> 2xN scan, projection fallback);
 * 3x3 locals: a PPT state's range is searched for product vectors
   first; when four of them rebuild the state with positive weights it
   is separable, with them as the certificate.  An NPT state first

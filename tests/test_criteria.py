@@ -314,11 +314,8 @@ def antisymmetric_plus_03():
     return BipartiteState.from_vectors(3, 4, vecs)
 
 
-def test_classify_rank_max_npt_distillable(rng):
-    # 4x3 is the side-swapped orientation: the witness found on the
-    # 3x4 working state must be pulled back through the swap.  Scaling
-    # the state by 2^k is exact in floating point, so the witness value
-    # must scale by exactly 2^k, far past unit scale both ways
+def scaled_witnesses_scale_exactly(rng):
+    """Ten NPT states per shape; each witness value scales by exactly 2^k."""
     for dims, rank in (((3, 3), 3), ((4, 3), 4), ((3, 4), 4)):
         hits = 0
         while hits < 10:
@@ -336,12 +333,50 @@ def test_classify_rank_max_npt_distillable(rng):
                 values = (witness.value, validate_witness(scaled, witness))
                 assert values == tuple(2.0 ** k * v for v in unit_values)
             hits += 1
+
+
+def test_classify_rank_max_npt_distillable(rng, monkeypatch):
+    # 4x3 is the side-swapped orientation: the witness found on the
+    # 3x4 working state must be pulled back through the swap.  Scaling
+    # the state by 2^k is exact in floating point, so the witness value
+    # must scale by exactly 2^k, far past unit scale both ways.  The
+    # second pass patches the coordinate scan out, so the 2xN
+    # projection fallback answers
+    scaled_witnesses_scale_exactly(rng)
+    with monkeypatch.context() as patch:
+        patch.setattr(criteria, "schmidt2_witness", lambda s: None)
+        scaled_witnesses_scale_exactly(rng)
     state = antisymmetric_plus_03()
     for oriented in (state, swap_sides(state)):
         for cert in (classify_rank_le_max(oriented, rng=rng),
                      classify_state(oriented, rng=rng)):
             assert isinstance(cert, Distillable)
             assert validate_witness(oriented, cert.witness) < -1e-10
+
+
+@pytest.mark.parametrize("dims, rank", [((2, 2), 2), ((3, 3), 3), ((3, 4), 4), ((4, 3), 4),
+                                         ((4, 4), 2), ((4, 4), 3)])
+def test_npt_rank_le_max_witness_draws_no_random_number(dims, rank, monkeypatch):
+    # the witness is the reduction split below the max local rank and,
+    # at it, the lifted coordinate 2xN scan witness of the working
+    # state, which opens the route; neither draws, so no seed moves it
+    rng = np.random.default_rng(41)
+    state = random_rank_r_state(*dims, rank, rng)
+    while is_ppt(state)[0]:
+        state = random_rank_r_state(*dims, rank, rng)
+    if rank < max(dims):
+        expected = reduction_criterion(state)[1]
+    else:
+        frame = criteria.Frame.local(state)
+        expected = frame.lift_witness(schmidt2_witness(frame.work))
+
+    def no_draw(*args):
+        raise AssertionError("the NPT route drew a random number")
+    monkeypatch.setattr(criteria, "unit_disc", no_draw)
+    for seed in (1, 2, 3, 4):
+        witness = classify_rank_le_max(state, rng=seed).witness
+        assert witness.vector.tobytes() == expected.vector.tobytes()
+        assert witness.value == expected.value
 
 
 def test_classify_rank_max_never_silently_undecided(rng):

@@ -2,7 +2,8 @@
 only linalg applies the rank cutoff and calls np.kron, states counts
 ranks with psd_eigen, the common eigenbases of commuting normal block
 families come from linalg.common_eigenbasis, the witness constructions
-that theorems back draw no random numbers, no function takes a
+that theorems back draw no random numbers, the NPT routes from the max
+local rank up open with the coordinate scan, no function takes a
 restart budget, only the public verdict functions check certificates,
 the rank-4 tree never uses the trivial-submatrix scan and reads range
 products in one helper, and the named families compute no witness.
@@ -121,6 +122,20 @@ def test_theorem_backed_witnesses_draw_no_random_numbers():
                   for node in ast.walk(func) if isinstance(node, ast.Call)}
         drawn = called & {"complex_gaussian", "unit_disc"}
         assert not drawn, f"{module}.{func_name} calls {sorted(drawn)}"
+    # the NPT routes at and above the max local rank open with the
+    # coordinate scan, so a construction that draws (a full-rank sample,
+    # random 2-frames) or the reduction split runs only when it misses
+    constructions = {"reduction_criterion", "_full_rank_from_blocks", "_random_frame_witness"}
+    for module, func_name in (("criteria", "_distill_rank_max"), ("rank4", "_npt_certificate")):
+        func = next(node for node in ast.walk(modules[module])
+                    if isinstance(node, ast.FunctionDef) and node.name == func_name)
+        names = [name for *_, name in sorted(
+            (node.lineno, node.col_offset,
+             getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            for node in ast.walk(func) if isinstance(node, ast.Call))]
+        assert "schmidt2_witness" in names, f"{module}.{func_name} skips the scan"
+        early = constructions & set(names[:names.index("schmidt2_witness")])
+        assert not early, f"{module}.{func_name} calls {sorted(early)} before the scan"
 
 
 def test_no_function_takes_a_restart_budget():
