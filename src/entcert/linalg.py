@@ -37,6 +37,9 @@ class ToleranceConfig:
         tau = rank_tol_factor * sigma_max * max(rows, cols) * eps.
     psd_tol: relative eigenvalue floor for positivity checks.
     residual_tol: relative reconstruction/commutation tolerance.
+
+    The relative tolerances lie in (0, 1) and rank_tol_factor is finite
+    and positive: at 1 or above a relative check cannot fail.
     """
 
     rank_tol_factor: float = 100.0
@@ -44,9 +47,11 @@ class ToleranceConfig:
     residual_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_tol_factor", "psd_tol", "residual_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        if not 0 < self.rank_tol_factor < np.inf:
+            raise ValueError("rank_tol_factor must be finite and strictly positive")
+        for name in ("psd_tol", "residual_tol"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie strictly between 0 and 1")
 
     def rank_cutoff(self, sigma_max: float, shape: tuple[int, int]) -> float:
         eps = np.finfo(np.float64).eps

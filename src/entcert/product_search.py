@@ -82,7 +82,7 @@ __all__ = [
     "random_product_containing_subspace",
 ]
 
-_QUARTIC_SHA256 = "3d09dcbe1e8fb326bfaeca63f24f094a75acc8c6715d02eeb6dbfca0db2c56c7"
+_QUARTIC_SHA256 = "b2309dd9202b30ccd1e81c9cb9b472730cca4f1c61443d197258ba7c44dd5fa1"
 
 
 @dataclass(frozen=True)
@@ -186,13 +186,12 @@ def hypersurface_2x3(subspace: Subspace, coords: PlueckerCoords | None = None) -
 
 @lru_cache(maxsize=1)
 def _quartic_terms():
-    body = resources.files("entcert.data").joinpath("hypersurface_2x4.json").read_text()
-    doc = json.loads(body)
-    canon = json.dumps(doc, indent=1, sort_keys=True)
-    digest = hashlib.sha256(canon.encode()).hexdigest()
+    body = resources.files("entcert.data").joinpath("hypersurface_2x4.json").read_bytes()
+    digest = hashlib.sha256(body).hexdigest()
     if digest != _QUARTIC_SHA256:
         raise RuntimeError(
             f"hypersurface_2x4.json checksum mismatch: {digest} != {_QUARTIC_SHA256}")
+    doc = json.loads(body)
     if doc["degree"] != 4 or doc["shape"] != [2, 4] or len(doc["terms"]) != 149:
         raise RuntimeError("hypersurface_2x4.json header does not match its contract")
     return tuple(
@@ -407,12 +406,6 @@ def _enumerate_rank_one(work, rng, tol):
     return y @ to_work, _rank1_defects(basis, y), method
 
 
-def _product(mats, z):
-    e = np.einsum("k,kpq->pq", z, mats)
-    u, s, vh = np.linalg.svd(e)
-    return u[:, 0] * np.sqrt(s[0]), vh[0, :] * np.sqrt(s[0]), z
-
-
 # Largest k * k * C(p, 2) * C(q, 2) for which _compound_screen builds its
 # matrix (16 MB of complex entries per temporary); larger stacks skip it.
 _SCREEN_MAX_ENTRIES = 1 << 20
@@ -610,7 +603,10 @@ def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> Product
     count"), at any shape.  Any other span the second compound does not
     decide is out of scope, and raises UndecidableError, when the
     smaller side has 5 or more levels, or 4 beside more than 8; an
-    all-zero stack raises ValueError.
+    all-zero stack raises ValueError.  The accepted combinations, in
+    defect order, are read off one stacked SVD, and one whose direction
+    repeats an earlier one (overlap above 1 - 1e-6, from one Gram
+    matrix) is dropped.
     """
     mats = np.asarray(mats, dtype=complex)
     k, p, q = mats.shape
@@ -620,36 +616,36 @@ def rank_one_in_span(mats, rng=7, tol: ToleranceConfig = DEFAULT_TOL) -> Product
     first = int(np.argmax(scale > 0))
     scale[scale == 0] = 1.0
     if min(p, q) < 2:
-        z = np.zeros(k, dtype=complex)
-        z[first] = 1.0 / scale[first]
-        prod = _product(mats, z)
-        return ProductSearchResult(True, *prod, 0.0, "trivial", 1, (prod,))
-
-    work = mats / scale[:, None, None]
-    method, bound, points = _compound_screen(work, tol.residual_tol)
-    if bound is not None:
-        return ProductSearchResult(False, None, None, None, bound, method, 0)
-    if points is not None:
-        z, defect = points
+        z = np.zeros((1, k), dtype=complex)
+        z[0, first] = 1.0
+        defect, method = np.zeros(1), "trivial"
     else:
-        z, defect, method = _enumerate_rank_one(work, as_rng(rng), tol)
+        work = mats / scale[:, None, None]
+        method, bound, points = _compound_screen(work, tol.residual_tol)
+        if bound is not None:
+            return ProductSearchResult(False, None, None, None, bound, method, 0)
+        if points is not None:
+            z, defect = points
+        else:
+            z, defect, method = _enumerate_rank_one(work, as_rng(rng), tol)
     order = np.argsort(defect)
-    products = []
-    kept = []
-    for idx in order:
-        if not defect[idx] <= tol.residual_tol:
-            break
-        e = np.einsum("k,kpq->pq", z[idx], work).ravel()
-        e = e / np.linalg.norm(e)
-        if any(abs(np.vdot(f, e)) > 1.0 - 1.0e-6 for f in kept):
-            continue
-        kept.append(e)
-        products.append(_product(mats, z[idx] / scale))
     best = float(defect[order[0]])
-    if not products:
+    accepted = order[defect[order] <= tol.residual_tol]
+    if not len(accepted):
         return ProductSearchResult(False, None, None, None, best, method, len(z))
-    return ProductSearchResult(True, *products[0], best, method, len(z),
-                               tuple(products))
+    coeffs = z[accepted] / scale
+    e = np.einsum("ck,kpq->cpq", coeffs, mats)
+    u, s, vh = np.linalg.svd(e)
+    root = np.sqrt(s[:, 0])
+    unit = e.reshape(len(e), -1)
+    unit = unit / np.linalg.norm(unit, axis=1)[:, None]
+    repeat = np.abs(unit.conj() @ unit.T) > 1.0 - 1.0e-6
+    kept = []
+    for c in range(len(e)):
+        if not repeat[c, kept].any():
+            kept.append(c)
+    products = tuple((u[c, :, 0] * root[c], vh[c, 0, :] * root[c], coeffs[c]) for c in kept)
+    return ProductSearchResult(True, *products[0], best, method, len(z), products)
 
 
 def find_product_vector(subspace: Subspace, rng=7) -> ProductSearchResult:

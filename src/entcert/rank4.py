@@ -26,10 +26,11 @@ the separable_decomposition dispatcher.  The peeling ends the way the
 3x3 tree does: once the search's finite candidate set holds r = max(rank
 rho, rank rho^G) products that rebuild the side of rank r,
 _range_product_basis, the one range-product readout of both, reads them
-off.  Only a product the peeling subtracts is refined by Newton's
-method.  classify_state lives
-here because it and decide_rank4 call each other: the components of a
-reducible rank-4 state are classified by classify_state.
+off, with one SVD per r-subset for its rank test and its
+pseudo-inverse.  Only a product the peeling subtracts is refined by
+Newton's method.  classify_state lives here because it and decide_rank4
+call each other: the components of a reducible rank-4 state are
+classified by classify_state.
 
 The tree's exits build certificates unchecked; decide_rank4,
 classify_state and separable_decomposition check the one they return
@@ -70,7 +71,7 @@ from .criteria import (
 )
 from .linalg import (
     check_hermitian, complete_rows, dagger, frob, kron, numerical_rank, psd_eigen, psd_range,
-    rel_residual,
+    rel_residual, singular_rank,
 )
 from .product_search import _both_ranges_candidates, _refine_candidate, rank_one_in_span
 from .random_states import as_rng, complex_gaussian
@@ -120,23 +121,34 @@ def _range_product_basis(matrix, tol, pairs, r):
     do.
 
     For independent e_1..e_r in R(rho), rho = E Lambda E^dag with
-    Lambda = E^+ rho E^+dag.  The first r-subset whose weights
-    lambda_kk are positive and rebuild rho, sum_k lambda_kk |e_k><e_k|
-    within the relative residual that validate_certificate allows,
-    gives the decomposition: the final readout of the 3x3 tree's step
-    (0) and of the 2xN peeling.
+    Lambda = E^+ rho E^+dag.  One SVD E = U S V^dag per r-subset serves
+    both the rank test and the pseudo-inverse E^+ = V S^-1 U^dag, whose
+    cutoff is np.linalg.pinv's, so E^+ has its bytes.  The first
+    r-subset whose weights lambda_kk are positive and rebuild rho,
+    sum_k lambda_kk |e_k><e_k| within the relative residual that
+    validate_certificate allows, gives the decomposition: the final
+    readout of the 3x3 tree's step (0) and of the 2xN peeling.
     """
-    units = [(a / np.linalg.norm(kron(a, b)), b) for a, b in pairs]
-    for subset in combinations(units, r):
-        e = np.column_stack([kron(a, b) for a, b in subset])
-        if numerical_rank(e, tol)[0] < r:
+    if len(pairs) < r:
+        return None
+    # the columns kron(a / ||kron(a, b)||, b) of every pair, built at once
+    # with the bytes of building them one pair at a time
+    a, b = (np.array(side) for side in zip(*pairs))
+    prods = (a[:, :, None] * b[:, None, :]).reshape(len(pairs), -1)
+    a = a / np.array([np.linalg.norm(e) for e in prods])[:, None]
+    cols = (a[:, :, None] * b[:, None, :]).reshape(len(pairs), -1).T
+    for subset in combinations(range(len(pairs)), r):
+        e = cols[:, subset]
+        u, s, vh = np.linalg.svd(e, full_matrices=False)
+        if singular_rank(s, e.shape, tol) < r:
             continue
-        e_pinv = np.linalg.pinv(e)
+        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1.0e-15 * s[0])
+        e_pinv = dagger(vh) @ (s_inv[:, None] * dagger(u))
         lam = e_pinv @ matrix @ dagger(e_pinv)
         weights = np.real(np.diag(lam))
         if (np.all(weights > 0)
                 and rel_residual((e * weights) @ dagger(e), matrix) <= tol.residual_tol):
-            return [(np.sqrt(w) * a, b) for w, (a, b) in zip(weights, subset)]
+            return [(np.sqrt(w) * a[i], b[i]) for w, i in zip(weights, subset)]
     return None
 
 

@@ -217,7 +217,8 @@ def test_only_the_rank4_tree_runs_the_projection_sweep():
 
 def test_rank4_reads_range_products_in_one_helper():
     # the 3x3 tree's step (0) and the 2xN peeling end a separable state
-    # by the same readout, so its pinv and weights exist once
+    # by the same readout, whose one SVD per subset gives both the rank
+    # test and the pseudo-inverse, so no np.linalg.pinv is left in rank4
     tree = _modules()["rank4"]
     funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     for caller in ("_peel_two_by_n", "_decide_rank4_local"):
@@ -227,4 +228,4 @@ def test_rank4_reads_range_products_in_one_helper():
     pinv = sorted({name for name, func in funcs.items()
                    for node in ast.walk(func) if isinstance(node, ast.Call)
                    and getattr(node.func, "attr", None) == "pinv"})
-    assert pinv == ["_range_product_basis"], "rank4 calls pinv in " + ", ".join(pinv)
+    assert pinv == [], "rank4 calls pinv in " + ", ".join(pinv)

@@ -70,6 +70,8 @@ def test_parse_errors_are_positioned(tmp_path):
          r"tolerances\.foo"),
         ({"kind": "bipartite", "dims": [1, 1], "data": one, "tolerances": {"psd_tol": "abc"}},
          r"tolerances\.psd_tol"),
+        ({"kind": "bipartite", "dims": [1, 1], "data": one, "tolerances": {"psd_tol": 2.0}},
+         r"tolerances: psd_tol"),
         ({"kind": "tripartite", "dims": [2, 2, 2], "data": None}, r"data:"),
         ({"kind": "bipartite", "dims": [1, 1], "data": [5]}, r"data\[0\]"),
         ({"kind": "bipartite", "dims": [1, 2], "data": [[zero, zero], [zero]]}, r"data\[1\]"),
@@ -190,6 +192,18 @@ def test_cli_exit_codes(tmp_path):
         assert "usage:" in proc.stderr
     assert run_cli(["--help"]).returncode == 0
     assert run_cli(["analyze", "--help"]).returncode == 0
+
+
+@pytest.mark.parametrize("tol", ["1", "inf"])
+def test_cli_rejects_a_tolerance_that_voids_every_check(tmp_path, monkeypatch, capsys, tol):
+    # at --tol 1 the NPT Werner state used to pass as "Ppt", its own
+    # min_eig_gamma -1.4 notwithstanding
+    path = tmp_path / "werner.json"
+    assert main(["generate", "werner", "3", "-0.8", "--out", str(path)]) == 0
+    assert main(["analyze", str(path), "--tol", tol]) == 1
+    monkeypatch.setenv("ENTCERT_TOL", tol)
+    assert main(["analyze", str(path)]) == 1
+    assert "tol must lie strictly between 0 and 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["product-test", "sub.json"],

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from entcert.random_states import (
     random_rank_r_state,
 )
 from entcert.states import BipartiteState
-from entcert import rank4
+from entcert import product_search, rank4
 from entcert.families import checkerboard_ppt_instance, make_tiles_upb, random_checkerboard
 
 from conftest import ill_conditioned, miss_3x3_scan
@@ -218,6 +220,97 @@ def test_quartic_data_file_integrity():
     for _, triples in terms:
         assert len(triples) == 4
         assert anchors & set(triples)
+
+
+def test_quartic_data_file_checksum_covers_its_bytes(monkeypatch):
+    # the checksum is of the bytes as read: a changed coefficient fails it
+    body = product_search.resources.files("entcert.data").joinpath(
+        "hypersurface_2x4.json").read_bytes()
+    changed = body.replace(b'"c": 3,', b'"c": 4,', 1)
+    assert changed != body
+
+    class Tampered:
+        def joinpath(self, name):
+            return self
+
+        def read_bytes(self):
+            return changed
+
+    monkeypatch.setattr(product_search, "resources",
+                        SimpleNamespace(files=lambda package: Tampered()))
+    product_search._quartic_terms.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="checksum mismatch"):
+            product_search._quartic_terms()
+    finally:
+        product_search._quartic_terms.cache_clear()
+
+
+def loop_readout(mats, z, defect):
+    """The products of the accepted rows of z, read one combination at a
+    time: the per-product reference for rank_one_in_span's stacked SVD."""
+    scale = np.linalg.norm(mats.reshape(len(mats), -1), axis=1)
+    work = mats / scale[:, None, None]
+    products, kept = [], []
+    for idx in np.argsort(defect):
+        if not defect[idx] <= DEFAULT_TOL.residual_tol:
+            break
+        e = np.einsum("k,kpq->pq", z[idx], work).ravel()
+        e = e / np.linalg.norm(e)
+        if any(abs(np.vdot(f, e)) > 1.0 - 1.0e-6 for f in kept):
+            continue
+        kept.append(e)
+        coeffs = z[idx] / scale
+        u, s, vh = np.linalg.svd(np.einsum("k,kpq->pq", coeffs, mats))
+        products.append((u[:, 0] * np.sqrt(s[0]), vh[0, :] * np.sqrt(s[0]), coeffs))
+    return products
+
+
+def spans_for_readout(seed):
+    """(label, span) pairs: seeded 3x3 dim-4 separable ranges, planted
+    2x4 dim-3 spans, and a 3x3 span holding a (x) C^3, which the second
+    compound declines."""
+    rng = np.random.default_rng(seed)
+    spans = []
+    for _ in range(4):
+        range_q = psd_range(random_product_sum(3, 3, 4, rng).matrix)[1]
+        spans.append(("separable", range_q.T.reshape(-1, 3, 3)))
+        spans.append(("planted", random_product_containing_subspace(2, 4, 3, rng).matrices()))
+    a = complex_gaussian(rng, 3)
+    rows = [np.kron(a, e) for e in np.eye(3)] + [complex_gaussian(rng, 9)]
+    mix = np.eye(4) + 0.3 * complex_gaussian(rng, (4, 4))
+    spans.append(("declined", (mix @ np.array(rows)).reshape(-1, 3, 3)))
+    return spans
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stacked_readout_is_the_per_product_loop_bit_for_bit(monkeypatch, seed):
+    # the accepted combinations' products come from one stacked SVD and
+    # their duplicate test from one Gram matrix; each product must carry
+    # the bytes of the loop that read them one at a time
+    points = []  # the (z, defect) of each screen and enumeration
+
+    def spy(func, pick):
+        def wrapped(*args):
+            out = func(*args)
+            points.append(pick(out))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(product_search, "_compound_screen",
+                        spy(product_search._compound_screen, lambda out: out[2]))
+    monkeypatch.setattr(product_search, "_enumerate_rank_one",
+                        spy(product_search._enumerate_rank_one, lambda out: out[:2]))
+    for label, mats in spans_for_readout(seed):
+        points.clear()
+        result = rank_one_in_span(mats, rng=seed)
+        assert result.found
+        assert (result.method == _NULL_SPACE) == (label != "declined"), label
+        expected = loop_readout(mats, *points[-1])
+        assert len(result.products) == len(expected) >= 1
+        for got, want in zip(result.products, expected):
+            for x, y in zip(got, want):
+                assert x.tobytes() == y.tobytes(), label
 
 
 def assert_products_in_span(result, mats):

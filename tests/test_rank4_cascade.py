@@ -12,6 +12,7 @@ certificate.
 import copy
 import inspect
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from entcert.certificates import (
 )
 from entcert.criteria import Frame, certify_pure_plus_sigma, is_ppt
 from entcert.families import make_tiles_upb
-from entcert.linalg import rel_residual
+from entcert.linalg import kron, numerical_rank, rel_residual
 from entcert.product_search import Subspace, find_product_vector
 from entcert.random_states import (
     as_rng,
@@ -307,6 +308,49 @@ def test_range_product_basis_is_none_without_four_diagonalizing_products(rng):
     # weighted projectors leave the state's fourth direction unbuilt
     stray = (complex_gaussian(rng, 3), complex_gaussian(rng, 3), None)
     assert range_product_basis(state, products[:3] + (stray,)) is None
+
+
+def pinv_readout(matrix, tol, pairs, r):
+    """_range_product_basis by np.linalg.pinv and a separate rank test:
+    the reference whose bytes its one-SVD readout must keep."""
+    units = [(a / np.linalg.norm(kron(a, b)), b) for a, b in pairs]
+    for subset in combinations(units, r):
+        e = np.column_stack([kron(a, b) for a, b in subset])
+        if numerical_rank(e, tol)[0] < r:
+            continue
+        e_pinv = np.linalg.pinv(e)
+        weights = np.real(np.diag(e_pinv @ matrix @ e_pinv.conj().T))
+        if (np.all(weights > 0)
+                and rel_residual((e * weights) @ e.conj().T, matrix) <= tol.residual_tol):
+            return [(np.sqrt(w) * a, b) for w, (a, b) in zip(weights, subset)]
+    return None
+
+
+@pytest.mark.parametrize("shape, terms", [((3, 3), 4), ((2, 3), 5)])
+def test_range_product_basis_is_the_pinv_formula_bit_for_bit(monkeypatch, shape, terms):
+    # one SVD per subset gives the rank test and the pseudo-inverse; the
+    # products must carry the bytes of np.linalg.pinv's
+    readouts = []
+
+    def checked(matrix, tol, pairs, r):
+        got, want = _range_product_basis(matrix, tol, pairs, r), pinv_readout(matrix, tol, pairs, r)
+        assert (got is None) == (want is None)
+        for (a, b), (a_ref, b_ref) in zip(got or (), want or ()):
+            assert a.tobytes() == a_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+        readouts.append((matrix, tol, r, got))
+        return got
+
+    monkeypatch.setattr(rank4, "_range_product_basis", checked)
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        state = random_product_sum(*shape, terms, rng)
+        assert isinstance(classify_state(state, rng=rng), Separable)
+    assert len(readouts) == 8 and all(got is not None for *_, got in readouts)
+    # a stray product ahead of the readout's own: the subsets holding it
+    # are tried first and fail, and the last one rebuilds the matrix
+    matrix, tol, r, got = readouts[-1]
+    stray = (complex_gaussian(rng, shape[0]), complex_gaussian(rng, shape[1]))
+    assert checked(matrix, tol, [stray] + got, r) is not None
 
 
 def test_irreducible_ppt_state_whose_products_diagonalize_nothing_names_the_failure(

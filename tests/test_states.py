@@ -36,8 +36,13 @@ from conftest import bell_projector
 
 
 def test_tolerance_config_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        ToleranceConfig(psd_tol=0.0)
+    # a relative tolerance of 1 or more, or an infinite one, lets no
+    # check fail
+    for kwargs in ({"psd_tol": 0.0}, {"psd_tol": np.inf}, {"psd_tol": 1.0},
+                   {"residual_tol": 1.0}, {"residual_tol": np.inf}, {"residual_tol": np.nan},
+                   {"rank_tol_factor": np.inf}, {"rank_tol_factor": 0.0}):
+        with pytest.raises(ValueError):
+            ToleranceConfig(**kwargs)
 
 
 def test_hermitian_eigen_identity():
