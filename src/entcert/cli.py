@@ -8,6 +8,12 @@ and --mode can also be set by an environment variable with the ENTCERT_
 prefix (ENTCERT_SEED, ENTCERT_TOL, ENTCERT_BUDGET, ENTCERT_MODE); --text,
 and generate's --out, --random and --cut, cannot.  --budget and --mode
 belong to analyze only.
+
+A variable is parsed as its flag is, for every subcommand: a seed,
+budget or tolerance that is not a number, a budget below 1 and a mode
+that is not one of the choices exit 1 with an error line that names
+the flag or the variable.  A tolerance outside (0, 1) exits 1 as well.
+analyze and product-test load their input with --tol.
 """
 
 from __future__ import annotations
@@ -45,13 +51,33 @@ EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
 
 _ENV_PREFIX = "ENTCERT_"
+MODES = ("auto", "ppt", "full-rank", "rank4", "reduce", "tripartite")
 
 
-def _env_default(name, fallback, cast):
-    raw = os.environ.get(_ENV_PREFIX + name.upper())
+def _env_default(name, fallback, parse):
+    """ENTCERT_<NAME> parsed as its flag's value is, or fallback when unset."""
+    var = _ENV_PREFIX + name.upper()
+    raw = os.environ.get(var)
     if raw is None:
         return fallback
-    return cast(raw)
+    try:
+        return parse(raw)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"{var}={raw!r}: {exc}") from None
+
+
+def _mode(raw: str) -> str:
+    if raw not in MODES:
+        raise ValueError(f"invalid choice (choose from {', '.join(MODES)})")
+    return raw
+
+
+def budget(raw: str) -> int:
+    """A search budget: an integer of at least 1."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
+    return value
 
 
 def _vector_payload(vec):
@@ -250,7 +276,8 @@ def cmd_generate(args) -> int:
 
 def cmd_product_test(args) -> int:
     started = time.perf_counter()
-    obj = load_state(args.path)
+    tol = _tol_from_args(args)
+    obj = load_state(args.path, tol_override=tol if args.tol else None)
     if not isinstance(obj, Subspace):
         raise StateFileError("'product-test' needs a subspace file")
     payload = {"input_digest": _digest(args.path), "seed": args.seed,
@@ -313,12 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="classify a state file")
     pa.add_argument("path")
-    pa.add_argument("--mode",
-                    choices=["auto", "ppt", "full-rank", "rank4", "reduce",
-                             "tripartite"],
-                    default=_env_default("mode", "auto", str))
-    pa.add_argument("--budget", type=int,
-                    default=_env_default("budget", 256, int),
+    pa.add_argument("--mode", choices=MODES, default=_env_default("mode", "auto", _mode))
+    pa.add_argument("--budget", type=budget,
+                    default=_env_default("budget", 256, budget),
                     help="search budget for randomized procedures")
     common(pa)
     pa.set_defaults(func=cmd_analyze)
@@ -344,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # build_parser reads the ENTCERT_ variables, and names a bad one
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UndecidableError as exc:
         sys.stderr.write(f"undecided: {exc}\n")

@@ -191,21 +191,34 @@ def restrict_to_local_ranges(state: BipartiteState):
     return apply_local(state, dagger(qa), dagger(qb)), qa, qb
 
 
+def _after(op, first):
+    """The map op after first, either of them None for the identity."""
+    if first is None:
+        return op
+    return first if op is None else op @ first
+
+
 @dataclass(frozen=True)
 class Frame:
-    """The state a construction works on, and the way back to the caller's.
+    """The state a construction works on, and the one way back to the
+    caller's.
 
-    work is the caller's state compressed by the range isometries qa, qb
-    (None: not compressed) and, when swapped, with its sides exchanged.
-    lift_witness and lift_products map results on work back to state.
-    A frame only maps: the public function that returns the lifted
-    certificate checks it against its own argument.
+    work is (a (x) b) rho (a (x) b)^dag for the caller's rho, with its
+    sides exchanged when swapped; a or b None is the identity.  a_back
+    and b_back take the factors of a product on work back to rho: the
+    isometry of a compression onto the local ranges, or the inverse of
+    a gauge, a scaling or a B-normalization.  Every construction on a
+    transformed copy of rho returns its witness or products through a
+    frame, so lift_witness is the one place a witness is revalued for
+    the caller's state.  A frame only maps: the public function that
+    returns the lifted certificate checks it against its own argument.
     """
 
-    state: BipartiteState
     work: BipartiteState
-    qa: np.ndarray | None = None
-    qb: np.ndarray | None = None
+    a: np.ndarray | None = None
+    b: np.ndarray | None = None
+    a_back: np.ndarray | None = None
+    b_back: np.ndarray | None = None
     swapped: bool = False
 
     @classmethod
@@ -214,12 +227,12 @@ class Frame:
         restricted, qa, qb = restrict_to_local_ranges(state)
         swapped = orient and restricted.dim_a > restricted.dim_b
         work = swap_sides(restricted) if swapped else restricted
-        return cls(state, work, qa, qb, swapped)
+        return cls(work, dagger(qa), dagger(qb), qa, qb, swapped)
 
     @classmethod
     def swap(cls, state: BipartiteState) -> Frame:
         """Exchange the sides only."""
-        return cls(state, swap_sides(state), swapped=True)
+        return cls(swap_sides(state), swapped=True)
 
     def lift_witness(self, witness, a_op=None, b_op=None):
         """The witness for the caller's state.
@@ -236,9 +249,7 @@ class Frame:
         if self.swapped:
             vec = swap_vector(vec, *dims).conj()
             a_op, b_op, dims = b_op, a_op, dims[::-1]
-        if self.qa is not None:
-            a_op = dagger(self.qa) if a_op is None else a_op @ dagger(self.qa)
-            b_op = dagger(self.qb) if b_op is None else b_op @ dagger(self.qb)
+        a_op, b_op = _after(a_op, self.a), _after(b_op, self.b)
         if a_op is not None or b_op is not None:
             vec = lift_through_local(vec, a_op, b_op, dims)
         return SchmidtRank2Witness(vector=vec, value=lifted_value(witness, vec))
@@ -247,9 +258,8 @@ class Frame:
         """Product pairs (a, b) on work as pairs for the caller's state."""
         if self.swapped:
             products = [(b, a) for a, b in products]
-        if self.qa is not None:
-            products = [(self.qa @ a, self.qb @ b) for a, b in products]
-        return list(products)
+        return [(a if self.a_back is None else self.a_back @ a,
+                 b if self.b_back is None else self.b_back @ b) for a, b in products]
 
     def lift(self, cert: Certificate) -> Certificate:
         """A Distillable or Separable verdict on work, lifted to the
@@ -273,10 +283,11 @@ def full_rank_property(state: BipartiteState, side: str = "right",
     side = side.lower()
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    rng = as_rng(rng)
-    restricted, qa, qb = restrict_to_local_ranges(state)
-    return _full_rank_from_blocks(block_form(restricted), side, rng, state.tol, budget,
-                                  qa if side == "right" else qb)
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    frame = Frame.local(state, orient=False)
+    return _full_rank_from_blocks(block_form(frame.work), side, as_rng(rng), state.tol, budget,
+                                  frame.a_back if side == "right" else frame.b_back)
 
 
 def _full_rank_from_blocks(blocks: BlockForm, side, rng, tol, budget=64, lift=None):
@@ -344,7 +355,7 @@ def _structured_projection_sweep(state):
     coordinate anchors and the fixed x grid, on both sides.  Any
     negative eigenvalue certifies 1-distillability; None is no claim.
     """
-    for frame in (Frame(state, state), Frame.swap(state)):
+    for frame in (Frame(state), Frame.swap(state)):
         work = frame.work
         m, n = work.dim_a, work.dim_b
         gam = partial_transpose(work)
@@ -361,8 +372,8 @@ def _structured_projection_sweep(state):
                 sub = op @ gam @ dagger(op)
                 w, v = np.linalg.eigh(0.5 * (sub + dagger(sub)))
                 if w[0] < -thr:
-                    vec = lift_through_local(v[:, 0], comp, None, (2, n))
-                    return frame.lift_witness(SchmidtRank2Witness(vector=vec, value=float(w[0])))
+                    return frame.lift_witness(
+                        SchmidtRank2Witness(vector=v[:, 0], value=float(w[0])), comp)
     return None
 
 
@@ -425,16 +436,16 @@ def _pair_witness(blocks, a_op, b_op, tol):
     x K^dag with K = C_i^dag C_j - C_j C_i^dag, which is nonzero by
     Fuglede's theorem, so x = 1 or, when K + K^dag = 0, x = i certifies.
     """
-    m, n = len(blocks), blocks[-1].shape[1]
+    m = len(blocks)
 
     def certify(c_block, g_cols):
         pair = _pair_state(c_block, tol)
         if is_ppt(pair)[0]:
             return None
         w, v = np.linalg.eigh(partial_transpose(pair))
-        comp = dagger(g_cols)  # 2 x M compression on the working state
-        vec = lift_through_local(v[:, 0], comp @ a_op, b_op, (2, n))
-        return SchmidtRank2Witness(vector=vec, value=float(w[0]) / np.vdot(vec, vec).real)
+        # dagger(g_cols) is the 2 x M compression of the working state
+        frame = Frame(pair, dagger(g_cols) @ a_op, b_op)
+        return frame.lift_witness(SchmidtRank2Witness(vector=v[:, 0], value=float(w[0])))
 
     # each pair-projected state (C_i, I_N); any NPT one certifies
     for i in range(m - 1):
@@ -578,11 +589,11 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
     if len(coeffs) < 2:
         raise ValueError("psi is a product state; an entangled psi is required")
 
-    restricted, qa, qb = restrict_to_local_ranges(state)
-    m, n = restricted.dim_a, restricted.dim_b
+    frame = Frame.local(state, orient=False)
+    m, n = frame.work.dim_a, frame.work.dim_b
 
     if sigma is not None and np.any(np.abs(sigma.matrix) > 0):
-        _, v, nullity = psd_eigen(dagger(qa) @ reduce(sigma, "A") @ qa, state.tol)
+        _, v, nullity = psd_eigen(frame.a @ reduce(sigma, "A") @ frame.a_back, state.tol)
         r = m - nullity
         # range of sigma_A, largest eigenvalue first, then its kernel
         basis = np.hstack([v[:, nullity:][:, ::-1], v[:, :nullity]])
@@ -594,7 +605,7 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
             f"rank(sigma_A) = {r} is not smaller than the A-local rank {m}")
 
     u1 = dagger(basis)  # A-op: sigma_A range spans the first r coordinates
-    psi_r = kron(dagger(qa), dagger(qb)) @ psi.amplitudes
+    psi_r = kron(frame.a, frame.b) @ psi.amplitudes
     # unit norm, so that the B operator built from its rows, and with it
     # the projected state, scale with the state
     k_mat = u1 @ psi_r.reshape(m, n)
@@ -631,15 +642,14 @@ def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certifi
     sel = np.zeros((2, m), dtype=complex)
     sel[0, best_k] = 1.0
     sel[1, m - 1] = 1.0
-    a_chain = sel @ u2 @ u1 @ dagger(qa)
-    b_chain = v_op @ dagger(qb)
-    projected = apply_local(state, a_chain, b_chain)
+    a_chain = sel @ u2 @ u1
+    projected = apply_local(frame.work, a_chain, v_op)
     if trivially_distillable(projected) is None:
         raise RuntimeError(
             "the projected 2xN state is not trivially distillable; this "
             "contradicts the construction and indicates a numerical issue")
     w, v = np.linalg.eigh(partial_transpose(projected))
-    vec = lift_through_local(v[:, 0], a_chain, b_chain, (2, n))
-    cert = Distillable(SchmidtRank2Witness(vector=vec, value=float(w[0]) / np.vdot(vec, vec).real))
+    cert = Distillable(frame.lift_witness(
+        SchmidtRank2Witness(vector=v[:, 0], value=float(w[0])), a_chain, v_op))
     validate_certificate(state, cert)
     return cert

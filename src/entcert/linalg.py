@@ -107,7 +107,7 @@ def check_hermitian(h: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
         raise ValueError("matrix has an entry that is not finite")
     defect = frob(h - dagger(h))
     scale = max(scale, 1.0e-300)
-    if defect > tol.residual_tol * max(scale, 1.0):
+    if defect > tol.residual_tol * scale:
         raise ValueError(
             f"matrix is not Hermitian: |H - H^dag| = {defect:.3e} "
             f"(relative {defect / scale:.3e})"

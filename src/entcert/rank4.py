@@ -54,8 +54,6 @@ from .certificates import (
     Separable,
     UndecidableError,
     Undecided,
-    lift_through_local,
-    lifted_value,
     validate_certificate,
 )
 from .criteria import (
@@ -303,7 +301,8 @@ def _ppt_products(state: BipartiteState, rng):
 # ---------------------------------------------------------------------------
 
 class _Gauge:
-    """Tracks W (R x MN row blocks) with current = apply_local(base, a, b)."""
+    """Tracks W (R x MN row blocks) with current = apply_local(base, a, b);
+    frame() is the current state with the way back to base."""
 
     def __init__(self, base: BipartiteState, w):
         self.base = base
@@ -333,16 +332,9 @@ class _Gauge:
     def swap_rows(self, i, j):
         self.w[[i, j], :] = self.w[[j, i], :]
 
-    def state(self):
-        return BipartiteState(self.m, self.n, dagger(self.w) @ self.w, self.base.tol)
-
-    def lift(self, vec):
-        return lift_through_local(vec, self.a, self.b, (self.m, self.n))
-
-    def lift_products(self, products):
-        a_inv = np.linalg.inv(self.a)
-        b_inv = np.linalg.inv(self.b)
-        return [(a_inv @ a, b_inv @ b) for a, b in products]
+    def frame(self) -> Frame:
+        state = BipartiteState(self.m, self.n, dagger(self.w) @ self.w, self.base.tol)
+        return Frame(state, self.a, self.b, np.linalg.inv(self.a), np.linalg.inv(self.b))
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +344,11 @@ class _Gauge:
 def _pair_verdict(gauge: _Gauge, trail, tag):
     """The 2x3 scan of the gauged state, its witness lifted to the base
     state; None when no A-pair block of its rho^G is negative."""
-    w = schmidt2_witness(gauge.state())
+    frame = gauge.frame()
+    w = schmidt2_witness(frame.work)
     if w is None:
         return None
-    vec = gauge.lift(w.vector)
-    witness = SchmidtRank2Witness(vector=vec, value=lifted_value(w, vec))
-    return Rank4Verdict(Distillable(witness), trail + (tag,))
+    return Rank4Verdict(Distillable(frame.lift_witness(w)), trail + (tag,))
 
 
 def _sector_is_rank1(sector) -> bool:
@@ -400,19 +391,13 @@ def _rank1_sector_path(gauge: _Gauge, x, rng, trail):
         t2[i, 0] = (-gauge.entry(0, i, 0) / sigma).conjugate()
     gauge.apply_a(t2)
 
-    side = Frame.swap(gauge.state())
+    frame = gauge.frame()
+    side = Frame.swap(frame.work)
     decomp = decompose_b_direct(side.work, rng=rng)
     verdicts = [classify_state(c, rng=rng) for c in decomp.components]
     cert = aggregate(decomp, verdicts)
-    sub_trail = trail + ("sector-rank-1", "a-direct-split")
-    if isinstance(cert, Distillable):
-        w = side.lift_witness(cert.witness)
-        vec = gauge.lift(w.vector)
-        witness = SchmidtRank2Witness(vector=vec, value=lifted_value(w, vec))
-        return Rank4Verdict(Distillable(witness), sub_trail)
-    if isinstance(cert, Separable):
-        products = gauge.lift_products(side.lift_products(cert.products))
-        return Rank4Verdict(Separable(products=tuple(products)), sub_trail)
+    if isinstance(cert, (Distillable, Separable)):
+        return Rank4Verdict(frame.lift(side.lift(cert)), trail + ("sector-rank-1", "a-direct-split"))
     raise RuntimeError(
         f"A-direct split of a rank-4 state returned {type(cert).__name__}; "
         "components of these states are always fully decidable")
@@ -449,7 +434,19 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
     both is the proof's contradiction: a reducible state, or its
     terminus, where all four rows are product vectors and the state
     would be separable.  It raises.
+
+    The B-gauge steps rescale B-levels by amounts that depend on the
+    scale of rho, and the zero tests compare quantities that scale
+    differently with it.  So the cascade runs on 4^-j rho, whose trace
+    lies in [1/2, 2), in a frame with a = 2^-j I: a power of two scales
+    exactly, and the frame maps the verdict back exactly.
     """
+    j = int(np.frexp(np.real(np.trace(state.matrix)))[1]) // 2
+    if j:
+        scale = Frame(BipartiteState(3, 3, 4.0 ** -j * state.matrix, state.tol),
+                      a=2.0 ** -j * np.eye(3), a_back=2.0 ** j * np.eye(3))
+        verdict = _product_cascade(scale.work, a_vec, b_vec, rng, trail)
+        return Rank4Verdict(scale.lift(verdict.outcome), verdict.trail)
     w0 = _peel_anchor(state, a_vec, b_vec)
     if w0.shape[0] != 4:
         raise RuntimeError(
@@ -476,8 +473,7 @@ def _product_cascade(state: BipartiteState, a_vec, b_vec, rng, trail):
     tau = BipartiteState(3, 2, dagger(w_sub) @ w_sub, tol)
     w = schmidt2_witness(tau)  # complete on 3x2: None means PPT
     if w is not None:
-        vec = g.lift(lift_through_local(w.vector, None, sel_b, (3, 2)))
-        witness = SchmidtRank2Witness(vector=vec, value=lifted_value(w, vec))
+        witness = g.frame().lift_witness(w, None, sel_b)
         return Rank4Verdict(Distillable(witness), trail + ("projected-b-pair-npt",))
 
     products = _ppt_products(tau, rng)
@@ -629,7 +625,7 @@ def _reducible_verdict(restricted: BipartiteState, rng):
         decomp = decompose_b_direct_matrix(mat, *dims, tol, rng)
         if decomp.irreducible:
             continue
-        side = Frame(restricted, restricted) if side_tag == "reducible-b" else Frame.swap(restricted)
+        side = Frame(restricted) if side_tag == "reducible-b" else Frame.swap(restricted)
         verdicts = [classify_state(c, rng=rng) for c in decomp.components]
         cert = aggregate(decomp, verdicts)
         if isinstance(cert, Ppt):

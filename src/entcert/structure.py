@@ -18,12 +18,9 @@ from .certificates import (
     Certificate,
     Distillable,
     Ppt,
-    SchmidtRank2Witness,
     Separable,
     UndecidableError,
     Undecided,
-    lift_through_local,
-    lifted_value,
     validate_certificate,
 )
 from .criteria import Frame, is_ppt, left_pencil, trivially_distillable
@@ -217,38 +214,30 @@ def decompose_b_direct_matrix(mat: np.ndarray, dim_a: int, dim_b: int,
     return BDirectDecomposition(normalized, tuple(projectors), conj_fwd, conj_inv, tol)
 
 
-def _lift_component_witness(decomp: BDirectDecomposition, index: int,
-                            witness, dims) -> SchmidtRank2Witness:
-    b_map = decomp.b_projectors[index] @ decomp.conjugator
-    vec = lift_through_local(witness.vector, None, b_map, dims)
-    return SchmidtRank2Witness(vector=vec, value=lifted_value(witness, vec))
-
-
 def aggregate(decomp: BDirectDecomposition, verdicts) -> Certificate:
     """Combine per-component certificates into one for the decomposed state.
 
-    Separable iff all components separable (product lists concatenated
-    and mapped back through the conjugator); PPT iff all PPT;
-    Distillable iff any component is (witness lifted).  Undecided
-    components block everything except a Distillable elsewhere.  It
-    only combines; the caller checks the result against its state.
+    Component i is (1 (x) P_i C) rho (1 (x) P_i C)^dag, so its results
+    map back through the Frame with b = P_i C and b_back = C^-1, the
+    conjugator and its inverse.  Separable iff all components separable
+    (their lifted products concatenated); PPT iff all PPT; Distillable
+    iff any component is (its witness lifted).  Undecided components
+    block everything except a Distillable elsewhere.  It only combines;
+    the caller checks the result against its state.
     """
     if len(verdicts) != decomp.n_components:
         raise ValueError("need exactly one verdict per component")
-    m = decomp.components[0].dim_a
-    n = decomp.components[0].dim_b
-    for idx, cert in enumerate(verdicts):
+    frames = [Frame(c, b=p @ decomp.conjugator, b_back=decomp.conjugator_inv)
+              for c, p in zip(decomp.components, decomp.b_projectors)]
+    for frame, cert in zip(frames, verdicts):
         if isinstance(cert, Distillable):
-            return Distillable(_lift_component_witness(decomp, idx, cert.witness, (m, n)))
+            return frame.lift(cert)
     if any(isinstance(c, Undecided) for c in verdicts):
         reports = [c.report for c in verdicts if isinstance(c, Undecided)]
         return Undecided(report="undecided components: " + "; ".join(reports))
     if all(isinstance(c, Separable) for c in verdicts):
-        products = []
-        for cert in verdicts:
-            for a, b in cert.products:
-                products.append((a, decomp.conjugator_inv @ b))
-        return Separable(products=tuple(products))
+        return Separable(products=tuple(
+            p for frame, cert in zip(frames, verdicts) for p in frame.lift_products(cert.products)))
     min_eig = min(is_ppt(comp)[1] for comp in decomp.components)
     return Ppt(min_eig_gamma=min_eig)
 

@@ -6,7 +6,8 @@ that theorems back draw no random numbers, the NPT routes from the max
 local rank up open with the coordinate scan, no function takes a
 restart budget, only the public verdict functions check certificates,
 the rank-4 tree never uses the trivial-submatrix scan and reads range
-products in one helper, and the named families compute no witness.
+products in one helper, the named families compute no witness, and
+criteria.Frame alone maps results on a transformed state back.
 
 Reads the source with ast only (nothing is imported), so a cycle that
 an import inside a function would hide at load time is still reported.
@@ -229,3 +230,34 @@ def test_rank4_reads_range_products_in_one_helper():
                    for node in ast.walk(func) if isinstance(node, ast.Call)
                    and getattr(node.func, "attr", None) == "pinv"})
     assert pinv == [], "rank4 calls pinv in " + ", ".join(pinv)
+
+
+def _callers(name):
+    """module.[Class.]function of every top-level function or method that
+    calls name; nested functions count as their enclosing one."""
+    callers = set()
+    for module, tree in _modules().items():
+        scopes = [(f"{module}.{node.name}", node) for node in tree.body
+                  if isinstance(node, ast.FunctionDef)]
+        scopes += [(f"{module}.{cls.name}.{node.name}", node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for qualname, func in scopes:
+            if any(isinstance(node, ast.Call) and name in {getattr(node.func, "id", None),
+                                                          getattr(node.func, "attr", None)}
+                   for node in ast.walk(func)):
+                callers.add(qualname)
+    return callers
+
+
+def test_one_frame_maps_every_construction_back():
+    # a witness found on a transformed state is revalued for the caller's
+    # state in one place, and the local ranges are compressed in one place
+    assert _callers("lifted_value") == {"criteria.Frame.lift_witness"}
+    assert _callers("restrict_to_local_ranges") == {"criteria.Frame.local"}
+    modules = _modules()
+    for module in ("rank4", "structure"):
+        imported = {alias.name for node in ast.walk(modules[module])
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        lifts = imported & {"lifted_value", "lift_through_local"}
+        assert not lifts, f"{module} imports {sorted(lifts)}"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entcert.cli import main
+from entcert.criteria import full_rank_property
 from entcert.io import (
     StateFileError,
     decode_complex,
@@ -14,6 +15,7 @@ from entcert.io import (
     load_state,
     save_state,
 )
+from entcert.linalg import ToleranceConfig
 from entcert.product_search import (
     Subspace, find_product_vector, random_product_containing_subspace, random_subspace,
 )
@@ -204,6 +206,59 @@ def test_cli_rejects_a_tolerance_that_voids_every_check(tmp_path, monkeypatch, c
     monkeypatch.setenv("ENTCERT_TOL", tol)
     assert main(["analyze", str(path)]) == 1
     assert "tol must lie strictly between 0 and 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("var, raw", [("ENTCERT_MODE", "bogus"), ("ENTCERT_SEED", "abc"),
+                                      ("ENTCERT_TOL", "abc"), ("ENTCERT_BUDGET", "abc"),
+                                      ("ENTCERT_BUDGET", "0")])
+def test_cli_rejects_a_bad_environment_value_by_name(tmp_path, monkeypatch, capsys, var, raw):
+    # argparse checks choices and types on flags, not on the defaults the
+    # variables set; a bad one once ran as given or raised a traceback
+    path = tmp_path / "werner.json"
+    assert main(["generate", "werner", "3", "-0.8", "--out", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv(var, raw)
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {var}=")
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_cli_rejects_a_budget_below_one(tmp_path, monkeypatch, capsys, budget):
+    # at budget 0 the full-rank mode used to report "holds: false" with
+    # failure_bound 1.0 on a state whose first sample proves it holds
+    path = tmp_path / "r3.json"
+    state = random_rank_r_state(3, 3, 3, np.random.default_rng(0))
+    save_state(state, path)
+    assert main(["analyze", str(path), "--mode", "full-rank"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["right"]["holds"] is True
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(path), "--mode", "full-rank", f"--budget={budget}"])
+    assert exc.value.code == 1
+    assert "error: argument --budget: budget must be at least 1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        full_rank_property(state, "right", budget=int(budget))
+
+
+def test_cli_product_test_loads_with_the_tolerance_given(tmp_path, monkeypatch, capsys):
+    # a product moved by 1e-6 off the span is found at tolerance 1e-4 only
+    rng = np.random.default_rng(0)
+    prod = np.kron(complex_gaussian(rng, 2), complex_gaussian(rng, 4))
+    moved = prod / np.linalg.norm(prod) + 1e-6 * complex_gaussian(rng, 8)
+    sub = Subspace(2, 4, np.vstack([moved, complex_gaussian(rng, (2, 8))]))
+    loose = Subspace(2, 4, sub.basis, ToleranceConfig(psd_tol=1e-4, residual_tol=1e-4))
+    assert not find_product_vector(sub).found and find_product_vector(loose).found
+    path = tmp_path / "moved.json"
+    save_state(sub, path)
+
+    def found(*flags):
+        assert main(["product-test", str(path), *flags]) == 0
+        return json.loads(capsys.readouterr().out)["payload"]["search"]["found"]
+    assert found() is False
+    assert found("--tol", "1e-4") is True
+    monkeypatch.setenv("ENTCERT_TOL", "1e-4")
+    assert found() is True
 
 
 @pytest.mark.parametrize("argv", [["product-test", "sub.json"],

@@ -482,6 +482,17 @@ def test_state_validation_rejects_non_hermitian(rng):
         BipartiteState(2, 2, mat)
 
 
+def test_hermiticity_check_is_relative_at_every_scale():
+    # a PSD matrix plus 1e-3 K, K real antisymmetric: the relative defect
+    # |H - H^dag| / |H| is 5e-4 at every scale, so no scale may pass it
+    k = np.zeros((4, 4), dtype=complex)
+    k[0, 1], k[1, 0] = 1.0, -1.0
+    mat = 2.0 * np.sqrt(2.0) * np.eye(4) + 1.0e-3 * k
+    for e in range(-12, 13):
+        with pytest.raises(ValueError, match="Hermitian"):
+            BipartiteState(2, 2, 10.0 ** e * mat)
+
+
 def test_spectral_norm_is_kept_from_construction(rng, monkeypatch):
     state = random_rank_r_state(4, 4, 3, rng)
     calls = []
