@@ -4,13 +4,16 @@ Implements the PPT test, the reduction criterion, trivial distillability
 (2x2 principal submatrices of rho^G), left/right full-rank properties,
 the Schmidt-rank-2 scan of the coordinate 2xN blocks of rho^G, the
 checkerboard proof's projection sweep (the rank-4 tree's last NPT
-search), and the certified classification of states whose rank is at
-most the maximum local rank.  Below it, the reduction-criterion proof
-builds the witness with no search.  At it, both halves of the theorem
-(PPT -> N products, NPT -> the scan first, a negative 2xN projection
-as its fallback) run in a `Frame`, which compresses a state onto its
-local ranges, orients it to M <= N and maps the results back.  Every
-witness is a SchmidtRank2Witness valued on the state it is returned for.
+search), the random 2-frames of classify_state's general branch, and
+the certified classification of states whose rank is at most the
+maximum local rank.  Below it, the reduction-criterion proof builds the
+witness with no search.  At it, both halves of the theorem (PPT -> N
+products, NPT -> the scan first, a negative 2xN projection as its
+fallback) run in a `Frame`, which compresses a state onto its local
+ranges, orients it to M <= N and maps the results back.  One helper,
+_projection_witness, values every A 2-frame projection of rho^G: the
+fallback's, the sweep's and the random ones.  Every witness is a
+SchmidtRank2Witness valued on the state it is returned for.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .linalg import (
     DEFAULT_TOL, common_eigenbasis, complete_rows, dagger, frob, kron, numerical_rank, psd_eigen,
     psd_range, singular_rank,
 )
-from .random_states import as_rng, unit_disc
+from .random_states import as_rng, complex_gaussian, unit_disc
 from .states import (
     BipartiteState,
     BlockForm,
@@ -344,6 +347,44 @@ def schmidt2_witness(state: BipartiteState):
     return SchmidtRank2Witness(vector=vec, value=float(w[best, 0]))
 
 
+def _projection_witness(state: BipartiteState, rows: np.ndarray):
+    """Witness from the first A row set of a stack that compresses
+    state to an NPT state; None is no claim.
+
+    rows is a (K, k, M) stack of A row sets, each of full row rank.  One
+    QR makes each orthonormal (rows F), the compression of state by
+    F (x) I_N has partial transpose (conj(F) (x) I_N) rho^G (F^T (x) I_N),
+    and one eigh runs on all K.  The first set, in stack order, whose
+    lowest eigenvalue is below minus state's floor wins: its eigenvector
+    v lifts to the unit vector (F^T (x) I_N) v on state, of Schmidt rank
+    at most k, whose value is that eigenvalue.
+    """
+    n = state.dim_b
+    # conj(F) = Q^T for the QR factor Q of rows^dag
+    conj_f = np.swapaxes(np.linalg.qr(np.swapaxes(rows.conj(), -1, -2))[0], -1, -2)
+    ops = (conj_f[:, :, None, :, None] * np.eye(n)[:, None, :]).reshape(
+        len(rows), -1, rows.shape[2] * n)
+    sub = ops @ partial_transpose(state) @ np.swapaxes(ops.conj(), -1, -2)
+    w, v = np.linalg.eigh(0.5 * (sub + np.swapaxes(sub.conj(), -1, -2)))
+    hits = np.flatnonzero(w[:, 0] < -state.tol.negativity_floor(state.spectral_norm))
+    if hits.size == 0:
+        return None
+    k = hits[0]
+    return SchmidtRank2Witness(vector=dagger(ops[k]) @ v[k, :, 0], value=float(w[k, 0]))
+
+
+def _random_frame_witness(state: BipartiteState, budget, rng):
+    """Schmidt-rank-2 witness on the first of up to budget random A
+    2-frames whose 2 (x) N projection is NPT; None is no claim.  Each
+    draw is one _projection_witness call."""
+    rng = as_rng(rng)
+    for _ in range(budget):
+        w = _projection_witness(state, dagger(complex_gaussian(rng, (state.dim_a, 2)))[None])
+        if w is not None:
+            return w
+    return None
+
+
 # x values of the sweep's compressions: four phases at five moduli
 _SWEEP_GRID = tuple(s * m for m in (1.0, 2.0, 0.5, 4.0, 0.25) for s in (1.0, -1.0, 1.0j, -1.0j))
 
@@ -351,37 +392,22 @@ _SWEEP_GRID = tuple(s * m for m in (1.0, 2.0, 0.5, 4.0, 0.25) for s in (1.0, -1.
 def _structured_projection_sweep(state):
     """The checkerboard proof's rank-2 conjugation sweep.
 
-    Tests NPT of the compressions (x|i> + |k>)<i| + |j><j| over all
-    coordinate anchors and the fixed x grid, on both sides.  Any
-    negative eigenvalue certifies 1-distillability; None is no claim.
+    Tests NPT of the compressions to the A rows (conj(x) e_i + e_k, e_j)
+    over all coordinate anchors (i, k, j), on both sides; each anchor is
+    one _projection_witness call on the x grid, in grid order, and the
+    first anchor with a negative compression certifies 1-distillability.
+    None is no claim.
     """
+    grid = np.conj(np.asarray(_SWEEP_GRID, dtype=complex))
     for frame in (Frame(state), Frame.swap(state)):
-        work = frame.work
-        m, n = work.dim_a, work.dim_b
-        gam = partial_transpose(work)
-        thr = work.tol.negativity_floor(work.spectral_norm)
+        m = frame.work.dim_a
         for i, k, j in permutations(range(m), 3):
-            for x in _SWEEP_GRID:
-                # orthonormal rows: the eigenvalue is the lifted vector's
-                # normalized expectation, the value validation recomputes
-                comp = np.eye(m, dtype=complex)[[k, j]]
-                comp[0, i] = np.conj(x)
-                comp[0] /= np.sqrt(abs(x) ** 2 + 1.0)
-                # Gamma of the compressed state, from Gamma of the full one
-                op = kron(comp.conj(), np.eye(n))
-                sub = op @ gam @ dagger(op)
-                w, v = np.linalg.eigh(0.5 * (sub + dagger(sub)))
-                if w[0] < -thr:
-                    return frame.lift_witness(
-                        SchmidtRank2Witness(vector=v[:, 0], value=float(w[0])), comp)
+            rows = np.zeros((len(grid), 2, m), dtype=complex)
+            rows[:, 0, i], rows[:, 0, k], rows[:, 1, j] = grid, 1.0, 1.0
+            w = _projection_witness(frame.work, rows)
+            if w is not None:
+                return frame.lift_witness(w)
     return None
-
-
-def _pair_state(c_block: np.ndarray, tol) -> BipartiteState:
-    """The 2 (x) N state (X, I_N)^dag (X, I_N) for X = c_block."""
-    n = c_block.shape[1]
-    w = np.hstack([c_block, np.eye(n, dtype=complex)])
-    return BipartiteState(2, n, dagger(w) @ w, tol)
 
 
 def _normal_form(bf: BlockForm, witness: np.ndarray):
@@ -421,40 +447,27 @@ def _distill_rank_max(state, rng):
         # cannot happen for M >= 2 at rank N (the product bound shortcut
         # needs N > M(N-1)); guard against contract drift anyway
         raise RuntimeError("full-rank property held without a witness vector")
-    return _pair_witness(*_normal_form(blocks, frp.witness), state.tol)
+    return _pair_witness(state, *_normal_form(blocks, frp.witness)[:2])
 
 
-def _pair_witness(blocks, a_op, b_op, tol):
-    """Witness for an NPT state with blocks (C_1, .., I_N) from a 2xN
-    projection.
+def _pair_witness(state, blocks, a_op):
+    """Witness for an NPT state whose blocks after the A operation a_op
+    (and an invertible B one) are (C_1, .., I_N), from a 2xN projection.
 
-    The blocks are those of (a_op (x) b_op) rho (a_op (x) b_op)^dag; the
-    witness is the lift of the NPT projection's lowest eigenvector,
-    valued on rho.  A pair state (X, I_N) is NPT iff X is not
+    The pair state (X, I_N) of X = x C_i + C_j is, up to invertible
+    local maps, the compression of state to the A rows (conj(x) a_op[i]
+    + a_op[j], a_op[M-1]), so the two are NPT together; the witness is
+    _projection_witness's on state.  (X, I_N) is NPT iff X is not
     normal.  Some C_i is not normal, or two normal C_i, C_j do not
     commute; then X = x C_i + C_j has X^dag X - X X^dag = conj(x) K +
     x K^dag with K = C_i^dag C_j - C_j C_i^dag, which is nonzero by
     Fuglede's theorem, so x = 1 or, when K + K^dag = 0, x = i certifies.
     """
     m = len(blocks)
-
-    def certify(c_block, g_cols):
-        pair = _pair_state(c_block, tol)
-        if is_ppt(pair)[0]:
-            return None
-        w, v = np.linalg.eigh(partial_transpose(pair))
-        # dagger(g_cols) is the 2 x M compression of the working state
-        frame = Frame(pair, dagger(g_cols) @ a_op, b_op)
-        return frame.lift_witness(SchmidtRank2Witness(vector=v[:, 0], value=float(w[0])))
-
-    # each pair-projected state (C_i, I_N); any NPT one certifies
-    for i in range(m - 1):
-        g_cols = np.zeros((m, 2), dtype=complex)
-        g_cols[i, 0] = 1.0
-        g_cols[m - 1, 1] = 1.0
-        witness = certify(blocks[i], g_cols)
-        if witness is not None:
-            return witness
+    # each pair-projected state (C_i, I_N); the first NPT one certifies
+    witness = _projection_witness(state, np.stack([a_op[[i, m - 1]] for i in range(m - 1)]))
+    if witness is not None:
+        return witness
 
     # all pair projections PPT: blocks are normal, a non-commuting pair exists
     scale = [max(frob(c), 1.0e-300) for c in blocks[:-1]]
@@ -464,19 +477,15 @@ def _pair_witness(blocks, a_op, b_op, tol):
             score = frob(blocks[i] @ blocks[j] - blocks[j] @ blocks[i]) / (scale[i] * scale[j])
             if score > best_score + 1.0e-15:
                 best_pair, best_score = (i, j), score
-    if best_pair is None or best_score <= tol.residual_tol:
+    if best_pair is None or best_score <= state.tol.residual_tol:
         raise UndecidableError(
             "all pair projections are PPT and the blocks commute; the state "
             "tests as PPT, contradicting the NPT precondition")
     i, j = best_pair
-    for x in (1.0, 1.0j):
-        g_cols = np.zeros((m, 2), dtype=complex)
-        g_cols[i, 0] = x
-        g_cols[j, 0] = 1.0
-        g_cols[m - 1, 1] = 1.0
-        witness = certify(x * blocks[i] + blocks[j], g_cols)
-        if witness is not None:
-            return witness
+    witness = _projection_witness(state, np.stack(
+        [np.stack([np.conj(x) * a_op[i] + a_op[j], a_op[m - 1]]) for x in (1.0, 1.0j)]))
+    if witness is not None:
+        return witness
     raise RuntimeError(
         f"x C_i + C_j is normal for x = 1 and x = i on the non-commuting pair "
         f"{best_pair} (commutator score {best_score:.3e}); Fuglede's theorem "
@@ -541,10 +550,10 @@ def classify_rank_le_max(state: BipartiteState, rng=7) -> Certificate:
     Rank below the max local rank: distillable, with the Schmidt-rank-2
     witness the reduction-criterion proof constructs.  Rank equal to it:
     PPT implies separable with exactly N products; NPT yields the
-    coordinate 2xN scan's witness, or when the scan misses the lift of a
-    negative 2xN projection's lowest eigenvector.  Every witness is
-    valued on the state given.  A construction that fails raises a
-    named error; it never returns Undecided.
+    coordinate 2xN scan's witness, or when the scan misses the lowest
+    eigenvector of rho^G compressed to a negative A 2-frame.  Every
+    witness is valued on the state given.  A construction that fails
+    raises a named error; it never returns Undecided.
     """
     r, n = state.rank(), max(state.local_ranks())
     if r > n:

@@ -50,7 +50,6 @@ from .certificates import (
     Distillable,
     Ppt,
     PptEntangled,
-    SchmidtRank2Witness,
     Separable,
     UndecidableError,
     Undecided,
@@ -59,6 +58,7 @@ from .certificates import (
 from .criteria import (
     Frame,
     _distill_rank_max,
+    _random_frame_witness,
     _rank_n_products,
     _structured_projection_sweep,
     classify_rank_le_max,
@@ -72,11 +72,10 @@ from .linalg import (
     rel_residual, singular_rank,
 )
 from .product_search import _both_ranges_candidates, _refine_candidate, rank_one_in_span
-from .random_states import as_rng, complex_gaussian
+from .random_states import as_rng
 from .states import (
     BipartiteState,
     _block_form_from_range,
-    partial_transpose,
     partial_transpose_matrix,
     reduce_matrix,
     swap_sides_matrix,
@@ -763,21 +762,6 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
 # top-level classification
 # ---------------------------------------------------------------------------
 
-def _random_frame_witness(state: BipartiteState, budget, rng):
-    """Schmidt-rank-2 witness on the first of up to budget random A
-    2-frames whose 2 (x) N block of rho^G is negative; None is no claim."""
-    m, n = state.dim_a, state.dim_b
-    rng, g = as_rng(rng), partial_transpose(state)
-    thr = state.tol.negativity_floor(state.spectral_norm)
-    for _ in range(budget):
-        lift = kron(np.linalg.qr(complex_gaussian(rng, (m, 2)))[0].conj(), np.eye(n))
-        comp = dagger(lift) @ g @ lift
-        w, v = np.linalg.eigh(0.5 * (comp + dagger(comp)))
-        if w[0] < -thr:
-            return SchmidtRank2Witness(vector=lift @ v[:, 0], value=float(w[0]))
-    return None
-
-
 def classify_state(state: BipartiteState, rng=7, budget: int = 256) -> Certificate:
     """Strongest verdict available for an arbitrary bipartite state.
 
@@ -786,8 +770,11 @@ def classify_state(state: BipartiteState, rng=7, budget: int = 256) -> Certifica
     decision tree; everything else runs the criteria battery plus the
     B-direct decomposition and reports the strongest certified verdict.
     Only that last branch searches at random (budget 2-frames), because
-    only there is a failed search reported as Undecided.
+    only there is a failed search reported as Undecided; a budget below
+    1 raises ValueError.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     ra, rb = state.local_ranks()
     r = state.rank()
     if r <= max(ra, rb):

@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -526,7 +527,7 @@ def test_pair_witness_closed_form_on_normal_noncommuting_blocks(c1, x):
     w = np.hstack(blocks)
     state = BipartiteState(3, 3, w.conj().T @ w)
     assert not is_ppt(state)[0]
-    witness = criteria._pair_witness(blocks, eye, eye, state.tol)
+    witness = criteria._pair_witness(state, blocks, eye)
     # the compression's A rows are conj(x) e_1 + e_2 and e_3, so the A
     # side of the lifted vector lies in their span, orthogonal to
     # (1, -x, 0), for the x that certified and for no other
@@ -535,6 +536,78 @@ def test_pair_witness_closed_form_on_normal_noncommuting_blocks(c1, x):
         off_span = np.linalg.norm(np.array([1.0, -y, 0.0]).conj() @ a_side)
         assert (off_span < 1e-12) == (y == x)
     assert validate_witness(state, witness) < -1e-10
+
+
+def _in_row_space(rows, a_side):
+    """Residual of the columns of a_side off the span of rows' rows."""
+    coef = np.linalg.lstsq(rows.T, a_side, rcond=None)[0]
+    return np.linalg.norm(rows.T @ coef - a_side)
+
+
+def test_projection_witness_lifts_the_first_negative_row_set(rng):
+    # row sets that are not orthonormal; the witness is a unit vector on
+    # the state itself, of Schmidt rank <= 2, from the first row set
+    # whose compression is NPT, and carries the value validation finds
+    for m, n, r in ((3, 3, 4), (3, 4, 7), (4, 4, 8), (4, 3, 5)):
+        state = random_rank_r_state(m, n, r, rng)
+        rows = complex_gaussian(rng, (6, 2, m))
+        singles = [criteria._projection_witness(state, one[None]) for one in rows]
+        k = next(k for k, w in enumerate(singles) if w is not None)
+        w = criteria._projection_witness(state, rows)
+        a_side = w.vector.reshape(m, n)
+        assert abs(np.linalg.norm(w.vector) - 1.0) < 1e-12
+        assert np.linalg.matrix_rank(a_side, tol=1e-10) <= 2
+        assert _in_row_space(rows[k], a_side) < 1e-10
+        assert abs(validate_witness(state, w) - w.value) <= 1e-12 * state.spectral_norm
+        assert w.value == pytest.approx(singles[k].value, rel=1e-12)
+
+
+def test_projection_witness_takes_the_first_hit_not_the_most_negative(rng):
+    # psi = |2,0> + |0,1> plus weak products: the compression to A levels
+    # 0 and 1 keeps only product vectors, so it is PPT
+    psi = np.zeros(9, dtype=complex)
+    psi[6] = psi[1] = 1.0
+    products = [0.1 * np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3))
+                for _ in range(2)]
+    state = BipartiteState.from_vectors(3, 3, [psi] + products)
+    ppt_rows = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0]], dtype=complex)
+    assert criteria._projection_witness(state, ppt_rows[None]) is None
+    draws = [rows for rows in complex_gaussian(rng, (20, 2, 3))
+             if criteria._projection_witness(state, rows[None]) is not None]
+    values = [criteria._projection_witness(state, rows[None]).value for rows in draws]
+    weak, strong = draws[int(np.argmax(values))], draws[int(np.argmin(values))]
+    w = criteria._projection_witness(state, np.stack([ppt_rows, weak, strong]))
+    assert w.value == pytest.approx(max(values), rel=1e-12) and max(values) > min(values) / 2
+    assert _in_row_space(weak, w.vector.reshape(3, 3)) < 1e-10
+    assert _in_row_space(strong, w.vector.reshape(3, 3)) > 1e-3
+
+
+def test_projection_witness_is_none_on_a_ppt_state(rng):
+    state = random_product_sum(3, 4, 6, rng)
+    assert criteria._projection_witness(state, complex_gaussian(rng, (30, 2, 3))) is None
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (3, 4)])
+def test_rank_max_fallback_witness_is_a_large_share_of_the_negativity(monkeypatch, m, n):
+    # with the coordinate scan missing, the 2xN projection of the
+    # theorem answers; its witness, the lowest eigenvector of rho^G on
+    # the projection, reaches a large share of lambda_min(rho^G)
+    scan = criteria.schmidt2_witness
+    code = criteria._distill_rank_max.__code__
+
+    def missing(state):
+        return None if sys._getframe(1).f_code is code else scan(state)
+
+    monkeypatch.setattr(criteria, "schmidt2_witness", missing)
+    rng = np.random.default_rng(4)
+    ratios = []
+    for _ in range(20):
+        state = random_rank_r_state(m, n, n, rng)
+        cert = classify_rank_le_max(state, rng=0)
+        value = validate_witness(state, cert.witness)
+        ratios.append(value / np.linalg.eigvalsh(partial_transpose(state))[0])
+    assert min(ratios) >= 0.05
+    assert np.median(ratios) >= 0.4
 
 
 def test_restrict_full_local_ranks_is_free(rng, monkeypatch):

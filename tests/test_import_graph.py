@@ -6,8 +6,9 @@ that theorems back draw no random numbers, the NPT routes from the max
 local rank up open with the coordinate scan, no function takes a
 restart budget, only the public verdict functions check certificates,
 the rank-4 tree never uses the trivial-submatrix scan and reads range
-products in one helper, the named families compute no witness, and
-criteria.Frame alone maps results on a transformed state back.
+products in one helper, the named families compute no witness,
+criteria.Frame alone maps results on a transformed state back, and one
+helper values every 2-frame projection of rho^G.
 
 Reads the source with ast only (nothing is imported), so a cycle that
 an import inside a function would hide at load time is still reported.
@@ -261,3 +262,27 @@ def test_one_frame_maps_every_construction_back():
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
         lifts = imported & {"lifted_value", "lift_through_local"}
         assert not lifts, f"{module} imports {sorted(lifts)}"
+
+
+def test_one_routine_values_every_2_frame_projection():
+    # the checkerboard sweep, the random 2-frames and the rank = max
+    # local rank theorem's 2xN fallback compress rho^G to an A 2-frame
+    # through one helper, on the state itself, with no pair state built
+    modules = _modules()
+    funcs = {node.name: node for node in modules["criteria"].body
+             if isinstance(node, ast.FunctionDef)}
+    for name in ("_structured_projection_sweep", "_random_frame_witness", "_pair_witness"):
+        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                  for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)}
+        assert "_projection_witness" in called, f"criteria.{name} skips _projection_witness"
+        own = called & {"eigh", "partial_transpose", "BipartiteState"}
+        assert not own, f"criteria.{name} calls {sorted(own)}"
+    defined = [f"{module}.{node.name}" for module, tree in modules.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_pair_state"]
+    assert not defined, f"{defined} is left"
+    rank4 = [f"rank4.py:{node.lineno}" for node in ast.walk(modules["rank4"])
+             if isinstance(node, ast.Call) and {getattr(node.func, "id", None),
+                                                getattr(node.func, "attr", None)}
+             & {"eigh", "partial_transpose"}]
+    assert not rank4, "rank4 projects rho^G itself at " + ", ".join(rank4)
