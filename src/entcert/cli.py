@@ -10,10 +10,10 @@ and generate's --out, --random and --cut, cannot.  --budget and --mode
 belong to analyze only.
 
 A variable is parsed as its flag is, for every subcommand: a seed,
-budget or tolerance that is not a number, a budget below 1 and a mode
-that is not one of the choices exit 1 with an error line that names
-the flag or the variable.  A tolerance outside (0, 1) exits 1 as well.
-analyze and product-test load their input with --tol.
+budget or tolerance that is not a number, a negative seed, a budget
+below 1 and a mode that is not one of the choices exit 1 with an error
+line that names the flag or the variable.  A tolerance outside (0, 1)
+exits 1 as well.  analyze and product-test load their input with --tol.
 """
 
 from __future__ import annotations
@@ -74,9 +74,15 @@ def _mode(raw: str) -> str:
 
 def budget(raw: str) -> int:
     """A search budget: an integer of at least 1."""
-    value = int(raw)
-    if value < 1:
+    if (value := int(raw)) < 1:
         raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
+    return value
+
+
+def seed(raw: str) -> int:
+    """A seed: a non-negative integer, the seeds numpy's Generator takes."""
+    if (value := int(raw)) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
     return value
 
 
@@ -158,7 +164,7 @@ def cmd_analyze(args) -> int:
         if args.mode not in ("auto", "tripartite"):
             raise StateFileError(f"mode {args.mode} needs a bipartite input")
         pc = classify_pairs(obj, rng=rng)
-        is_ghz, coeffs = ghz_test(obj, rng=np.random.default_rng(args.seed))
+        is_ghz, coeffs = ghz_test(obj, rng=args.seed)
         payload["pairs"] = {
             name: {"ppt": bool(pc.ppt[name]),
                    **_certificate_payload(None, pc.certificates[name])}
@@ -297,8 +303,7 @@ def cmd_product_test(args) -> int:
         payload["hypersurface"] = None
         payload["note"] = ("no hypersurface equation for this shape; "
                            "the product search decides alone")
-    rng = np.random.default_rng(args.seed)
-    result = find_product_vector(obj, rng=rng)
+    result = find_product_vector(obj, rng=args.seed)
     payload["search"] = {
         "found": bool(result.found),
         "method": result.method,
@@ -332,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float,
                        default=_env_default("tol", None, float),
                        help="override psd/residual tolerances")
-        p.add_argument("--seed", type=int,
-                       default=_env_default("seed", 7, int),
+        p.add_argument("--seed", type=seed,
+                       default=_env_default("seed", 7, seed),
                        help="seed for all randomized searches")
         p.add_argument("--text", action="store_true",
                        help="human-readable output instead of JSON")

@@ -289,13 +289,19 @@ def full_rank_property(state: BipartiteState, side: str = "right",
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     frame = Frame.local(state, orient=False)
-    return _full_rank_from_blocks(block_form(frame.work), side, as_rng(rng), state.tol, budget,
+    return _full_rank_from_blocks(block_form(frame.work), side, rng, state.tol, budget,
                                   frame.a_back if side == "right" else frame.b_back)
 
 
 def _full_rank_from_blocks(blocks: BlockForm, side, rng, tol, budget=64, lift=None):
     """full_rank_property on the block form of a state compressed to its
-    local ranges; a witness found is mapped back by lift (None: kept)."""
+    local ranges; a witness found is mapped back by lift (None: kept).
+
+    rng is the caller's seed or Generator, passed through unchanged.
+    It becomes a Generator only after the two shortcut returns, where
+    the sampling starts, so a shortcut builds none; an int seed starts
+    a fresh stream, and a negative one raises only when the pencil is
+    sampled."""
     m, n = blocks.dim_a, blocks.dim_b
     r = blocks.rank
 
@@ -313,6 +319,7 @@ def _full_rank_from_blocks(blocks: BlockForm, side, rng, tol, budget=64, lift=No
     if r > opposite * (target - 1):
         return FullRankResult(side, True, None, "rank-above-product-bound", 0, None)
 
+    rng = as_rng(rng)
     for k in range(budget):
         xi = unit_disc(rng, opposite)
         x_mat = sum(c * w for c, w in zip(pencil, xi))
@@ -437,7 +444,7 @@ def _distill_rank_max(state, rng):
     if (w := schmidt2_witness(state)) is not None:
         return w
     blocks = block_form(state)
-    frp = _full_rank_from_blocks(blocks, "right", as_rng(rng), state.tol)
+    frp = _full_rank_from_blocks(blocks, "right", rng, state.tol)
     if not frp.holds:
         # implies 1-distillability; each trivial 2x2 submatrix lies in a scanned block
         raise UndecidableError(
@@ -507,7 +514,7 @@ def _rank_n_products(state: BipartiteState, rng):
                 for wk, qk in zip(w[::-1], q.T[::-1])]  # ascending eigenvalues
 
     bf = block_form(state)
-    frp = _full_rank_from_blocks(bf, "right", as_rng(rng), tol)
+    frp = _full_rank_from_blocks(bf, "right", rng, tol)
     if not frp.holds or frp.witness is None:
         raise RuntimeError(
             "no full-rank direction found for a PPT state; PPT states are "

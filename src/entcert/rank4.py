@@ -282,7 +282,7 @@ def _ppt_products(state: BipartiteState, rng):
     elif wm == 2 and wn <= 3:
         products = _peel_two_by_n(work, rng)
     elif (wm, wn) == (3, 3) and r == 4:
-        verdict = _decide_rank4_local(work, as_rng(rng))
+        verdict = _decide_rank4_local(work, rng)
         if not isinstance(verdict.outcome, Separable):
             raise RuntimeError(
                 f"rank-4 decision returned {type(verdict.outcome).__name__} "
@@ -643,12 +643,19 @@ def decide_rank4(state: BipartiteState, rng=7) -> Rank4Verdict:
     state that is irreducible, has no product vector found in the range,
     and on which both the coordinate 2x3 scan and the projection sweep
     find no negative direction; it raises UndecidableError.
+
+    rng, a seed or a Generator, is passed through unchanged: only a
+    route that draws turns it into a Generator, after its early returns.
+    With an int seed each drawing function starts its stream afresh, and
+    a negative seed raises only where a route draws.  The range-product
+    readout, the "no product" bound and the coordinate 2x3 scan draw
+    nothing.
     """
     frame = Frame.local(state, orient=False)
     r = frame.work.rank()
     if r != 4:
         raise ValueError(f"decide_rank4 needs a rank-4 state, got rank {r}")
-    verdict = _decide_rank4_local(frame.work, as_rng(rng))
+    verdict = _decide_rank4_local(frame.work, rng)
     outcome = frame.lift(verdict.outcome)
     if isinstance(outcome, (Separable, Distillable)):
         validate_certificate(state, outcome)
@@ -662,18 +669,15 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
 
     if max(m, n) == 4:
         local = Frame.local(restricted)
-        if ppt_flag:
-            products = local.lift_products(_rank_n_products(local.work, rng))
-            return Rank4Verdict(Separable(products=tuple(products)),
-                                ("max-local-rank-4", "ppt-rank-max"))
-        return Rank4Verdict(Distillable(local.lift_witness(_distill_rank_max(local.work, rng))),
-                            ("max-local-rank-4", "npt-rank-max"))
+        cert = (Separable(products=tuple(_rank_n_products(local.work, rng))) if ppt_flag
+                else Distillable(_distill_rank_max(local.work, rng)))
+        return Rank4Verdict(local.lift(cert),
+                            ("max-local-rank-4", "ppt-rank-max" if ppt_flag else "npt-rank-max"))
 
     if (m, n) != (3, 3):
         # small shapes (2x2, 2x3, 3x2): PPT iff separable
         if ppt_flag:
-            products = _ppt_products(restricted, rng)
-            return Rank4Verdict(Separable(products=tuple(products)),
+            return Rank4Verdict(Separable(products=tuple(_ppt_products(restricted, rng))),
                                 ("small-locals", "peeling"))
         w = schmidt2_witness(restricted)
         if w is None:

@@ -251,6 +251,17 @@ def _callers(name):
     return callers
 
 
+def test_dispatchers_pass_the_seed_through():
+    # a Generator is built from an int seed only in the function that
+    # draws, after its early returns, so a route that draws nothing
+    # builds none
+    dispatchers = {"rank4.decide_rank4", "rank4._decide_rank4_local", "rank4._ppt_products",
+                   "rank4.classify_state", "criteria._distill_rank_max",
+                   "criteria._rank_n_products", "criteria.full_rank_property"}
+    converting = dispatchers & _callers("as_rng")
+    assert not converting, "as_rng called in " + ", ".join(sorted(converting))
+
+
 def test_one_frame_maps_every_construction_back():
     # a witness found on a transformed state is revalued for the caller's
     # state in one place, and the local ranges are compressed in one place

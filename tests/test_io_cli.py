@@ -245,6 +245,28 @@ def test_cli_rejects_a_budget_below_one(tmp_path, monkeypatch, capsys, budget):
         classify_state(state, budget=int(budget))
 
 
+@pytest.mark.parametrize("argv", [["analyze", "tiles.json"], ["product-test", "sub.json"],
+                                  ["generate", "checkerboard", "--random", "--out", "cb.json"]])
+def test_cli_rejects_a_negative_seed_by_name(tmp_path, monkeypatch, capsys, argv):
+    # numpy's Generator takes non-negative seeds only; a negative one
+    # used to exit on numpy's bare "expected non-negative integer", which
+    # names neither the flag nor the variable
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "upb_tiles_3x3", "--out", "tiles.json"]) == 0
+    save_state(random_subspace(2, 4, 3, np.random.default_rng(0)), "sub.json")
+    assert main(argv + ["--seed", "0"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 1
+    assert "error: argument --seed: seed must be non-negative, got -1" in capsys.readouterr().err
+    monkeypatch.setenv("ENTCERT_SEED", "-5")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ENTCERT_SEED='-5': seed must be non-negative, got -5\n"
+
+
 def test_cli_product_test_loads_with_the_tolerance_given(tmp_path, monkeypatch, capsys):
     # a product moved by 1e-6 off the span is found at tolerance 1e-4 only
     rng = np.random.default_rng(0)

@@ -1,3 +1,4 @@
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,7 @@ from entcert.certificates import (
 from entcert.criteria import is_ppt, trivially_distillable
 from entcert.families import (
     checkerboard_ppt_instance,
+    classify_checkerboard,
     make_shifts_upb,
     make_tiles_upb,
     random_checkerboard,
@@ -662,3 +664,30 @@ def test_ppt_b_reducible_state_with_range_product_families_ends_reducible_b(rng)
         verdict = decide_rank4(state, rng=rng)
         assert verdict.trail == ("reducible-b",)
         validate_certificate(state, verdict.outcome)
+
+
+def test_int_seeds_build_no_generator_where_no_route_draws(monkeypatch):
+    # the range-product readout, the "no product" bound, the coordinate
+    # 2x3 scan and the product-bound shortcut draw nothing, so an int
+    # seed passes through them and never becomes a Generator; the
+    # certificates are byte for byte those of a caller's Generator
+    rng = np.random.default_rng(31)
+    states = [make_tiles_upb()]
+    for _ in range(3):
+        prod = np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3))
+        states += [random_product_sum(3, 3, 4, rng), random_rank_r_state(3, 3, 4, rng),
+                   BipartiteState.from_vectors(
+                       3, 3, [prod] + [complex_gaussian(rng, 9) for _ in range(3)])]
+    calls = ([(decide_rank4, s) for s in states] + [(classify_state, s) for s in states]
+             + [(classify_checkerboard, random_checkerboard(rng)[1]) for _ in range(4)])
+    above_bound = random_rank_r_state(2, 2, 3, rng)
+    expected = [pickle.dumps(func(s, rng=np.random.default_rng(seed)))
+                for seed, (func, s) in enumerate(calls)]
+    frp = criteria.full_rank_property(above_bound, rng=np.random.default_rng(5))
+    assert frp.shortcut == "rank-above-product-bound"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route that draws nothing built a Generator")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert [pickle.dumps(func(s, rng=seed)) for seed, (func, s) in enumerate(calls)] == expected
+    assert criteria.full_rank_property(above_bound, rng=5) == frp
