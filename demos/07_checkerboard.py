@@ -5,8 +5,9 @@ sparsity pattern (18 complex parameters), generically of rank 4.  Every
 NPT member is 1-distillable.  classify_checkerboard returns the verdict
 of classify_state, so a rank-4 member goes through decide_rank4: a
 negative coordinate 2x3 block of rho^G, or, for a range with no product
-vector, the proof's structured projection sweep, gives the witness,
-which decide_rank4 re-validates.
+vector, the lowest eigenvector of rho^G compressed to a negative 2-frame
+read off its eigenvectors, gives the witness, which decide_rank4
+re-validates.
 """
 
 import numpy as np

@@ -1,17 +1,20 @@
 """Digests of the verdicts on the routes that the other digest scripts miss.
 
-The benchmark corpora and the CLI fixtures never reach the rank-4 tree's
-projection sweep, the random 2-frames, the 2xN projection fallback of
-the rank = max local rank theorem, the rank-1 sector path, the gauge
-cascade or the B-direct aggregation.  This script runs seeded inputs through each of them:
+The benchmark corpora and the CLI fixtures never reach the eigen-frame
+search (the 2-frames read off the eigenvectors of rho^G) of the rank-4
+tree or of classify_state, the 2xN projection fallback of the rank = max
+local rank theorem, the rank-1 sector path, the gauge cascade, the
+B-direct aggregation or an int-seeded reducible-b verdict.  This script
+runs seeded inputs through each of them:
 
-  sweep          662 NPT near-PPT checkerboards (one parameter of
+  eigen-frames   662 NPT near-PPT checkerboards (one parameter of
                  checkerboard_ppt_instance moved by 10^U(-9,-6) e^{i theta},
                  default_rng(5)), through decide_rank4;
-  sweep-unitary  the same items under a random local unitary U_A (x) U_B
-                 each (default_rng(6)), where the sweep's coordinate
-                 anchors meet another frame;
-  random-frames  NPT states of rank 5-7 in 3x3, 3x4 and 4x4
+  eigen-frames-unitary
+                 the same items under a random local unitary U_A (x) U_B
+                 each (default_rng(6)), where the verdicts must not move;
+  eigen-frames-high-rank
+                 NPT states of rank 5-7 in 3x3, 3x4 and 4x4
                  (default_rng(3)), through classify_state, with its
                  coordinate scan made to miss;
   pair-fallback  NPT states of rank 3 in 3x3 and rank 4 in 3x4
@@ -25,11 +28,18 @@ cascade or the B-direct aggregation.  This script runs seeded inputs through eac
                  number 10 (default_rng(31)), through decide_rank4;
   aggregate      make_reducible_4x4_example under random invertible
                  local maps (default_rng(8)), through decompose_b_direct,
-                 classify_state on each component and aggregate.
+                 classify_state on each component and aggregate;
+  reducible-b    12 PPT 3x3 rank-4 states a (x) C^2 on B levels 0, 1 plus
+                 two products on B level 2, whose range holds product
+                 families, under random invertible local maps
+                 (default_rng(12)), through decide_rank4 with the item's
+                 index as its int seed, so that two drawing functions
+                 run on one seed.
 
 A scan "made to miss" returns None to the one caller named, and stays
 real for every other caller.  For each route it prints the number of
-calls of the route's function, the count of each trail (the certificate
+calls of the route's function (`-` where the checkout has no such
+function), the count of each trail (the certificate
 type where the entry point has no trail, and the exception type where
 it raises) and one sha256 over every result, hashed field by field as
 `scripts/corpus_digests.py` does.  The last line digests all lines.
@@ -47,7 +57,7 @@ import argparse
 import hashlib
 import sys
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -71,8 +81,11 @@ def _miss_scan(module, caller):
 
 
 def _counted(module, name, calls):
-    """A patch of module.name that counts its calls in calls[0]."""
-    func = getattr(module, name)
+    """A patch of module.name that counts its calls in calls[0]; a module
+    without name gets no patch and calls[0] None."""
+    if (func := getattr(module, name, None)) is None:
+        calls[0] = None
+        return nullcontext()
 
     def counted(*args, **kwargs):
         calls[0] += 1
@@ -91,8 +104,8 @@ def _routes():
     )
     from entcert.states import BipartiteState, apply_local
 
-    def decided(state):
-        verdict = rank4.decide_rank4(state, rng=0)
+    def decided(state, seed=0):
+        verdict = rank4.decide_rank4(state, rng=seed)
         return verdict.trail, verdict.outcome
 
     def classified(classify):
@@ -149,6 +162,18 @@ def _routes():
     reducible = [apply_local(example, random_invertible(4, rng), random_invertible(4, rng))
                  for _ in range(20)]
 
+    rng = np.random.default_rng(12)
+    e = np.eye(3)
+    b_reducible = []
+    for _ in range(4):
+        a = complex_gaussian(rng, 3)
+        vecs = [np.kron(a, e[0]), np.kron(a, e[1]),
+                np.kron(complex_gaussian(rng, 3), e[2]), np.kron(complex_gaussian(rng, 3), e[2])]
+        b_reducible += [apply_local(BipartiteState.from_vectors(3, 3, vecs),
+                                    random_invertible(3, rng), random_invertible(3, rng))
+                        for _ in range(3)]
+    seeds = iter(range(len(b_reducible)))
+
     def aggregated(state):
         decomp = structure.decompose_b_direct(state, rng=0)
         cert = rank4.aggregate(decomp, [rank4.classify_state(c, rng=0)
@@ -156,9 +181,9 @@ def _routes():
         return (type(cert).__name__,), cert
 
     return [
-        ("sweep", rank4, "_structured_projection_sweep", [], checkerboards, decided),
-        ("sweep-unitary", rank4, "_structured_projection_sweep", [], rotated, decided),
-        ("random-frames", rank4, "_random_frame_witness",
+        ("eigen-frames", rank4, "_eigen_frame_witness", [], checkerboards, decided),
+        ("eigen-frames-unitary", rank4, "_eigen_frame_witness", [], rotated, decided),
+        ("eigen-frames-high-rank", rank4, "_eigen_frame_witness",
          [_miss_scan(rank4, "_npt_certificate")], npt(high_rank),
          classified(lambda s: rank4.classify_state(s, rng=0))),
         ("pair-fallback", criteria, "_pair_witness",
@@ -168,6 +193,8 @@ def _routes():
          sectors, decided),
         ("cascade", rank4, "_product_cascade", [], near_products, decided),
         ("aggregate", rank4, "aggregate", [], reducible, aggregated),
+        ("reducible-b", rank4, "_reducible_verdict", [], b_reducible,
+         lambda s: decided(s, next(seeds))),
     ]
 
 
@@ -192,7 +219,8 @@ def main(argv=None) -> int:
                 trails["/".join(trail)] += 1
                 _feed(h, result)
         counts = " ".join(f"{t}={c}" for t, c in sorted(trails.items()))
-        lines.append(f"{name} items={len(items)} calls={calls[0]} {counts} {h.hexdigest()}")
+        n_calls = "-" if calls[0] is None else calls[0]
+        lines.append(f"{name} items={len(items)} calls={n_calls} {counts} {h.hexdigest()}")
     for line in lines:
         print(line)
     print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")

@@ -7,7 +7,8 @@ product-vector search on a subspace file).  Exit codes: 0 decided,
 and --mode can also be set by an environment variable with the ENTCERT_
 prefix (ENTCERT_SEED, ENTCERT_TOL, ENTCERT_BUDGET, ENTCERT_MODE); --text,
 and generate's --out, --random and --cut, cannot.  --budget and --mode
-belong to analyze only.
+belong to analyze only; --budget sets only the samples of --mode
+full-rank.
 
 A variable is parsed as its flag is, for every subcommand: a seed,
 budget or tolerance that is not a number, a negative seed, a budget
@@ -73,7 +74,7 @@ def _mode(raw: str) -> str:
 
 
 def budget(raw: str) -> int:
-    """A search budget: an integer of at least 1."""
+    """A sample budget: an integer of at least 1."""
     if (value := int(raw)) < 1:
         raise argparse.ArgumentTypeError(f"budget must be at least 1, got {value}")
     return value
@@ -208,8 +209,7 @@ def cmd_analyze(args) -> int:
         payload["n_components"] = decomp.n_components
         payload["component_b_ranks"] = [
             int(round(float(np.real(np.trace(p))))) for p in decomp.b_projectors]
-        verdicts = [classify_state(c, rng=rng, budget=args.budget)
-                    for c in decomp.components]
+        verdicts = [classify_state(c, rng=rng) for c in decomp.components]
         payload["components"] = [_certificate_payload(c, v)
                                  for c, v in zip(decomp.components, verdicts)]
         _emit(payload, started, args.text)
@@ -220,7 +220,7 @@ def cmd_analyze(args) -> int:
         payload["trail"] = list(verdict.trail)
         cert = verdict.outcome
     else:  # auto
-        cert = classify_state(state, rng=rng, budget=args.budget)
+        cert = classify_state(state, rng=rng)
     payload.update(_certificate_payload(state, cert))
     _emit(payload, started, args.text)
     return EXIT_UNDECIDED if isinstance(cert, Undecided) else EXIT_DECIDED
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--mode", choices=MODES, default=_env_default("mode", "auto", _mode))
     pa.add_argument("--budget", type=budget,
                     default=_env_default("budget", 256, budget),
-                    help="search budget for randomized procedures")
+                    help="samples of the full-rank property test (--mode full-rank)")
     common(pa)
     pa.set_defaults(func=cmd_analyze)
 

@@ -3,23 +3,23 @@
 Implements the PPT test, the reduction criterion, trivial distillability
 (2x2 principal submatrices of rho^G), left/right full-rank properties,
 the Schmidt-rank-2 scan of the coordinate 2xN blocks of rho^G, the
-checkerboard proof's projection sweep (the rank-4 tree's last NPT
-search), the random 2-frames of classify_state's general branch, and
-the certified classification of states whose rank is at most the
-maximum local rank.  Below it, the reduction-criterion proof builds the
-witness with no search.  At it, both halves of the theorem (PPT -> N
-products, NPT -> the scan first, a negative 2xN projection as its
-fallback) run in a `Frame`, which compresses a state onto its local
-ranges, orients it to M <= N and maps the results back.  One helper,
-_projection_witness, values every A 2-frame projection of rho^G: the
-fallback's, the sweep's and the random ones.  Every witness is a
+eigen-frames (the A 2-frames read off the eigenvectors of rho^G, the
+search of the rank-4 tree's last NPT step and of classify_state's
+general branch), and the certified classification of states whose rank
+is at most the maximum local rank.  Below it, the reduction-criterion
+proof builds the witness with no search.  At it, both halves of the
+theorem (PPT -> N products, NPT -> the scan first, a negative 2xN
+projection as its fallback) run in a `Frame`, which compresses a state
+onto its local ranges, orients it to M <= N and maps the results back.
+One helper, _projection_witness, values every A 2-frame projection of
+rho^G: the fallback's and the eigen-frames'.  Every witness is a
 SchmidtRank2Witness valued on the state it is returned for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .linalg import (
     DEFAULT_TOL, common_eigenbasis, complete_rows, dagger, frob, kron, numerical_rank, psd_eigen,
     psd_range, singular_rank,
 )
-from .random_states import as_rng, complex_gaussian, unit_disc
+from .random_states import as_rng, unit_disc
 from .states import (
     BipartiteState,
     BlockForm,
@@ -380,38 +380,31 @@ def _projection_witness(state: BipartiteState, rows: np.ndarray):
     return SchmidtRank2Witness(vector=dagger(ops[k]) @ v[k, :, 0], value=float(w[k, 0]))
 
 
-def _random_frame_witness(state: BipartiteState, budget, rng):
-    """Schmidt-rank-2 witness on the first of up to budget random A
-    2-frames whose 2 (x) N projection is NPT; None is no claim.  Each
-    draw is one _projection_witness call."""
-    rng = as_rng(rng)
-    for _ in range(budget):
-        w = _projection_witness(state, dagger(complex_gaussian(rng, (state.dim_a, 2)))[None])
-        if w is not None:
-            return w
-    return None
+def _eigen_frame_witness(state: BipartiteState):
+    """Schmidt-rank-2 witness from the A 2-frames of the eigenvectors of
+    rho^G; None is no claim.
 
-
-# x values of the sweep's compressions: four phases at five moduli
-_SWEEP_GRID = tuple(s * m for m in (1.0, 2.0, 0.5, 4.0, 0.25) for s in (1.0, -1.0, 1.0j, -1.0j))
-
-
-def _structured_projection_sweep(state):
-    """The checkerboard proof's rank-2 conjugation sweep.
-
-    Tests NPT of the compressions to the A rows (conj(x) e_i + e_k, e_j)
-    over all coordinate anchors (i, k, j), on both sides; each anchor is
-    one _projection_witness call on the x grid, in grid order, and the
-    first anchor with a negative compression certifies 1-distillability.
-    None is no claim.
+    Each eigenvector v_j of rho^G, read as an M x N matrix, has A-side
+    left singular vectors u_1, u_2, ..., and each pair (u_a, u_b) is one
+    row set, whose compression holds span{u_a, u_b} (x) C^N.  The pair
+    (u_1, u_2) of the lowest eigenvector holds its Schmidt-rank-2
+    truncation psi, so its value is at most <psi| rho^G |psi> / |psi|^2.
+    On state and then on its swap, one _projection_witness call values
+    the lowest eigenvector's pairs and one the other eigenvectors'; the
+    first hit is lifted to state.  Under a local unitary the eigenvectors
+    and their singular vectors move with the state, so, up to degenerate
+    eigenvalues, the verdict does not depend on the frame; nothing is
+    drawn.
     """
-    grid = np.conj(np.asarray(_SWEEP_GRID, dtype=complex))
     for frame in (Frame(state), Frame.swap(state)):
-        m = frame.work.dim_a
-        for i, k, j in permutations(range(m), 3):
-            rows = np.zeros((len(grid), 2, m), dtype=complex)
-            rows[:, 0, i], rows[:, 0, k], rows[:, 1, j] = grid, 1.0, 1.0
-            w = _projection_witness(frame.work, rows)
+        m, n = frame.work.dim_a, frame.work.dim_b
+        v = np.linalg.eigh(partial_transpose(frame.work))[1]
+        u = np.linalg.svd(v.T.reshape(-1, m, n))[0]
+        pairs = list(combinations(range(min(m, n)), 2))
+        # row set (u_a, u_b): _projection_witness conjugates its rows
+        rows = np.moveaxis(u[:, :, pairs], 1, -1)
+        for stack in (rows[:1], rows[1:]):
+            w = _projection_witness(frame.work, stack.reshape(-1, 2, m))
             if w is not None:
                 return frame.lift_witness(w)
     return None

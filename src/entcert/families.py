@@ -113,9 +113,9 @@ def checkerboard_ppt_instance(rng=0, tol: ToleranceConfig = DEFAULT_TOL):
 
 def classify_checkerboard(state: BipartiteState, rng=17) -> Certificate:
     """The verdict of classify_state, which decides every checkerboard
-    state: rank 4 goes to decide_rank4, whose last NPT step is the
-    distillability proof's projection sweep.  An NPT instance that no
-    step certifies raises UndecidableError."""
+    state: rank 4 goes to decide_rank4, whose last NPT step compresses
+    rho^G to the 2-frames read off its eigenvectors.  An NPT instance
+    that no step certifies raises UndecidableError."""
     return classify_state(state, rng=rng)
 
 

@@ -16,8 +16,9 @@ contains a product vector.  The decision tree:
   cascade that ends in a negative 2x3 block of the gauged state;
 * PPT with no product vector in range: PPT entangled;
 * NPT with no product vector in range and no negative 2x3 block: the
-  checkerboard proof's projection sweep, whose negative compression is
-  the witness; a state it misses too is surfaced as undecidable.
+  eigen-frames, 2-frames read off the eigenvectors of rho^G, whose
+  first negative compression is the witness; a state they miss too is
+  surfaced as undecidable.
 
 Also hosts the peeling decomposition for two-level-by-N PPT states
 (Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302 (2000)), whose
@@ -58,9 +59,8 @@ from .certificates import (
 from .criteria import (
     Frame,
     _distill_rank_max,
-    _random_frame_witness,
+    _eigen_frame_witness,
     _rank_n_products,
-    _structured_projection_sweep,
     classify_rank_le_max,
     is_ppt,
     reduction_criterion,
@@ -641,15 +641,17 @@ def decide_rank4(state: BipartiteState, rng=7) -> Rank4Verdict:
     Separable iff PPT with a product vector in the range; the verdict
     carries the proof path.  The only undecided corner is an NPT 3x3
     state that is irreducible, has no product vector found in the range,
-    and on which both the coordinate 2x3 scan and the projection sweep
-    find no negative direction; it raises UndecidableError.
+    and on which both the coordinate 2x3 scan and the eigen-frames of
+    rho^G find no negative direction; it raises UndecidableError.  That
+    search moves with the state under a local unitary, so the verdict
+    does not depend on one (up to degenerate eigenvalues).
 
     rng, a seed or a Generator, is passed through unchanged: only a
     route that draws turns it into a Generator, after its early returns.
     With an int seed each drawing function starts its stream afresh, and
     a negative seed raises only where a route draws.  The range-product
-    readout, the "no product" bound and the coordinate 2x3 scan draw
-    nothing.
+    readout, the "no product" bound, the coordinate 2x3 scan and the
+    eigen-frames draw nothing.
     """
     frame = Frame.local(state, orient=False)
     r = frame.work.rank()
@@ -746,19 +748,19 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
         return _product_cascade(restricted, prod.a, prod.b, rng, ("product-in-range",))
 
     # (d) no product vector in the range.  An NPT state gets here only
-    # when the scan of (a') missed; the checkerboard proof's projection
-    # sweep, which draws no random numbers, is its last search
+    # when the scan of (a') missed; the 2-frames read off the eigenvectors
+    # of rho^G, which draw no random numbers, are its last search
     report = f"no product vector in the range ({prod.report()})"
     if ppt_flag:
         return Rank4Verdict(
             PptEntangled(min_eig_gamma=min_eig, product_search_report=report),
             ("no-product-in-range",))
-    w = _structured_projection_sweep(restricted)
+    w = _eigen_frame_witness(restricted)
     if w is not None:
-        return Rank4Verdict(Distillable(w), ("no-product-in-range", "projection-sweep"))
+        return Rank4Verdict(Distillable(w), ("no-product-in-range", "eigen-frames"))
     raise UndecidableError(
         "NPT 3x3 rank-4 state with no product vector in its range; neither "
-        "the coordinate 2x3 scan nor the projection sweep found a negative "
+        "the coordinate 2x3 scan nor the eigen-frames of rho^G found a negative "
         "Schmidt-rank-2 direction, so no verdict is returned. " + report)
 
 
@@ -766,19 +768,17 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
 # top-level classification
 # ---------------------------------------------------------------------------
 
-def classify_state(state: BipartiteState, rng=7, budget: int = 256) -> Certificate:
+def classify_state(state: BipartiteState, rng=7) -> Certificate:
     """Strongest verdict available for an arbitrary bipartite state.
 
     Dispatch order mirrors what is actually decidable: rank at most the
     max local rank is fully classified; rank 4 goes through the rank-4
     decision tree; everything else runs the criteria battery plus the
     B-direct decomposition and reports the strongest certified verdict.
-    Only that last branch searches at random (budget 2-frames), because
-    only there is a failed search reported as Undecided; a budget below
-    1 raises ValueError.
+    An NPT state of that last branch is searched by the coordinate 2xN
+    scan, then by the 2-frames read off the eigenvectors of rho^G, with
+    no random draw; only there is a failed search reported as Undecided.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
     ra, rb = state.local_ranks()
     r = state.rank()
     if r <= max(ra, rb):
@@ -791,22 +791,21 @@ def classify_state(state: BipartiteState, rng=7, budget: int = 256) -> Certifica
         return Ppt(min_eig_gamma=min_eig)
     # a PPT state left here is at most 2x3, where PPT implies separable
     cert = (Separable(products=tuple(_ppt_products(state, rng))) if ppt
-            else _npt_certificate(state, rng, budget))
+            else _npt_certificate(state, rng))
     if cert is None:
         # common_kernel_distill checks the certificate it returns
         return common_kernel_distill(state, rng=rng) or Undecided(report=(
             f"NPT state of rank {r} > max local rank {max(ra, rb)}: witness "
-            f"searches exhausted (budget {budget}); no decision procedure is "
-            "known for this regime"))
+            "searches exhausted; no decision procedure is known for this regime"))
     if isinstance(cert, (Separable, Distillable)):
         validate_certificate(state, cert)
     return cert
 
 
-def _npt_certificate(state: BipartiteState, rng, budget):
+def _npt_certificate(state: BipartiteState, rng):
     """classify_state's unchecked certificate for an NPT state from a witness
     search or the B-direct components; None for an irreducible state."""
-    w = schmidt2_witness(state) or _random_frame_witness(state, budget, rng)
+    w = schmidt2_witness(state) or _eigen_frame_witness(state)
     if w is not None:
         return Distillable(w)
     rw = reduction_criterion(state)[1]
@@ -816,5 +815,4 @@ def _npt_certificate(state: BipartiteState, rng, budget):
     decomp = decompose_b_direct(state, rng=rng)
     if decomp.irreducible:
         return None
-    return aggregate(decomp, [classify_state(c, rng=rng, budget=budget)
-                              for c in decomp.components])
+    return aggregate(decomp, [classify_state(c, rng=rng) for c in decomp.components])

@@ -1,10 +1,11 @@
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from entcert import criteria
+from entcert import criteria, families, product_search, random_states, rank4, structure
 from entcert.analyze import classify_state
 from entcert.certificates import (
     Distillable,
@@ -24,7 +25,7 @@ from entcert.criteria import (
     schmidt2_witness,
     trivially_distillable,
 )
-from entcert.families import make_antisymmetric
+from entcert.families import checkerboard_ppt_instance, make_antisymmetric, make_checkerboard
 from entcert.linalg import DEFAULT_TOL, rel_residual
 from entcert.random_states import (
     complex_gaussian,
@@ -585,6 +586,62 @@ def test_projection_witness_takes_the_first_hit_not_the_most_negative(rng):
 def test_projection_witness_is_none_on_a_ppt_state(rng):
     state = random_product_sum(3, 4, 6, rng)
     assert criteria._projection_witness(state, complex_gaussian(rng, (30, 2, 3))) is None
+
+
+def test_first_eigen_frame_is_no_weaker_than_the_lowest_eigenvectors_truncation():
+    # the pair (u_1, u_2) of the lowest eigenvector v of rho^G spans a
+    # compression that holds psi, the Schmidt-rank-2 truncation of v, so
+    # its lowest value is at most <psi| rho^G |psi> / |psi|^2; being the
+    # first row set, it is the witness whenever it is negative
+    rng = np.random.default_rng(13)
+    hits = 0
+    for m, n, r in ((3, 3, 4), (3, 3, 5), (3, 4, 6), (4, 4, 8), (4, 3, 5)) * 4:
+        state = random_rank_r_state(m, n, r, rng)
+        g = partial_transpose(state)
+        v = np.linalg.eigh(g)[1][:, 0].reshape(m, n)
+        u, sv, vh = np.linalg.svd(v)
+        psi = sv[0] * np.kron(u[:, 0], vh[0]) + sv[1] * np.kron(u[:, 1], vh[1])
+        truncated = np.real(psi.conj() @ g @ psi) / np.real(psi.conj() @ psi)
+        frame = np.kron(u[:, :2], np.eye(n))
+        first = np.linalg.eigvalsh(frame.conj().T @ g @ frame)[0]
+        assert first <= truncated + 1e-12 * state.spectral_norm
+        if first < -state.tol.negativity_floor(state.spectral_norm):
+            hits += 1
+            w = criteria._eigen_frame_witness(state)
+            assert w.value == pytest.approx(first, rel=1e-9)
+            assert _in_row_space(u[:, :2].T, w.vector.reshape(m, n)) < 1e-10
+    assert hits >= 15
+
+
+def test_eigen_frame_searches_draw_no_random_numbers(monkeypatch):
+    # the eigen-frames are read off rho^G, so the rank-4 tree's step (d)
+    # and classify_state's general branch decide with no random draw
+    rng = np.random.default_rng(3)
+    high_rank = [s for s in (random_rank_r_state(m, n, r, rng)
+                             for m, n in ((3, 3), (3, 4), (4, 4)) for r in (5, 6, 7)
+                             for _ in range(4)) if not is_ppt(s)[0]]
+    params, _ = checkerboard_ppt_instance(19)
+    checkerboard = make_checkerboard(
+        replace(params, n=params.n - 5.480144811559844e-07 + 3.8176964608448576e-07j))
+    expected = [criteria._eigen_frame_witness(s) for s in high_rank + [checkerboard]]
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("an eigen-frame route drew a random number")
+    for module in (random_states, criteria, rank4, structure, product_search, families):
+        for name in ("as_rng", "complex_gaussian"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_draw)
+    witnesses = [criteria._eigen_frame_witness(s) for s in high_rank + [checkerboard]]
+    assert [w.vector.tobytes() for w in witnesses] == [w.vector.tobytes() for w in expected]
+    verdict = rank4.decide_rank4(checkerboard, rng=0)
+    assert verdict.trail == ("no-product-in-range", "eigen-frames")
+    assert validate_witness(checkerboard, verdict.outcome.witness) < 0
+    monkeypatch.setattr(rank4, "schmidt2_witness", lambda state: None)
+    for state, w in zip(high_rank, expected):
+        cert = classify_state(state, rng=0)
+        assert cert.witness.vector.tobytes() == w.vector.tobytes()
+        assert validate_witness(state, cert.witness) < 0
+    assert len(high_rank) > 20
 
 
 @pytest.mark.parametrize("m, n", [(3, 3), (3, 4)])

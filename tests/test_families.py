@@ -3,7 +3,6 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from entcert import criteria
 from entcert.certificates import (
     Distillable,
     Separable,
@@ -30,8 +29,9 @@ from entcert.families import (
     shifts_bipartite_cut,
 )
 from entcert.product_search import Subspace, find_product_vector
+from entcert.random_states import random_unitary
 from entcert.rank4 import decide_rank4
-from entcert.states import PureState
+from entcert.states import PureState, apply_local
 from entcert.structure import decompose_b_direct
 
 
@@ -119,8 +119,8 @@ def _moved_ppt_checkerboard(base, name, delta):
 
 def test_classify_checkerboard_certifies_near_ppt_corpus():
     # one parameter of a PPT instance moved by 10^U(-6, -1): the rank-4
-    # tree, through its 2x3 scan or its projection sweep, certifies
-    # every NPT item
+    # tree, through its 2x3 scan or its eigen-frames, certifies every
+    # NPT item
     rng = np.random.default_rng(11)
     names = ["a", "c", "f", "g", "h", "k", "l", "n", "r", "s"]
     n_npt = 0
@@ -134,20 +134,27 @@ def test_classify_checkerboard_certifies_near_ppt_corpus():
         assert isinstance(cert, Distillable)
         assert validate_witness(state, cert.witness) < 0
     assert n_npt > 150
+    # two items of the 10^U(-9, -6) corpus below with no negative 2x2
+    # submatrix, on which every coordinate-anchored 2-frame
+    # (conj(x) e_i + e_k, e_j) at x = 1 values above -0.5 floors
+    for base, name, delta in ((19, "n", -5.480144811559844e-07 + 3.8176964608448576e-07j),
+                              (15, "r", -1.5893325497173698e-07 - 4.883525187019638e-08j)):
+        state = _moved_ppt_checkerboard(base, name, delta)
+        assert not is_ppt(state)[0]
+        assert trivially_distillable(state) is None
+        cert = classify_checkerboard(state)
+        assert isinstance(cert, Distillable)
+        assert validate_witness(state, cert.witness) < 0
 
 
-# The draws of the corpus below on which classify_checkerboard raised
-# while it ran its own trivial-submatrix scan and projection sweep, before
-# the sweep became the last NPT step of decide_rank4
-_NEAR_PPT_UNCERTIFIED = (54, 83, 94, 129, 164, 173, 283, 348, 376, 432, 599, 696, 817, 820,
-                         886, 894, 909, 929, 949, 968, 1090, 1099, 1167, 1194, 1295, 1323,
-                         1432, 1475)
+# The NPT draws of the corpus below on which neither the 2x3 scan nor
+# the eigen-frames find a Schmidt-rank-2 value below minus the floor
+_NEAR_PPT_UNCERTIFIED = (54, 348, 376, 599, 817, 820, 886, 894, 929, 949, 968, 1323, 1432)
 
 
-def test_decide_rank4_certifies_the_pinned_near_ppt_checkerboards():
-    # one of the 18 parameters of a PPT instance moved by 10^U(-9, -6):
-    # each of the 634 NPT items that the scan and sweep of the old
-    # classify_checkerboard certified gets a validating witness
+def _near_ppt_checkerboards():
+    """(draw, state) of the 662 NPT items among 1,500 PPT instances with
+    one of the 18 parameters moved by 10^U(-9, -6) e^{i theta}."""
     rng = np.random.default_rng(5)
     names = [f.name for f in fields(CheckerboardParams)]
     npt = []
@@ -157,30 +164,46 @@ def test_decide_rank4_certifies_the_pinned_near_ppt_checkerboards():
         state = _moved_ppt_checkerboard(s % 20, name, delta)
         if not is_ppt(state)[0]:
             npt.append((s, state))
+    return npt
+
+
+def _outcome(state, seed):
+    """decide_rank4's outcome, or the UndecidableError it raises."""
+    try:
+        return decide_rank4(state, rng=seed).outcome
+    except UndecidableError as exc:
+        return exc
+
+
+def test_decide_rank4_certifies_the_pinned_near_ppt_checkerboards():
+    # each NPT item but the pinned 13 gets a validating witness
+    npt = _near_ppt_checkerboards()
     certified = [(s, state) for s, state in npt if s not in _NEAR_PPT_UNCERTIFIED]
-    assert (len(npt), len(certified)) == (662, 634)
+    assert (len(npt), len(certified)) == (662, 649)
     for s, state in certified:
         for cert in (decide_rank4(state, rng=s).outcome, classify_checkerboard(state, rng=s)):
             assert isinstance(cert, Distillable)
             assert validate_witness(state, cert.witness) < 0
+    for s in _NEAR_PPT_UNCERTIFIED:
+        with pytest.raises(UndecidableError, match="eigen-frames"):
+            decide_rank4(dict(npt)[s], rng=s)
 
 
-@pytest.mark.parametrize("base, name, delta, needed, before", [
-    # every x = 1 compression has min eigenvalue above -0.3 of the floor
-    (19, "n", -5.480144811559844e-07 + 3.8176964608448576e-07j, -1.0, [1.0]),
-    # x = 1 and x = -1 give above -0.5 of the floor, x = i -3.1 floors
-    (15, "r", -1.5893325497173698e-07 - 4.883525187019638e-08j, 1.0j, [1.0, -1.0]),
-])
-def test_projection_sweep_needs_more_than_x_equal_1(monkeypatch, base, name, delta,
-                                                    needed, before):
-    state = _moved_ppt_checkerboard(base, name, delta)
-    assert not is_ppt(state)[0]
-    assert trivially_distillable(state) is None
-    monkeypatch.setattr(criteria, "_SWEEP_GRID", before)
-    with pytest.raises(UndecidableError, match="sweep"):
-        classify_checkerboard(state)
-    monkeypatch.setattr(criteria, "_SWEEP_GRID", before + [needed])
-    assert isinstance(classify_checkerboard(state), Distillable)
+def test_near_ppt_checkerboard_verdicts_do_not_depend_on_a_local_unitary():
+    # the same items under U_A (x) U_B: the eigen-frames move with the
+    # state, so the 649 items are decided there too, each one with the
+    # verdict type of its own frame
+    npt = _near_ppt_checkerboards()
+    rng = np.random.default_rng(6)
+    decided = 0
+    for s, state in npt:
+        rotated = apply_local(state, random_unitary(3, rng), random_unitary(3, rng))
+        outcome = _outcome(rotated, s)
+        assert type(outcome) is type(_outcome(state, s)), s
+        if isinstance(outcome, Distillable):
+            assert validate_witness(rotated, outcome.witness) < 0
+            decided += 1
+    assert decided == 649
 
 
 def test_classify_checkerboard_witness_does_not_depend_on_rng():

@@ -111,12 +111,12 @@ def test_common_eigenbases_come_from_linalg():
 
 def test_theorem_backed_witnesses_draw_no_random_numbers():
     # the rank < max local rank construction, the 2xN block scan and the
-    # checkerboard sweep each certify by construction; a random draw in
-    # them would make a verdict depend on the seed
+    # eigen-frames of rho^G each certify by construction; a random draw
+    # in them would make a verdict depend on the seed
     modules = _modules()
     for module, func_name in (("criteria", "schmidt2_witness"),
                               ("criteria", "reduction_criterion"),
-                              ("criteria", "_structured_projection_sweep"),
+                              ("criteria", "_eigen_frame_witness"),
                               ("structure", "common_kernel_distill")):
         func = next(node for node in ast.walk(modules[module])
                     if isinstance(node, ast.FunctionDef) and node.name == func_name)
@@ -125,9 +125,9 @@ def test_theorem_backed_witnesses_draw_no_random_numbers():
         drawn = called & {"complex_gaussian", "unit_disc"}
         assert not drawn, f"{module}.{func_name} calls {sorted(drawn)}"
     # the NPT routes at and above the max local rank open with the
-    # coordinate scan, so a construction that draws (a full-rank sample,
-    # random 2-frames) or the reduction split runs only when it misses
-    constructions = {"reduction_criterion", "_full_rank_from_blocks", "_random_frame_witness"}
+    # coordinate scan, so a construction that draws (a full-rank sample),
+    # the eigen-frames or the reduction split runs only when it misses
+    constructions = {"reduction_criterion", "_full_rank_from_blocks", "_eigen_frame_witness"}
     for module, func_name in (("criteria", "_distill_rank_max"), ("rank4", "_npt_certificate")):
         func = next(node for node in ast.walk(modules[module])
                     if isinstance(node, ast.FunctionDef) and node.name == func_name)
@@ -198,8 +198,8 @@ def test_rank4_never_references_trivially_distillable():
 
 def test_families_compute_no_witness():
     # classify_checkerboard passes classify_state's checked verdict
-    # through; the checkerboard proof's sweep lives in criteria, and only
-    # the rank-4 tree runs it
+    # through; the eigen-frame search lives in criteria, and only rank4
+    # runs it
     banned = {"partial_transpose", "eigh", "trivially_distillable", "validate_certificate"}
     calls = [f"families.py:{node.lineno} {called}"
              for node in ast.walk(_modules()["families"]) if isinstance(node, ast.Call)
@@ -209,12 +209,10 @@ def test_families_compute_no_witness():
 
 
 def test_only_the_rank4_tree_runs_the_projection_sweep():
-    callers = [f"{name}.py:{node.lineno}"
-               for name, tree in _modules().items()
-               for node in ast.walk(tree) if isinstance(node, ast.Call)
-               and "_structured_projection_sweep" in {getattr(node.func, "id", None),
-                                                      getattr(node.func, "attr", None)}]
-    assert len(callers) == 1 and callers[0].startswith("rank4.py:"), callers
+    # the eigen-frame search runs where a coordinate scan misses: at step
+    # (d) of the rank-4 tree and in classify_state's general branch
+    assert _callers("_eigen_frame_witness") == {"rank4._decide_rank4_local",
+                                                "rank4._npt_certificate"}
 
 
 def test_rank4_reads_range_products_in_one_helper():
@@ -276,17 +274,21 @@ def test_one_frame_maps_every_construction_back():
 
 
 def test_one_routine_values_every_2_frame_projection():
-    # the checkerboard sweep, the random 2-frames and the rank = max
-    # local rank theorem's 2xN fallback compress rho^G to an A 2-frame
-    # through one helper, on the state itself, with no pair state built
+    # the eigen-frames and the rank = max local rank theorem's 2xN
+    # fallback compress rho^G to an A 2-frame through one helper, on the
+    # state itself, with no pair state built.  The eigen-frames read
+    # their rows off one eigh of rho^G itself, and project nothing there
     modules = _modules()
     funcs = {node.name: node for node in modules["criteria"].body
              if isinstance(node, ast.FunctionDef)}
-    for name in ("_structured_projection_sweep", "_random_frame_witness", "_pair_witness"):
-        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                  for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)}
-        assert "_projection_witness" in called, f"criteria.{name} skips _projection_witness"
-        own = called & {"eigh", "partial_transpose", "BipartiteState"}
+    for name, reads_rho_gamma in (("_eigen_frame_witness", True), ("_pair_witness", False)):
+        calls = [getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                 for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)]
+        assert "_projection_witness" in calls, f"criteria.{name} skips _projection_witness"
+        if reads_rho_gamma:
+            assert calls.count("eigh") == calls.count("partial_transpose") == 1, name
+            calls = [c for c in calls if c not in ("eigh", "partial_transpose")]
+        own = set(calls) & {"eigh", "partial_transpose", "BipartiteState"}
         assert not own, f"criteria.{name} calls {sorted(own)}"
     defined = [f"{module}.{node.name}" for module, tree in modules.items()
                for node in ast.walk(tree)

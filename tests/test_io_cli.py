@@ -20,7 +20,6 @@ from entcert.product_search import (
     Subspace, find_product_vector, random_product_containing_subspace, random_subspace,
 )
 from entcert.random_states import complex_gaussian, random_rank_r_state
-from entcert.rank4 import classify_state
 from entcert.states import BipartiteState, partial_transpose
 from entcert.tripartite import TripartitePure
 
@@ -228,8 +227,7 @@ def test_cli_rejects_a_bad_environment_value_by_name(tmp_path, monkeypatch, caps
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_cli_rejects_a_budget_below_one(tmp_path, monkeypatch, capsys, budget):
     # at budget 0 the full-rank mode used to report "holds: false" with
-    # failure_bound 1.0 on a state whose first sample proves it holds, and
-    # classify_state ran no random frame and could return Undecided
+    # failure_bound 1.0 on a state whose first sample proves it holds
     path = tmp_path / "r3.json"
     state = random_rank_r_state(3, 3, 3, np.random.default_rng(0))
     save_state(state, path)
@@ -241,8 +239,6 @@ def test_cli_rejects_a_budget_below_one(tmp_path, monkeypatch, capsys, budget):
     assert "error: argument --budget: budget must be at least 1" in capsys.readouterr().err
     with pytest.raises(ValueError, match="budget must be at least 1"):
         full_rank_property(state, "right", budget=int(budget))
-    with pytest.raises(ValueError, match="budget must be at least 1"):
-        classify_state(state, budget=int(budget))
 
 
 @pytest.mark.parametrize("argv", [["analyze", "tiles.json"], ["product-test", "sub.json"],

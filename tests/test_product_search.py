@@ -625,7 +625,7 @@ def decide_rank4_stacks(seed, count):
     """The step-(b) stacks of decide_rank4 on generic and planted 3x3
     rank-4 states, all irreducible.  These NPT states reach step (b)
     only when the coordinate 2x3 scan misses, and then a generic one
-    ends undecided when step (d)'s projection sweep misses too."""
+    ends undecided when step (d)'s eigen-frames miss too."""
     stacks = []
     real = rank4.rank_one_in_span
 
@@ -638,7 +638,7 @@ def decide_rank4_stacks(seed, count):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rank4, "rank_one_in_span", record)
         miss_3x3_scan(mp)
-        mp.setattr(rank4, "_structured_projection_sweep", lambda state: None)
+        mp.setattr(rank4, "_eigen_frame_witness", lambda state: None)
         for i in range(count):
             vecs = [complex_gaussian(rng, 9) for _ in range(4)]
             if i % 2:

@@ -482,7 +482,7 @@ def test_classify_state_returns_the_reduction_violation(monkeypatch):
         3, 3, [phi] + [complex_gaussian(rng, 9) for _ in range(4)])
     assert (state.rank(), state.local_ranks()) == (5, (3, 3))
     monkeypatch.setattr(rank4, "schmidt2_witness", lambda *a, **k: None)
-    monkeypatch.setattr(rank4, "_random_frame_witness", lambda *a, **k: None)
+    monkeypatch.setattr(rank4, "_eigen_frame_witness", lambda *a, **k: None)
     cert = classify_state(state, rng=3)
     assert isinstance(cert.witness, SchmidtRank2Witness)
     assert validate_certificate(state, cert)["witness_value"] == pytest.approx(-6.025, abs=1e-3)

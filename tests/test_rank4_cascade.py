@@ -237,9 +237,9 @@ def test_generic_rank4_state_runs_no_enumeration(monkeypatch):
     # of the range's second compound (9 minors against 10 monomials)
     # proves step (c)'s "no product in the range": no enumeration runs.
     # The state reaches (b) once the 2x3 scan misses, and ends at (d),
-    # where the projection sweep is stubbed to miss as well
+    # where the eigen-frames are stubbed to miss as well
     miss_3x3_scan(monkeypatch)
-    monkeypatch.setattr(rank4, "_structured_projection_sweep", lambda state: None)
+    monkeypatch.setattr(rank4, "_eigen_frame_witness", lambda state: None)
     calls = []
     enumerate_rank_one = product_search._enumerate_rank_one
     monkeypatch.setattr(product_search, "_enumerate_rank_one",
@@ -502,15 +502,15 @@ def test_when_the_2x3_scan_misses_the_tree_decides_planted_and_not_generic(monke
     assert validate_witness(planted, verdict.outcome.witness) < -1e-10
     assert len(scanned) == 1
     scanned.clear()
-    # steps (a) to (c) leave the generic item to (d), and its projection sweep
+    # steps (a) to (c) leave the generic item to (d), and its eigen-frames
     generic = corpus_state(1, 5)
     with monkeypatch.context() as mp:
-        mp.setattr(rank4, "_structured_projection_sweep", lambda state: None)
-        with pytest.raises(UndecidableError, match="coordinate 2x3 scan nor the projection sweep"):
+        mp.setattr(rank4, "_eigen_frame_witness", lambda state: None)
+        with pytest.raises(UndecidableError, match="coordinate 2x3 scan nor the eigen-frames"):
             decide_rank4(generic, rng=5)
     assert len(scanned) == 1
     verdict = decide_rank4(generic, rng=5)
-    assert verdict.trail == ("no-product-in-range", "projection-sweep")
+    assert verdict.trail == ("no-product-in-range", "eigen-frames")
     assert validate_witness(generic, verdict.outcome.witness) < -1e-10
     assert len(scanned) == 2
 
