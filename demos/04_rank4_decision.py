@@ -5,7 +5,7 @@ the verdict.  A PPT state is settled by the product vectors in its
 range: four of them diagonalize a separable state, and none means PPT
 entangled.  An NPT state takes a negative coordinate 2x3 block of
 rho^G as its witness; only when that scan misses does it go through
-reducibility, rank-1 sectors and the gauge-fixing cascade.
+reducibility and then the eigen-frames of rho^G.
 """
 
 import numpy as np

@@ -3,9 +3,9 @@
 The benchmark corpora and the CLI fixtures never reach the eigen-frame
 search (the 2-frames read off the eigenvectors of rho^G) of the rank-4
 tree or of classify_state, the 2xN projection fallback of the rank = max
-local rank theorem, the rank-1 sector path, the gauge cascade, the
-B-direct aggregation or an int-seeded reducible-b verdict.  This script
-runs seeded inputs through each of them:
+local rank theorem, the B-direct aggregation or an int-seeded
+reducible-b verdict.  This script runs seeded inputs through each of
+them:
 
   eigen-frames   662 NPT near-PPT checkerboards (one parameter of
                  checkerboard_ppt_instance moved by 10^U(-9,-6) e^{i theta},
@@ -26,6 +26,12 @@ runs seeded inputs through each of them:
   cascade        600 sums of 4 random 3x3 products, the last 3 moved by
                  1e-4 (complex Gaussian), under A (x) B of condition
                  number 10 (default_rng(31)), through decide_rank4;
+  near-product-ilo
+                 25 such sums per move 1e-6, 1e-4, 1e-2 and condition
+                 number 1, 10, 100, 1e3 (default_rng(32)), then 20
+                 rank-1-sector states per condition number 1, 10, 100
+                 (default_rng(42)), through decide_rank4, with its
+                 coordinate 2x3 scan made to miss;
   aggregate      make_reducible_4x4_example under random invertible
                  local maps (default_rng(8)), through decompose_b_direct,
                  classify_state on each component and aggregate;
@@ -37,11 +43,13 @@ runs seeded inputs through each of them:
                  run on one seed.
 
 A scan "made to miss" returns None to the one caller named, and stays
-real for every other caller.  For each route it prints the number of
-calls of the route's function (`-` where the checkout has no such
-function), the count of each trail (the certificate
-type where the entry point has no trail, and the exception type where
-it raises) and one sha256 over every result, hashed field by field as
+real for every other caller.  An irreducible NPT state of the sector,
+cascade and near-product-ilo routes that the scan misses goes to the
+eigen-frames, whose calls those routes count.  For each route it prints
+the number of calls of the route's function (`-` where the checkout has
+no such function), the count of each trail (the certificate type where
+the entry point has no trail, and the exception type where it raises)
+and one sha256 over every result, hashed field by field as
 `scripts/corpus_digests.py` does.  The last line digests all lines.
 
     python3 scripts/route_digests.py                 # this checkout
@@ -59,6 +67,7 @@ import sys
 from collections import Counter
 from contextlib import ExitStack, nullcontext
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -117,6 +126,23 @@ def _routes():
     def npt(states):
         return [s for s in states if not is_ppt(s)[0]]
 
+    def ilo(kappa, rng):
+        """random_unitary . diag(1 .. 1/kappa) . random_unitary"""
+        s = np.diag(np.logspace(0, -np.log10(kappa), 3))
+        return random_unitary(3, rng) @ s @ random_unitary(3, rng)
+
+    def near_product(move, kappa, rng):
+        prods = [np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3)) for _ in range(4)]
+        moved = [p + move * complex_gaussian(rng, 9) for p in prods[1:]]
+        a, b = ilo(kappa, rng), ilo(kappa, rng)
+        return apply_local(BipartiteState.from_vectors(3, 3, prods[:1] + moved), a, b)
+
+    def sector(rng, local=partial(random_invertible, 3)):
+        c1 = np.zeros((4, 3), complex)
+        c1[0, 0] = 1.0
+        w = np.hstack([c1, complex_gaussian(rng, (4, 3)), complex_gaussian(rng, (4, 3))])
+        return apply_local(BipartiteState(3, 3, w.conj().T @ w), local(rng), local(rng))
+
     rng = np.random.default_rng(5)
     names = [f.name for f in fields(families.CheckerboardParams)]
     checkerboards = []
@@ -140,22 +166,16 @@ def _routes():
     rank_max = [random_rank_r_state(m, n, n, rng) for m, n in ((3, 3), (3, 4)) for _ in range(20)]
 
     rng = np.random.default_rng(41)
-    sectors = []
-    for _ in range(20):
-        c1 = np.zeros((4, 3), complex)
-        c1[0, 0] = 1.0
-        w = np.hstack([c1, complex_gaussian(rng, (4, 3)), complex_gaussian(rng, (4, 3))])
-        sectors.append(apply_local(BipartiteState(3, 3, w.conj().T @ w),
-                                   random_invertible(3, rng), random_invertible(3, rng)))
+    sectors = [sector(rng) for _ in range(20)]
 
     rng = np.random.default_rng(31)
-    kappa_10 = np.diag(np.logspace(0, -1, 3))  # singular values 1 .. 1/10
-    near_products = []
-    for _ in range(600):
-        prods = [np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3)) for _ in range(4)]
-        moved = [p + 1e-4 * complex_gaussian(rng, 9) for p in prods[1:]]
-        a, b = (random_unitary(3, rng) @ kappa_10 @ random_unitary(3, rng) for _ in range(2))
-        near_products.append(apply_local(BipartiteState.from_vectors(3, 3, prods[:1] + moved), a, b))
+    near_products = [near_product(1e-4, 10, rng) for _ in range(600)]
+
+    rng = np.random.default_rng(32)
+    near_ilo = [near_product(move, kappa, rng) for move in (1e-6, 1e-4, 1e-2)
+                for kappa in (1, 10, 100, 1e3) for _ in range(25)]
+    rng = np.random.default_rng(42)
+    near_ilo += [sector(rng, partial(ilo, kappa)) for kappa in (1, 10, 100) for _ in range(20)]
 
     rng = np.random.default_rng(8)
     example = families.make_reducible_4x4_example()[0]
@@ -189,9 +209,11 @@ def _routes():
         ("pair-fallback", criteria, "_pair_witness",
          [_miss_scan(criteria, "_distill_rank_max")], npt(rank_max),
          classified(lambda s: classify_rank_le_max(s, rng=0))),
-        ("sector", rank4, "_rank1_sector_path", [_miss_scan(rank4, "_decide_rank4_local")],
+        ("sector", rank4, "_eigen_frame_witness", [_miss_scan(rank4, "_decide_rank4_local")],
          sectors, decided),
-        ("cascade", rank4, "_product_cascade", [], near_products, decided),
+        ("cascade", rank4, "_eigen_frame_witness", [], near_products, decided),
+        ("near-product-ilo", rank4, "_eigen_frame_witness",
+         [_miss_scan(rank4, "_decide_rank4_local")], near_ilo, decided),
         ("aggregate", rank4, "aggregate", [], reducible, aggregated),
         ("reducible-b", rank4, "_reducible_verdict", [], b_reducible,
          lambda s: decided(s, next(seeds))),

@@ -210,7 +210,7 @@ class Frame:
     sides exchanged when swapped; a or b None is the identity.  a_back
     and b_back take the factors of a product on work back to rho: the
     isometry of a compression onto the local ranges, or the inverse of
-    a gauge, a scaling or a B-normalization.  Every construction on a
+    a gauge or a B-normalization.  Every construction on a
     transformed copy of rho returns its witness or products through a
     frame, so lift_witness is the one place a witness is revalued for
     the caller's state.  A frame only maps: the public function that

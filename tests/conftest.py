@@ -65,10 +65,9 @@ def rng():
 
 def miss_3x3_scan(monkeypatch):
     """Make step (a') of the rank-4 tree, the coordinate 2x3 scan of a 3x3
-    state, find nothing, so that NPT states walk the rest of the case
-    tree; the scans of the cascade and of the sector path, and every
-    other caller's, stay real.  Returns the list of states step (a')
-    scanned."""
+    state, find nothing, so that NPT states go on to reducibility and the
+    eigen-frames; every other caller's scan stays real.  Returns the list
+    of states step (a') scanned."""
     scanned, scan = [], rank4.schmidt2_witness
 
     def missing(state):

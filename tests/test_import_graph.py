@@ -165,7 +165,7 @@ CHECKING_FUNCTIONS = {
 def test_only_public_verdict_functions_check_certificates():
     # internal code builds certificates unchecked and each public verdict
     # function checks the one it returns, so no private function, no
-    # method of Frame or _Gauge and no other helper checks one.  The CLI
+    # method of Frame and no other helper checks one.  The CLI
     # re-checks what it prints, and is left out
     checkers = {"validate_certificate", "validate_witness"}
     callers = set()
@@ -181,7 +181,7 @@ def test_only_public_verdict_functions_check_certificates():
                 owner = owners.get(id(func))
                 callers.add(f"{name}.{owner}.{func.name}" if owner else f"{name}.{func.name}")
     private = sorted(c for c in callers if c.split(".")[-1].startswith("_")
-                     or c.split(".")[1] in ("Frame", "_Gauge"))
+                     or c.split(".")[1] == "Frame")
     assert not private, "certificates checked inside " + ", ".join(private)
     assert callers == CHECKING_FUNCTIONS
 

@@ -28,11 +28,11 @@ from entcert.random_states import (
     random_product_sum,
     random_rank_r_state,
 )
-from entcert.states import BipartiteState
-from entcert import product_search, rank4
+from entcert.states import BipartiteState, block_form
+from entcert import product_search
 from entcert.families import checkerboard_ppt_instance, make_tiles_upb, random_checkerboard
 
-from conftest import ill_conditioned, miss_3x3_scan
+from conftest import ill_conditioned
 
 
 def spec_example_basis():
@@ -621,34 +621,17 @@ def normalized(mats):
     return mats / np.linalg.norm(mats, axis=(1, 2))[:, None, None]
 
 
-def decide_rank4_stacks(seed, count):
-    """The step-(b) stacks of decide_rank4 on generic and planted 3x3
-    rank-4 states, all irreducible.  These NPT states reach step (b)
-    only when the coordinate 2x3 scan misses, and then a generic one
-    ends undecided when step (d)'s eigen-frames miss too."""
-    stacks = []
-    real = rank4.rank_one_in_span
-
-    def record(mats, rng, tol):
-        if np.shape(mats) == (3, 4, 3):  # step (c)'s range stacks are (4, 3, 3)
-            stacks.append(np.array(mats))
-        return real(mats, rng=rng, tol=tol)
-
+def block_stacks(seed, count):
+    """The (3, 4, 3) stacks of the row blocks of generic and planted 3x3
+    rank-4 states, all irreducible: the spans that a search for a
+    direction with a rank-1 sector would scan."""
     rng = np.random.default_rng(seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rank4, "rank_one_in_span", record)
-        miss_3x3_scan(mp)
-        mp.setattr(rank4, "_eigen_frame_witness", lambda state: None)
-        for i in range(count):
-            vecs = [complex_gaussian(rng, 9) for _ in range(4)]
-            if i % 2:
-                vecs[0] = np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3))
-            state = BipartiteState.from_vectors(3, 3, vecs)
-            if i % 2:
-                rank4.decide_rank4(state, rng=rng)
-            else:
-                with pytest.raises(UndecidableError):
-                    rank4.decide_rank4(state, rng=rng)
+    stacks = []
+    for i in range(count):
+        vecs = [complex_gaussian(rng, 9) for _ in range(4)]
+        if i % 2:
+            vecs[0] = np.kron(complex_gaussian(rng, 3), complex_gaussian(rng, 3))
+        stacks.append(np.stack(block_form(BipartiteState.from_vectors(3, 3, vecs)).blocks))
     return stacks
 
 
@@ -700,7 +683,7 @@ def random_stacks(rng):
 
 
 def test_second_compound_bound_is_below_every_enumerated_defect(rng):
-    stacks = decide_rank4_stacks(5, 12) + list(random_stacks(rng))
+    stacks = block_stacks(5, 12) + list(random_stacks(rng))
     assert len(stacks) > 30
     for mats in stacks:
         work = normalized(mats)

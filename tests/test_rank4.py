@@ -596,7 +596,8 @@ def test_decide_rank4_gives_no_wrong_verdict_under_ill_conditioned_ilos():
     # raises or returns the verdict type it returns for a unitary A (x) B.
     # The range-product readout judges the residual that validation
     # checks, so at kappa = 1e3 it decomposes the separable items whose
-    # products rebuild the state within residual_tol, 14 of the 30
+    # products rebuild the state within residual_tol, 14 of the 30.  At
+    # kappa = 1e3 every NPT item, planted or generic, is certified
     rng = np.random.default_rng(15)
     corpus = [random_product_sum(3, 3, 4, rng) for _ in range(30)]
     for _ in range(30):
@@ -605,7 +606,7 @@ def test_decide_rank4_gives_no_wrong_verdict_under_ill_conditioned_ilos():
         corpus.append(BipartiteState.from_vectors(3, 3, vecs))
     corpus += [make_tiles_upb()] * 10
     corpus += [random_rank_r_state(3, 3, 4, rng) for _ in range(10)]
-    wrong, separable = [], 0
+    wrong, separable, distillable = [], 0, []
     for index, state in enumerate(corpus):
         conj = apply_local(state, ill_conditioned(1, rng), ill_conditioned(1, rng))
         expected = type(decide_rank4(conj, rng=index).outcome)
@@ -618,8 +619,12 @@ def test_decide_rank4_gives_no_wrong_verdict_under_ill_conditioned_ilos():
             if not isinstance(outcome, expected):
                 wrong.append((index, kappa, expected.__name__, type(outcome).__name__))
             separable += index < 30 and kappa == 1e3 and isinstance(outcome, Separable)
+            if kappa == 1e3 and isinstance(outcome, Distillable):
+                assert validate_witness(conj, outcome.witness) < 0
+                distillable.append(index)
     assert not wrong
     assert separable >= 14
+    assert distillable == list(range(30, 60)) + list(range(70, 80))
 
 
 def test_irreducible_state_reducibility_test_runs_no_kernel_svd_and_no_swapped_state(

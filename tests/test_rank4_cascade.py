@@ -1,15 +1,14 @@
-"""Targeted fixtures for the deep branches of the rank-4 gauge cascade,
-which decides NPT states, and for the range-product solve that
-decides PPT ones.
+"""Targeted fixtures for the irreducible 3x3 rank-4 states that the
+coordinate 2x3 scan misses, which the eigen-frames of rho^G decide when
+NPT, and for the range-product solve that decides PPT ones.
 
-Generic rank-4 states exit the cascade at its first projection test, so
-these states are assembled directly in (near) proof gauge to push the
-walk past it, to the 2x3 scans of the gauge.  The cascade re-derives
-its own gauge; what matters is that every exit produces a validated
-certificate.
+The late-stage, zeta-zero and dependent-pencil states are assembled in
+the gauge of the rank-4 theorem's constructive proof, next to a product
+anchor; the sector fixtures have a rank-1 B sector.  A generic state
+exits at the 2x3 scan, so the scan is made to miss on them; what
+matters is that every exit produces a validated certificate.
 """
 
-import copy
 import inspect
 import sys
 from itertools import combinations
@@ -17,7 +16,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from entcert import certificates, criteria, product_search, rank4, structure
+from entcert import certificates, criteria, rank4
 from entcert.analyze import classify_state
 from entcert.certificates import (
     Distillable,
@@ -26,20 +25,17 @@ from entcert.certificates import (
     validate_certificate,
     validate_witness,
 )
-from entcert.criteria import Frame, certify_pure_plus_sigma, is_ppt
+from entcert.criteria import certify_pure_plus_sigma, is_ppt
 from entcert.families import make_tiles_upb
 from entcert.linalg import kron, numerical_rank, rel_residual
 from entcert.product_search import Subspace, find_product_vector
 from entcert.random_states import (
-    as_rng,
     complex_gaussian,
     random_invertible,
     random_product_sum,
     random_rank_r_state,
 )
 from entcert.rank4 import (
-    _peel_anchor,
-    _product_cascade,
     _range_product_basis,
     decide_rank4,
     separable_decomposition,
@@ -52,102 +48,31 @@ from conftest import miss_3x3_scan, reducible_b_state
 
 def late_stage_state(u3=0, v1=0, v3=0, w1=0, w2=0,
                      d2=0.7, d3=-0.4, eps=0.9, zeta=1.1):
+    """An NPT state in the proof gauge, with the product (1, -d2*, -d3*)
+    (x) |0> in its range, for a nonzero knob; all knobs zero give a
+    separable B-direct sum."""
     c1 = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0], [u3, 0, 0]], complex)
     c2 = np.array([[-d2, 0, 0], [v1, 0, 0], [0, 0, 1], [v3, 0, 0]], complex)
     c3 = np.array([[-d3, 0, 0], [w1, 0, 0], [w2, 0, 0], [0, eps, zeta]], complex)
     w = np.hstack([c1, c2, c3])
-    state = BipartiteState(3, 3, w.conj().T @ w)
-    anchor_a = np.array([1, -np.conj(d2), -np.conj(d3)])
-    anchor_b = np.array([1.0, 0, 0], complex)
-    return state, anchor_a, anchor_b
+    return BipartiteState(3, 3, w.conj().T @ w)
 
 
-@pytest.mark.parametrize("knob", ["u3", "v1", "v3", "w1", "w2"])
-def test_cascade_deep_distillable_branches(knob):
-    state, aa, bb = late_stage_state(**{knob: 0.8})
-    assert state.rank() == 4
-    ppt, _ = is_ppt(state)
-    assert not ppt
-    verdict = _product_cascade(state, aa, bb, as_rng(3), ())
-    assert isinstance(verdict.outcome, Distillable)
-    assert verdict.trail == ("gauge-pair-npt",)
-    assert validate_witness(state, verdict.outcome.witness) < -1e-10
+KNOBS = ["u3", "v1", "v3", "w1", "w2"]
 
 
-@pytest.mark.parametrize("knob", ["u3", "v1", "v3", "w1", "w2"])
-def test_cascade_second_scan_decides_when_the_first_misses(knob, monkeypatch):
-    # the first scan of the gauge decides every late-stage state, so it is
-    # made to miss; the scan after the shift t must then decide.  The
-    # negative trivial submatrices of u3 and w1 lie in the (1, 2) plane,
-    # the one t changes
-    scans, scan = [], rank4.schmidt2_witness
-
-    def first_misses(state):
-        if (state.dim_a, state.dim_b) != (3, 3):
-            return scan(state)  # step 2's projected 3x2 state
-        scans.append(state)
-        return None if len(scans) == 1 else scan(state)
-
-    monkeypatch.setattr(rank4, "schmidt2_witness", first_misses)
-    state, aa, bb = late_stage_state(**{knob: 0.8})
-    verdict = _product_cascade(state, aa, bb, as_rng(3), ())
-    assert len(scans) == 2
-    assert isinstance(verdict.outcome, Distillable)
-    assert verdict.trail == ("shifted-gauge-pair-npt",)
-    assert validate_witness(state, verdict.outcome.witness) < -1e-10
-
-
-@pytest.mark.parametrize("knob", ["u3", "v1", "v3", "w1", "w2"])
-def test_cascade_does_not_depend_on_the_scale_of_the_state(knob):
-    # the cascade runs on 4^-j rho, trace in [1/2, 2), so 2^k rho with k
-    # a multiple of 4 gives the same gauge, trail and witness, and a value
-    # scaled by exactly 2^k
-    state, aa, bb = late_stage_state(**{knob: 0.8})
-    runs = {}
-    for k in range(-40, 41, 4):
-        scaled = BipartiteState(3, 3, 2.0 ** k * state.matrix, state.tol)
-        verdict = _product_cascade(scaled, aa, bb, as_rng(3), ())
-        assert validate_witness(scaled, verdict.outcome.witness) < 0
-        runs[k] = (verdict.trail, verdict.outcome.witness.value / 2.0 ** k)
-    assert len(set(runs.values())) == 1, runs
-
-
-def test_cascade_separable_terminus_from_gauge_state():
-    # with every knob at zero the gauge state is a separable B-direct sum
-    # (row 0 alone holds B-level 0).  Its four range products diagonalize
-    # it, so the PPT range search settles it before the reducibility
-    # test, and the NPT-only cascade walked to its terminus reports the
-    # contradiction
-    state, aa, bb = late_stage_state()
-    assert is_ppt(state)[0]
-    verdict = decide_rank4(state, rng=3)
-    assert isinstance(verdict.outcome, Separable)
-    assert verdict.trail == ("product-in-range", "range-product-basis")
-    products = range_products(state)
-    assert len(products) == 4
-    outcome = Separable(products=tuple(range_product_basis(state, products)))
-    assert validate_certificate(state, outcome)["reconstruction_residual"] < 1e-12
-    with pytest.raises(RuntimeError, match="terminus"):
-        _product_cascade(state, aa, bb, as_rng(3), ())
-
-
-def test_cascade_zeta_zero_variant():
+def zeta_zero_state():
     c1 = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]], complex)
     c2 = np.array([[-0.7, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 0]], complex)
     c3 = np.array([[0.4, 0, 0], [0, 0, 0], [0.8, 0, 0], [0, 0.9, 0]], complex)
     w = np.hstack([c1, c2, c3])
-    state = BipartiteState(3, 3, w.conj().T @ w)
-    verdict = _product_cascade(
-        state, np.array([1.0, -0.7, 0.4], complex),
-        np.array([1.0, 0, 0], complex), as_rng(3), ())
-    assert isinstance(verdict.outcome, Distillable)
-    assert validate_witness(state, verdict.outcome.witness) < -1e-10
+    return BipartiteState(3, 3, w.conj().T @ w)
 
 
-def test_cascade_dependent_pencil_reroutes_to_sector_path():
-    # tau products whose second and third A-components coincide, so the
-    # (D2, D3) pencil is dependent and the walk re-enters the rank-1
-    # sector machinery
+def dependent_pencil_state():
+    """An anchor product plus three products whose second and third
+    A-components coincide, moved off product form: the (D2, D3) pencil
+    of the proof gauge is dependent."""
     anchor = np.kron(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]))
     alphas = [np.array([0.5, 1.0, 1.0]), np.array([-0.3, 2.0, 2.0]),
               np.array([0.8, -1.0, -1.0])]
@@ -160,36 +85,12 @@ def test_cascade_dependent_pencil_reroutes_to_sector_path():
         vec[0] += 0.2 * rng.standard_normal()
         vec[3] += 0.2 * rng.standard_normal()
         vecs.append(vec)
-    state = BipartiteState.from_vectors(3, 3, vecs)
-    assert state.rank() == 4
-    verdict = _product_cascade(
-        state, np.array([1.0, 0, 0], complex), np.array([1.0, 0, 0], complex),
-        as_rng(3), ())
-    assert verdict.trail[0] == "d-pencil-dependent"
-    assert isinstance(verdict.outcome, Distillable)
-    assert validate_witness(state, verdict.outcome.witness) < -1e-10
-
-
-def test_decide_rank4_rank1_sector_fixtures(rng, monkeypatch):
-    # a rank-1 block plus generic ones: irreducible, so once the 2x3
-    # scan misses, the sector path must end in a trivial submatrix
-    miss_3x3_scan(monkeypatch)
-    for _ in range(5):
-        c1 = np.zeros((4, 3), complex)
-        c1[0, 0] = 1.0
-        w = np.hstack([c1, complex_gaussian(rng, (4, 3)),
-                       complex_gaussian(rng, (4, 3))])
-        state = BipartiteState(3, 3, w.conj().T @ w)
-        state = apply_local(state, random_invertible(3, rng),
-                            random_invertible(3, rng))
-        assert state.rank() == 4
-        verdict = decide_rank4(state, rng=rng)
-        assert isinstance(verdict.outcome, Distillable)
-        assert "sector-rank-1" in verdict.trail
-        assert validate_witness(state, verdict.outcome.witness) < -1e-10
+    return BipartiteState.from_vectors(3, 3, vecs)
 
 
 def sector_fixture(rng):
+    """A rank-1 block plus two generic ones, under random ILOs:
+    irreducible, with a rank-1 B sector."""
     c1 = np.zeros((4, 3), complex)
     c1[0, 0] = 1.0
     w = np.hstack([c1, complex_gaussian(rng, (4, 3)), complex_gaussian(rng, (4, 3))])
@@ -197,57 +98,112 @@ def sector_fixture(rng):
                        random_invertible(3, rng), random_invertible(3, rng))
 
 
-def test_sector_rank1_verdicts_do_not_depend_on_the_second_compound(monkeypatch):
-    # a rank-1 sector is read off the null space of the second compound,
-    # which draws no random numbers.  With the screen off the enumeration
-    # finds the same direction; run on a copy of the caller's rng, it
-    # leaves the later draws of the decision as they were, so the two
-    # verdicts carry the same witness (the 2x3 scan misses, so that these
-    # NPT states reach the sector test)
+def test_knob_free_gauge_state_is_separable_by_its_range_products():
+    # with every knob at zero the gauge state is a separable B-direct sum
+    # (row 0 alone holds B-level 0).  Its four range products diagonalize
+    # it, so the PPT range search settles it before the reducibility test
+    state = late_stage_state()
+    assert is_ppt(state)[0]
+    verdict = decide_rank4(state, rng=3)
+    assert isinstance(verdict.outcome, Separable)
+    assert verdict.trail == ("product-in-range", "range-product-basis")
+    products = range_products(state)
+    assert len(products) == 4
+    outcome = Separable(products=tuple(range_product_basis(state, products)))
+    assert validate_certificate(state, outcome)["reconstruction_residual"] < 1e-12
+
+
+def test_decide_rank4_rank1_sector_fixtures(rng, monkeypatch):
+    # irreducible, so once the 2x3 scan misses, the eigen-frames decide
     miss_3x3_scan(monkeypatch)
-    rng = np.random.default_rng(41)
-    states = [sector_fixture(rng) for _ in range(5)]
-    sectors = []
-    search = rank4.rank_one_in_span
-    monkeypatch.setattr(rank4, "rank_one_in_span",
-                        lambda *a, **kw: sectors.append(search(*a, **kw)) or sectors[-1])
-    screened = [decide_rank4(s, rng=i) for i, s in enumerate(states)]
-    enumerate_rank_one = product_search._enumerate_rank_one
-    monkeypatch.setattr(product_search, "_compound_screen", lambda work, tau: (None, None, None))
-    monkeypatch.setattr(product_search, "_enumerate_rank_one",
-                        lambda work, rng, tol: enumerate_rank_one(work, copy.deepcopy(rng), tol))
-    unscreened = [decide_rank4(s, rng=i) for i, s in enumerate(states)]
-    assert all("sector-rank-1" in v.trail for v in unscreened)
-    assert ([(type(v.outcome), v.trail) for v in screened]
-            == [(type(v.outcome), v.trail) for v in unscreened])
-    assert [f.method for f in sectors[:5]] == ["second compound null space"] * 5
-    for mine, theirs in zip(sectors[:5], sectors[5:]):
-        x, y = mine.coefficients, theirs.coefficients
-        assert abs(np.vdot(x, y)) >= (1 - 1e-6) * np.linalg.norm(x) * np.linalg.norm(y)
-    for mine, theirs in zip(screened, unscreened):
-        x, y = mine.outcome.witness, theirs.outcome.witness
-        assert type(x) is type(y)
-        assert abs(np.vdot(x.vector, y.vector)) >= (
-            (1 - 1e-6) * np.linalg.norm(x.vector) * np.linalg.norm(y.vector))
-        assert x.value == pytest.approx(y.value, rel=1e-8)
+    for _ in range(5):
+        state = sector_fixture(rng)
+        assert state.rank() == 4
+        verdict = decide_rank4(state, rng=rng)
+        assert isinstance(verdict.outcome, Distillable)
+        assert verdict.trail == ("eigen-frames",)
+        assert validate_witness(state, verdict.outcome.witness) < -1e-10
 
 
 def test_generic_rank4_state_runs_no_enumeration(monkeypatch):
-    # the bound proves step (b)'s "no rank-1 sector", and the null vector
-    # of the range's second compound (9 minors against 10 monomials)
-    # proves step (c)'s "no product in the range": no enumeration runs.
-    # The state reaches (b) once the 2x3 scan misses, and ends at (d),
-    # where the eigen-frames are stubbed to miss as well
+    # an NPT state runs no range-product search, so no enumeration either.
+    # The generic state passes (a) once the 2x3 scan misses, and raises
+    # once the eigen-frames are stubbed to miss as well
     miss_3x3_scan(monkeypatch)
     monkeypatch.setattr(rank4, "_eigen_frame_witness", lambda state: None)
     calls = []
-    enumerate_rank_one = product_search._enumerate_rank_one
-    monkeypatch.setattr(product_search, "_enumerate_rank_one",
-                        lambda *a: calls.append(a[0].shape) or enumerate_rank_one(*a))
+    search = rank4.rank_one_in_span
+    monkeypatch.setattr(rank4, "rank_one_in_span",
+                        lambda *a, **kw: calls.append(a[0].shape) or search(*a, **kw))
     state = random_rank_r_state(3, 3, 4, np.random.default_rng(8))
-    with pytest.raises(UndecidableError, match="no product vector in its range"):
+    with pytest.raises(UndecidableError, match="coordinate 2x3 scan nor the eigen-frames"):
         decide_rank4(state, rng=8)
     assert calls == []
+
+
+# NPT 3x3 rank-4 states that the 2x3 scan decides, each with the decision
+# seeds to run: the proof-gauge states (a small knob leaves one close to
+# the separable knob-free state), the sector fixtures and planted states
+# (corpus_state(10, 4) is the one whose range product sits just off the
+# range).  Once the scan misses, the eigen-frames decide every irreducible
+# one; the zeta-zero state is a B-direct sum
+EIGEN_FRAMES = ("eigen-frames",)
+MISSED_BY_THE_SCAN = {
+    **{f"late-stage-{knob}-{value}": (
+        lambda knob=knob, value=value: late_stage_state(**{knob: value}), (3,), EIGEN_FRAMES)
+       for knob in KNOBS for value in (1e-5, 1e-3, 0.05, 0.8, 3.0)},
+    "zeta-zero": (zeta_zero_state, (3,), ("reducible-b",)),
+    "dependent-pencil": (dependent_pencil_state, (3,), EIGEN_FRAMES),
+    **{f"sector-{i}": (lambda i=i: sector_fixture(np.random.default_rng(41 + i)), (i,),
+                       EIGEN_FRAMES)
+       for i in range(5)},
+    "planted-1-1": (lambda: corpus_state(1, 1), (1,), EIGEN_FRAMES),
+    "planted-10-4": (lambda: corpus_state(10, 4), (188, 73479951), EIGEN_FRAMES),
+}
+
+
+@pytest.mark.parametrize("name", [*MISSED_BY_THE_SCAN, "masked-a-direct-sum"])
+def test_npt_states_the_scan_misses_decide(name, monkeypatch):
+    miss_3x3_scan(monkeypatch)
+    if name == "masked-a-direct-sum":  # with its reducibility test skipped
+        monkeypatch.setattr(rank4, "_reducible_verdict", lambda *args: None)
+        build, seeds, trail = masked_a_direct_sum, (3,), EIGEN_FRAMES
+    else:
+        build, seeds, trail = MISSED_BY_THE_SCAN[name]
+    state = build()
+    assert state.rank() == 4 and not is_ppt(state)[0]
+    for seed in seeds:
+        verdict = decide_rank4(state, rng=seed)
+        assert isinstance(verdict.outcome, Distillable)
+        assert verdict.trail == trail
+        assert validate_witness(state, verdict.outcome.witness) < -1e-10
+
+
+def test_an_npt_state_runs_no_range_product_search(monkeypatch):
+    # only the PPT branch searches the range (step (0)); an NPT state the
+    # scan misses goes from reducibility straight to the eigen-frames
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an NPT state searched a span for products")
+
+    miss_3x3_scan(monkeypatch)
+    monkeypatch.setattr(rank4, "rank_one_in_span", forbidden)
+    for build, seeds, trail in MISSED_BY_THE_SCAN.values():
+        assert decide_rank4(build(), rng=seeds[0]).trail == trail
+
+
+@pytest.mark.parametrize("knob", KNOBS)
+def test_eigen_frame_witness_scales_with_the_state(knob, monkeypatch):
+    # the eigen-frames read eigenvectors, which do not move under rho ->
+    # 2^k rho, so the witness vector is the same and its value is scaled
+    # by 2^k, for odd k as for even
+    miss_3x3_scan(monkeypatch)
+    state = late_stage_state(**{knob: 0.8})
+    base = decide_rank4(state, rng=3).outcome.witness
+    for k in range(-40, 41):
+        scaled = BipartiteState(3, 3, 2.0 ** k * state.matrix, state.tol)
+        witness = decide_rank4(scaled, rng=3).outcome.witness
+        assert np.array_equal(witness.vector, base.vector)
+        assert witness.value / 2.0 ** k == pytest.approx(base.value, rel=1e-13)
 
 
 # A seeded 3x3 rank-4 corpus, in cycles of eight: sums of 4 random
@@ -288,19 +244,6 @@ def range_product_basis(state, products):
     return _range_product_basis(state.matrix, state.tol, [(a, b) for a, b, _ in products], 4)
 
 
-def test_small_d1_takes_the_zero_branch_only_with_a_rank1_sector():
-    # one anchor of this separable state leaves d1 at 4.6e-5 relative:
-    # "zero" for the sqrt(residual_tol) test, yet its sector is not rank 1,
-    # so the walk must go on to the terminus rather than into the sector
-    # path (which would raise "claimed rank-1 sector direction is not rank 1")
-    state = Frame.local(corpus_state(1, 40), orient=False).work
-    products = range_products(state)
-    assert len(products) == 4
-    for a, b, _ in products:
-        with pytest.raises(RuntimeError, match="terminus"):
-            _product_cascade(state, a, b, as_rng(1165), ())
-
-
 def test_rank4_corpus_state_with_a_fragile_anchor_always_decides():
     # the cascade from one of the four range products of this separable
     # state contradicted itself for about one cascade rng in ten; the
@@ -310,6 +253,11 @@ def test_rank4_corpus_state_with_a_fragile_anchor_always_decides():
         verdict = decide_rank4(state, rng=seed)
         assert isinstance(verdict.outcome, Separable)
         assert verdict.trail == ("product-in-range", "range-product-basis")
+    # each of the four anchors of this one left the cascade a relative d1
+    # of 4.6e-5, next to its zero test
+    verdict = decide_rank4(corpus_state(1, 40), rng=1165)
+    assert isinstance(verdict.outcome, Separable)
+    assert verdict.trail == ("product-in-range", "range-product-basis")
 
 
 def test_range_product_basis_is_none_without_four_diagonalizing_products(rng):
@@ -370,8 +318,8 @@ def test_range_product_basis_is_the_pinv_formula_bit_for_bit(monkeypatch, shape,
 
 def test_irreducible_ppt_state_whose_products_diagonalize_nothing_names_the_failure(
         rng, monkeypatch):
-    # with the basis solve failing, a separable state passes (a) and (b)
-    # and reaches (c), where a PPT state with range products is an error
+    # with the basis solve failing, a separable state passes (a), after
+    # which a PPT state with range products is an error
     monkeypatch.setattr(rank4, "_range_product_basis", lambda *a: None)
     state = random_product_sum(3, 3, 4, rng)
     with pytest.raises(RuntimeError, match="range-product-basis: no 4 of the 4"):
@@ -411,23 +359,6 @@ def test_rank4_with_infinitely_many_range_products_is_never_misjudged(rng):
     assert kinds == {True, False}
 
 
-def test_anchor_peel_projects_a_product_just_off_the_range():
-    # a product accepted by its rank-1 defect may sit slightly off R(rho);
-    # rho - lam e e^dag then had a +-lam d eigenvalue pair, which passed
-    # the rank cutoff as a fifth summand from d ~ 1e-12 on (this corpus
-    # state failed so for about one decision rng in 300)
-    state = corpus_state(10, 4)
-    (a, b, _), = range_products(state)
-    rng = np.random.default_rng(0)
-    for d in (0.0, 1e-12, 1e-10, 1e-9):
-        w0 = _peel_anchor(state, a + d * complex_gaussian(rng, 3),
-                          b + d * complex_gaussian(rng, 3))
-        assert w0.shape[0] == 4
-        assert rel_residual(w0.conj().T @ w0, state.matrix) < 1e-8
-    for seed in (188, 73479951):
-        assert isinstance(decide_rank4(state, rng=seed).outcome, Distillable)
-
-
 # corpus 1: items 1, 4 and 7 are planted NPT states, item 5 is generic
 NPT_ITEMS = [(1, 1), (1, 4), (1, 5), (1, 7)]
 
@@ -450,9 +381,8 @@ CHECKED_ROUTES = {
     "reducible-b": (lambda: reducible_b_state(np.random.default_rng(20260810)),
                     decide_rank4, True, ("reducible-b",), 3),
     "sector-rank-1": (lambda: sector_fixture(np.random.default_rng(41)), decide_rank4, True,
-                      ("sector-rank-1", "gauge-pair-npt"), 1),
-    "cascade": (lambda: corpus_state(1, 1), decide_rank4, True,
-                ("product-in-range", "projected-b-pair-npt"), 1),
+                      ("eigen-frames",), 1),
+    "cascade": (lambda: corpus_state(1, 1), decide_rank4, True, ("eigen-frames",), 1),
     "separable-decomposition-3x3": (lambda: corpus_state(1, 0), separable_decomposition,
                                     False, None, 1),
     "max-local-rank-4": (lambda: random_product_sum(2, 4, 4, np.random.default_rng(2)),
@@ -483,12 +413,12 @@ def test_each_route_checks_its_verdict_once(route, monkeypatch):
         validate_certificate(state, result.outcome)
 
 
-def test_coordinate_2x3_route_runs_no_search_and_no_cascade(monkeypatch):
+def test_coordinate_2x3_route_runs_no_later_step(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the coordinate 2x3 route ran a later step")
 
     for name in ("_reducible_verdict", "decompose_b_direct_matrix", "rank_one_in_span",
-                 "_product_cascade"):
+                 "_eigen_frame_witness"):
         monkeypatch.setattr(rank4, name, forbidden)
     for seed, index in NPT_ITEMS:
         assert decide_rank4(corpus_state(seed, index), rng=index).trail == ("schmidt2-search",)
@@ -498,11 +428,11 @@ def test_when_the_2x3_scan_misses_the_tree_decides_planted_and_not_generic(monke
     scanned = miss_3x3_scan(monkeypatch)
     planted = corpus_state(1, 1)
     verdict = decide_rank4(planted, rng=1)
-    assert verdict.trail == ("product-in-range", "projected-b-pair-npt")
+    assert verdict.trail == ("eigen-frames",)
     assert validate_witness(planted, verdict.outcome.witness) < -1e-10
     assert len(scanned) == 1
     scanned.clear()
-    # steps (a) to (c) leave the generic item to (d), and its eigen-frames
+    # reducibility leaves the generic item to the eigen-frames, the last step
     generic = corpus_state(1, 5)
     with monkeypatch.context() as mp:
         mp.setattr(rank4, "_eigen_frame_witness", lambda state: None)
@@ -510,7 +440,7 @@ def test_when_the_2x3_scan_misses_the_tree_decides_planted_and_not_generic(monke
             decide_rank4(generic, rng=5)
     assert len(scanned) == 1
     verdict = decide_rank4(generic, rng=5)
-    assert verdict.trail == ("no-product-in-range", "eigen-frames")
+    assert verdict.trail == ("eigen-frames",)
     assert validate_witness(generic, verdict.outcome.witness) < -1e-10
     assert len(scanned) == 2
 
@@ -540,9 +470,8 @@ def outcome(state):
 
 def masked_a_direct_sum():
     """A product on A-levels {0, 2} (x) |0> plus an NPT rank-3 state on
-    A-levels {1, 2}.  The product's part on levels 1, 2 makes the (1, 2)
-    block of rho^G PSD, so the 2x3 scan of the sector gauge misses and
-    the A-direct split finds the NPT component."""
+    A-levels {1, 2}, which the reducibility test splits.  The product's
+    part on levels 1, 2 makes the (1, 2) block of rho^G PSD."""
     e = np.eye(3)
     psi = (np.kron(e[1], e[0]) + np.kron(e[2], e[1])) / np.sqrt(2)
     return BipartiteState.from_vectors(3, 3, [psi, np.kron(e[1], e[1]), np.kron(e[2], e[2]),
@@ -550,8 +479,7 @@ def masked_a_direct_sum():
 
 
 def past_reducibility(state):
-    # an A-direct sum walks past step (a) into the rank-1 sector path,
-    # which splits it again and lifts its distillable component
+    # an A-direct sum walked past step (a) is left to the eigen-frames
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rank4, "_reducible_verdict", lambda *args: None)
         return outcome(state)
@@ -562,11 +490,10 @@ def lifted_witness_cases():
     each route that lifts one; verdict is the certificate or the call
     that returns it."""
     rng = np.random.default_rng(77)
-    for knob in ("u3", "v1", "v3", "w1", "w2"):  # the cascade's pair projections
-        state, aa, bb = late_stage_state(**{knob: 0.8})
-        yield state, _product_cascade(state, aa, bb, as_rng(3), ()).outcome
-    yield sector_fixture(rng), outcome  # sector-rank-1, once the scan misses
-    yield corpus_state(1, 1), outcome  # projected-b-pair-npt
+    for knob in KNOBS:  # eigen-frames, once the scan misses
+        yield late_stage_state(**{knob: 0.8}), outcome
+    yield sector_fixture(rng), outcome
+    yield corpus_state(1, 1), outcome
     yield reducible_b_state(rng), outcome  # reducible-b: a Frame lift
     yield random_rank_r_state(3, 4, 4, rng), outcome  # max-local-rank-4, NPT
     yield random_rank_r_state(3, 2, 2, rng), classify_state  # a swapped frame
