@@ -24,7 +24,7 @@ rng = np.random.default_rng(0)
 # --- NPT at rank = max local rank ------------------------------------------
 state = random_rank_r_state(3, 3, 3, rng)
 assert not is_ppt(state)[0]
-cert = classify_rank_le_max(state, rng=rng)
+cert = classify_rank_le_max(state)
 assert isinstance(cert, Distillable)
 check = validate_certificate(state, cert)
 print("random 3x3 state of rank 3 (NPT):")
@@ -40,7 +40,7 @@ ppt_state = BipartiteState(3, 3, w.conj().T @ w)
 ppt_state = apply_local(ppt_state, random_invertible(3, rng), random_invertible(3, rng))
 assert is_ppt(ppt_state)[0]
 
-cert = classify_rank_le_max(ppt_state, rng=rng)
+cert = classify_rank_le_max(ppt_state)
 assert isinstance(cert, Separable)
 check = validate_certificate(ppt_state, cert)
 print("\n3x3 PPT state of rank 3 (from commuting normal blocks + random ILO):")
@@ -49,7 +49,7 @@ print(f"  reconstruction residual: {check['reconstruction_residual']:.2e}")
 
 # --- rank below the max local rank: always distillable ----------------------
 low = random_rank_r_state(3, 4, 3, rng)
-cert = classify_rank_le_max(low, rng=rng)
+cert = classify_rank_le_max(low)
 print(f"\n3x4 state of rank 3 (< max local rank): "
       f"{type(cert).__name__}, witness value "
       f"{validate_certificate(low, cert)['witness_value']:+.4f}")

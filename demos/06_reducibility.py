@@ -21,7 +21,7 @@ rng = np.random.default_rng(0)
 
 # --- a two-summand example with a second, different splitting ---------------
 example, (phi1, phi2), (alt1, alt2) = make_reducible_4x4_example()
-decomp = decompose_b_direct(example, rng=rng)
+decomp = decompose_b_direct(example)
 print(f"4x4 sum of two entangled pure states: {decomp.n_components} components")
 print("  (the splitting is not unique; the count and the verdict are)")
 
@@ -32,7 +32,7 @@ prod = np.kron(complex_gaussian(rng, 3), np.array([0, 0, 1.0]))  # B-level 2
 state = BipartiteState.from_vectors(3, 3, [bell, prod])
 state = apply_local(state, random_invertible(3, rng), random_invertible(3, rng))
 
-decomp = decompose_b_direct(state, rng=rng)
+decomp = decompose_b_direct(state)
 verdicts = [classify_state(c, rng=rng) for c in decomp.components]
 cert = aggregate(decomp, verdicts)
 print(f"\nILO-hidden B-direct sum: {decomp.n_components} components, "
@@ -44,7 +44,7 @@ print(f"  re-checked on the whole state: {validate_witness(state, cert.witness):
 # --- irreducible states stay in one piece ------------------------------------
 generic = random_rank_r_state(3, 3, 4, rng)
 print(f"\ngeneric 3x3 rank-4 state: "
-      f"{decompose_b_direct(generic, rng=rng).n_components} component (irreducible)")
+      f"{decompose_b_direct(generic).n_components} component (irreducible)")
 
 # --- label states: distillable entanglement from the decomposition -----------
 comps = [PureState(3, 2, complex_gaussian(rng, 6)) for _ in range(2)]
@@ -52,7 +52,7 @@ probs = [0.25, 0.75]
 label = make_label_state(probs, comps)
 expected = label_state_entanglement(probs, comps)
 
-decomp = decompose_b_direct(label, rng=rng)
+decomp = decompose_b_direct(label)
 total = 0.0
 for comp in decomp.components:
     orig = apply_local(comp, None, decomp.conjugator_inv)

@@ -36,7 +36,7 @@ print(f"\nsum_i |a_i>|ii> with non-orthogonal a_i:")
 print(f"  PPT flags {pc.ppt}; both reductions certified "
       f"{ {k: type(v).__name__ for k, v in pc.certificates.items()} }")
 print(f"  canonical form residual {pc.canonical.residual:.2e}")
-ok, _ = ghz_test(psi, rng=rng)
+ok, _ = ghz_test(psi)
 print(f"  generalized GHZ: {ok} (the a_i are not orthogonal)")
 
 # --- a rotated generalized GHZ state: detected, coefficients recovered --------
@@ -45,7 +45,7 @@ ghz = make_generalized_ghz(coeffs)
 t = np.einsum("ai,bj,ck,ijk->abc", random_unitary(3, rng),
               random_unitary(3, rng), random_unitary(3, rng), ghz.tensor())
 hidden = TripartitePure((3, 3, 3), t.reshape(-1))
-ok, recovered = ghz_test(hidden, rng=rng)
+ok, recovered = ghz_test(hidden)
 print(f"\ngeneralized GHZ with coefficients {coeffs}, hidden by random local unitaries:")
 print(f"  detected = {ok}, recovered coefficients {np.round(recovered, 6)}")
 

@@ -5,7 +5,9 @@ search (the 2-frames read off the eigenvectors of rho^G) of the rank-4
 tree or of classify_state, the 2xN projection fallback of the rank = max
 local rank theorem, the B-direct aggregation or an int-seeded
 reducible-b verdict.  This script runs seeded inputs through each of
-them:
+them.  The pair-fallback, aggregate and reducible-b verdicts no longer
+depend on a seed: the full-rank direction and the B-direct split are
+fixed choices.
 
   eigen-frames   662 NPT near-PPT checkerboards (one parameter of
                  checkerboard_ppt_instance moved by 10^U(-9,-6) e^{i theta},
@@ -34,13 +36,13 @@ them:
                  coordinate 2x3 scan made to miss;
   aggregate      make_reducible_4x4_example under random invertible
                  local maps (default_rng(8)), through decompose_b_direct,
-                 classify_state on each component and aggregate;
+                 classify_state on each component (seed 0) and aggregate;
   reducible-b    12 PPT 3x3 rank-4 states a (x) C^2 on B levels 0, 1 plus
                  two products on B level 2, whose range holds product
                  families, under random invertible local maps
                  (default_rng(12)), through decide_rank4 with the item's
-                 index as its int seed, so that two drawing functions
-                 run on one seed.
+                 index as its int seed; step (0)'s enumeration draws,
+                 and the B-direct split that follows draws nothing.
 
 A scan "made to miss" returns None to the one caller named, and stays
 real for every other caller.  An irreducible NPT state of the sector,
@@ -195,7 +197,7 @@ def _routes():
     seeds = iter(range(len(b_reducible)))
 
     def aggregated(state):
-        decomp = structure.decompose_b_direct(state, rng=0)
+        decomp = structure.decompose_b_direct(state)
         cert = rank4.aggregate(decomp, [rank4.classify_state(c, rng=0)
                                         for c in decomp.components])
         return (type(cert).__name__,), cert
@@ -208,7 +210,7 @@ def _routes():
          classified(lambda s: rank4.classify_state(s, rng=0))),
         ("pair-fallback", criteria, "_pair_witness",
          [_miss_scan(criteria, "_distill_rank_max")], npt(rank_max),
-         classified(lambda s: classify_rank_le_max(s, rng=0))),
+         classified(classify_rank_le_max)),
         ("sector", rank4, "_eigen_frame_witness", [_miss_scan(rank4, "_decide_rank4_local")],
          sectors, decided),
         ("cascade", rank4, "_eigen_frame_witness", [], near_products, decided),

@@ -8,7 +8,10 @@ and --mode can also be set by an environment variable with the ENTCERT_
 prefix (ENTCERT_SEED, ENTCERT_TOL, ENTCERT_BUDGET, ENTCERT_MODE); --text,
 and generate's --out, --random and --cut, cannot.  --budget and --mode
 belong to analyze only; --budget sets only the samples of --mode
-full-rank.
+full-rank.  The seed reaches only the steps that draw: the enumeration
+of the product search, the 2xN peeling, --mode full-rank's samples and
+generate --random.  Every other route, the rank = max local rank
+constructions and the B-direct split included, draws nothing.
 
 A variable is parsed as its flag is, for every subcommand: a seed,
 budget or tolerance that is not a number, a negative seed, a budget
@@ -165,7 +168,7 @@ def cmd_analyze(args) -> int:
         if args.mode not in ("auto", "tripartite"):
             raise StateFileError(f"mode {args.mode} needs a bipartite input")
         pc = classify_pairs(obj, rng=rng)
-        is_ghz, coeffs = ghz_test(obj, rng=args.seed)
+        is_ghz, coeffs = ghz_test(obj)
         payload["pairs"] = {
             name: {"ppt": bool(pc.ppt[name]),
                    **_certificate_payload(None, pc.certificates[name])}
@@ -205,7 +208,7 @@ def cmd_analyze(args) -> int:
         _emit(payload, started, args.text)
         return EXIT_DECIDED
     if mode == "reduce":
-        decomp = decompose_b_direct(state, rng=rng)
+        decomp = decompose_b_direct(state)
         payload["n_components"] = decomp.n_components
         payload["component_b_ranks"] = [
             int(round(float(np.real(np.trace(p))))) for p in decomp.b_projectors]
@@ -339,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override psd/residual tolerances")
         p.add_argument("--seed", type=seed,
                        default=_env_default("seed", 7, seed),
-                       help="seed for all randomized searches")
+                       help="seed of the steps that draw: the product-search "
+                            "enumeration, the 2xN peeling, --mode full-rank's "
+                            "samples and generate --random")
         p.add_argument("--text", action="store_true",
                        help="human-readable output instead of JSON")
 

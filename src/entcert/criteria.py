@@ -9,8 +9,10 @@ general branch), and the certified classification of states whose rank
 is at most the maximum local rank.  Below it, the reduction-criterion
 proof builds the witness with no search.  At it, both halves of the
 theorem (PPT -> N products, NPT -> the scan first, a negative 2xN
-projection as its fallback) run in a `Frame`, which compresses a state
-onto its local ranges, orients it to M <= N and maps the results back.
+projection as its fallback) build on a full-rank direction chosen among
+fixed points, so they draw nothing, and run in a `Frame`, which
+compresses a state onto its local ranges, orients it to M <= N and maps
+the results back.  Only full_rank_property's "violated" verdict samples.
 One helper, _projection_witness, values every A 2-frame projection of
 rho^G: the fallback's and the eigen-frames'.  Every witness is a
 SchmidtRank2Witness valued on the state it is returned for.
@@ -69,6 +71,10 @@ __all__ = [
 # Nominal per-coordinate grid size used only to quote a Schwartz-Zippel
 # style failure bound for the probabilistic full-rank verdict.
 _SZ_GRID = 2.0 ** 16
+
+# Fixed directions that _full_rank_direction tries for the rank-N
+# constructions' sector operator.
+_FULL_RANK_POINTS = 8
 
 
 def is_ppt(state: BipartiteState) -> tuple[bool, float]:
@@ -281,7 +287,9 @@ def full_rank_property(state: BipartiteState, side: str = "right",
     The Holds branch is deterministic: one local vector whose sector
     operator has full rank proves it.  The Violated branch is
     polynomial-identity testing (all sampled pencil members rank
-    deficient) and carries a quoted failure bound.
+    deficient) and carries a quoted failure bound.  rng, the caller's
+    seed or Generator, becomes a Generator only after the two shortcut
+    returns, where the sampling starts.
     """
     side = side.lower()
     if side not in ("right", "left"):
@@ -289,30 +297,12 @@ def full_rank_property(state: BipartiteState, side: str = "right",
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     frame = Frame.local(state, orient=False)
-    return _full_rank_from_blocks(block_form(frame.work), side, rng, state.tol, budget,
-                                  frame.a_back if side == "right" else frame.b_back)
-
-
-def _full_rank_from_blocks(blocks: BlockForm, side, rng, tol, budget=64, lift=None):
-    """full_rank_property on the block form of a state compressed to its
-    local ranges; a witness found is mapped back by lift (None: kept).
-
-    rng is the caller's seed or Generator, passed through unchanged.
-    It becomes a Generator only after the two shortcut returns, where
-    the sampling starts, so a shortcut builds none; an int seed starts
-    a fresh stream, and a negative one raises only when the pencil is
-    sampled."""
-    m, n = blocks.dim_a, blocks.dim_b
-    r = blocks.rank
-
+    blocks = block_form(frame.work)
+    m, n, r = blocks.dim_a, blocks.dim_b, blocks.rank
     if side == "right":
-        pencil = list(blocks.blocks)
-        target = n
-        opposite = m
+        pencil, target, opposite, lift = list(blocks.blocks), n, m, frame.a_back
     else:
-        pencil = left_pencil(blocks)
-        target = m
-        opposite = n
+        pencil, target, opposite, lift = left_pencil(blocks), m, n, frame.b_back
 
     if r < target:
         return FullRankResult(side, False, None, "rank-below-opposite-rank", 0, 0.0)
@@ -323,12 +313,33 @@ def _full_rank_from_blocks(blocks: BlockForm, side, rng, tol, budget=64, lift=No
     for k in range(budget):
         xi = unit_disc(rng, opposite)
         x_mat = sum(c * w for c, w in zip(pencil, xi))
-        rank, _ = numerical_rank(x_mat, tol)
+        rank, _ = numerical_rank(x_mat, state.tol)
         if rank == target:
-            witness = xi if lift is None else lift @ xi
-            return FullRankResult(side, True, witness, None, k + 1, None)
+            return FullRankResult(side, True, xi if lift is None else lift @ xi, None, k + 1, None)
     bound = float((target / _SZ_GRID) ** budget)
     return FullRankResult(side, False, None, None, budget, bound)
+
+
+def _full_rank_direction(blocks: BlockForm, tol):
+    """The best-conditioned of _FULL_RANK_POINTS fixed unit directions x,
+    the one whose sector operator X = sum_k x_k C_k has the largest
+    smallest singular value, if X has rank N; None otherwise.
+
+    The j-th point is x_k = e^{-ikj} / sqrt(M), k = 1..M, the mix that
+    linalg.common_eigenbasis uses; one batched SVD values all of them.
+    The normal form divides every block by X, so |X^-1| against the
+    blocks' common scale sets its accuracy.  None proves nothing: a
+    fixed point is not a sample.
+    """
+    m, n = blocks.dim_a, blocks.dim_b
+    j = np.arange(1, _FULL_RANK_POINTS + 1)
+    points = np.exp(-1j * np.outer(j, np.arange(1, m + 1))) / np.sqrt(m)
+    mats = np.tensordot(points, np.stack(blocks.blocks), axes=1)
+    s = np.linalg.svd(mats, compute_uv=False)
+    best = int(np.argmax(s[:, -1]))
+    if singular_rank(s[best], mats.shape[1:], tol) < n:
+        return None
+    return points[best]
 
 
 def schmidt2_witness(state: BipartiteState):
@@ -410,16 +421,16 @@ def _eigen_frame_witness(state: BipartiteState):
     return None
 
 
-def _normal_form(bf: BlockForm, witness: np.ndarray):
+def _normal_form(bf: BlockForm, x: np.ndarray):
     """Blocks (C_1, ..., C_{M-1}, I_N) of a state, given its block form
     bf, after local operations.
 
-    The A operation is invertible with conj(witness) as its last row, so
-    the mixed last block is the full-rank witness's sector operator; the
-    B operation maps it to I_N.  Returns (blocks, a_op, b_op), the
-    blocks of (a_op (x) b_op) state (a_op (x) b_op)^dag.
+    The A operation is invertible with conj(x) as its last row, so the
+    mixed last block is the sector operator of the full-rank direction
+    x; the B operation maps it to I_N.  Returns (blocks, a_op, b_op),
+    the blocks of (a_op (x) b_op) state (a_op (x) b_op)^dag.
     """
-    a_op = complete_rows(witness.conj(), last=True)
+    a_op = complete_rows(x.conj(), last=True)
     m = len(bf.blocks)
     # blocks of (A (x) I) rho (A (x) I)^dag: C'_j = sum_k conj(A[j,k]) C_k
     mixed = tuple(sum(a_op[j, k].conjugate() * bf.blocks[k] for k in range(m)) for j in range(m))
@@ -427,30 +438,25 @@ def _normal_form(bf: BlockForm, witness: np.ndarray):
     return list(normal.blocks), a_op, dagger(c_last_inv)
 
 
-def _distill_rank_max(state, rng):
+def _distill_rank_max(state):
     """Witness for an NPT state with rank == dim_b == max.
 
     state must already be compressed to its local ranges with M <= N and
     rank N; the witness refers to state.  The coordinate 2xN scan
-    answers first; the theorem's 2xN projection is the fallback.
+    answers first; the theorem's 2xN projection, built on a fixed
+    full-rank direction, is the fallback.
     """
     if (w := schmidt2_witness(state)) is not None:
         return w
-    blocks = block_form(state)
-    frp = _full_rank_from_blocks(blocks, "right", rng, state.tol)
-    if not frp.holds:
-        # implies 1-distillability; each trivial 2x2 submatrix lies in a scanned block
+    x = _full_rank_direction(block_form(state), state.tol)
+    if x is None:
         raise UndecidableError(
-            "state violates the right full-rank property but no coordinate "
-            "2xN block of rho^G is negative")
-    if frp.witness is None:
-        # cannot happen for M >= 2 at rank N (the product bound shortcut
-        # needs N > M(N-1)); guard against contract drift anyway
-        raise RuntimeError("full-rank property held without a witness vector")
-    return _pair_witness(state, *_normal_form(blocks, frp.witness)[:2])
+            "no fixed direction makes the sector operator of this NPT rank-N "
+            "state full rank, and no coordinate 2xN block of rho^G is negative")
+    return _pair_witness(state, complete_rows(x.conj(), last=True))
 
 
-def _pair_witness(state, blocks, a_op):
+def _pair_witness(state, a_op):
     """Witness for an NPT state whose blocks after the A operation a_op
     (and an invertible B one) are (C_1, .., I_N), from a 2xN projection.
 
@@ -462,37 +468,24 @@ def _pair_witness(state, blocks, a_op):
     commute; then X = x C_i + C_j has X^dag X - X X^dag = conj(x) K +
     x K^dag with K = C_i^dag C_j - C_j C_i^dag, which is nonzero by
     Fuglede's theorem, so x = 1 or, when K + K^dag = 0, x = i certifies.
+    One call values the row sets (a_op[i], a_op[M-1]) and then, for
+    each i < j, those of x = 1 and x = i, in that order.
     """
-    m = len(blocks)
-    # each pair-projected state (C_i, I_N); the first NPT one certifies
-    witness = _projection_witness(state, np.stack([a_op[[i, m - 1]] for i in range(m - 1)]))
-    if witness is not None:
-        return witness
-
-    # all pair projections PPT: blocks are normal, a non-commuting pair exists
-    scale = [max(frob(c), 1.0e-300) for c in blocks[:-1]]
-    best_pair, best_score = None, 0.0
-    for i in range(m - 1):
-        for j in range(i + 1, m - 1):
-            score = frob(blocks[i] @ blocks[j] - blocks[j] @ blocks[i]) / (scale[i] * scale[j])
-            if score > best_score + 1.0e-15:
-                best_pair, best_score = (i, j), score
-    if best_pair is None or best_score <= state.tol.residual_tol:
+    m = len(a_op)
+    last = a_op[m - 1]
+    rows = [(a_op[i], last) for i in range(m - 1)]
+    rows += [(np.conj(x) * a_op[i] + a_op[j], last)
+             for i, j in combinations(range(m - 1), 2) for x in (1.0, 1.0j)]
+    witness = _projection_witness(state, np.array(rows))
+    if witness is None:
         raise UndecidableError(
-            "all pair projections are PPT and the blocks commute; the state "
-            "tests as PPT, contradicting the NPT precondition")
-    i, j = best_pair
-    witness = _projection_witness(state, np.stack(
-        [np.stack([np.conj(x) * a_op[i] + a_op[j], a_op[m - 1]]) for x in (1.0, 1.0j)]))
-    if witness is not None:
-        return witness
-    raise RuntimeError(
-        f"x C_i + C_j is normal for x = 1 and x = i on the non-commuting pair "
-        f"{best_pair} (commutator score {best_score:.3e}); Fuglede's theorem "
-        "rules this out, so this indicates a numerical issue.")
+            "no pair projection of the normal form is NPT, though Fuglede's "
+            "theorem guarantees one for an NPT state; the state tests as PPT "
+            "within rounding")
+    return witness
 
 
-def _rank_n_products(state: BipartiteState, rng):
+def _rank_n_products(state: BipartiteState):
     """Products for a PPT state with M <= N locals and rank N.
 
     The state must already be compressed to its local ranges.  Returns
@@ -507,13 +500,13 @@ def _rank_n_products(state: BipartiteState, rng):
                 for wk, qk in zip(w[::-1], q.T[::-1])]  # ascending eigenvalues
 
     bf = block_form(state)
-    frp = _full_rank_from_blocks(bf, "right", rng, tol)
-    if not frp.holds or frp.witness is None:
+    x = _full_rank_direction(bf, tol)
+    if x is None:
         raise RuntimeError(
-            "no full-rank direction found for a PPT state; PPT states are "
-            "guaranteed to have both full-rank properties, so this signals "
+            "no fixed direction makes the sector operator of a PPT state full "
+            "rank; PPT states have both full-rank properties, so this signals "
             "a numerical problem or a non-PPT input")
-    blocks, a_op, b_op = _normal_form(bf, frp.witness)
+    blocks, a_op, b_op = _normal_form(bf, x)
 
     found = common_eigenbasis(blocks, tol)
     if found is None:
@@ -527,7 +520,7 @@ def _rank_n_products(state: BipartiteState, rng):
     return [(a_inv @ diag[:, k].conj(), b_inv @ u[:, k]) for k in range(n)]
 
 
-def separable_decomposition_rank_n(state: BipartiteState, rng=7):
+def separable_decomposition_rank_n(state: BipartiteState):
     """Exactly N product states for an M x N PPT state of rank N (M <= N).
 
     Normalizes the last block to the identity via a full-rank witness
@@ -539,12 +532,12 @@ def separable_decomposition_rank_n(state: BipartiteState, rng=7):
     r = frame.work.rank()
     if r != frame.work.dim_b:
         raise ValueError(f"rank {r} does not equal the max local rank {frame.work.dim_b}")
-    products = frame.lift_products(_rank_n_products(frame.work, rng))
+    products = frame.lift_products(_rank_n_products(frame.work))
     validate_certificate(state, Separable(products=tuple(products)))
     return products
 
 
-def classify_rank_le_max(state: BipartiteState, rng=7) -> Certificate:
+def classify_rank_le_max(state: BipartiteState) -> Certificate:
     """Full classification for states of rank at most the max local rank.
 
     Rank below the max local rank: distillable, with the Schmidt-rank-2
@@ -570,13 +563,13 @@ def classify_rank_le_max(state: BipartiteState, rng=7) -> Certificate:
     else:
         frame = Frame.local(state)
         work = frame.work
-        cert = frame.lift(Separable(products=tuple(_rank_n_products(work, rng)))
-                          if is_ppt(work)[0] else Distillable(_distill_rank_max(work, rng)))
+        cert = frame.lift(Separable(products=tuple(_rank_n_products(work)))
+                          if is_ppt(work)[0] else Distillable(_distill_rank_max(work)))
     validate_certificate(state, cert)
     return cert
 
 
-def certify_pure_plus_sigma(psi, sigma: BipartiteState | None, rng=7) -> Certificate:
+def certify_pure_plus_sigma(psi, sigma: BipartiteState | None) -> Certificate:
     """Distillability certificate for |psi><psi| + sigma with deficient sigma_A.
 
     psi must be entangled (Schmidt rank >= 2) and rank(sigma_A) must be

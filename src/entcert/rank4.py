@@ -250,7 +250,7 @@ def _peel_two_by_n(state: BipartiteState, rng):
         raise RuntimeError("peeling did not terminate within the step budget")
 
     tail = Frame.local(BipartiteState(2, n, mat, tol))
-    products.extend(tail.lift_products(_rank_n_products(tail.work, rng)))
+    products.extend(tail.lift_products(_rank_n_products(tail.work)))
     return products
 
 
@@ -275,7 +275,7 @@ def _ppt_products(state: BipartiteState, rng):
     wm, wn = work.dim_a, work.dim_b
     r = work.rank()
     if r <= wn:
-        products = _rank_n_products(work, rng)
+        products = _rank_n_products(work)
     elif wm == 2 and wn <= 3:
         products = _peel_two_by_n(work, rng)
     elif (wm, wn) == (3, 3) and r == 4:
@@ -307,7 +307,7 @@ def _reducible_verdict(restricted: BipartiteState, rng):
     sides = (("reducible-b", restricted.matrix, (m, n)),
              ("reducible-a", swap_sides_matrix(restricted.matrix, m, n), (n, m)))
     for side_tag, mat, dims in sides:
-        decomp = decompose_b_direct_matrix(mat, *dims, tol, rng)
+        decomp = decompose_b_direct_matrix(mat, *dims, tol)
         if decomp.irreducible:
             continue
         side = Frame(restricted) if side_tag == "reducible-b" else Frame.swap(restricted)
@@ -333,12 +333,15 @@ def decide_rank4(state: BipartiteState, rng=7) -> Rank4Verdict:
     degenerate eigenvalues), and their witness vector does not move
     when rho is scaled.
 
-    rng, a seed or a Generator, is passed through unchanged: only a
-    route that draws turns it into a Generator, after its early returns.
-    With an int seed each drawing function starts its stream afresh, and
-    a negative seed raises only where a route draws.  The range-product
-    readout, the "no product" bound, the coordinate 2x3 scan and the
-    eigen-frames draw nothing.
+    rng, a seed or a Generator, is passed through unchanged to the two
+    searches that draw: the enumeration of rank_one_in_span in step (0)
+    and the 2xN peeling of a small-locals PPT state or of a reducible
+    state's component.  Each turns it into
+    a Generator after its early returns, so with an int seed each starts
+    its stream afresh, and a negative seed raises only where one runs.
+    Every other step draws nothing: the rank = max local rank
+    constructions, the B-direct split, the range-product readout, the
+    "no product" bound, the coordinate 2x3 scan and the eigen-frames.
     """
     frame = Frame.local(state, orient=False)
     r = frame.work.rank()
@@ -358,8 +361,8 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
 
     if max(m, n) == 4:
         local = Frame.local(restricted)
-        cert = (Separable(products=tuple(_rank_n_products(local.work, rng))) if ppt_flag
-                else Distillable(_distill_rank_max(local.work, rng)))
+        cert = (Separable(products=tuple(_rank_n_products(local.work))) if ppt_flag
+                else Distillable(_distill_rank_max(local.work)))
         return Rank4Verdict(local.lift(cert),
                             ("max-local-rank-4", "ppt-rank-max" if ppt_flag else "npt-rank-max"))
 
@@ -409,10 +412,12 @@ def _decide_rank4_local(restricted: BipartiteState, rng) -> Rank4Verdict:
         return reducible
 
     # PPT and irreducible: (0)'s products, if any, should have
-    # diagonalized it, since an irreducible separable state's do
+    # diagonalized it, since an irreducible separable state's do.  Under
+    # an ill-conditioned ILO an NPT state can test as PPT and land here,
+    # so the contradiction is reported as no verdict, not as a fault
     if ppt_flag:
         if prod.found:
-            raise RuntimeError(
+            raise UndecidableError(
                 f"range-product-basis: no 4 of the {len(prod.products)} product "
                 "vectors in the range diagonalize the state")
         return Rank4Verdict(
@@ -451,7 +456,7 @@ def classify_state(state: BipartiteState, rng=7) -> Certificate:
     ra, rb = state.local_ranks()
     r = state.rank()
     if r <= max(ra, rb):
-        return classify_rank_le_max(state, rng=rng)
+        return classify_rank_le_max(state)
     if r == 4:
         return decide_rank4(state, rng=rng).outcome
 
@@ -481,7 +486,7 @@ def _npt_certificate(state: BipartiteState, rng):
     if rw is not None:
         # a reduction violation by itself proves 1-distillability
         return Distillable(rw)
-    decomp = decompose_b_direct(state, rng=rng)
+    decomp = decompose_b_direct(state)
     if decomp.irreducible:
         return None
     return aggregate(decomp, [classify_state(c, rng=rng) for c in decomp.components])

@@ -4,7 +4,8 @@ A state is B-reducible when it splits as a sum whose B-marginal ranges
 form a direct sum.  After B-normalization (rho_B -> I on its range)
 such a splitting is exactly an orthogonal projector commuting with all
 B-side blocks of the state, so detection reduces to computing the
-commutant of the block family and eigen-splitting a generic element.
+commutant of the block family and eigen-splitting a fixed combination
+of its basis, with no random draw.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .linalg import (
     numerical_rank, psd_range, singular_rank,
 )
 from .product_search import rank_one_in_span
-from .random_states import as_rng
 from .states import (
     BipartiteState, apply_local, apply_local_matrix, block_form, reduce_matrix, swap_sides,
 )
@@ -139,7 +139,7 @@ def _commutant_constraint(blocks: np.ndarray) -> np.ndarray:
     return np.stack([comm.real, comm.imag], axis=2).reshape(len(e), -1).T
 
 
-def commutant_decompose(blocks, tol: ToleranceConfig = DEFAULT_TOL, rng=11):
+def commutant_decompose(blocks, tol: ToleranceConfig = DEFAULT_TOL):
     """Orthogonal projectors commuting with every matrix of a *-closed family.
 
     Solves [X, S] = 0 for Hermitian X over all K blocks S (n x n).  The
@@ -149,9 +149,12 @@ def commutant_decompose(blocks, tol: ToleranceConfig = DEFAULT_TOL, rng=11):
     space (scalars) means the family is irreducible and the single full
     projector is returned.  That is decided from the singular values of
     the real constraint alone; only a reducible family pays for the
-    kernel basis.  Its generic random element is eigen-split and the
-    gap-grouped eigenprojectors are returned, each verified to commute
-    with every block.
+    kernel basis.  The fixed element sum_k cos(k) X_k of the kernel
+    basis X_1..X_d is eigen-split, and sum_k sin(k) X_k when its grouping
+    fails; like the mix of linalg.common_eigenbasis, neither value set
+    satisfies a rational linear relation.  The gap-grouped
+    eigenprojectors are returned, each verified to commute with every
+    block.
     """
     blocks = np.asarray(blocks, dtype=complex)
     n = blocks.shape[1]
@@ -167,10 +170,9 @@ def commutant_decompose(blocks, tol: ToleranceConfig = DEFAULT_TOL, rng=11):
         for l in range(null_dim)
     ]
 
-    rng = as_rng(rng)
     block_scale = [max(frob(s), 1.0e-300) for s in blocks]
-    for attempt in range(2):
-        xi = rng.standard_normal(null_dim)
+    k = np.arange(1, null_dim + 1)
+    for xi in (np.cos(k), np.sin(k)):
         x = sum(c * s for c, s in zip(xi, solution_basis))
         x = 0.5 * (x + dagger(x))
         w, v = np.linalg.eigh(x)
@@ -183,22 +185,22 @@ def commutant_decompose(blocks, tol: ToleranceConfig = DEFAULT_TOL, rng=11):
         if ok:
             return projectors
     raise RuntimeError(
-        "commutant eigen-grouping failed twice; the generic element has "
-        "pathologically clustered eigenvalues")
+        "commutant eigen-grouping failed on both fixed elements; their "
+        "eigenvalues are pathologically clustered")
 
 
-def decompose_b_direct(state: BipartiteState, rng=11) -> BDirectDecomposition:
+def decompose_b_direct(state: BipartiteState) -> BDirectDecomposition:
     """Split the state into its finest B-direct sum of irreducible parts.
 
     Works on the B-normalized matrix (I (x) rho_B^{-1/2}, on the range
     of rho_B) without building its state; the components become states
     only when read.
     """
-    return decompose_b_direct_matrix(state.matrix, state.dim_a, state.dim_b, state.tol, rng)
+    return decompose_b_direct_matrix(state.matrix, state.dim_a, state.dim_b, state.tol)
 
 
 def decompose_b_direct_matrix(mat: np.ndarray, dim_a: int, dim_b: int,
-                              tol: ToleranceConfig = DEFAULT_TOL, rng=11) -> BDirectDecomposition:
+                              tol: ToleranceConfig = DEFAULT_TOL) -> BDirectDecomposition:
     """decompose_b_direct on the matrix of a validated M x N state, for a
     caller that has the matrix but no state (a swapped side, say).
 
@@ -210,7 +212,7 @@ def decompose_b_direct_matrix(mat: np.ndarray, dim_a: int, dim_b: int,
     n = conj_fwd.shape[0]
     normalized = check_hermitian(
         apply_local_matrix(mat, dim_a, dim_b, None, conj_fwd), tol)
-    projectors = commutant_decompose(_b_blocks(normalized, dim_a, n), tol, rng=rng)
+    projectors = commutant_decompose(_b_blocks(normalized, dim_a, n), tol)
     return BDirectDecomposition(normalized, tuple(projectors), conj_fwd, conj_inv, tol)
 
 
@@ -270,7 +272,7 @@ def common_kernel_distill(state: BipartiteState, rng=11):
     u, sv, vh = np.linalg.svd(t_cols)
     if sv.size > 1 and sv[1] > state.tol.residual_tol * sv[0]:
         return None  # numeric rank-1 claim did not hold up
-    if not decompose_b_direct(restricted, rng=rng).irreducible:
+    if not decompose_b_direct(restricted).irreducible:
         return None
 
     # build the trivially distillable gauge from the common kernel

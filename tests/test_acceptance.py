@@ -367,7 +367,7 @@ def test_criterion_08_reducibility():
     verdict_ok = 0
     for _ in range(200):
         state, n_true, truth_distillable = _b_direct_fixture(rng)
-        decomp = decompose_b_direct(state, rng=rng)
+        decomp = decompose_b_direct(state)
         if decomp.n_components == n_true:
             count_ok += 1
         verdicts = [classify_state(c, rng=rng) for c in decomp.components]
@@ -383,7 +383,7 @@ def test_criterion_08_reducibility():
     assert verdict_ok == 200
 
     example, _, _ = make_reducible_4x4_example()
-    assert decompose_b_direct(example, rng=rng).n_components == 2
+    assert decompose_b_direct(example).n_components == 2
     report("criterion 8 (reducibility)",
            "200/200 component counts recovered, 200/200 aggregate verdicts "
            "match ground truth, 4x4 example splits into 2 components")
@@ -458,7 +458,7 @@ def test_criterion_10_rank_n_decomposition():
         n = int(rng.integers(2, 5))
         m = int(rng.integers(2, n + 1))
         state = ppt_rank_n_state(m, n, rng)
-        products = separable_decomposition_rank_n(state, rng=rng)
+        products = separable_decomposition_rank_n(state)
         assert len(products) == n
         cert = Separable(products=tuple(products))
         res = rel_residual(cert.reconstruct(m, n), state.matrix)

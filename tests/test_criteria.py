@@ -251,7 +251,7 @@ def test_schmidt2_witness_matches_the_per_block_loop(rng):
 def test_classify_rank_below_max_distillable(rng):
     for dims in ((3, 4), (4, 3)):
         state = random_rank_r_state(*dims, 3, rng)
-        cert = classify_rank_le_max(state, rng=rng)
+        cert = classify_rank_le_max(state)
         assert isinstance(cert, Distillable)
         assert validate_witness(state, cert.witness) < -1e-10
 
@@ -278,7 +278,7 @@ def test_rank_below_max_witness_is_constructed_from_the_reduction_violation():
                     state = apply_local(state, random_unitary(m + 1, rng)[:, :m],
                                         random_unitary(n + 2, rng)[:, :n])
                 sides.add(violated_side(state))
-                cert = classify_rank_le_max(state, rng=rng)
+                cert = classify_rank_le_max(state)
                 assert np.array_equal(cert.witness.vector, reduction_criterion(state)[1].vector)
                 validate_certificate(state, cert)
     assert sides == {"A", "B"}
@@ -295,7 +295,7 @@ def test_rank_below_max_without_a_reduction_violation_raises(monkeypatch):
 def test_classify_rank_max_ppt_separable(rng):
     for dims in ((3, 3), (2, 3)):
         state = ppt_rank_n_state(*dims, rng)
-        cert = classify_rank_le_max(state, rng=rng)
+        cert = classify_rank_le_max(state)
         assert isinstance(cert, Separable)
         assert len(cert.products) == max(dims)
         rec = cert.reconstruct(state.dim_a, state.dim_b)
@@ -324,14 +324,14 @@ def scaled_witnesses_scale_exactly(rng):
             state = random_rank_r_state(*dims, rank, rng)
             if is_ppt(state)[0]:
                 continue
-            cert = classify_rank_le_max(state, rng=rng)
+            cert = classify_rank_le_max(state)
             assert isinstance(cert, Distillable)
             assert validate_witness(state, cert.witness) < -1e-10
-            unit = classify_rank_le_max(state, rng=5)
+            unit = classify_rank_le_max(state)
             unit_values = (unit.witness.value, validate_witness(state, unit.witness))
             for k in (-60, -40, -20, 20, 40, 60):
                 scaled = BipartiteState(*dims, 2.0 ** k * state.matrix, state.tol)
-                witness = classify_rank_le_max(scaled, rng=5).witness
+                witness = classify_rank_le_max(scaled).witness
                 values = (witness.value, validate_witness(scaled, witness))
                 assert values == tuple(2.0 ** k * v for v in unit_values)
             hits += 1
@@ -350,7 +350,7 @@ def test_classify_rank_max_npt_distillable(rng, monkeypatch):
         scaled_witnesses_scale_exactly(rng)
     state = antisymmetric_plus_03()
     for oriented in (state, swap_sides(state)):
-        for cert in (classify_rank_le_max(oriented, rng=rng),
+        for cert in (classify_rank_le_max(oriented),
                      classify_state(oriented, rng=rng)):
             assert isinstance(cert, Distillable)
             assert validate_witness(oriented, cert.witness) < -1e-10
@@ -361,7 +361,8 @@ def test_classify_rank_max_npt_distillable(rng, monkeypatch):
 def test_npt_rank_le_max_witness_draws_no_random_number(dims, rank, monkeypatch):
     # the witness is the reduction split below the max local rank and,
     # at it, the lifted coordinate 2xN scan witness of the working
-    # state, which opens the route; neither draws, so no seed moves it
+    # state, which opens the route; neither draws, and the function
+    # takes no seed
     rng = np.random.default_rng(41)
     state = random_rank_r_state(*dims, rank, rng)
     while is_ppt(state)[0]:
@@ -375,17 +376,16 @@ def test_npt_rank_le_max_witness_draws_no_random_number(dims, rank, monkeypatch)
     def no_draw(*args):
         raise AssertionError("the NPT route drew a random number")
     monkeypatch.setattr(criteria, "unit_disc", no_draw)
-    for seed in (1, 2, 3, 4):
-        witness = classify_rank_le_max(state, rng=seed).witness
-        assert witness.vector.tobytes() == expected.vector.tobytes()
-        assert witness.value == expected.value
+    witness = classify_rank_le_max(state).witness
+    assert witness.vector.tobytes() == expected.vector.tobytes()
+    assert witness.value == expected.value
 
 
 def test_classify_rank_max_never_silently_undecided(rng):
     # out-of-contract rank must be rejected, not mis-verdicted
     state = random_rank_r_state(3, 3, 5, rng)
     with pytest.raises(ValueError, match="rank"):
-        classify_rank_le_max(state, rng=rng)
+        classify_rank_le_max(state)
 
 
 def test_reduction_violation_implies_schmidt2(rng):
@@ -509,7 +509,7 @@ def test_classify_rank_le_max_padded_dimensions(rng):
     emb[:3, :] = np.eye(3)
     op = np.kron(emb, emb)
     outer = BipartiteState(4, 4, op @ inner.matrix @ op.conj().T)
-    cert = classify_rank_le_max(outer, rng=rng)
+    cert = classify_rank_le_max(outer)
     assert isinstance(cert, Distillable)
     assert validate_witness(outer, cert.witness) < -1e-10
 
@@ -524,11 +524,10 @@ def test_pair_witness_closed_form_on_normal_noncommuting_blocks(c1, x):
     # combination x C_1 + C_2 of the non-commuting pair can certify
     c2 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
     eye = np.eye(3, dtype=complex)
-    blocks = [c1, c2, eye]
-    w = np.hstack(blocks)
+    w = np.hstack([c1, c2, eye])
     state = BipartiteState(3, 3, w.conj().T @ w)
     assert not is_ppt(state)[0]
-    witness = criteria._pair_witness(state, blocks, eye)
+    witness = criteria._pair_witness(state, eye)
     # the compression's A rows are conj(x) e_1 + e_2 and e_3, so the A
     # side of the lifted vector lies in their span, orthogonal to
     # (1, -x, 0), for the x that certified and for no other
@@ -660,11 +659,50 @@ def test_rank_max_fallback_witness_is_a_large_share_of_the_negativity(monkeypatc
     ratios = []
     for _ in range(20):
         state = random_rank_r_state(m, n, n, rng)
-        cert = classify_rank_le_max(state, rng=0)
+        cert = classify_rank_le_max(state)
         value = validate_witness(state, cert.witness)
         ratios.append(value / np.linalg.eigvalsh(partial_transpose(state))[0])
     assert min(ratios) >= 0.05
     assert np.median(ratios) >= 0.4
+
+
+def certificate_bytes(cert):
+    """The bytes of a Separable's products or of a Distillable's witness."""
+    if isinstance(cert, Separable):
+        return b"".join(a.tobytes() + b.tobytes() for a, b in cert.products)
+    return cert.witness.vector.tobytes() + repr(cert.witness.value).encode()
+
+
+def test_rank_max_certificates_and_the_b_direct_split_do_not_depend_on_the_seed(monkeypatch):
+    # both halves of the rank = max local rank theorem build on a
+    # full-rank direction chosen among fixed points, and the B-direct
+    # split eigen-splits a fixed element of the commutant, so the
+    # caller's seed moves none of their results.  The NPT states run
+    # the 2xN projection fallback: the scan of _distill_rank_max misses
+    rng = np.random.default_rng(35)
+    states = [ppt_rank_n_state(m, n, rng) for m, n in ((2, 3), (3, 3), (3, 4)) for _ in range(8)]
+    npt = [random_rank_r_state(m, n, n, rng) for m, n in ((3, 3), (3, 4)) for _ in range(10)]
+    states += [s for s in npt if not is_ppt(s)[0]]
+    scan, code = criteria.schmidt2_witness, criteria._distill_rank_max.__code__
+
+    def missing(state):
+        return None if sys._getframe(1).f_code is code else scan(state)
+
+    monkeypatch.setattr(criteria, "schmidt2_witness", missing)
+    kinds = set()
+    for state in states:
+        first, second = classify_state(state, rng=0), classify_state(state, rng=12345)
+        kinds.add(type(first))
+        assert type(first) is type(second)
+        assert certificate_bytes(first) == certificate_bytes(second)
+    assert kinds == {Separable, Distillable} and len(states) > 30
+
+    example = families.make_reducible_4x4_example()[0]
+    for _ in range(5):
+        state = apply_local(example, random_invertible(4, rng), random_invertible(4, rng))
+        first, second = (structure.decompose_b_direct(state).b_projectors for _ in range(2))
+        assert len(first) == 2
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(first, second))
 
 
 def test_restrict_full_local_ranks_is_free(rng, monkeypatch):
@@ -683,11 +721,11 @@ def test_restrict_full_local_ranks_is_free(rng, monkeypatch):
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (3, 4)])
 def test_rank_n_products_builds_one_block_form(dims, rng, monkeypatch):
-    # the full-rank test and the normal form share one block form
+    # the full-rank direction and the normal form share one block form
     state = criteria.Frame.local(ppt_rank_n_state(*dims, rng)).work
     built, block_form = [], criteria.block_form
     monkeypatch.setattr(criteria, "block_form", lambda s: built.append(s) or block_form(s))
-    products = criteria._rank_n_products(state, rng)
+    products = criteria._rank_n_products(state)
     assert len(built) == 1 and built[0] is state
     assert rel_residual(Separable(products=tuple(products)).reconstruct(*dims),
                         state.matrix) < 1e-8

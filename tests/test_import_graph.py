@@ -2,9 +2,10 @@
 only linalg applies the rank cutoff and calls np.kron, states counts
 ranks with psd_eigen, the common eigenbases of commuting normal block
 families come from linalg.common_eigenbasis, the witness constructions
-that theorems back draw no random numbers, the NPT routes from the max
-local rank up open with the coordinate scan, no function takes a
-restart budget, only the public verdict functions check certificates,
+that theorems back draw no random numbers, only named functions of
+criteria, structure and tripartite take a seed or draw, the NPT routes
+from the max local rank up open with the coordinate scan, no function
+takes a restart budget, only the public verdict functions check certificates,
 the rank-4 tree never uses the trivial-submatrix scan and reads range
 products in one helper, the named families compute no witness,
 criteria.Frame alone maps results on a transformed state back, and one
@@ -125,9 +126,9 @@ def test_theorem_backed_witnesses_draw_no_random_numbers():
         drawn = called & {"complex_gaussian", "unit_disc"}
         assert not drawn, f"{module}.{func_name} calls {sorted(drawn)}"
     # the NPT routes at and above the max local rank open with the
-    # coordinate scan, so a construction that draws (a full-rank sample),
-    # the eigen-frames or the reduction split runs only when it misses
-    constructions = {"reduction_criterion", "_full_rank_from_blocks", "_eigen_frame_witness"}
+    # coordinate scan, so the full-rank direction, the eigen-frames or the
+    # reduction split runs only when it misses
+    constructions = {"reduction_criterion", "_full_rank_direction", "_eigen_frame_witness"}
     for module, func_name in (("criteria", "_distill_rank_max"), ("rank4", "_npt_certificate")):
         func = next(node for node in ast.walk(modules[module])
                     if isinstance(node, ast.FunctionDef) and node.name == func_name)
@@ -252,12 +253,48 @@ def _callers(name):
 def test_dispatchers_pass_the_seed_through():
     # a Generator is built from an int seed only in the function that
     # draws, after its early returns, so a route that draws nothing
-    # builds none
+    # builds none.  These pass the seed on to the enumeration of
+    # rank_one_in_span and to the 2xN peeling
     dispatchers = {"rank4.decide_rank4", "rank4._decide_rank4_local", "rank4._ppt_products",
-                   "rank4.classify_state", "criteria._distill_rank_max",
-                   "criteria._rank_n_products", "criteria.full_rank_property"}
+                   "rank4._reducible_verdict", "rank4.classify_state", "rank4._npt_certificate",
+                   "structure.common_kernel_distill", "tripartite.classify_pairs"}
     converting = dispatchers & _callers("as_rng")
     assert not converting, "as_rng called in " + ", ".join(sorted(converting))
+
+
+# the only functions of criteria, structure and tripartite that take a
+# seed: full_rank_property samples for its "violated" verdict,
+# common_kernel_distill and classify_pairs pass theirs to the product
+# search and to classify_state, and ghz_test keeps an unused keyword
+SEEDED = {"criteria.full_rank_property", "structure.common_kernel_distill",
+          "tripartite.classify_pairs", "tripartite.ghz_test"}
+DRAWS = {"as_rng", "complex_gaussian", "unit_disc", "standard_normal", "uniform", "default_rng"}
+
+
+def test_only_named_functions_take_a_seed_or_draw():
+    # the rank = max local rank constructions choose their full-rank
+    # direction among fixed points, and the B-direct split eigen-splits
+    # a fixed element of the commutant, so no other function takes rng
+    seeded, drawing = set(), {}
+    for module in ("criteria", "structure", "tripartite"):
+        for func in ast.walk(_modules()[module]):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            name = f"{module}.{func.name}"
+            if any(arg.arg == "rng" for arg in ast.walk(func.args) if isinstance(arg, ast.arg)):
+                seeded.add(name)
+            drawn = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                     for node in ast.walk(func) if isinstance(node, ast.Call)} & DRAWS
+            if drawn:
+                drawing[name] = sorted(drawn)
+    assert seeded == SEEDED
+    assert set(drawing) <= SEEDED, f"functions that draw: {drawing}"
+    for name in ("criteria._full_rank_direction", "structure.commutant_decompose",
+                 "criteria._pair_witness"):
+        assert name not in drawing, f"{name} calls {drawing.get(name)}"
+        module, func_name = name.split(".")
+        assert any(isinstance(node, ast.FunctionDef) and node.name == func_name
+                   for node in ast.walk(_modules()[module])), f"{name} is gone"
 
 
 def test_one_frame_maps_every_construction_back():

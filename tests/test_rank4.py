@@ -152,7 +152,7 @@ def test_separable_decomposition_rank_n_diagonal(rng):
     diag = np.zeros(9)
     diag[[0, 4, 8]] = [1.0, 2.0, 0.5]
     state = BipartiteState(3, 3, np.diag(diag).astype(complex))
-    products = separable_decomposition_rank_n(state, rng=rng)
+    products = separable_decomposition_rank_n(state)
     assert len(products) == 3
     cert = Separable(products=tuple(products))
     assert rel_residual(cert.reconstruct(3, 3), state.matrix) < 1e-10
@@ -161,7 +161,7 @@ def test_separable_decomposition_rank_n_diagonal(rng):
 def test_separable_decomposition_rank_n_commuting_blocks(rng):
     for dims in ((3, 3), (2, 3), (3, 4)):
         state = ppt_rank_n_state(*dims, rng)
-        products = separable_decomposition_rank_n(state, rng=rng)
+        products = separable_decomposition_rank_n(state)
         assert len(products) == max(dims)
         cert = Separable(products=tuple(products))
         assert rel_residual(cert.reconstruct(*dims), state.matrix) < 1e-8
@@ -173,7 +173,7 @@ def test_separable_decomposition_rank_n_rejects_npt(rng):
         if not is_ppt(state)[0]:
             break
     with pytest.raises((ValueError, RuntimeError)):
-        separable_decomposition_rank_n(state, rng=rng)
+        separable_decomposition_rank_n(state)
 
 
 def test_peeling_2x2_full_rank(rng):

@@ -319,10 +319,11 @@ def test_range_product_basis_is_the_pinv_formula_bit_for_bit(monkeypatch, shape,
 def test_irreducible_ppt_state_whose_products_diagonalize_nothing_names_the_failure(
         rng, monkeypatch):
     # with the basis solve failing, a separable state passes (a), after
-    # which a PPT state with range products is an error
+    # which a PPT state with range products gets no verdict: under an
+    # ill-conditioned ILO an NPT state tests as PPT and lands here too
     monkeypatch.setattr(rank4, "_range_product_basis", lambda *a: None)
     state = random_product_sum(3, 3, 4, rng)
-    with pytest.raises(RuntimeError, match="range-product-basis: no 4 of the 4"):
+    with pytest.raises(UndecidableError, match="range-product-basis: no 4 of the 4"):
         decide_rank4(state, rng=rng)
 
 
@@ -506,7 +507,7 @@ def lifted_witness_cases():
     prod = np.kron(complex_gaussian(rng, 3), np.array([0, 0, 1.0]))
     state = apply_local(BipartiteState.from_vectors(3, 3, [bell, prod]),
                         random_invertible(3, rng), random_invertible(3, rng))
-    decomp = decompose_b_direct(state, rng=rng)
+    decomp = decompose_b_direct(state)
     yield state, aggregate(decomp, [classify_state(c, rng=rng) for c in decomp.components])
     for _ in range(3):  # a 2xN projection through an ILO
         a_basis = complex_gaussian(rng, (3, 1))

@@ -89,7 +89,7 @@ def test_b_normalize_random(rng):
 def test_b_normalize_reducible_marginals_become_projectors(rng):
     state = b_direct_sum_of_products(2, rng)
     normalized, _, _ = b_normalize(state)
-    decomp = decompose_b_direct(state, rng=rng)
+    decomp = decompose_b_direct(state)
     for comp in decomp.components:
         marg = reduce(comp, "B")
         # idempotent within tolerance: an orthogonal projector
@@ -187,7 +187,7 @@ def test_commutant_finds_a_planted_two_plus_one_split(seed):
     state = apply_local(BipartiteState.from_vectors(3, 3, two + [one]),
                         random_invertible(3, rng), random_invertible(3, rng))
     normalized, _, _ = b_normalize(state)
-    projectors = commutant_decompose(b_blocks(normalized), rng=seed)
+    projectors = commutant_decompose(b_blocks(normalized))
     assert len(projectors) == 2
     assert sorted(int(round(np.trace(p).real)) for p in projectors) == [1, 2]
 
@@ -206,12 +206,12 @@ def test_decompose_4x4_example():
 
 def test_decompose_generic_irreducible(rng):
     state = random_rank_r_state(3, 3, 4, rng)
-    assert decompose_b_direct(state, rng=rng).irreducible
+    assert decompose_b_direct(state).irreducible
 
 
 def test_decompose_three_products(rng):
     state = b_direct_sum_of_products(3, rng)
-    decomp = decompose_b_direct(state, rng=rng)
+    decomp = decompose_b_direct(state)
     assert decomp.n_components == 3
 
 
@@ -221,7 +221,7 @@ def test_irreducible_decomposition_builds_no_state(rng, monkeypatch):
     post_init = BipartiteState.__post_init__
     monkeypatch.setattr(BipartiteState, "__post_init__",
                         lambda self: built.append(1) or post_init(self))
-    decomp = decompose_b_direct(state, rng=rng)
+    decomp = decompose_b_direct(state)
     assert decomp.irreducible
     assert built == []
 
@@ -229,7 +229,7 @@ def test_irreducible_decomposition_builds_no_state(rng, monkeypatch):
 def test_decompose_components_match_b_normalize_byte_for_byte(rng):
     for state in (random_rank_r_state(3, 3, 4, rng), random_rank_r_state(2, 4, 4, rng),
                   b_direct_sum_of_products(3, rng), reducible_4x4()):
-        decomp = decompose_b_direct(state, rng=5)
+        decomp = decompose_b_direct(state)
         normalized, _, _ = b_normalize(state)
         expected = [normalized] if decomp.irreducible else [
             apply_local(normalized, None, p) for p in decomp.b_projectors]
@@ -242,7 +242,7 @@ def test_decompose_components_match_b_normalize_byte_for_byte(rng):
 
 def test_decompose_sum_matches_normalized_state(rng):
     state = b_direct_sum_of_products(2, rng)
-    decomp = decompose_b_direct(state, rng=rng)
+    decomp = decompose_b_direct(state)
     normalized = apply_local(state, None, decomp.conjugator)
     total = sum(c.matrix for c in decomp.components)
     assert rel_residual(total, normalized.matrix) < 1e-9
@@ -250,7 +250,7 @@ def test_decompose_sum_matches_normalized_state(rng):
 
 def test_decompose_component_ranges_orthogonal(rng):
     state = b_direct_sum_of_products(3, rng)
-    decomp = decompose_b_direct(state, rng=rng)
+    decomp = decompose_b_direct(state)
     margs = [reduce(c, "B") for c in decomp.components]
     for i in range(3):
         for j in range(i + 1, 3):
@@ -259,21 +259,21 @@ def test_decompose_component_ranges_orthogonal(rng):
 
 def test_decompose_idempotent(rng):
     state = b_direct_sum_of_products(2, rng)
-    decomp = decompose_b_direct(state, rng=rng)
+    decomp = decompose_b_direct(state)
     for comp in decomp.components:
-        assert decompose_b_direct(comp, rng=rng).irreducible
+        assert decompose_b_direct(comp).irreducible
 
 
 def test_decompose_count_ilo_invariant(rng):
     base = b_direct_sum_of_products(2, rng, conjugate=False)
     for _ in range(5):
         conj = apply_local(base, random_invertible(3, rng), random_invertible(3, rng))
-        assert decompose_b_direct(conj, rng=rng).n_components == 2
+        assert decompose_b_direct(conj).n_components == 2
 
 
 def test_aggregate_all_separable(rng):
     state = b_direct_sum_of_products(2, rng)
-    decomp = decompose_b_direct(state, rng=rng)
+    decomp = decompose_b_direct(state)
     verdicts = [classify_state(c, rng=rng) for c in decomp.components]
     assert all(isinstance(v, Separable) for v in verdicts)
     cert = aggregate(decomp, verdicts)
@@ -288,7 +288,7 @@ def test_aggregate_distillable_component(rng):
     prod = np.kron(complex_gaussian(rng, 3), np.array([0, 0, 1.0]))
     state = BipartiteState.from_vectors(3, 3, [bell, prod])
     state = apply_local(state, random_invertible(3, rng), random_invertible(3, rng))
-    decomp = decompose_b_direct(state, rng=rng)
+    decomp = decompose_b_direct(state)
     assert decomp.n_components == 2
     verdicts = [classify_state(c, rng=rng) for c in decomp.components]
     cert = aggregate(decomp, verdicts)
@@ -324,7 +324,7 @@ def test_common_kernel_reducible_three_level_route(rng):
     bell[0, 1] = bell[1, 2] = 1.0
     state = BipartiteState.from_vectors(3, 3, [v1, bell.reshape(-1)])
     assert common_kernel_distill(state, rng=rng) is None
-    decomp = decompose_b_direct(state, rng=rng)
+    decomp = decompose_b_direct(state)
     verdicts = [classify_state(c, rng=rng) for c in decomp.components]
     routed = aggregate(decomp, verdicts)
     assert isinstance(routed, Distillable)
@@ -434,7 +434,7 @@ def test_label_state_entropy_matches_decomposition(rng):
     state = make_label_state(probs, comps)
     expected = label_state_entanglement(probs, comps)
 
-    decomp = decompose_b_direct(state, rng=rng)
+    decomp = decompose_b_direct(state)
     assert decomp.n_components == 2
     total = 0.0
     for comp in decomp.components:

@@ -80,7 +80,7 @@ def test_a_ii_construction_both_ppt(rng):
 
 def test_canonical_form_gauge(rng):
     psi = a_ii_state(3, 3, rng)
-    form = canonical_two_ppt(psi, rng=1)
+    form = canonical_two_ppt(psi)
     norms = [np.linalg.norm(a) for a in form.a_vectors]
     assert all(norms[i] >= norms[i + 1] - 1e-12 for i in range(len(norms) - 1))
     for a in form.a_vectors:
