@@ -2,9 +2,11 @@
 
 At rank N = max local rank the separability problem is completely
 solved: PPT states decompose into exactly N products (via commuting
-normal blocks), NPT states yield a validated Schmidt-rank-2 witness:
-a negative coordinate 2xN block of rho^G, or a 2xN projection when the
-scan finds none.  Below that rank every state is distillable.
+normal blocks), and NPT states are distillable.  The library certifies
+an NPT one by a validated Schmidt-rank-2 witness from its NPT chain: a
+negative coordinate 2xN block of rho^G, or an A 2-frame read off the
+eigenvectors of rho^G when the scan finds none; a state both miss
+raises UndecidableError.  Below that rank every state is distillable.
 """
 
 import numpy as np

@@ -2,12 +2,12 @@
 
 The benchmark corpora and the CLI fixtures never reach the eigen-frame
 search (the 2-frames read off the eigenvectors of rho^G) of the rank-4
-tree or of classify_state, the 2xN projection fallback of the rank = max
-local rank theorem, the B-direct aggregation or an int-seeded
+tree or of the NPT chain (criteria._npt_witness: the coordinate scan,
+then the eigen-frames), the B-direct aggregation or an int-seeded
 reducible-b verdict.  This script runs seeded inputs through each of
-them.  The pair-fallback, aggregate and reducible-b verdicts no longer
-depend on a seed: the full-rank direction and the B-direct split are
-fixed choices.
+them.  The pair-fallback, aggregate and reducible-b verdicts do not
+depend on a seed: the eigen-frames draw nothing, and the B-direct split
+is a fixed choice.
 
   eigen-frames   662 NPT near-PPT checkerboards (one parameter of
                  checkerboard_ppt_instance moved by 10^U(-9,-6) e^{i theta},
@@ -17,11 +17,13 @@ fixed choices.
                  each (default_rng(6)), where the verdicts must not move;
   eigen-frames-high-rank
                  NPT states of rank 5-7 in 3x3, 3x4 and 4x4
-                 (default_rng(3)), through classify_state, with its
-                 coordinate scan made to miss;
+                 (default_rng(3)), through classify_state, with the
+                 NPT chain's coordinate scan made to miss;
   pair-fallback  NPT states of rank 3 in 3x3 and rank 4 in 3x4
                  (default_rng(4)), through classify_rank_le_max, with the
-                 scan of _distill_rank_max made to miss;
+                 NPT chain's scan made to miss, so that the eigen-frames
+                 decide them where the rank = max local rank theorem's
+                 2xN projection once did;
   sector         20 NPT 3x3 rank-4 states with a rank-1 B sector
                  (default_rng(41)), through decide_rank4, with its
                  coordinate 2x3 scan made to miss;
@@ -45,14 +47,17 @@ fixed choices.
                  and the B-direct split that follows draws nothing.
 
 A scan "made to miss" returns None to the one caller named, and stays
-real for every other caller.  An irreducible NPT state of the sector,
-cascade and near-product-ilo routes that the scan misses goes to the
-eigen-frames, whose calls those routes count.  For each route it prints
-the number of calls of the route's function (`-` where the checkout has
-no such function), the count of each trail (the certificate type where
-the entry point has no trail, and the exception type where it raises)
-and one sha256 over every result, hashed field by field as
-`scripts/corpus_digests.py` does.  The last line digests all lines.
+real for every other caller.  In a checkout without the NPT chain, the
+caller is the one that ran the scan there (rank4._npt_certificate or
+criteria._distill_rank_max), so that --src runs an older checkout too.
+An irreducible NPT state of the sector, cascade and near-product-ilo
+routes that the scan misses goes to the eigen-frames, whose calls those
+routes count.  For each route it prints the number of calls of the
+route's function, in every entcert module that binds it (`-` where the
+checkout has no such function), the count of each trail (the
+certificate type where the entry point has no trail, and the exception
+type where it raises) and one sha256 over every result, hashed field by
+field as `scripts/corpus_digests.py` does.  The last line digests all lines.
 
     python3 scripts/route_digests.py                 # this checkout
     python3 scripts/route_digests.py --src OTHER/src # another one
@@ -80,9 +85,11 @@ from corpus_digests import _feed
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _miss_scan(module, caller):
+def _miss_scan(*callers):
     """A patch of module.schmidt2_witness that finds nothing when called
-    from module.caller."""
+    from module.caller, for the first (module, caller) of callers that
+    the checkout has."""
+    module, caller = next((m, c) for m, c in callers if hasattr(m, c))
     scan, code = module.schmidt2_witness, getattr(module, caller).__code__
 
     def missing(state):
@@ -92,8 +99,9 @@ def _miss_scan(module, caller):
 
 
 def _counted(module, name, calls):
-    """A patch of module.name that counts its calls in calls[0]; a module
-    without name gets no patch and calls[0] None."""
+    """Patches of module.name, and of every entcert module that binds the
+    same function, that count its calls in calls[0]; a module without
+    name gets no patch and calls[0] None."""
     if (func := getattr(module, name, None)) is None:
         calls[0] = None
         return nullcontext()
@@ -102,7 +110,11 @@ def _counted(module, name, calls):
         calls[0] += 1
         return func(*args, **kwargs)
 
-    return mock.patch.object(module, name, counted)
+    stack = ExitStack()
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("entcert") and vars(mod).get(name) is func:
+            stack.enter_context(mock.patch.object(mod, name, counted))
+    return stack
 
 
 def _routes():
@@ -205,17 +217,17 @@ def _routes():
     return [
         ("eigen-frames", rank4, "_eigen_frame_witness", [], checkerboards, decided),
         ("eigen-frames-unitary", rank4, "_eigen_frame_witness", [], rotated, decided),
-        ("eigen-frames-high-rank", rank4, "_eigen_frame_witness",
-         [_miss_scan(rank4, "_npt_certificate")], npt(high_rank),
+        ("eigen-frames-high-rank", criteria, "_eigen_frame_witness",
+         [_miss_scan((criteria, "_npt_witness"), (rank4, "_npt_certificate"))], npt(high_rank),
          classified(lambda s: rank4.classify_state(s, rng=0))),
-        ("pair-fallback", criteria, "_pair_witness",
-         [_miss_scan(criteria, "_distill_rank_max")], npt(rank_max),
-         classified(classify_rank_le_max)),
-        ("sector", rank4, "_eigen_frame_witness", [_miss_scan(rank4, "_decide_rank4_local")],
+        ("pair-fallback", criteria, "_eigen_frame_witness",
+         [_miss_scan((criteria, "_npt_witness"), (criteria, "_distill_rank_max"))],
+         npt(rank_max), classified(classify_rank_le_max)),
+        ("sector", rank4, "_eigen_frame_witness", [_miss_scan((rank4, "_decide_rank4_local"))],
          sectors, decided),
         ("cascade", rank4, "_eigen_frame_witness", [], near_products, decided),
         ("near-product-ilo", rank4, "_eigen_frame_witness",
-         [_miss_scan(rank4, "_decide_rank4_local")], near_ilo, decided),
+         [_miss_scan((rank4, "_decide_rank4_local"))], near_ilo, decided),
         ("aggregate", rank4, "aggregate", [], reducible, aggregated),
         ("reducible-b", rank4, "_reducible_verdict", [], b_reducible,
          lambda s: decided(s, next(seeds))),

@@ -3,19 +3,22 @@
 Implements the PPT test, the reduction criterion, trivial distillability
 (2x2 principal submatrices of rho^G), left/right full-rank properties,
 the Schmidt-rank-2 scan of the coordinate 2xN blocks of rho^G, the
-eigen-frames (the A 2-frames read off the eigenvectors of rho^G, the
-search of the rank-4 tree's last NPT step and of classify_state's
-general branch), and the certified classification of states whose rank
-is at most the maximum local rank.  Below it, the reduction-criterion
-proof builds the witness with no search.  At it, both halves of the
-theorem (PPT -> N products, NPT -> the scan first, a negative 2xN
-projection as its fallback) build on a full-rank direction chosen among
-fixed points, so they draw nothing, and run in a `Frame`, which
-compresses a state onto its local ranges, orients it to M <= N and maps
-the results back.  Only full_rank_property's "violated" verdict samples.
-One helper, _projection_witness, values every A 2-frame projection of
-rho^G: the fallback's and the eigen-frames'.  Every witness is a
-SchmidtRank2Witness valued on the state it is returned for.
+eigen-frames (the A 2-frames read off the eigenvectors of rho^G), and
+the certified classification of states whose rank is at most the
+maximum local rank.  Below it, the reduction-criterion proof builds the
+witness with no search.  At it, the PPT half of the theorem (PPT -> N
+products) builds on a full-rank direction chosen among fixed points and
+runs in a `Frame`, which compresses a state onto its local ranges,
+orients it to M <= N and maps the results back.  Every NPT search
+outside the rank-4 tree runs one chain, _npt_witness: the coordinate
+scan, then the eigen-frames.  This costs the NPT half of the theorem
+its constructive proof: the paper's 2xN projection is not carried, so an
+NPT state of rank = max local rank is certified by what the chain
+finds, and one it misses raises UndecidableError.  Nothing here draws
+but full_rank_property's "violated" verdict.  One helper,
+_projection_witness, values the eigen-frames' A 2-frame projections of
+rho^G.  Every witness is a SchmidtRank2Witness valued on the state it
+is returned for.
 """
 
 from __future__ import annotations
@@ -327,9 +330,10 @@ def _full_rank_direction(blocks: BlockForm, tol):
 
     The j-th point is x_k = e^{-ikj} / sqrt(M), k = 1..M, the mix that
     linalg.common_eigenbasis uses; one batched SVD values all of them.
-    The normal form divides every block by X, so |X^-1| against the
-    blocks' common scale sets its accuracy.  None proves nothing: a
-    fixed point is not a sample.
+    Only the PPT half of the rank = max local rank theorem uses it: the
+    normal form divides every block by X, so |X^-1| against the blocks'
+    common scale sets its accuracy.  None proves nothing: a fixed point
+    is not a sample.
     """
     m, n = blocks.dim_a, blocks.dim_b
     j = np.arange(1, _FULL_RANK_POINTS + 1)
@@ -367,7 +371,8 @@ def schmidt2_witness(state: BipartiteState):
 
 def _projection_witness(state: BipartiteState, rows: np.ndarray):
     """Witness from the first A row set of a stack that compresses
-    state to an NPT state; None is no claim.
+    state to an NPT state; None is no claim.  It values the eigen-frames'
+    2-frames.
 
     rows is a (K, k, M) stack of A row sets, each of full row rank.  One
     QR makes each orthonormal (rows F), the compression of state by
@@ -438,51 +443,25 @@ def _normal_form(bf: BlockForm, x: np.ndarray):
     return list(normal.blocks), a_op, dagger(c_last_inv)
 
 
+def _npt_witness(state: BipartiteState):
+    """The NPT witness chain: the coordinate 2xN scan, then the
+    eigen-frames of rho^G.  Returns the first SchmidtRank2Witness, valued
+    on state, or None, which is no claim."""
+    return schmidt2_witness(state) or _eigen_frame_witness(state)
+
+
 def _distill_rank_max(state):
     """Witness for an NPT state with rank == dim_b == max.
 
     state must already be compressed to its local ranges with M <= N and
-    rank N; the witness refers to state.  The coordinate 2xN scan
-    answers first; the theorem's 2xN projection, built on a fixed
-    full-rank direction, is the fallback.
+    rank N; the witness refers to state.  The theorem makes the state
+    distillable, so a miss of the chain is the search's, and is raised.
     """
-    if (w := schmidt2_witness(state)) is not None:
-        return w
-    x = _full_rank_direction(block_form(state), state.tol)
-    if x is None:
+    if (w := _npt_witness(state)) is None:
         raise UndecidableError(
-            "no fixed direction makes the sector operator of this NPT rank-N "
-            "state full rank, and no coordinate 2xN block of rho^G is negative")
-    return _pair_witness(state, complete_rows(x.conj(), last=True))
-
-
-def _pair_witness(state, a_op):
-    """Witness for an NPT state whose blocks after the A operation a_op
-    (and an invertible B one) are (C_1, .., I_N), from a 2xN projection.
-
-    The pair state (X, I_N) of X = x C_i + C_j is, up to invertible
-    local maps, the compression of state to the A rows (conj(x) a_op[i]
-    + a_op[j], a_op[M-1]), so the two are NPT together; the witness is
-    _projection_witness's on state.  (X, I_N) is NPT iff X is not
-    normal.  Some C_i is not normal, or two normal C_i, C_j do not
-    commute; then X = x C_i + C_j has X^dag X - X X^dag = conj(x) K +
-    x K^dag with K = C_i^dag C_j - C_j C_i^dag, which is nonzero by
-    Fuglede's theorem, so x = 1 or, when K + K^dag = 0, x = i certifies.
-    One call values the row sets (a_op[i], a_op[M-1]) and then, for
-    each i < j, those of x = 1 and x = i, in that order.
-    """
-    m = len(a_op)
-    last = a_op[m - 1]
-    rows = [(a_op[i], last) for i in range(m - 1)]
-    rows += [(np.conj(x) * a_op[i] + a_op[j], last)
-             for i, j in combinations(range(m - 1), 2) for x in (1.0, 1.0j)]
-    witness = _projection_witness(state, np.array(rows))
-    if witness is None:
-        raise UndecidableError(
-            "no pair projection of the normal form is NPT, though Fuglede's "
-            "theorem guarantees one for an NPT state; the state tests as PPT "
-            "within rounding")
-    return witness
+            "NPT rank-N state; neither the coordinate 2xN scan nor the "
+            "eigen-frames of rho^G found a negative Schmidt-rank-2 direction")
+    return w
 
 
 def _rank_n_products(state: BipartiteState):
@@ -502,16 +481,16 @@ def _rank_n_products(state: BipartiteState):
     bf = block_form(state)
     x = _full_rank_direction(bf, tol)
     if x is None:
-        raise RuntimeError(
+        raise UndecidableError(
             "no fixed direction makes the sector operator of a PPT state full "
-            "rank; PPT states have both full-rank properties, so this signals "
-            "a numerical problem or a non-PPT input")
+            "rank; PPT states have both full-rank properties, so the state "
+            "tests as PPT only within rounding")
     blocks, a_op, b_op = _normal_form(bf, x)
 
     found = common_eigenbasis(blocks, tol)
     if found is None:
-        raise ValueError("the blocks have no common eigenbasis; "
-                         "the input is not PPT within tolerance")
+        raise UndecidableError("the blocks have no common eigenbasis; "
+                               "the state tests as PPT only within rounding")
     u, diag = found
 
     # map back through the two local operations
@@ -525,8 +504,8 @@ def separable_decomposition_rank_n(state: BipartiteState):
 
     Normalizes the last block to the identity via a full-rank witness
     and reads the products off the common eigenbasis of the blocks.
-    Rejects inputs whose blocks have none (they are not PPT within
-    tolerance).
+    Raises UndecidableError when the blocks have none: the input is not
+    PPT beyond rounding.
     """
     frame = Frame.local(state)
     r = frame.work.rank()
@@ -542,11 +521,14 @@ def classify_rank_le_max(state: BipartiteState) -> Certificate:
 
     Rank below the max local rank: distillable, with the Schmidt-rank-2
     witness the reduction-criterion proof constructs.  Rank equal to it:
-    PPT implies separable with exactly N products; NPT yields the
-    coordinate 2xN scan's witness, or when the scan misses the lowest
-    eigenvector of rho^G compressed to a negative A 2-frame.  Every
-    witness is valued on the state given.  A construction that fails
-    raises a named error; it never returns Undecided.
+    PPT implies separable with exactly N products; NPT yields the witness
+    of the NPT chain, the coordinate 2xN scan and then the eigen-frames
+    of rho^G.  The theorem's constructive 2xN projection is not carried,
+    so an NPT state the chain misses raises UndecidableError.  So does a
+    PPT state whose N products miss the reconstruction bar, or whose
+    construction finds no full-rank direction or no common eigenbasis:
+    such a state tests PPT only within rounding.  The certificate
+    returned is checked against the state given; it is never Undecided.
     """
     r, n = state.rank(), max(state.local_ranks())
     if r > n:
@@ -565,7 +547,12 @@ def classify_rank_le_max(state: BipartiteState) -> Certificate:
         work = frame.work
         cert = frame.lift(Separable(products=tuple(_rank_n_products(work)))
                           if is_ppt(work)[0] else Distillable(_distill_rank_max(work)))
-    validate_certificate(state, cert)
+    try:
+        validate_certificate(state, cert)
+    except ValueError as exc:
+        if not isinstance(cert, Separable):
+            raise
+        raise UndecidableError(f"the N = {n} products fail their check: {exc}") from exc
     return cert
 
 

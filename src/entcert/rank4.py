@@ -6,7 +6,8 @@ contains a product vector, and an NPT one is distillable.  The decision
 tree:
 
 * max local rank 4: rank equals the max, so the rank-max machinery
-  decides (PPT -> N products, NPT -> 2xN scan, projection fallback);
+  decides (PPT -> N products, NPT -> the NPT chain of criteria: the
+  scan, then the eigen-frames, whose miss raises UndecidableError);
 * 3x3 locals, PPT: the range is searched for product vectors first;
   when four of them rebuild the state with positive weights it is
   separable, with them as the certificate.  Otherwise a reducible
@@ -16,8 +17,10 @@ tree:
   witness.  Otherwise a reducible state is decided by its components,
   and an irreducible one by the eigen-frames, 2-frames read off the
   eigenvectors of rho^G, whose first negative compression is the
-  witness; a state they miss too is surfaced as undecidable.  No NPT
-  state runs a range-product search.
+  witness; a state they miss too is surfaced as undecidable.  The
+  tree runs the chain's two searches with its reducibility test
+  between them, so that a reducible state ends on its own trail.  No
+  NPT state runs a range-product search.
 
 Also hosts the peeling decomposition for two-level-by-N PPT states
 (Kraus, Cirac, Karnas and Lewenstein, PRA 61, 062302 (2000)), whose
@@ -30,7 +33,9 @@ off, with one SVD per r-subset for its rank test and its
 pseudo-inverse.  Only a product the peeling subtracts is refined by
 Newton's method.  classify_state lives here because it and decide_rank4
 call each other: the components of a reducible rank-4 state are
-classified by classify_state.
+classified by classify_state.  Off rank 4 and above the max local rank,
+classify_state certifies an NPT state by the NPT chain alone, and
+returns Undecided when it misses.
 
 The tree's exits build certificates unchecked; decide_rank4,
 classify_state and separable_decomposition check the one they return
@@ -59,10 +64,10 @@ from .criteria import (
     Frame,
     _distill_rank_max,
     _eigen_frame_witness,
+    _npt_witness,
     _rank_n_products,
     classify_rank_le_max,
     is_ppt,
-    reduction_criterion,
     schmidt2_witness,
     separable_decomposition_rank_n,  # unused here; perfbench/spans.py wraps this binding
 )
@@ -77,9 +82,7 @@ from .states import (
     reduce_matrix,
     swap_sides_matrix,
 )
-from .structure import (
-    aggregate, common_kernel_distill, decompose_b_direct, decompose_b_direct_matrix,
-)
+from .structure import aggregate, decompose_b_direct_matrix
 
 __all__ = [
     "Rank4Verdict",
@@ -325,9 +328,9 @@ def decide_rank4(state: BipartiteState, rng=7) -> Rank4Verdict:
     """Separability/distillability decision for a rank-4 bipartite state.
 
     Separable iff PPT with a product vector in the range; the verdict
-    carries the proof path.  The only undecided corner is an irreducible
-    NPT 3x3 state on which both the coordinate 2x3 scan and the
-    eigen-frames of rho^G find no negative direction; it raises
+    carries the proof path.  An NPT state on which both the coordinate
+    scan and the eigen-frames of rho^G find no negative direction, an
+    irreducible 3x3 one or one of max local rank 4, raises
     UndecidableError.  The eigen-frames move with the state under a
     local unitary, so the verdict does not depend on one (up to
     degenerate eigenvalues), and their witness vector does not move
@@ -447,11 +450,11 @@ def classify_state(state: BipartiteState, rng=7) -> Certificate:
 
     Dispatch order mirrors what is actually decidable: rank at most the
     max local rank is fully classified; rank 4 goes through the rank-4
-    decision tree; everything else runs the criteria battery plus the
-    B-direct decomposition and reports the strongest certified verdict.
-    An NPT state of that last branch is searched by the coordinate 2xN
-    scan, then by the 2-frames read off the eigenvectors of rho^G, with
-    no random draw; only there is a failed search reported as Undecided.
+    decision tree; everything else runs the PPT test, the 2xN peeling of
+    a PPT state with at most 2x3 locals, and the NPT chain of an NPT one:
+    the coordinate 2xN scan, then the 2-frames read off the eigenvectors
+    of rho^G, with no random draw.  Only there is a miss reported as
+    Undecided.
     """
     ra, rb = state.local_ranks()
     r = state.rank()
@@ -463,30 +466,15 @@ def classify_state(state: BipartiteState, rng=7) -> Certificate:
     ppt, min_eig = is_ppt(state)
     if ppt and (min(ra, rb) > 2 or max(ra, rb) > 3):
         return Ppt(min_eig_gamma=min_eig)
-    # a PPT state left here is at most 2x3, where PPT implies separable
-    cert = (Separable(products=tuple(_ppt_products(state, rng))) if ppt
-            else _npt_certificate(state, rng))
-    if cert is None:
-        # common_kernel_distill checks the certificate it returns
-        return common_kernel_distill(state, rng=rng) or Undecided(report=(
-            f"NPT state of rank {r} > max local rank {max(ra, rb)}: witness "
-            "searches exhausted; no decision procedure is known for this regime"))
-    if isinstance(cert, (Separable, Distillable)):
-        validate_certificate(state, cert)
+    if ppt:
+        # a PPT state left here is at most 2x3, where PPT implies separable
+        cert = Separable(products=tuple(_ppt_products(state, rng)))
+    elif (w := _npt_witness(state)) is not None:
+        cert = Distillable(w)
+    else:
+        return Undecided(report=(
+            f"NPT state of rank {r} > max local rank {max(ra, rb)}: neither the "
+            "coordinate 2xN scan nor the eigen-frames of rho^G found a negative "
+            "Schmidt-rank-2 direction; no decision procedure is known for this regime"))
+    validate_certificate(state, cert)
     return cert
-
-
-def _npt_certificate(state: BipartiteState, rng):
-    """classify_state's unchecked certificate for an NPT state from a witness
-    search or the B-direct components; None for an irreducible state."""
-    w = schmidt2_witness(state) or _eigen_frame_witness(state)
-    if w is not None:
-        return Distillable(w)
-    rw = reduction_criterion(state)[1]
-    if rw is not None:
-        # a reduction violation by itself proves 1-distillability
-        return Distillable(rw)
-    decomp = decompose_b_direct(state)
-    if decomp.irreducible:
-        return None
-    return aggregate(decomp, [classify_state(c, rng=rng) for c in decomp.components])

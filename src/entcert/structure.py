@@ -253,7 +253,9 @@ def common_kernel_distill(state: BipartiteState, rng=11):
     Returns a Distillable certificate, or None when no pattern exists,
     when the rank-1 search is out of scope (rank_one_in_span), or when
     the state is B-reducible (classify its B-direct components instead;
-    restricting to the local ranges keeps B-reducibility).
+    restricting to the local ranges keeps B-reducibility).  No route of
+    the library calls it: the NPT chain of classify_state decided every
+    state on which it was seen to succeed.
     """
     frame = Frame.local(state, orient=False)
     restricted = frame.work

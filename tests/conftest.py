@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from entcert import rank4
+from entcert import criteria, rank4
 from entcert.random_states import (
     as_rng,
     complex_gaussian,
@@ -45,11 +45,11 @@ def reducible_b_state(rng):
     return apply_local(state, random_invertible(3, rng), random_invertible(3, rng))
 
 
-def ill_conditioned(kappa, rng):
-    """A 3 x 3 invertible operator with singular values 1 .. 1/kappa
+def ill_conditioned(kappa, rng, d=3):
+    """A d x d invertible operator with singular values 1 .. 1/kappa
     between random unitaries."""
-    s = np.diag(np.logspace(0, -np.log10(kappa), 3))
-    return random_unitary(3, rng) @ s @ random_unitary(3, rng)
+    s = np.diag(np.logspace(0, -np.log10(kappa), d))
+    return random_unitary(d, rng) @ s @ random_unitary(d, rng)
 
 
 def bell_projector(scale=1.0):
@@ -79,3 +79,22 @@ def miss_3x3_scan(monkeypatch):
 
     monkeypatch.setattr(rank4, "schmidt2_witness", missing)
     return scanned
+
+
+def miss_npt_scan(monkeypatch):
+    """Make the coordinate scan of the NPT chain, criteria._npt_witness,
+    find nothing, so that the chain goes on to the eigen-frames; every
+    other caller's scan stays real.  Returns the list of the chain's
+    eigen-frame results, one per call."""
+    found, scan, frames = [], criteria.schmidt2_witness, criteria._eigen_frame_witness
+
+    def missing(state):
+        return None if sys._getframe(1).f_code is criteria._npt_witness.__code__ else scan(state)
+
+    def counted(state):
+        found.append(frames(state))
+        return found[-1]
+
+    monkeypatch.setattr(criteria, "schmidt2_witness", missing)
+    monkeypatch.setattr(criteria, "_eigen_frame_witness", counted)
+    return found

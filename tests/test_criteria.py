@@ -1,4 +1,4 @@
-import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -15,6 +15,7 @@ from entcert.certificates import (
     validate_certificate,
     validate_witness,
 )
+from entcert.cli import main
 from entcert.criteria import (
     classify_rank_le_max,
     certify_pure_plus_sigma,
@@ -26,6 +27,7 @@ from entcert.criteria import (
     trivially_distillable,
 )
 from entcert.families import checkerboard_ppt_instance, make_antisymmetric, make_checkerboard
+from entcert.io import save_state
 from entcert.linalg import DEFAULT_TOL, rel_residual
 from entcert.random_states import (
     complex_gaussian,
@@ -44,7 +46,7 @@ from entcert.states import (
     tensor,
 )
 
-from conftest import bell_projector, ppt_rank_n_state
+from conftest import bell_projector, ill_conditioned, miss_npt_scan, ppt_rank_n_state
 
 
 def printed_2x3_state():
@@ -514,30 +516,6 @@ def test_classify_rank_le_max_padded_dimensions(rng):
     assert validate_witness(outer, cert.witness) < -1e-10
 
 
-@pytest.mark.parametrize("c1, x", [
-    # Hermitian C_1: K = [C_1, C_2] is anti-Hermitian, so x = 1 fails
-    (np.diag([1.0, 2.0, 3.0]).astype(complex), 1j),
-    (np.diag([1.0, 1j, -1.0]), 1.0),
-])
-def test_pair_witness_closed_form_on_normal_noncommuting_blocks(c1, x):
-    # normal blocks make every pair projection (C_i, I) PPT, so only the
-    # combination x C_1 + C_2 of the non-commuting pair can certify
-    c2 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-    eye = np.eye(3, dtype=complex)
-    w = np.hstack([c1, c2, eye])
-    state = BipartiteState(3, 3, w.conj().T @ w)
-    assert not is_ppt(state)[0]
-    witness = criteria._pair_witness(state, eye)
-    # the compression's A rows are conj(x) e_1 + e_2 and e_3, so the A
-    # side of the lifted vector lies in their span, orthogonal to
-    # (1, -x, 0), for the x that certified and for no other
-    a_side = witness.vector.reshape(3, 3)
-    for y in (1.0, 1j):
-        off_span = np.linalg.norm(np.array([1.0, -y, 0.0]).conj() @ a_side)
-        assert (off_span < 1e-12) == (y == x)
-    assert validate_witness(state, witness) < -1e-10
-
-
 def _in_row_space(rows, a_side):
     """Residual of the columns of a_side off the span of rows' rows."""
     coef = np.linalg.lstsq(rows.T, a_side, rcond=None)[0]
@@ -635,35 +613,100 @@ def test_eigen_frame_searches_draw_no_random_numbers(monkeypatch):
     verdict = rank4.decide_rank4(checkerboard, rng=0)
     assert verdict.trail == ("eigen-frames",)
     assert validate_witness(checkerboard, verdict.outcome.witness) < 0
-    monkeypatch.setattr(rank4, "schmidt2_witness", lambda state: None)
+    frames = miss_npt_scan(monkeypatch)
     for state, w in zip(high_rank, expected):
         cert = classify_state(state, rng=0)
         assert cert.witness.vector.tobytes() == w.vector.tobytes()
         assert validate_witness(state, cert.witness) < 0
-    assert len(high_rank) > 20
+    assert len(frames) == len(high_rank) > 20
+
+
+def normal_noncommuting_states():
+    """The 3x3 rank-3 states with blocks (C_1, C_2, I), normal blocks of
+    which only C_1 and C_2 do not commute, each with lambda_min(rho^G)."""
+    c2 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+    for c1, lam_min in ((np.diag([1.0, 2.0, 3.0]).astype(complex), -1.0),
+                        (np.diag([1.0, 1j, -1.0]), 1.0 - np.sqrt(5.0))):
+        w = np.hstack([c1, c2, np.eye(3, dtype=complex)])
+        yield BipartiteState(3, 3, w.conj().T @ w), lam_min
 
 
 @pytest.mark.parametrize("m, n", [(3, 3), (3, 4)])
 def test_rank_max_fallback_witness_is_a_large_share_of_the_negativity(monkeypatch, m, n):
-    # with the coordinate scan missing, the 2xN projection of the
-    # theorem answers; its witness, the lowest eigenvector of rho^G on
-    # the projection, reaches a large share of lambda_min(rho^G)
-    scan = criteria.schmidt2_witness
-    code = criteria._distill_rank_max.__code__
-
-    def missing(state):
-        return None if sys._getframe(1).f_code is code else scan(state)
-
-    monkeypatch.setattr(criteria, "schmidt2_witness", missing)
+    # with the chain's coordinate scan missing, the eigen-frames answer;
+    # their witness, the lowest eigenvector of rho^G on an A 2-frame of
+    # its eigenvectors, reaches a large share of lambda_min(rho^G).  On
+    # the 3x3 states with normal blocks (c1, C_2, I), whose pair
+    # projections (C_i, I) are all PPT and whose scan finds less than
+    # lambda_min, they reach lambda_min itself
     rng = np.random.default_rng(4)
-    ratios = []
-    for _ in range(20):
-        state = random_rank_r_state(m, n, n, rng)
-        cert = classify_rank_le_max(state)
-        value = validate_witness(state, cert.witness)
-        ratios.append(value / np.linalg.eigvalsh(partial_transpose(state))[0])
-    assert min(ratios) >= 0.05
-    assert np.median(ratios) >= 0.4
+    states = [random_rank_r_state(m, n, n, rng) for _ in range(20)]
+    closed_form = list(normal_noncommuting_states()) if (m, n) == (3, 3) else []
+    for state, lam_min in closed_form:
+        assert np.linalg.eigvalsh(partial_transpose(state))[0] == pytest.approx(lam_min, abs=1e-12)
+        assert schmidt2_witness(state).value > lam_min + 0.05
+    states += [state for state, _ in closed_form]
+    frames = miss_npt_scan(monkeypatch)
+    ratios = [validate_witness(s, classify_rank_le_max(s).witness)
+              / np.linalg.eigvalsh(partial_transpose(s))[0] for s in states]
+    assert len(frames) == len(states) and all(w is not None for w in frames)
+    assert min(ratios[:20]) >= 0.5
+    assert np.median(ratios[:20]) >= 0.8
+    assert ratios[20:] == pytest.approx([1.0] * len(closed_form), abs=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [1, 1e2, 1e3, 1e4, 1e5])
+def test_npt_rank_n_states_under_ilos_decide_through_the_chain(kappa):
+    # the NPT half of the rank = max local rank theorem runs the NPT
+    # chain alone: up to condition number 1e3 it certifies every state;
+    # beyond it a state may test PPT or escape the chain, and is then
+    # undecided, never an error
+    rng = np.random.default_rng(3)
+    outcomes = Counter()
+    for m, n in ((3, 3), (3, 4), (4, 4), (2, 4)):
+        for _ in range(100):
+            state = apply_local(random_rank_r_state(m, n, n, rng),
+                                ill_conditioned(kappa, rng, m), ill_conditioned(kappa, rng, n))
+            try:
+                cert = classify_rank_le_max(state)
+            except UndecidableError:
+                outcomes["undecided"] += 1
+                continue
+            outcomes[type(cert).__name__] += 1
+            if isinstance(cert, Distillable):
+                assert validate_witness(state, cert.witness) < 0
+    if kappa <= 1e3:
+        assert outcomes == {"Distillable": 400}
+    else:
+        assert outcomes["Distillable"] > 200
+
+
+def test_ppt_rank_n_states_under_ill_conditioned_ilos_raise_only_undecidable(tmp_path, capsys):
+    # under an ILO of condition number 1e5 the N products of a PPT rank-N
+    # state can miss the reconstruction bar, or its blocks can lose their
+    # common eigenbasis: the state tests PPT only within rounding.  Each
+    # such state is undecided (UndecidableError, CLI exit 2), not an
+    # error, and every verdict returned validates
+    rng = np.random.default_rng(100000)
+    outcomes, undecided = Counter(), None
+    for m, n in ((2, 3), (3, 3), (3, 4), (4, 4)):
+        for _ in range(100):
+            state = apply_local(ppt_rank_n_state(m, n, rng, conjugate=False),
+                                ill_conditioned(1e5, rng, m), ill_conditioned(1e5, rng, n))
+            try:
+                cert = classify_rank_le_max(state)
+            except UndecidableError:
+                outcomes["undecided"] += 1
+                undecided = undecided or state
+                continue
+            assert isinstance(cert, Separable)
+            validate_certificate(state, cert)
+            outcomes["separable"] += 1
+    assert set(outcomes) == {"separable", "undecided"}
+    path = tmp_path / "state.json"
+    save_state(undecided, path)
+    assert main(["analyze", str(path)]) == 2
+    assert "undecided:" in capsys.readouterr().err
 
 
 def certificate_bytes(cert):
@@ -674,28 +717,24 @@ def certificate_bytes(cert):
 
 
 def test_rank_max_certificates_and_the_b_direct_split_do_not_depend_on_the_seed(monkeypatch):
-    # both halves of the rank = max local rank theorem build on a
-    # full-rank direction chosen among fixed points, and the B-direct
-    # split eigen-splits a fixed element of the commutant, so the
-    # caller's seed moves none of their results.  The NPT states run
-    # the 2xN projection fallback: the scan of _distill_rank_max misses
+    # the PPT half of the rank = max local rank theorem builds on a
+    # full-rank direction chosen among fixed points, the NPT chain draws
+    # nothing, and the B-direct split eigen-splits a fixed element of the
+    # commutant, so the caller's seed moves none of their results.  The
+    # NPT states run the eigen-frames: the chain's scan misses
     rng = np.random.default_rng(35)
     states = [ppt_rank_n_state(m, n, rng) for m, n in ((2, 3), (3, 3), (3, 4)) for _ in range(8)]
-    npt = [random_rank_r_state(m, n, n, rng) for m, n in ((3, 3), (3, 4)) for _ in range(10)]
-    states += [s for s in npt if not is_ppt(s)[0]]
-    scan, code = criteria.schmidt2_witness, criteria._distill_rank_max.__code__
-
-    def missing(state):
-        return None if sys._getframe(1).f_code is code else scan(state)
-
-    monkeypatch.setattr(criteria, "schmidt2_witness", missing)
+    npt = [s for s in (random_rank_r_state(m, n, n, rng) for m, n in ((3, 3), (3, 4))
+                       for _ in range(10)) if not is_ppt(s)[0]]
+    frames = miss_npt_scan(monkeypatch)
     kinds = set()
-    for state in states:
+    for state in states + npt:
         first, second = classify_state(state, rng=0), classify_state(state, rng=12345)
         kinds.add(type(first))
         assert type(first) is type(second)
         assert certificate_bytes(first) == certificate_bytes(second)
-    assert kinds == {Separable, Distillable} and len(states) > 30
+    assert kinds == {Separable, Distillable} and len(states + npt) > 30
+    assert len(frames) == 2 * len(npt) and all(w is not None for w in frames)
 
     example = families.make_reducible_4x4_example()[0]
     for _ in range(5):

@@ -125,20 +125,23 @@ def test_theorem_backed_witnesses_draw_no_random_numbers():
                   for node in ast.walk(func) if isinstance(node, ast.Call)}
         drawn = called & {"complex_gaussian", "unit_disc"}
         assert not drawn, f"{module}.{func_name} calls {sorted(drawn)}"
-    # the NPT routes at and above the max local rank open with the
-    # coordinate scan, so the full-rank direction, the eigen-frames or the
-    # reduction split runs only when it misses
-    constructions = {"reduction_criterion", "_full_rank_direction", "_eigen_frame_witness"}
-    for module, func_name in (("criteria", "_distill_rank_max"), ("rank4", "_npt_certificate")):
-        func = next(node for node in ast.walk(modules[module])
-                    if isinstance(node, ast.FunctionDef) and node.name == func_name)
-        names = [name for *_, name in sorted(
-            (node.lineno, node.col_offset,
-             getattr(node.func, "id", None) or getattr(node.func, "attr", None))
-            for node in ast.walk(func) if isinstance(node, ast.Call))]
-        assert "schmidt2_witness" in names, f"{module}.{func_name} skips the scan"
-        early = constructions & set(names[:names.index("schmidt2_witness")])
-        assert not early, f"{module}.{func_name} calls {sorted(early)} before the scan"
+    # every NPT route outside the rank-4 tree runs one chain, which opens
+    # with the coordinate scan, so the eigen-frames run only when it
+    # misses; no route runs a construction of its own around the chain
+    funcs = {f"{module}.{node.name}": node for module in ("criteria", "rank4")
+             for node in modules[module].body if isinstance(node, ast.FunctionDef)}
+    chain = [name for *_, name in sorted(
+        (node.lineno, node.col_offset,
+         getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        for node in ast.walk(funcs["criteria._npt_witness"]) if isinstance(node, ast.Call))]
+    assert chain == ["schmidt2_witness", "_eigen_frame_witness"]
+    constructions = {"reduction_criterion", "_full_rank_direction", "_eigen_frame_witness",
+                     "_projection_witness", "decompose_b_direct", "common_kernel_distill"}
+    for name in ("criteria._distill_rank_max", "rank4.classify_state"):
+        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                  for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)}
+        assert "_npt_witness" in called, f"{name} skips the chain"
+        assert not called & constructions, f"{name} calls {sorted(called & constructions)}"
 
 
 def test_no_function_takes_a_restart_budget():
@@ -209,11 +212,12 @@ def test_families_compute_no_witness():
     assert not calls, "families computes a witness: " + ", ".join(calls)
 
 
-def test_only_the_rank4_tree_runs_the_projection_sweep():
-    # the eigen-frame search runs where a coordinate scan misses: at step
-    # (d) of the rank-4 tree and in classify_state's general branch
-    assert _callers("_eigen_frame_witness") == {"rank4._decide_rank4_local",
-                                                "rank4._npt_certificate"}
+def test_only_the_chain_and_the_rank4_tree_run_the_eigen_frames():
+    # the eigen-frame search runs where a coordinate scan misses: in the
+    # NPT chain, and at the last step of the rank-4 tree, after its
+    # reducibility test
+    assert _callers("_eigen_frame_witness") == {"criteria._npt_witness",
+                                                "rank4._decide_rank4_local"}
 
 
 def test_rank4_reads_range_products_in_one_helper():
@@ -256,7 +260,7 @@ def test_dispatchers_pass_the_seed_through():
     # builds none.  These pass the seed on to the enumeration of
     # rank_one_in_span and to the 2xN peeling
     dispatchers = {"rank4.decide_rank4", "rank4._decide_rank4_local", "rank4._ppt_products",
-                   "rank4._reducible_verdict", "rank4.classify_state", "rank4._npt_certificate",
+                   "rank4._reducible_verdict", "rank4.classify_state",
                    "structure.common_kernel_distill", "tripartite.classify_pairs"}
     converting = dispatchers & _callers("as_rng")
     assert not converting, "as_rng called in " + ", ".join(sorted(converting))
@@ -290,7 +294,7 @@ def test_only_named_functions_take_a_seed_or_draw():
     assert seeded == SEEDED
     assert set(drawing) <= SEEDED, f"functions that draw: {drawing}"
     for name in ("criteria._full_rank_direction", "structure.commutant_decompose",
-                 "criteria._pair_witness"):
+                 "criteria._npt_witness"):
         assert name not in drawing, f"{name} calls {drawing.get(name)}"
         module, func_name = name.split(".")
         assert any(isinstance(node, ast.FunctionDef) and node.name == func_name
@@ -311,22 +315,18 @@ def test_one_frame_maps_every_construction_back():
 
 
 def test_one_routine_values_every_2_frame_projection():
-    # the eigen-frames and the rank = max local rank theorem's 2xN
-    # fallback compress rho^G to an A 2-frame through one helper, on the
-    # state itself, with no pair state built.  The eigen-frames read
-    # their rows off one eigh of rho^G itself, and project nothing there
+    # the eigen-frames compress rho^G to an A 2-frame through one helper,
+    # on the state itself, with no pair state built.  They read their
+    # rows off one eigh of rho^G itself, and project nothing there
     modules = _modules()
-    funcs = {node.name: node for node in modules["criteria"].body
-             if isinstance(node, ast.FunctionDef)}
-    for name, reads_rho_gamma in (("_eigen_frame_witness", True), ("_pair_witness", False)):
-        calls = [getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                 for node in ast.walk(funcs[name]) if isinstance(node, ast.Call)]
-        assert "_projection_witness" in calls, f"criteria.{name} skips _projection_witness"
-        if reads_rho_gamma:
-            assert calls.count("eigh") == calls.count("partial_transpose") == 1, name
-            calls = [c for c in calls if c not in ("eigh", "partial_transpose")]
-        own = set(calls) & {"eigh", "partial_transpose", "BipartiteState"}
-        assert not own, f"criteria.{name} calls {sorted(own)}"
+    assert _callers("_projection_witness") == {"criteria._eigen_frame_witness"}
+    func = next(node for node in modules["criteria"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "_eigen_frame_witness")
+    calls = [getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+             for node in ast.walk(func) if isinstance(node, ast.Call)]
+    assert calls.count("eigh") == calls.count("partial_transpose") == 1
+    own = set(calls) & {"BipartiteState"}
+    assert not own, f"criteria._eigen_frame_witness calls {sorted(own)}"
     defined = [f"{module}.{node.name}" for module, tree in modules.items()
                for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == "_pair_state"]

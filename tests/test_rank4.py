@@ -10,10 +10,11 @@ from entcert.certificates import (
     PptEntangled,
     SchmidtRank2Witness,
     Separable,
+    Undecided,
     validate_certificate,
     validate_witness,
 )
-from entcert.criteria import is_ppt, trivially_distillable
+from entcert.criteria import is_ppt, reduction_criterion, trivially_distillable
 from entcert.families import (
     checkerboard_ppt_instance,
     classify_checkerboard,
@@ -472,20 +473,20 @@ def test_classify_state_peels_the_mixed_corpus_seed6_sum():
     validate_certificate(state, cert)
 
 
-def test_classify_state_returns_the_reduction_violation(monkeypatch):
+def test_classify_state_returns_undecided_when_the_npt_chain_misses(monkeypatch):
     # a 3x3 rank-5 state near the maximally entangled one violates the
-    # reduction criterion; with the witness searches stubbed out, that
-    # violation alone certifies 1-distillability
+    # reduction criterion, but only the NPT chain certifies above the max
+    # local rank: with the chain stubbed out, the verdict is Undecided
     rng = np.random.default_rng(5)
     phi = 2.0 * np.eye(3).reshape(-1) / np.sqrt(3)
     state = BipartiteState.from_vectors(
         3, 3, [phi] + [complex_gaussian(rng, 9) for _ in range(4)])
     assert (state.rank(), state.local_ranks()) == (5, (3, 3))
-    monkeypatch.setattr(rank4, "schmidt2_witness", lambda *a, **k: None)
-    monkeypatch.setattr(rank4, "_eigen_frame_witness", lambda *a, **k: None)
+    assert reduction_criterion(state)[1] is not None
+    monkeypatch.setattr(rank4, "_npt_witness", lambda state: None)
     cert = classify_state(state, rng=3)
-    assert isinstance(cert.witness, SchmidtRank2Witness)
-    assert validate_certificate(state, cert)["witness_value"] == pytest.approx(-6.025, abs=1e-3)
+    assert isinstance(cert, Undecided)
+    assert "neither the coordinate 2xN scan nor the eigen-frames" in cert.report
 
 
 def test_decide_rank4_ilo_invariance_100_fixtures(rng):
@@ -643,9 +644,11 @@ def test_irreducible_state_reducibility_test_runs_no_kernel_svd_and_no_swapped_s
 
 def test_ppt_sum_of_four_products_never_reaches_the_b_direct_code(rng, monkeypatch):
     calls = []
-    for name in ("decompose_b_direct", "decompose_b_direct_matrix"):
-        fn = getattr(rank4, name)
-        monkeypatch.setattr(rank4, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+    for module, name in ((structure, "decompose_b_direct"),
+                         (structure, "decompose_b_direct_matrix"),
+                         (rank4, "decompose_b_direct_matrix")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
     for _ in range(5):
         state = apply_local(random_product_sum(3, 3, 4, rng), random_invertible(3, rng),
                             random_invertible(3, rng))
